@@ -31,26 +31,38 @@
 //!   surviving pairs pay the exact hot merge — keeping per-anonymized-user
 //!   work near `O(rare postings + |V2|·words)` instead of
 //!   `O(Σ hot-list length)`.
-//! - Pairs are pruned against the [`BoundedTopK::floor`] with a cheap
-//!   monotone upper bound: a pair sharing no attributes can score at most
-//!   `c1·s^d_max + c2·s^s_max` (degree similarity caps at 3 and distance
-//!   similarity at 2 — *exact* `f64` caps, because
-//!   [`padded_cosine`](crate::similarity::padded_cosine) clamps to 1 and
-//!   the min/max ratios cannot round past 1), and a pair with exact
-//!   attribute similarity `s^a` at most `c1·3 + c2·2 + c3·s^a`. Only
-//!   pairs whose bound beats the floor fall back to the full
+//! - Pairs are pruned against the [`BoundedTopK::floor`] on an upper
+//!   bound of their score: the attribute term (exact, or bounded from
+//!   above before the hot merge) plus a ceiling on the structural part.
+//!   The constant ceiling `c1·3 + c2·2` (degree similarity caps at 3,
+//!   distance similarity at 2) is tried first because it costs nothing;
+//!   a pair it cannot prune is tried against its own ceiling,
+//!   `SimilarityEngine::structural_ceiling`: the pair's exact degree
+//!   ratios, with each cosine taken as 1 when both of its vectors have a
+//!   nonzero norm and 0 otherwise. Correlation graphs are sparse and
+//!   largely disconnected, so many users have degree 0 and all-zero
+//!   closeness vectors, and their ceiling sits far below the constant.
+//!   Only pairs whose bound beats the floor fall back to the full
 //!   degree/distance computation.
 //!
-//! **Exactness.** Pruning never changes the outcome. `f64` multiplication
-//! by a non-negative constant and `f64` addition are monotone, so the
-//! bound — evaluated with the same association as
-//! [`SimilarityEngine::similarity`], `(c1·s^d + c2·s^s) + c3·s^a` — is a
-//! true upper bound on the rounded score. The floor of a [`BoundedTopK`]
-//! never decreases, and a pair is pruned only when its bound is *strictly*
-//! below the floor (an equal-score pair could still enter on the smaller-id
-//! tie-break), so every pruned pair would have been rejected by
-//! [`BoundedTopK::insert`] anyway. `tests/index_parity.rs` differential-
-//! tests this path against the dense oracle at 1/2/8 threads.
+//! **Exactness.** Pruning never changes the outcome. The per-pair ceiling
+//! bounds the *rounded* structural part, not only the real one:
+//! [`padded_cosine`](crate::similarity::padded_cosine) returns exactly
+//! 0.0 when either norm is 0 and is clamped to at most 1.0 otherwise, so
+//! each cosine is at most its zero-norm indicator; the degree ratios are
+//! the same `f64` operations on the same operands as in the score; and
+//! `f64` addition and multiplication by a non-negative constant are
+//! monotone (a negative weight contributes 0, its term being `≤ 0`).
+//! Evaluated with the same association as
+//! [`SimilarityEngine::similarity`], `(c1·s^d + c2·s^s) + c3·s^a`, the
+//! bound is therefore a true upper bound on the rounded score; the
+//! constant `c1·3 + c2·2` is one too, and serves only as the cheap first
+//! check. The floor of a [`BoundedTopK`] never decreases, and a pair is
+//! pruned only when its bound is *strictly* below the floor (an
+//! equal-score pair could still enter on the smaller-id tie-break), so
+//! every pruned pair would have been rejected by [`BoundedTopK::insert`]
+//! anyway. `tests/index_parity.rs` differential-tests this path against
+//! the dense oracle at 1/2/8 threads.
 //!
 //! **Caveat.** Pruning skips pairs without computing their scores, so the
 //! running [`ScoreBounds`] of a pruned pass no
@@ -700,6 +712,12 @@ pub struct PairTally {
     /// Pairs skipped because their upper bound could not beat the Top-K
     /// floor.
     pub pruned: u64,
+    /// Pairs that paid the exact hot merge (a pair sharing no attribute
+    /// needs none: its attribute term is exactly 0) and were then pruned
+    /// on their exact attribute term or scored. `merged - scored` pairs
+    /// were pruned after the merge, the rest of `pruned` before it.
+    /// Pairs a prescreen margin skips are not counted.
+    pub merged: u64,
     /// Pairs fully scored *under an active prescreen margin* — the exact
     /// scorings the approximate tier still paid. Always 0 in exact mode.
     pub admitted: u64,
@@ -715,6 +733,7 @@ impl std::ops::AddAssign for PairTally {
     fn add_assign(&mut self, rhs: Self) {
         self.scored += rhs.scored;
         self.pruned += rhs.pruned;
+        self.merged += rhs.merged;
         self.admitted += rhs.admitted;
         self.skipped += rhs.skipped;
     }
@@ -852,6 +871,27 @@ impl HotAttrs {
     }
 }
 
+/// How a pair fares against the Top-K floor in [`IndexedScorer::screen`].
+#[derive(Debug, Clone, Copy)]
+enum Screen {
+    /// Its upper bound is strictly below the floor: it cannot enter.
+    Prune,
+    /// Dropped by the margin prescreen (approximate tier only).
+    Skip,
+    /// It may enter; go on.
+    Keep,
+}
+
+/// A pair's structural ceilings, each computed at most once and shared
+/// by the pre- and post-merge screens.
+#[derive(Debug, Default)]
+struct PairCeilings {
+    /// [`SimilarityEngine::structural_ceiling`].
+    exact: Option<f64>,
+    /// [`QuantizedStructural::ceiling`], under an armed margin.
+    band: Option<f64>,
+}
+
 /// Sparse scorer: drives one [`SimilarityEngine`] through an
 /// [`AttributeIndex`] instead of the all-pairs sweep.
 ///
@@ -879,7 +919,8 @@ pub struct IndexedScorer<'e, 'i> {
     /// [`Self::with_margin`]); `0.0` = exact.
     margin: f64,
     /// `c1·s^d_max + c2·s^s_max`, evaluated with the same association as
-    /// the score itself (negative weights contribute their maximum, 0).
+    /// the score itself (negative weights contribute their maximum, 0):
+    /// the free first check before a pair's own structural ceiling.
     struct_bound: f64,
     /// u8-quantized structural mirror backing the margin band's per-pair
     /// score ceiling. Built only when `margin > 0`; the exact paths
@@ -929,19 +970,19 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
     }
 
     /// Arm the approximate tier's margin prescreen: a two-stage skip
-    /// test against the bar `floor + margin` (score units). Stage one is
-    /// the free check — the global structural ceiling (`c1·3 + c2·2`, a
-    /// constant) plus the pair's attribute term. A pair that clears it
-    /// is re-tested with the structural part re-bounded by the per-pair
-    /// quantized ceiling ([`QuantizedStructural::ceiling`] — exact
-    /// degree ratios plus u8 integer-dot cosines), which tracks the true
-    /// score closely instead of assuming every cosine is 1. Pairs that
-    /// fail either test are skipped without exact scoring; survivors are
-    /// scored exactly. Only candidates within `margin` (± quantization
-    /// slack) of the evolving admission floor can be lost. Applied at
-    /// every prune site, and only when pruning is enabled;
-    /// `margin == 0.0` builds no quantized state and is bit-identical to
-    /// the exact scorer.
+    /// test against the bar `floor + margin` (score units), applied to
+    /// pairs the exact bounds could not prune. Stage one is the free
+    /// check — the constant structural ceiling (`c1·3 + c2·2`) plus the
+    /// pair's attribute term. A pair that clears it is re-tested with
+    /// the structural part re-bounded by the per-pair quantized ceiling
+    /// ([`QuantizedStructural::ceiling`] — exact degree ratios plus u8
+    /// integer-dot cosines), which tracks the true score closely instead
+    /// of assuming every cosine is 1. Pairs that fail either test are
+    /// skipped without exact scoring; survivors are scored exactly. Only
+    /// candidates within `margin` (± quantization slack) of the evolving
+    /// admission floor can be lost. Applied at every prune site, and
+    /// only when pruning is enabled; `margin == 0.0` builds no quantized
+    /// state and is bit-identical to the exact scorer.
     ///
     /// # Panics
     /// Panics if `margin` is negative or non-finite.
@@ -955,11 +996,33 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         self
     }
 
-    /// Per-pair quantized structural ceiling (prescreen stage two).
-    /// Only reachable with an armed margin, which built the tables.
+    /// Screen a pair whose weighted attribute term is at most `attr`
+    /// against `floor`. The constant `struct_bound` goes first, as the
+    /// cheapest test; the pair's exact structural ceiling next; then,
+    /// under an armed margin, the prescreen against `floor + margin`
+    /// (stage one the constant, stage two the quantized ceiling).
     #[inline]
-    fn band_ceiling(&self, u: usize, lv: usize) -> f64 {
-        self.quant.as_ref().expect("armed margin builds quantized tables").ceiling(u, lv)
+    fn screen(&self, u: usize, lv: usize, attr: f64, floor: f64, c: &mut PairCeilings) -> Screen {
+        if self.struct_bound + attr < floor
+            || *c.exact.get_or_insert_with(|| self.sim.structural_ceiling(u, lv)) + attr < floor
+        {
+            return Screen::Prune;
+        }
+        if self.margin > 0.0 {
+            let bar = floor + self.margin;
+            if self.struct_bound + attr < bar
+                || *c.band.get_or_insert_with(|| {
+                    self.quant
+                        .as_ref()
+                        .expect("armed margin builds quantized tables")
+                        .ceiling(u, lv)
+                }) + attr
+                    < bar
+            {
+                return Screen::Skip;
+            }
+        }
+        Screen::Keep
     }
 
     /// Fresh accumulators sized for this scorer's auxiliary range.
@@ -1042,103 +1105,69 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                 scratch.u_mask.iter().zip(row).map(|(&a, &b)| (a & b).count_ones()).sum()
             };
             let inter = u64::from(scratch.inter[lv]) + u64::from(inter_hot);
+            let floor = if self.prune { top.floor() } else { None };
+            let mut ceilings = PairCeilings::default();
 
-            if inter == 0 {
+            let attr_term = if inter == 0 {
                 // Zero-shared pair: the attribute term is exactly 0 (both
                 // Jaccard conventions give 0.0 on an empty intersection),
-                // matching the dense merge bit for bit.
-                let zero_term = w.c3 * 0.0;
-                if self.prune {
-                    if let Some(floor) = top.floor() {
-                        if self.struct_bound + zero_term < floor {
-                            tally.pruned += 1;
-                            continue;
-                        }
-                        if self.margin > 0.0
-                            && (self.struct_bound + zero_term < floor + self.margin
-                                || self.band_ceiling(u, lv) + zero_term < floor + self.margin)
-                        {
-                            tally.skipped += 1;
-                            continue;
-                        }
-                    }
-                }
-                let s = (w.c1 * self.sim.degree_similarity(u, lv)
-                    + w.c2 * self.sim.distance_similarity(u, lv))
-                    + zero_term;
-                top.insert(v, s);
-                bounds.observe(s);
-                tally.scored += 1;
-                tally.admitted += u64::from(self.margin > 0.0);
-                continue;
-            }
-
-            let union = u_len + u64::from(self.attr_counts[v]) - inter;
-            let rare_min = scratch.min_sum[lv];
-            // The pair's quantized structural ceiling (prescreen stage
-            // two) is computed at most once and reused by both the
-            // pre-merge and post-merge checks.
-            let mut ceil: Option<f64> = None;
-
-            // Pre-merge prune: the Jaccard term is already exact, and the
-            // hot merge can add at most `min(u hot mass, v hot mass)` to
-            // the min-weight sum. Larger min-sum ⇒ larger ratio (monotone
-            // f64 division with a shrinking denominator), so this bounds
-            // the weighted term from above and the O(hot row) merge is
-            // paid by surviving pairs only.
-            if self.prune && c3_bounds_above {
-                if let Some(floor) = top.floor() {
+                // matching the dense merge bit for bit with nothing to
+                // merge.
+                w.c3 * 0.0
+            } else {
+                let union = u_len + u64::from(self.attr_counts[v]) - inter;
+                let rare_min = scratch.min_sum[lv];
+                // Pre-merge screen: the Jaccard term is already exact, and
+                // the hot merge can add at most `min(u hot mass, v hot
+                // mass)` to the min-weight sum. Larger min-sum ⇒ larger
+                // ratio (monotone f64 division with a shrinking
+                // denominator), so this bounds the weighted term from
+                // above and the O(hot row) merge is paid by surviving
+                // pairs only.
+                if let (Some(floor), true) = (floor, c3_bounds_above) {
                     let min_ub = rare_min + u_hot_wsum.min(hot.hot_wsums[lv]);
                     let wunion_lb = u_wsum + self.weight_sums[v] - min_ub;
                     let s_attr_ub = inter as f64 / union as f64 + min_ub as f64 / wunion_lb as f64;
-                    if self.struct_bound + w.c3 * s_attr_ub < floor {
-                        tally.pruned += 1;
-                        continue;
-                    }
-                    if self.margin > 0.0 {
-                        if self.struct_bound + w.c3 * s_attr_ub < floor + self.margin {
+                    match self.screen(u, lv, w.c3 * s_attr_ub, floor, &mut ceilings) {
+                        Screen::Prune => {
+                            tally.pruned += 1;
+                            continue;
+                        }
+                        Screen::Skip => {
                             tally.skipped += 1;
                             continue;
                         }
-                        let c = *ceil.get_or_insert_with(|| self.band_ceiling(u, lv));
-                        if c + w.c3 * s_attr_ub < floor + self.margin {
-                            tally.skipped += 1;
-                            continue;
-                        }
+                        Screen::Keep => {}
                     }
                 }
-            }
+                // Exact hot merge: O(|v's hot row|) against u's dense
+                // table. Slots u lacks hold weight 0 and add `min(0, l_v)
+                // = 0`, so the loop needs no branch.
+                let row = hot.starts[lv]..hot.starts[lv + 1];
+                let min_sum = rare_min
+                    + hot.slots[row.clone()]
+                        .iter()
+                        .zip(&hot.weights[row])
+                        .map(|(&slot, &wv)| u64::from(scratch.u_hot[slot as usize].min(wv)))
+                        .sum::<u64>();
+                let wunion = u_wsum + self.weight_sums[v] - min_sum;
+                // Same integers, same divisions, same addition order as
+                // `UserAttributes::jaccard + weighted_jaccard`.
+                w.c3 * (inter as f64 / union as f64 + min_sum as f64 / wunion as f64)
+            };
 
-            // Exact hot merge: O(|v's hot row|) against u's dense table.
-            let mut min_sum = rare_min;
-            for i in hot.starts[lv]..hot.starts[lv + 1] {
-                let wu = scratch.u_hot[hot.slots[i] as usize];
-                if wu != 0 {
-                    min_sum += u64::from(wu.min(hot.weights[i]));
-                }
-            }
-            let wunion = u_wsum + self.weight_sums[v] - min_sum;
-            // Same integers, same divisions, same addition order as
-            // `UserAttributes::jaccard + weighted_jaccard`.
-            let s_attr = inter as f64 / union as f64 + min_sum as f64 / wunion as f64;
-            let attr_term = w.c3 * s_attr;
-            if self.prune {
-                if let Some(floor) = top.floor() {
-                    if self.struct_bound + attr_term < floor {
+            if let Some(floor) = floor {
+                match self.screen(u, lv, attr_term, floor, &mut ceilings) {
+                    Screen::Prune => {
+                        tally.merged += 1;
                         tally.pruned += 1;
                         continue;
                     }
-                    if self.margin > 0.0 {
-                        if self.struct_bound + attr_term < floor + self.margin {
-                            tally.skipped += 1;
-                            continue;
-                        }
-                        let c = *ceil.get_or_insert_with(|| self.band_ceiling(u, lv));
-                        if c + attr_term < floor + self.margin {
-                            tally.skipped += 1;
-                            continue;
-                        }
+                    Screen::Skip => {
+                        tally.skipped += 1;
+                        continue;
                     }
+                    Screen::Keep => {}
                 }
             }
             let s = (w.c1 * self.sim.degree_similarity(u, lv)
@@ -1146,6 +1175,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                 + attr_term;
             top.insert(v, s);
             bounds.observe(s);
+            tally.merged += 1;
             tally.scored += 1;
             tally.admitted += u64::from(self.margin > 0.0);
         }
@@ -1361,6 +1391,7 @@ mod tests {
                 let (dense, n_present) = dense_topk(&sim, u, 4);
                 let sparse = top.into_sorted_entries();
                 assert_eq!(tally.scored, n_present as u64);
+                assert_eq!(tally.merged, tally.scored);
                 assert_eq!(tally.pruned, 0);
                 assert_eq!(sparse.len(), dense.len());
                 for (a, b) in sparse.iter().zip(&dense) {
@@ -1387,6 +1418,11 @@ mod tests {
             total += tally;
             let (dense, n_present) = dense_topk(&sim, u, 2);
             assert_eq!(tally.scored + tally.pruned, n_present as u64, "every pair accounted");
+            assert!(tally.merged >= tally.scored, "every scored pair has its exact term");
+            assert!(
+                tally.merged - tally.scored <= tally.pruned,
+                "merged pairs end scored or pruned"
+            );
             let sparse = top.into_sorted_entries();
             for (a, b) in sparse.iter().zip(&dense) {
                 assert_eq!(a.0, b.0);

@@ -52,22 +52,73 @@ fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Euclidean norm, summed in slice order. [`cosine`] takes it
+/// precomputed; the sum is the same either way, so hoisting it out of the
+/// pair kernel keeps every score bit.
+fn norm(a: &[f64]) -> f64 {
+    a.iter().map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// [`padded_cosine`] with both norms supplied.
+fn cosine(a: &[f64], na: f64, b: &[f64], nb: f64) -> f64 {
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    let dot: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
+    (dot / (na * nb)).min(1.0)
+}
+
 /// Cosine of two equal-or-different length vectors, zero-padding the
 /// shorter one (the paper: "we pad the short vector with zeros").
 ///
-/// Clamped to at most 1.0: rounding can push `dot / (na·nb)` a few ulps
-/// past 1 for near-parallel vectors, and the indexed scorer's pruning
-/// bound ([`crate::index`]) relies on `s^d ≤ 3` / `s^s ≤ 2` holding
-/// *exactly* in `f64` arithmetic.
+/// Exactly 0.0 when either norm is 0, and clamped to at most 1.0:
+/// rounding can push `dot / (na·nb)` a few ulps past 1 for near-parallel
+/// vectors. The indexed scorer's pruning bounds ([`crate::index`]) rely
+/// on both facts holding *exactly* in `f64` arithmetic.
 #[must_use]
 pub fn padded_cosine(a: &[f64], b: &[f64]) -> f64 {
-    let dot: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        (dot / (na * nb)).min(1.0)
+    cosine(a, norm(a), b, norm(b))
+}
+
+/// Per-user scalars of one side (40 bytes): degree, weighted degree and
+/// the norms of the three structural vectors, computed once per engine
+/// so the pair kernel only takes dot products.
+#[derive(Debug, Clone, Copy)]
+struct UserScalars {
+    degree: f64,
+    wdegree: f64,
+    ncs_norm: f64,
+    hops_norm: f64,
+    whops_norm: f64,
+}
+
+/// One side's structural state: NCS and landmark-closeness vectors plus
+/// their [`UserScalars`].
+#[derive(Debug)]
+struct Structure {
+    ncs: Vec<Vec<f64>>,
+    hops: Vec<Vec<f64>>,
+    whops: Vec<Vec<f64>>,
+    scalars: Vec<UserScalars>,
+}
+
+impl Structure {
+    fn new(uda: &UdaGraph, n_landmarks: usize) -> Self {
+        let (hops, whops) = uda.landmark_closeness(&uda.landmarks(n_landmarks));
+        let (ncs, scalars) = (0..uda.n_users())
+            .map(|u| {
+                let ncs = uda.graph.ncs_vector(u);
+                let scalars = UserScalars {
+                    degree: uda.graph.degree(u) as f64,
+                    wdegree: uda.graph.weighted_degree(u),
+                    ncs_norm: norm(&ncs),
+                    hops_norm: norm(&hops[u]),
+                    whops_norm: norm(&whops[u]),
+                };
+                (ncs, scalars)
+            })
+            .unzip();
+        Self { ncs, hops, whops, scalars }
     }
 }
 
@@ -78,17 +129,14 @@ pub struct SimilarityEngine<'a> {
     anon: &'a UdaGraph,
     aux: &'a UdaGraph,
     weights: SimilarityWeights,
-    anon_ncs: Vec<Vec<f64>>,
-    aux_ncs: Vec<Vec<f64>>,
-    anon_hops: Vec<Vec<f64>>,
-    anon_whops: Vec<Vec<f64>>,
-    aux_hops: Vec<Vec<f64>>,
-    aux_whops: Vec<Vec<f64>>,
+    anon_st: Structure,
+    aux_st: Structure,
 }
 
 impl<'a> SimilarityEngine<'a> {
     /// Prepare the engine: select `n_landmarks` landmarks on each side and
-    /// precompute NCS and landmark-closeness vectors.
+    /// precompute NCS and landmark-closeness vectors, their norms, and
+    /// every user's degree and weighted degree.
     #[must_use]
     pub fn new(
         anon: &'a UdaGraph,
@@ -96,28 +144,50 @@ impl<'a> SimilarityEngine<'a> {
         weights: SimilarityWeights,
         n_landmarks: usize,
     ) -> Self {
-        let anon_lms = anon.landmarks(n_landmarks);
-        let aux_lms = aux.landmarks(n_landmarks);
-        let (anon_hops, anon_whops) = anon.landmark_closeness(&anon_lms);
-        let (aux_hops, aux_whops) = aux.landmark_closeness(&aux_lms);
-        let anon_ncs = (0..anon.n_users()).map(|u| anon.graph.ncs_vector(u)).collect();
-        let aux_ncs = (0..aux.n_users()).map(|u| aux.graph.ncs_vector(u)).collect();
-        Self { anon, aux, weights, anon_ncs, aux_ncs, anon_hops, anon_whops, aux_hops, aux_whops }
+        let anon_st = Structure::new(anon, n_landmarks);
+        let aux_st = Structure::new(aux, n_landmarks);
+        Self { anon, aux, weights, anon_st, aux_st }
     }
 
     /// Degree similarity `s^d_uv ∈ [0, 3]`.
     #[must_use]
     pub fn degree_similarity(&self, u: usize, v: usize) -> f64 {
-        let d = ratio(self.anon.graph.degree(u) as f64, self.aux.graph.degree(v) as f64);
-        let wd = ratio(self.anon.graph.weighted_degree(u), self.aux.graph.weighted_degree(v));
-        d + wd + padded_cosine(&self.anon_ncs[u], &self.aux_ncs[v])
+        let (a, b) = (&self.anon_st.scalars[u], &self.aux_st.scalars[v]);
+        ratio(a.degree, b.degree)
+            + ratio(a.wdegree, b.wdegree)
+            + cosine(&self.anon_st.ncs[u], a.ncs_norm, &self.aux_st.ncs[v], b.ncs_norm)
     }
 
     /// Distance similarity `s^s_uv ∈ [0, 2]`.
     #[must_use]
     pub fn distance_similarity(&self, u: usize, v: usize) -> f64 {
-        padded_cosine(&self.anon_hops[u], &self.aux_hops[v])
-            + padded_cosine(&self.anon_whops[u], &self.aux_whops[v])
+        let (a, b) = (&self.anon_st.scalars[u], &self.aux_st.scalars[v]);
+        cosine(&self.anon_st.hops[u], a.hops_norm, &self.aux_st.hops[v], b.hops_norm)
+            + cosine(&self.anon_st.whops[u], a.whops_norm, &self.aux_st.whops[v], b.whops_norm)
+    }
+
+    /// Exact per-pair upper bound on the structural part `c1·s^d_uv +
+    /// c2·s^s_uv` of [`Self::similarity`]: the degree ratios as computed
+    /// there, with each cosine replaced by 1.0 when both of its vectors
+    /// have a nonzero norm and by 0.0 otherwise, summed with the same
+    /// association. A negative weight contributes 0.
+    ///
+    /// It bounds the rounded `f64` value, not just the real one: the
+    /// ratios are the same operations on the same operands,
+    /// [`padded_cosine`] is exactly 0.0 at a zero norm and at most 1.0
+    /// otherwise, and `f64` addition and multiplication by a non-negative
+    /// constant are monotone.
+    #[inline]
+    pub(crate) fn structural_ceiling(&self, u: usize, v: usize) -> f64 {
+        let SimilarityWeights { c1, c2, .. } = self.weights;
+        let (a, b) = (&self.anon_st.scalars[u], &self.aux_st.scalars[v]);
+        let nz = |x: f64, y: f64| if x != 0.0 && y != 0.0 { 1.0 } else { 0.0 };
+        let d =
+            ratio(a.degree, b.degree) + ratio(a.wdegree, b.wdegree) + nz(a.ncs_norm, b.ncs_norm);
+        let s = nz(a.hops_norm, b.hops_norm) + nz(a.whops_norm, b.whops_norm);
+        let td = if c1 >= 0.0 { c1 * d } else { 0.0 };
+        let ts = if c2 >= 0.0 { c2 * s } else { 0.0 };
+        td + ts
     }
 
     /// Attribute similarity `s^a_uv ∈ [0, 2]`.
@@ -180,18 +250,17 @@ impl<'a> SimilarityEngine<'a> {
     /// margin prescreen reads it; the exact scoring paths never do.
     #[must_use]
     pub fn quantized_structural(&self) -> QuantizedStructural {
-        let hops_dim = [&self.anon_hops, &self.aux_hops, &self.anon_whops, &self.aux_whops]
+        let (anon, aux) = (&self.anon_st, &self.aux_st);
+        let hops_dim = [&anon.hops, &aux.hops, &anon.whops, &aux.whops]
             .iter()
             .map(|rows| rows.first().map_or(0, Vec::len))
             .max()
             .unwrap_or(0);
-        let degrees = |uda: &UdaGraph| -> (Vec<f64>, Vec<f64>) {
-            (0..uda.n_users())
-                .map(|u| (uda.graph.degree(u) as f64, uda.graph.weighted_degree(u)))
-                .unzip()
+        let degrees = |st: &Structure| -> (Vec<f64>, Vec<f64>) {
+            st.scalars.iter().map(|s| (s.degree, s.wdegree)).unzip()
         };
-        let (anon_deg, anon_wdeg) = degrees(self.anon);
-        let (aux_deg, aux_wdeg) = degrees(self.aux);
+        let (anon_deg, anon_wdeg) = degrees(anon);
+        let (aux_deg, aux_wdeg) = degrees(aux);
         QuantizedStructural {
             c1: self.weights.c1,
             c2: self.weights.c2,
@@ -199,12 +268,12 @@ impl<'a> SimilarityEngine<'a> {
             anon_wdeg,
             aux_deg,
             aux_wdeg,
-            anon_ncs: QuantizedFamily::from_rows(&self.anon_ncs, NCS_PREFIX),
-            aux_ncs: QuantizedFamily::from_rows(&self.aux_ncs, NCS_PREFIX),
-            anon_hops: QuantizedFamily::from_rows(&self.anon_hops, hops_dim),
-            aux_hops: QuantizedFamily::from_rows(&self.aux_hops, hops_dim),
-            anon_whops: QuantizedFamily::from_rows(&self.anon_whops, hops_dim),
-            aux_whops: QuantizedFamily::from_rows(&self.aux_whops, hops_dim),
+            anon_ncs: QuantizedFamily::from_rows(&anon.ncs, NCS_PREFIX),
+            aux_ncs: QuantizedFamily::from_rows(&aux.ncs, NCS_PREFIX),
+            anon_hops: QuantizedFamily::from_rows(&anon.hops, hops_dim),
+            aux_hops: QuantizedFamily::from_rows(&aux.hops, hops_dim),
+            anon_whops: QuantizedFamily::from_rows(&anon.whops, hops_dim),
+            aux_whops: QuantizedFamily::from_rows(&aux.whops, hops_dim),
         }
     }
 
@@ -553,6 +622,54 @@ mod tests {
         // threads; regressing these bounds would break it.
         assert_sync_send::<SimilarityEngine<'_>>();
         assert_sync_send::<crate::refined::Side<'_>>();
+    }
+
+    #[test]
+    fn structural_ceiling_bounds_the_structural_part() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Users 0..6 each post alone in a thread of their own: degree 0
+        // and all-zero closeness vectors. The rest share four threads, so
+        // both sides also hold many equal-degree pairs.
+        let forum = |seed: u64| -> UdaGraph {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let words = ["pain", "rest", "doctor", "migrane", "tired", "water!"];
+            let mut posts = Vec::new();
+            for u in 0..24 {
+                for _ in 0..1 + rng.gen_range(0..3usize) {
+                    let thread = if u < 6 { u } else { 6 + rng.gen_range(0..4usize) };
+                    let text: Vec<&str> = (0..1 + rng.gen_range(0..5usize))
+                        .map(|_| words[rng.gen_range(0..words.len())])
+                        .collect();
+                    posts.push(p(u, thread, &text.join(" ")));
+                }
+            }
+            uda(posts, 24, 10)
+        };
+        let weights = [(0.05, 0.05, 0.9), (0.4, 0.4, 0.2), (-0.1, 0.3, 0.8), (0.0, 0.0, 1.0)];
+        let (mut isolated_pairs, mut equal_degree_pairs) = (0, 0);
+        for seed in 0..4 {
+            let (anon, aux) = (forum(seed), forum(seed + 100));
+            for &(c1, c2, c3) in &weights {
+                let eng = SimilarityEngine::new(&anon, &aux, SimilarityWeights { c1, c2, c3 }, 3);
+                for u in 0..24 {
+                    for v in 0..24 {
+                        let structural =
+                            c1 * eng.degree_similarity(u, v) + c2 * eng.distance_similarity(u, v);
+                        let ceiling = eng.structural_ceiling(u, v);
+                        assert!(
+                            ceiling >= structural,
+                            "seed {seed}, weights ({c1}, {c2}, {c3}), pair ({u}, {v}): \
+                             ceiling {ceiling} < structural part {structural}"
+                        );
+                        let (du, dv) = (anon.graph.degree(u), aux.graph.degree(v));
+                        isolated_pairs += usize::from(du == 0 && dv == 0);
+                        equal_degree_pairs += usize::from(du == dv && du > 0);
+                    }
+                }
+            }
+        }
+        assert!(isolated_pairs > 0 && equal_degree_pairs > 0, "forums miss the edge cases");
     }
 
     #[test]

@@ -458,6 +458,7 @@ impl Engine {
                             for (v, s) in sims[r].scores_for(slot.u) {
                                 slot.heap.insert(v, s);
                                 local_bounds[r].observe(s);
+                                local_tallies[r].merged += 1;
                                 local_tallies[r].scored += 1;
                             }
                         }
@@ -474,9 +475,7 @@ impl Engine {
             }
         });
         for (report, tally) in reports.iter_mut().zip(&tallies) {
-            report.record("topk", "pairs", tally.scored, 0.0);
-            report.record_skipped("topk", "pairs", tally.pruned);
-            report.record_prescreen(tally.admitted, tally.skipped);
+            report.record_topk(tally);
             // Batch-wide stage wall-clock (the fused pass is shared).
             report.record("topk", "pairs", 0, topk_secs);
         }
@@ -994,6 +993,7 @@ fn topk_pass(
                         for (v, s) in sim.scores_for(u) {
                             heap.insert(from + v, s);
                             local_bounds.observe(s);
+                            tally.merged += 1;
                             tally.scored += 1;
                         }
                     }
@@ -1005,9 +1005,7 @@ fn topk_pass(
             bounds.merge(local_bounds);
             total += local_tally;
         }
-        report.record("topk", "pairs", total.scored, 0.0);
-        report.record_skipped("topk", "pairs", total.pruned);
-        report.record_prescreen(total.admitted, total.skipped);
+        report.record_topk(&total);
     });
     // Attribute the stage wall-clock once (items were counted above).
     report.record("topk", "pairs", 0, topk_secs);

@@ -79,4 +79,4 @@ pub use engine::{
     BatchRequest, Engine, EngineConfig, EngineOutcome, EngineSession, ExactnessMode,
     PreparedAuxiliary, RefinedMode, ScoringMode,
 };
-pub use report::{EngineReport, PrescreenTally, StageStats};
+pub use report::{EngineReport, PrescreenTally, StageStats, TopkPairs};

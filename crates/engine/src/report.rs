@@ -9,6 +9,8 @@
 
 use std::time::Instant;
 
+use dehealth_core::index::PairTally;
+
 /// Wall-clock and volume counters for one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStats {
@@ -63,6 +65,20 @@ impl PrescreenTally {
     }
 }
 
+/// Where the Top-K stage's pairs ended. Every pair the stage considered
+/// lands in exactly one outcome, so the three sum to the `topk` stage's
+/// `items + skipped`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopkPairs {
+    /// Pruned on an upper bound of the attribute term, before the exact
+    /// hot merge.
+    pub pruned_before_merge: u64,
+    /// Pruned on the exact attribute term, after the merge.
+    pub pruned_after_merge: u64,
+    /// Fully scored (degree, distance and attribute terms).
+    pub scored: u64,
+}
+
 /// The engine's execution report: configuration echoes plus per-stage
 /// counters, in pipeline order of first appearance.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -75,17 +91,27 @@ pub struct EngineReport {
     pub stages: Vec<StageStats>,
     /// Approximate-tier decision counters (all zero in exact mode).
     pub prescreen: PrescreenTally,
+    /// Top-K pair outcomes (pruned before or after the merge, scored).
+    pub topk_pairs: TopkPairs,
 }
 
 impl EngineReport {
     pub(crate) fn new(n_threads: usize, block_size: usize) -> Self {
-        Self { n_threads, block_size, stages: Vec::new(), prescreen: PrescreenTally::default() }
+        Self { n_threads, block_size, ..Self::default() }
     }
 
-    /// Accumulate margin-prescreen decisions from the Top-K stage.
-    pub(crate) fn record_prescreen(&mut self, admitted: u64, skipped: u64) {
-        self.prescreen.admitted += admitted;
-        self.prescreen.skipped += skipped;
+    /// Accumulate one Top-K pass's pair counters: scored pairs as the
+    /// `topk` stage's items, pruned ones as its skipped items, the
+    /// outcome split, and the margin-prescreen decisions.
+    pub(crate) fn record_topk(&mut self, tally: &PairTally) {
+        self.record("topk", "pairs", tally.scored, 0.0);
+        self.record_skipped("topk", "pairs", tally.pruned);
+        let after = tally.merged - tally.scored;
+        self.topk_pairs.pruned_before_merge += tally.pruned - after;
+        self.topk_pairs.pruned_after_merge += after;
+        self.topk_pairs.scored += tally.scored;
+        self.prescreen.admitted += tally.admitted;
+        self.prescreen.skipped += tally.skipped;
     }
 
     /// Accumulate refined-stage exact rescores of margin-band users.
@@ -143,6 +169,14 @@ impl EngineReport {
             registry.counter_with("engine_stage_items_total", &labels).add(s.items);
             registry.counter_with("engine_stage_skipped_total", &labels).add(s.skipped);
         }
+        let t = self.topk_pairs;
+        for (outcome, n) in [
+            ("pruned_before_merge", t.pruned_before_merge),
+            ("pruned_after_merge", t.pruned_after_merge),
+            ("scored", t.scored),
+        ] {
+            registry.counter_with("engine_topk_pairs_total", &[("outcome", outcome)]).add(n);
+        }
         let p = self.prescreen;
         for (outcome, n) in
             [("admitted", p.admitted), ("skipped", p.skipped), ("rescored", p.rescored)]
@@ -170,6 +204,14 @@ impl std::fmt::Display for EngineReport {
                 write!(f, "  ({} {} pruned)", s.skipped, s.unit)?;
             }
             writeln!(f)?;
+        }
+        let t = self.topk_pairs;
+        if t != TopkPairs::default() {
+            writeln!(
+                f,
+                "  topk pairs  {} pruned before merge, {} pruned after merge, {} scored",
+                t.pruned_before_merge, t.pruned_after_merge, t.scored
+            )?;
         }
         if !self.prescreen.is_empty() {
             let p = self.prescreen;
@@ -262,12 +304,37 @@ mod tests {
     }
 
     #[test]
+    fn topk_pair_outcomes_split_pruned_around_the_merge() {
+        let mut r = EngineReport::new(1, 8);
+        assert!(!format!("{r}").contains("topk pairs"));
+        // 10 pairs: 4 pruned before the merge, 6 merged, of which 2 were
+        // pruned after it and 4 scored.
+        r.record_topk(&PairTally { scored: 4, pruned: 6, merged: 6, ..PairTally::default() });
+        r.record_topk(&PairTally { scored: 1, pruned: 0, merged: 1, ..PairTally::default() });
+        assert_eq!(
+            r.topk_pairs,
+            TopkPairs { pruned_before_merge: 4, pruned_after_merge: 2, scored: 5 }
+        );
+        let topk = r.stage("topk").unwrap();
+        assert_eq!((topk.items, topk.skipped), (5, 6));
+        assert!(format!("{r}").contains("4 pruned before merge, 2 pruned after merge, 5 scored"));
+        let registry = dehealth_telemetry::Registry::new();
+        r.record_into(&registry);
+        for (outcome, want) in
+            [("pruned_before_merge", 4), ("pruned_after_merge", 2), ("scored", 5)]
+        {
+            let c = registry.counter_with("engine_topk_pairs_total", &[("outcome", outcome)]);
+            assert_eq!(c.get(), want);
+        }
+    }
+
+    #[test]
     fn prescreen_counters_accumulate_and_export() {
         let mut r = EngineReport::new(1, 8);
         assert!(r.prescreen.is_empty());
         assert!(!format!("{r}").contains("prescreen"));
-        r.record_prescreen(5, 3);
-        r.record_prescreen(1, 0);
+        r.record_topk(&PairTally { scored: 5, merged: 5, admitted: 5, skipped: 3, pruned: 0 });
+        r.record_topk(&PairTally { scored: 1, merged: 1, admitted: 1, skipped: 0, pruned: 0 });
         r.record_rescored(2);
         assert_eq!(r.prescreen, PrescreenTally { admitted: 6, skipped: 3, rescored: 2 });
         assert!(format!("{r}").contains("6 admitted, 3 skipped, 2 rescored"));

@@ -9,12 +9,13 @@
 //! density (dense vocabularies make every pair share attributes; sparse
 //! ones exercise the zero-intersection path), users with 0/1/many posts
 //! (0-post users are *absent* and must never surface as candidates), at
-//! 1/2/8 worker threads, and across incremental
-//! `add_auxiliary_users` batches.
+//! 1/2/8 worker threads, across incremental `add_auxiliary_users`
+//! batches, and under structure-heavy weights, where pruning rests on
+//! each pair's own structural ceiling.
 
 use de_health::core::{AttackConfig, DeHealth, FilterConfig, SimilarityWeights};
 use de_health::corpus::{Forum, Post};
-use de_health::engine::{Engine, EngineConfig, EngineOutcome, ScoringMode};
+use de_health::engine::{Engine, EngineConfig, EngineOutcome, ScoringMode, StageStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,30 +105,64 @@ fn absent_users(forum: &Forum) -> Vec<usize> {
     (0..forum.n_users).filter(|&u| forum.user_posts(u).is_empty()).collect()
 }
 
+/// Run `attack` indexed and dense at every thread count and assert both
+/// match each other and the serial `DeHealth::run`, down to score bits
+/// against the serial similarity matrix. Returns the indexed runs'
+/// `topk` reports.
+fn assert_parity_with_serial(
+    attack: &AttackConfig,
+    aux: &Forum,
+    anon: &Forum,
+    what: &str,
+) -> Vec<StageStats> {
+    let serial = DeHealth::new(attack.clone()).run(aux, anon);
+    let mut topk = Vec::new();
+    for &n_threads in &THREAD_COUNTS {
+        let indexed = engine(attack.clone(), n_threads, ScoringMode::Indexed).run(aux, anon);
+        let dense = engine(attack.clone(), n_threads, ScoringMode::Dense).run(aux, anon);
+        let what = format!("{what}, {n_threads} threads");
+        assert_outcomes_identical(&indexed, &dense, &what);
+        assert_eq!(indexed.candidates, serial.candidates, "serial diverges: {what}");
+        assert_eq!(indexed.mapping, serial.mapping, "serial diverges: {what}");
+        for (u, entries) in indexed.candidate_scores.iter().enumerate() {
+            for &(v, s) in entries {
+                assert_eq!(
+                    s.to_bits(),
+                    serial.similarity[u][v].to_bits(),
+                    "score bits diverge from serial matrix for ({u}, {v}): {what}"
+                );
+            }
+        }
+        topk.push(indexed.report.stage("topk").unwrap().clone());
+    }
+    topk
+}
+
 #[test]
 fn indexed_matches_dense_and_serial_across_densities_and_threads() {
     for density in 0..3 {
         let aux = random_forum(100 + density as u64, 14, 3, density);
         let anon = random_forum(200 + density as u64, 10, 3, density);
-        let serial = DeHealth::new(attack_cfg()).run(&aux, &anon);
-        for &n_threads in &THREAD_COUNTS {
-            let indexed = engine(attack_cfg(), n_threads, ScoringMode::Indexed).run(&aux, &anon);
-            let dense = engine(attack_cfg(), n_threads, ScoringMode::Dense).run(&aux, &anon);
-            let what = format!("density {density}, {n_threads} threads");
-            assert_outcomes_identical(&indexed, &dense, &what);
-            assert_eq!(indexed.candidates, serial.candidates, "serial diverges: {what}");
-            assert_eq!(indexed.mapping, serial.mapping, "serial diverges: {what}");
-            for (u, entries) in indexed.candidate_scores.iter().enumerate() {
-                for &(v, s) in entries {
-                    assert_eq!(
-                        s.to_bits(),
-                        serial.similarity[u][v].to_bits(),
-                        "score bits diverge from serial matrix for ({u}, {v}): {what}"
-                    );
-                }
-            }
-        }
+        assert_parity_with_serial(&attack_cfg(), &aux, &anon, &format!("density {density}"));
     }
+}
+
+#[test]
+fn structure_heavy_weights_prune_on_the_per_pair_ceiling() {
+    // With c1 = c2 = 0.4 the constant structural bound (0.4·3 + 0.4·2 =
+    // 2.0) sits above every score these forums produce, so each pruned
+    // pair here was pruned by its own structural ceiling. Spreading posts
+    // over many threads leaves sparse graphs with isolated users.
+    let attack =
+        AttackConfig { weights: SimilarityWeights { c1: 0.4, c2: 0.4, c3: 0.2 }, ..attack_cfg() };
+    let mut pruned = 0;
+    for density in 0..3 {
+        let aux = random_forum(1100 + density as u64, 24, 12, density);
+        let anon = random_forum(1200 + density as u64, 12, 12, density);
+        let topk = assert_parity_with_serial(&attack, &aux, &anon, &format!("density {density}"));
+        pruned += topk.iter().map(|s| s.skipped).sum::<u64>();
+    }
+    assert!(pruned > 0, "the per-pair ceiling never pruned under structure-heavy weights");
 }
 
 #[test]
@@ -274,6 +309,13 @@ fn pruning_counters_account_for_every_pair() {
             (anon.n_users * n_present_aux) as u64,
             "scored + pruned must cover the pair workload at {n_threads} threads"
         );
+        let pairs = indexed.report.topk_pairs;
+        assert_eq!(pairs.scored, topk.items, "{n_threads} threads");
+        assert_eq!(
+            pairs.pruned_before_merge + pairs.pruned_after_merge + pairs.scored,
+            topk.items + topk.skipped,
+            "pair outcomes must cover scored + pruned at {n_threads} threads"
+        );
     }
 }
 
@@ -302,32 +344,15 @@ fn skewed_corpora_stay_bit_identical_and_prune_hot_pairs() {
     // length ~n_users and moves to the bitmask path.
     let aux = skewed_forum(220, 5, 1);
     let anon = skewed_forum(40, 5, 2);
-    let serial = DeHealth::new(attack_cfg()).run(&aux, &anon);
-    for &n_threads in &THREAD_COUNTS {
-        let indexed = engine(attack_cfg(), n_threads, ScoringMode::Indexed).run(&aux, &anon);
-        let dense = engine(attack_cfg(), n_threads, ScoringMode::Dense).run(&aux, &anon);
-        let what = format!("skewed corpus, {n_threads} threads");
-        assert_outcomes_identical(&indexed, &dense, &what);
-        assert_eq!(indexed.candidates, serial.candidates, "serial diverges: {what}");
-        assert_eq!(indexed.mapping, serial.mapping, "serial diverges: {what}");
-        for (u, entries) in indexed.candidate_scores.iter().enumerate() {
-            for &(v, s) in entries {
-                assert_eq!(
-                    s.to_bits(),
-                    serial.similarity[u][v].to_bits(),
-                    "score bits diverge from serial matrix for ({u}, {v}): {what}"
-                );
-            }
-        }
+    let pairs = (anon.n_users * aux.n_users) as u64;
+    for topk in assert_parity_with_serial(&attack_cfg(), &aux, &anon, "skewed corpus") {
         // The skew fix must actually avoid fully scoring most pairs: with
         // pruning on (no filtering configured), the pre-merge upper bound
         // rejects the bulk of the workload.
-        let topk = indexed.report.stage("topk").unwrap();
-        let pairs = (anon.n_users * aux.n_users) as u64;
-        assert_eq!(topk.items + topk.skipped, pairs, "accounting: {what}");
+        assert_eq!(topk.items + topk.skipped, pairs, "accounting");
         assert!(
             topk.skipped > pairs / 2,
-            "expected most pairs pruned, got {} of {pairs}: {what}",
+            "expected most pairs pruned, got {} of {pairs}",
             topk.skipped
         );
     }
