@@ -20,7 +20,10 @@
 //!    **stage timers** — mean `daemon_parse/queue/engine/emit_seconds`
 //!    differenced around the run — so the JSON shows where each
 //!    encoding's wall time goes (parse and emit are billed to the
-//!    worker pool, never the front thread).
+//!    worker pool, never the front thread). A JSON request's mean parse
+//!    time is asserted below 10% of its mean engine time: parsing is
+//!    linear in the request, so it must stay a small share of the
+//!    attack it carries.
 //! 3. **Latency under concurrent load** — several clients attack the
 //!    daemon simultaneously with barrier-synchronized sends, so the
 //!    requests land inside one coalescing window and the daemon fuses
@@ -38,7 +41,10 @@
 //!    **spread** (slowest minus fastest): with every coalesced reply
 //!    serialized by the workers and released together, the spread
 //!    should be a small fraction of the batch wall time, not a serial
-//!    staircase.
+//!    staircase. Every reported quantile is asserted no larger than the
+//!    slowest round trip any client observed in the run: the daemon
+//!    measures each request inside its client's round trip, and the
+//!    histogram clamps its estimates to the largest sample it recorded.
 //!
 //! Every wire attack — serial and concurrent — is compared against the
 //! in-process serial `DeHealth::run` on the freshly built corpus —
@@ -149,6 +155,9 @@ pub struct ServiceBench {
     pub wire: Vec<WireRun>,
     /// Concurrent-load latency distribution.
     pub concurrent: ConcurrentRun,
+    /// The slowest single attack round trip any client observed, serial
+    /// sweep and concurrent phase alike, seconds.
+    pub slowest_round_trip_seconds: f64,
 }
 
 /// Run the benchmark and write `BENCH_service.json` to the working
@@ -233,6 +242,7 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         thread_sweep.push(parallelism);
     }
     let registry = daemon.registry();
+    let mut slowest_round_trip_seconds = 0.0f64;
     let stage_hists = [
         registry.histogram("daemon_parse_seconds"),
         registry.histogram("daemon_queue_seconds"),
@@ -251,7 +261,10 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
             let stages_before: Vec<_> = stage_hists.iter().map(|h| h.snapshot()).collect();
             let t0 = Instant::now();
             for _ in 0..rounds {
+                let sent = Instant::now();
                 let reply = client.attack(&split.anonymized, &options).map_err(io::Error::other)?;
+                slowest_round_trip_seconds =
+                    slowest_round_trip_seconds.max(sent.elapsed().as_secs_f64());
                 assert_eq!(
                     reply.mapping, reference.mapping,
                     "wire attack ({encoding_label}) must match the in-process serial attack"
@@ -290,6 +303,15 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
                 run.engine_seconds,
                 run.emit_seconds,
             );
+            if encoding == WireEncoding::Json {
+                assert!(
+                    run.parse_seconds < 0.1 * run.engine_seconds,
+                    "a JSON attack's parse ({:.6}s) must stay below 10% of its engine time \
+                     ({:.6}s)",
+                    run.parse_seconds,
+                    run.engine_seconds
+                );
+            }
             wire.push(run);
         }
     }
@@ -334,22 +356,32 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
                     let mut client = ServiceClient::connect(addr).expect("client connect");
                     let options = AttackOptions { threads: Some(1), ..AttackOptions::default() };
                     let mut own_seconds = 0.0f64;
+                    let mut slowest = 0.0f64;
                     for _ in 0..rounds_per_client {
                         barrier.wait();
                         let sent = Instant::now();
                         let reply = client.attack(anonymized, &options).expect("wire attack");
-                        own_seconds += sent.elapsed().as_secs_f64();
+                        let round_trip = sent.elapsed().as_secs_f64();
+                        own_seconds += round_trip;
+                        slowest = slowest.max(round_trip);
                         assert_eq!(
                             reply.mapping, reference.mapping,
                             "concurrent wire attack must match the serial reference"
                         );
                         assert_eq!(reply.candidates, reference.candidates);
                     }
-                    own_seconds
+                    (own_seconds, slowest)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| {
+                let (own_seconds, slowest) = h.join().expect("client thread panicked");
+                slowest_round_trip_seconds = slowest_round_trip_seconds.max(slowest);
+                own_seconds
+            })
+            .collect()
     });
     client_seconds.sort_by(f64::total_cmp);
     let spread_seconds = client_seconds.last().copied().unwrap_or(0.0)
@@ -383,7 +415,8 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
     println!(
         "  concurrent: {clients} clients × {rounds_per_client} attacks in \
          {concurrent_seconds:.3}s ({:.2} attacks/s across {batches} fused batch(es); \
-         latency mean {:.3}s, p50 {}, p90 {}, p99 {}; per-client spread {:.3}s)",
+         latency mean {:.3}s, p50 {}, p90 {}, p99 {}; per-client spread {:.3}s; \
+         slowest round trip {slowest_round_trip_seconds:.3}s)",
         concurrent.attacks_per_sec,
         concurrent.mean_seconds,
         fmt_quantile(concurrent.p50),
@@ -391,6 +424,14 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         fmt_quantile(concurrent.p99),
         concurrent.spread_seconds,
     );
+    for (name, q) in [("p50", concurrent.p50), ("p90", concurrent.p90), ("p99", concurrent.p99)] {
+        assert!(
+            q.seconds <= slowest_round_trip_seconds,
+            "latency {name} ({}) exceeds the slowest round trip any client observed ({:.6}s)",
+            fmt_quantile(q),
+            slowest_round_trip_seconds
+        );
+    }
 
     // The registry handle taken above outlives the daemon; `join`
     // consumes the daemon itself.
@@ -417,6 +458,7 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         load_vs_build_ratio,
         wire,
         concurrent,
+        slowest_round_trip_seconds,
     };
     write_json(path, seed, &bench)?;
     println!("  wrote {}", path.display());
@@ -434,13 +476,16 @@ fn fmt_quantile(q: Quantile) -> String {
 }
 
 /// Per-bucket difference of two snapshots of the same histogram,
-/// isolating the samples recorded between them.
+/// isolating the samples recorded between them. The extremes stay the
+/// later snapshot's: they bound every sample up to then, a superset of
+/// the window's, so a quantile clamped to them still never exceeds a
+/// sample the daemon recorded.
 fn histogram_delta(before: &HistogramSnapshot, after: &HistogramSnapshot) -> HistogramSnapshot {
     let mut counts = after.counts;
     for (count, earlier) in counts.iter_mut().zip(&before.counts) {
         *count -= earlier;
     }
-    HistogramSnapshot { counts, sum_nanos: after.sum_nanos - before.sum_nanos }
+    HistogramSnapshot { counts, sum_nanos: after.sum_nanos - before.sum_nanos, ..*after }
 }
 
 /// Hand-rolled JSON (the workspace carries no serialization dependency).
@@ -458,6 +503,7 @@ fn write_json(path: &Path, seed: u64, b: &ServiceBench) -> io::Result<()> {
     let _ = writeln!(out, "  \"snapshot_bytes\": {},", b.snapshot_bytes);
     let _ = writeln!(out, "  \"snapshot_load_seconds\": {:.6},", b.snapshot_load_seconds);
     let _ = writeln!(out, "  \"load_vs_build_ratio\": {:.6},", b.load_vs_build_ratio);
+    let _ = writeln!(out, "  \"slowest_round_trip_seconds\": {:.6},", b.slowest_round_trip_seconds);
     out.push_str("  \"wire\": [\n");
     for (i, r) in b.wire.iter().enumerate() {
         let _ = write!(
@@ -564,6 +610,12 @@ mod tests {
         assert!(text.contains("\"batches\""));
         assert!(text.contains("\"client_seconds\""));
         assert!(text.contains("\"spread_seconds\""));
+        assert!(text.contains("\"slowest_round_trip_seconds\""));
+        // Quantiles are clamped to what the daemon recorded, and each
+        // daemon sample lies inside its client's round trip.
+        for q in [bench.concurrent.p50, bench.concurrent.p90, bench.concurrent.p99] {
+            assert!(q.seconds <= bench.slowest_round_trip_seconds);
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

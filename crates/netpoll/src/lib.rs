@@ -20,6 +20,17 @@
 //! - **tick** (everything else, or `--no-default-features`) — a timed
 //!   tick that reports every registered source as maybe-ready.
 //!
+//! ## Waking a wait from another thread
+//!
+//! [`Poller::waker`] hands out a cloneable [`Waker`]. Any thread may
+//! call [`Waker::wake`]; the poller's current `wait` (or its next one,
+//! if none is in progress) then returns early, reporting no event for
+//! the wake itself. On the OS backends the waker is a nonblocking
+//! `UnixStream` pair whose read end is registered under the reserved
+//! token [`WAKE_TOKEN`] and drained inside `wait`, so a burst of wakes
+//! costs one early return. The tick backend needs no waker: while any
+//! source is registered, its waits already end every 5 ms.
+//!
 //! ## Readiness is advisory
 //!
 //! All three backends share one contract: an [`Event`] means *try the
@@ -32,6 +43,11 @@
 
 use std::io;
 use std::time::Duration;
+
+/// The token the poller registers its [`Waker`]'s socket under. Callers
+/// must not register their own sources with it; events for it are never
+/// reported.
+pub const WAKE_TOKEN: usize = usize::MAX;
 
 /// What a registration wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +136,34 @@ const TICK: Duration = Duration::from_millis(5);
 #[derive(Debug)]
 pub struct Poller {
     inner: Inner,
+    /// The waker's socket pair, created by the first [`Poller::waker`]
+    /// call on an OS backend.
+    #[cfg(all(unix, feature = "os-poll"))]
+    wake: Option<wake::WakePair>,
+}
+
+/// A cloneable, thread-safe handle that ends a [`Poller::wait`] early
+/// (see [`Poller::waker`]). On the tick backend it does nothing: a tick
+/// wait with any source registered ends within 5 ms anyway.
+#[derive(Debug, Clone, Default)]
+pub struct Waker {
+    #[cfg(all(unix, feature = "os-poll"))]
+    tx: Option<std::sync::Arc<std::os::unix::net::UnixStream>>,
+}
+
+impl Waker {
+    /// End the poller's current `wait`, or its next one if none is in
+    /// progress. Never blocks; wakes that arrive before the poller has
+    /// drained an earlier one merge into a single early return.
+    pub fn wake(&self) {
+        #[cfg(all(unix, feature = "os-poll"))]
+        if let Some(tx) = &self.tx {
+            use std::io::Write as _;
+            // A full socket buffer (`WouldBlock`) means a wake is already
+            // pending, which is all this call needs.
+            let _ = (&**tx).write(&[1]);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -140,11 +184,11 @@ impl Poller {
     pub fn new() -> io::Result<Self> {
         #[cfg(all(target_os = "linux", feature = "os-poll"))]
         {
-            return Ok(Self { inner: Inner::Epoll(epoll::Epoll::new()?) });
+            return Ok(Self::with(Inner::Epoll(epoll::Epoll::new()?)));
         }
         #[cfg(all(unix, not(target_os = "linux"), feature = "os-poll"))]
         {
-            return Ok(Self { inner: Inner::Poll(pollset::PollSet::new()) });
+            return Ok(Self::with(Inner::Poll(pollset::PollSet::new())));
         }
         #[allow(unreachable_code)]
         Ok(Self::tick())
@@ -156,7 +200,36 @@ impl Poller {
     /// targets that would normally pick an OS backend.
     #[must_use]
     pub fn tick() -> Self {
-        Self { inner: Inner::Tick(TickPoller::default()) }
+        Self::with(Inner::Tick(TickPoller::default()))
+    }
+
+    fn with(inner: Inner) -> Self {
+        Self {
+            inner,
+            #[cfg(all(unix, feature = "os-poll"))]
+            wake: None,
+        }
+    }
+
+    /// A [`Waker`] for this poller. Every call returns a handle to the
+    /// same wake channel, created and registered (under [`WAKE_TOKEN`])
+    /// by the first call on an OS backend; on the tick backend the
+    /// handle does nothing.
+    ///
+    /// # Errors
+    /// Propagates OS errors from creating or registering the socket pair.
+    pub fn waker(&mut self) -> io::Result<Waker> {
+        #[cfg(all(unix, feature = "os-poll"))]
+        if !matches!(self.inner, Inner::Tick(_)) {
+            if self.wake.is_none() {
+                let pair = wake::WakePair::new()?;
+                self.register(&pair.rx, WAKE_TOKEN, Interest::READ)?;
+                self.wake = Some(pair);
+            }
+            let tx = self.wake.as_ref().map(|pair| std::sync::Arc::clone(&pair.tx));
+            return Ok(Waker { tx });
+        }
+        Ok(Waker::default())
     }
 
     /// Which backend this poller runs on: `"epoll"`, `"poll"`, or
@@ -253,12 +326,60 @@ impl Poller {
         events.clear();
         match &mut self.inner {
             #[cfg(all(target_os = "linux", feature = "os-poll"))]
-            Inner::Epoll(e) => e.wait(events, timeout),
+            Inner::Epoll(e) => e.wait(events, timeout)?,
             #[cfg(all(unix, not(target_os = "linux"), feature = "os-poll"))]
-            Inner::Poll(p) => p.wait(events, timeout),
+            Inner::Poll(p) => p.wait(events, timeout)?,
             Inner::Tick(t) => {
                 t.wait(events, timeout);
-                Ok(events.len())
+                return Ok(events.len());
+            }
+        };
+        // A wake ended the wait: drain it (so the next wait blocks again)
+        // and keep it out of the caller's events.
+        #[cfg(all(unix, feature = "os-poll"))]
+        if let Some(at) = events.iter().position(|e| e.token == WAKE_TOKEN) {
+            events.remove(at);
+            if let Some(pair) = &self.wake {
+                pair.drain();
+            }
+        }
+        Ok(events.len())
+    }
+}
+
+#[cfg(all(unix, feature = "os-poll"))]
+mod wake {
+    //! The OS backends' wake channel: a nonblocking `UnixStream` pair.
+    //! Wakers write one byte to `tx`; the poller watches `rx` and reads
+    //! it empty after every wait it ends.
+
+    use std::io::{self, Read as _};
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
+
+    #[derive(Debug)]
+    pub struct WakePair {
+        pub rx: UnixStream,
+        pub tx: Arc<UnixStream>,
+    }
+
+    impl WakePair {
+        pub fn new() -> io::Result<Self> {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            Ok(Self { rx, tx: Arc::new(tx) })
+        }
+
+        /// Read every pending wake byte.
+        pub fn drain(&self) {
+            let mut buf = [0u8; 256];
+            loop {
+                match (&self.rx).read(&mut buf) {
+                    Ok(n) if n > 0 => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    _ => return,
+                }
             }
         }
     }
@@ -735,6 +856,78 @@ mod tests {
         let n = poller.wait(&mut events, Some(Duration::from_millis(60))).unwrap();
         assert_eq!(n, 0);
         assert!(start.elapsed() >= Duration::from_millis(40), "wait returned too early");
+    }
+
+    #[test]
+    fn a_wake_from_another_thread_ends_a_blocked_wait() {
+        let mut poller = Poller::new().unwrap();
+        if poller.backend() == "tick" {
+            return; // no wake channel: waits end on the 5 ms tick instead
+        }
+        let waker = poller.waker().unwrap();
+        // The sleep only makes a wake *during* the wait likely; a wake
+        // that lands first must end the wait just the same.
+        let waking = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.wake();
+        });
+        let start = Instant::now();
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(30))).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(10), "the wake did not end the wait");
+        assert_eq!(n, 0, "the wake itself is not an event: {events:?}");
+        waking.join().unwrap();
+    }
+
+    #[test]
+    fn a_wake_before_the_wait_ends_the_next_wait_once() {
+        let mut poller = Poller::new().unwrap();
+        if poller.backend() == "tick" {
+            return; // no wake channel: waits end on the 5 ms tick instead
+        }
+        let waker = poller.waker().unwrap();
+        // Every handle shares one channel; a burst of wakes (more than
+        // the socket buffer holds) merges into one early return.
+        let clone = poller.waker().unwrap();
+        for _ in 0..100_000 {
+            waker.wake();
+            clone.wake();
+        }
+        let mut events = Vec::new();
+        let start = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_secs(30))).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(10), "a pending wake must end the wait");
+        assert!(events.is_empty());
+        let start = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_millis(60))).unwrap();
+        assert!(start.elapsed() >= Duration::from_millis(40), "the wake was not drained");
+    }
+
+    #[test]
+    fn wakes_do_not_hide_socket_events() {
+        let mut poller = Poller::new().unwrap();
+        let waker = poller.waker().unwrap();
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        poller.register(&server, 4, Interest::READ).unwrap();
+        client.write_all(b"x").unwrap();
+        waker.wake();
+        let event = wait_for(&mut poller, 4, Duration::from_secs(5));
+        assert!(event.readable);
+    }
+
+    #[test]
+    fn the_tick_backend_waker_is_a_harmless_no_op() {
+        fn send_sync<T: Send + Sync + Clone>(_: &T) {}
+        let mut poller = Poller::tick();
+        let waker = poller.waker().unwrap();
+        send_sync(&waker);
+        waker.wake();
+        let mut events = Vec::new();
+        let start = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
+        assert!(events.is_empty());
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -30,8 +30,10 @@ pub enum WireEncoding {
     Json,
     /// Length-prefixed, checksummed binary frames
     /// ([`frame`](crate::frame)) for bulk payloads — the forum body
-    /// travels in the snapshot codec's byte layout, much smaller and
-    /// cheaper to decode than its JSON rendering.
+    /// travels in the snapshot codec's byte layout, which decodes
+    /// without tokenizing text. Post text dominates either encoding, so
+    /// a frame is only slightly smaller than the JSON line (0.25% on the
+    /// 600-user benchmark request).
     Binary,
 }
 

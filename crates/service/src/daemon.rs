@@ -24,8 +24,8 @@
 //!                   │   │ group by      │       │  outbox BYTES,
 //!                   │   │ corpus Arc ×  │       │  demuxed per
 //!                   │   │ thread count, │       │  request)
-//!                   │   │ flush after   │       │
-//!                   │   │ batch_window  │       │
+//!                   │   │ flush after   │       │  + a wake of
+//!                   │   │ batch_window  │       │  the poll)
 //!                   │   └──────┬────────┘       │
 //!                   ▼          ▼                │
 //!            ┌───────────────────────────────────────────────┐
@@ -45,10 +45,22 @@
 //! `add_auxiliary_users`, `load_snapshot`) travel to the worker pool as
 //! **raw bytes** (`RawRequest`): a worker parses and validates the
 //! request, runs it, serializes the reply, and hands the front thread a
-//! finished byte buffer to splice into the connection's outbox — the
-//! front thread's per-request work is O(bytes scanned), independent of
-//! forum size. Responses come back through a completion queue and are
-//! written in per-connection request order.
+//! finished byte buffer to splice into the connection's outbox.
+//! Responses come back through a completion queue and are written in
+//! per-connection request order.
+//!
+//! A worker that pushes a finished reply or a parsed attack (bound for
+//! its coalescing group) wakes the front thread's poll through the
+//! poller's [`Waker`], so neither waits for a timer. The front thread's
+//! poll timeout, `POLL_INTERVAL` (25 ms), only limits how long shutdown
+//! and read-deadline checks can wait.
+//!
+//! The front thread's per-request cost is linear in the bytes received,
+//! independent of forum size: each connection's inbox and outbox are
+//! consumed by offset and compacted only once half their bytes are
+//! spent, and the newline search resumes where the previous one
+//! stopped. A client that pipelines thousands of requests into one write
+//! costs each request only its own bytes.
 //!
 //! ## Wire encodings
 //!
@@ -184,7 +196,7 @@ use std::time::{Duration, Instant};
 use dehealth_core::AttackConfig;
 use dehealth_corpus::Forum;
 use dehealth_engine::{BatchRequest, Engine, EngineConfig, EngineOutcome, ExactnessMode};
-use dehealth_netpoll::{Event, Interest, Poller};
+use dehealth_netpoll::{Event, Interest, Poller, Waker};
 use dehealth_telemetry::{info, warn, Counter, Gauge, Histogram, Registry, SpanTimer};
 
 use crate::corpus::{LoadMode, PreparedCorpus};
@@ -196,8 +208,9 @@ use crate::metrics::registry_to_json;
 use crate::protocol::{error_response, forum_from_json, ok_response, report_to_json};
 
 /// Ceiling on one poll wait: how often the front thread and the workers
-/// re-check the shutdown flag, read deadlines and completions even when
-/// no socket turns ready.
+/// re-check the shutdown flag and read deadlines even when no socket
+/// turns ready. Completions and parsed attacks do not wait for it: the
+/// worker that hands one back wakes the front thread.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The front thread's token for the listening socket; connections get
@@ -548,6 +561,9 @@ struct DaemonState {
     /// Parsed attacks headed back to the front thread's coalescing
     /// groups (batching on only).
     parsed: Mutex<Vec<ReadyAttack>>,
+    /// Ends the front thread's poll wait once a worker has pushed to
+    /// `completions` or `parsed`.
+    waker: Waker,
     /// Requests in flight anywhere in the pipeline: incremented when a
     /// `Parse` job is enqueued, decremented when the request's
     /// completion is pushed. Workers must not exit while nonzero — a
@@ -586,6 +602,7 @@ impl DaemonState {
         // already answered before the panic.
         let _ =
             self.dispatched.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1));
+        self.waker.wake();
     }
 
     /// Enqueue a request's `Parse` job and count it in flight.
@@ -661,6 +678,14 @@ impl Daemon {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut poller = Poller::new().unwrap_or_else(|_| Poller::tick());
+        if poller.register(&listener, LISTENER_TOKEN, Interest::READ).is_err() {
+            // The tick backend's register cannot fail; fall back so the
+            // daemon still serves (inefficiently) instead of dying.
+            poller = Poller::tick();
+            let _ = poller.register(&listener, LISTENER_TOKEN, Interest::READ);
+        }
+        let waker = poller.waker()?;
         let metrics = DaemonMetrics::new();
         if let Some(corpus) = &corpus {
             metrics.observe_corpus(corpus);
@@ -674,6 +699,7 @@ impl Daemon {
             jobs_cv: Condvar::new(),
             completions: Mutex::new(Vec::new()),
             parsed: Mutex::new(Vec::new()),
+            waker,
             dispatched: AtomicUsize::new(0),
             metrics,
             started: Instant::now(),
@@ -692,7 +718,8 @@ impl Daemon {
             })
             .collect();
         let front_state = Arc::clone(&state);
-        let front_thread = std::thread::spawn(move || front_loop(listener, &front_state, workers));
+        let front_thread =
+            std::thread::spawn(move || front_loop(listener, poller, &front_state, workers));
         Ok(Self { addr, state, front_thread: Some(front_thread) })
     }
 
@@ -746,9 +773,9 @@ struct Conn {
     stream: TcpStream,
     token: usize,
     /// Raw bytes read but not yet consumed as request lines.
-    inbox: Vec<u8>,
+    inbox: ByteQueue,
     /// Response bytes not yet accepted by the socket.
-    outbox: Vec<u8>,
+    outbox: ByteQueue,
     /// Set while `inbox` holds an incomplete request line — the clock
     /// the half-open read deadline runs on.
     partial_since: Option<Instant>,
@@ -763,6 +790,70 @@ struct Conn {
     closing: bool,
     /// Currently registered poller interest.
     interest: Interest,
+}
+
+/// A byte FIFO for a connection's inbox or outbox: bytes append at the
+/// back and are consumed from the front by moving an offset. Consumed
+/// bytes are dropped only once they make up half the buffer, so each
+/// byte is moved at most once on average, and a newline search resumes
+/// where the last one stopped. Together these keep the front thread's
+/// work linear in the bytes a connection sends and receives, however
+/// many requests it pipelines into one read.
+#[derive(Default)]
+struct ByteQueue {
+    buf: Vec<u8>,
+    /// Offset of the first unconsumed byte in `buf`.
+    head: usize,
+    /// Unconsumed bytes already searched and known to hold no `\n`.
+    scanned: usize,
+}
+
+impl ByteQueue {
+    /// The unconsumed bytes.
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.head..]
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Drop the first `n` unconsumed bytes.
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        self.scanned = self.scanned.saturating_sub(n);
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Offset of the first `\n` in the unconsumed bytes, searching only
+    /// bytes no earlier call has searched.
+    fn find_newline(&mut self) -> Option<usize> {
+        let rest = &self.bytes()[self.scanned..];
+        match rest.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                self.scanned += i;
+                Some(self.scanned)
+            }
+            None => {
+                self.scanned += rest.len();
+                None
+            }
+        }
+    }
 }
 
 /// One open coalescing group: attacks captured against the same corpus
@@ -787,14 +878,12 @@ struct BatchGroup {
 /// The front thread: accept, read, extract lines, answer fast commands
 /// inline, feed slow ones to the batcher/worker pool, write responses —
 /// all multiplexed over one [`Poller`].
-fn front_loop(listener: TcpListener, state: &Arc<DaemonState>, workers: Vec<JoinHandle<()>>) {
-    let mut poller = Poller::new().unwrap_or_else(|_| Poller::tick());
-    if poller.register(&listener, LISTENER_TOKEN, Interest::READ).is_err() {
-        // The tick backend's register cannot fail; fall back so the
-        // daemon still serves (inefficiently) instead of dying.
-        poller = Poller::tick();
-        let _ = poller.register(&listener, LISTENER_TOKEN, Interest::READ);
-    }
+fn front_loop(
+    listener: TcpListener,
+    mut poller: Poller,
+    state: &Arc<DaemonState>,
+    workers: Vec<JoinHandle<()>>,
+) {
     let mut listener = Some(listener);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut groups: Vec<BatchGroup> = Vec::new();
@@ -841,7 +930,7 @@ fn front_loop(listener: TcpListener, state: &Arc<DaemonState>, workers: Vec<Join
             if let Some(conn) = conns.get_mut(&c.conn) {
                 conn.in_flight = false;
                 match c.bytes {
-                    Some(bytes) => conn.outbox.extend_from_slice(&bytes),
+                    Some(bytes) => conn.outbox.extend(&bytes),
                     None => conn.closing = true,
                 }
                 pump(state, &mut groups, conn);
@@ -886,9 +975,10 @@ fn front_loop(listener: TcpListener, state: &Arc<DaemonState>, workers: Vec<Join
                 // the drain below completes.
             }
             let idle: Vec<usize> = conns
-                .values()
-                .filter(|c| !c.in_flight && !head_message_complete(&c.inbox))
-                .map(|c| c.token)
+                .values_mut()
+                .filter_map(|c| {
+                    (!c.in_flight && !head_message_complete(&mut c.inbox)).then_some(c.token)
+                })
                 .collect();
             for token in idle {
                 if let Some(conn) = conns.get_mut(&token) {
@@ -930,21 +1020,22 @@ fn wait_timeout(groups: &[BatchGroup], window: Duration) -> Duration {
 /// a full newline-terminated line, or a full binary frame. (A frame
 /// with a malformed or oversized header counts as complete: pumping it
 /// produces its error reply rather than waiting for more bytes.)
-fn head_message_complete(inbox: &[u8]) -> bool {
-    match inbox.first() {
+fn head_message_complete(inbox: &mut ByteQueue) -> bool {
+    let bytes = inbox.bytes();
+    match bytes.first() {
         None => false,
         Some(&b) if b == FRAME_MAGIC[0] => {
-            if inbox.len() < FRAME_HEADER_BYTES {
+            if bytes.len() < FRAME_HEADER_BYTES {
                 return false;
             }
             let header: [u8; FRAME_HEADER_BYTES] =
-                inbox[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
+                bytes[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
             match frame::parse_header(&header, usize::MAX) {
-                Ok(h) => inbox.len() >= h.frame_len(),
+                Ok(h) => bytes.len() >= h.frame_len(),
                 Err(_) => true,
             }
         }
-        Some(_) => inbox.contains(&b'\n'),
+        Some(_) => inbox.find_newline().is_some(),
     }
 }
 
@@ -983,8 +1074,8 @@ fn accept_ready(
                     Conn {
                         stream,
                         token,
-                        inbox: Vec::new(),
-                        outbox: Vec::new(),
+                        inbox: ByteQueue::default(),
+                        outbox: ByteQueue::default(),
                         partial_since: None,
                         in_flight: false,
                         peer_closed: false,
@@ -1019,7 +1110,7 @@ fn read_ready(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
     while !conn.peer_closed && conn.inbox.len() <= state.limits.max_request_bytes {
         match conn.stream.read(&mut chunk) {
             Ok(0) => conn.peer_closed = true,
-            Ok(n) => conn.inbox.extend_from_slice(&chunk[..n]),
+            Ok(n) => conn.inbox.extend(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => conn.peer_closed = true,
@@ -1040,15 +1131,15 @@ fn read_ready(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
 /// serialization all happen on dispatch workers.
 fn pump(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn) {
     while !conn.in_flight && !conn.closing {
-        if conn.inbox.first() == Some(&FRAME_MAGIC[0]) {
+        if conn.inbox.bytes().first() == Some(&FRAME_MAGIC[0]) {
             if !pump_frame(state, groups, conn) {
                 break;
             }
             continue;
         }
-        let Some(pos) = conn.inbox.iter().position(|&b| b == b'\n') else { break };
-        let line_bytes: Vec<u8> = conn.inbox.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line_bytes);
+        let Some(pos) = conn.inbox.find_newline() else { break };
+        let line = String::from_utf8_lossy(&conn.inbox.bytes()[..pos]).into_owned();
+        conn.inbox.consume(pos + 1);
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -1056,7 +1147,7 @@ fn pump(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn)
         state.metrics.encoding_json.inc();
         handle_line(state, groups, conn, line);
     }
-    if conn.inbox.is_empty() || head_message_complete(&conn.inbox) {
+    if conn.inbox.is_empty() || head_message_complete(&mut conn.inbox) {
         conn.partial_since = None;
     } else {
         // A request line larger than the cap can never complete —
@@ -1091,7 +1182,7 @@ fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
         return false;
     }
     let header: [u8; FRAME_HEADER_BYTES] =
-        conn.inbox[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
+        conn.inbox.bytes()[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
     let parsed = match frame::parse_header(&header, state.limits.max_request_bytes) {
         Ok(h) => h,
         Err(e) => {
@@ -1103,11 +1194,12 @@ fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
     if conn.inbox.len() < total {
         return false;
     }
-    let frame_bytes: Vec<u8> = conn.inbox.drain(..total).collect();
-    let payload = &frame_bytes[FRAME_HEADER_BYTES..total - FRAME_TRAILER_BYTES];
+    let frame_bytes = &conn.inbox.bytes()[..total];
+    let payload = frame_bytes[FRAME_HEADER_BYTES..total - FRAME_TRAILER_BYTES].to_vec();
     let trailer: [u8; FRAME_TRAILER_BYTES] =
         frame_bytes[total - FRAME_TRAILER_BYTES..].try_into().expect("8 trailer bytes");
-    if let Err(e) = frame::verify_checksum(payload, &trailer) {
+    conn.inbox.consume(total);
+    if let Err(e) = frame::verify_checksum(&payload, &trailer) {
         drop_frame_error(state, conn, &e);
         return false;
     }
@@ -1116,13 +1208,13 @@ fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
     match parsed.tag {
         FrameTag::Attack => {
             let scanned_threads =
-                frame::peek_attack_threads(payload).unwrap_or(state.config.n_threads);
+                frame::peek_attack_threads(&payload).unwrap_or(state.config.n_threads);
             dispatch_attack(
                 state,
                 groups,
                 conn,
                 received,
-                RawRequest::AttackFrame(payload.to_vec()),
+                RawRequest::AttackFrame(payload),
                 scanned_threads,
             );
         }
@@ -1131,7 +1223,7 @@ fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
             state.dispatch_request(Job::Parse {
                 conn: conn.token,
                 received,
-                raw: RawRequest::AddUsersFrame(payload.to_vec()),
+                raw: RawRequest::AddUsersFrame(payload),
                 label: "add_auxiliary_users",
                 corpus: None,
                 solo: false,
@@ -1384,8 +1476,8 @@ fn flush_groups(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, force: b
 
 /// Append one response line to the connection's outbox.
 fn queue_response(conn: &mut Conn, response: &Json) {
-    conn.outbox.extend_from_slice(response.emit().as_bytes());
-    conn.outbox.push(b'\n');
+    conn.outbox.extend(response.emit().as_bytes());
+    conn.outbox.extend(b"\n");
 }
 
 /// Terminate a misbehaving connection: best-effort error line, counted
@@ -1414,7 +1506,8 @@ fn settle_conn(
 ) {
     let Some(conn) = conns.get_mut(&token) else { return };
     let alive = flush_outbox(conn);
-    let drained_eof = conn.peer_closed && !conn.in_flight && !head_message_complete(&conn.inbox);
+    let drained_eof =
+        conn.peer_closed && !conn.in_flight && !head_message_complete(&mut conn.inbox);
     if !alive || ((conn.closing || drained_eof) && conn.outbox.is_empty()) {
         let conn = conns.remove(&token).expect("connection was just looked up");
         let _ = poller.deregister(&conn.stream, token);
@@ -1436,11 +1529,9 @@ fn settle_conn(
 /// Returns `false` when the socket is dead.
 fn flush_outbox(conn: &mut Conn) -> bool {
     while !conn.outbox.is_empty() {
-        match conn.stream.write(&conn.outbox) {
+        match conn.stream.write(conn.outbox.bytes()) {
             Ok(0) => return false,
-            Ok(n) => {
-                conn.outbox.drain(..n);
-            }
+            Ok(n) => conn.outbox.consume(n),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return false,
@@ -1703,6 +1794,7 @@ fn finish_attack_parse(
         run_attack_job(state, &corpus, threads, vec![ready]);
     } else {
         state.parsed.lock().unwrap_or_else(PoisonError::into_inner).push(ready);
+        state.waker.wake();
     }
 }
 
@@ -2060,6 +2152,7 @@ mod tests {
             jobs_cv: Condvar::new(),
             completions: Mutex::new(Vec::new()),
             parsed: Mutex::new(Vec::new()),
+            waker: Waker::default(),
             dispatched: AtomicUsize::new(0),
             metrics: DaemonMetrics::new(),
             started: Instant::now(),

@@ -8,6 +8,17 @@
 //! exactly (integers print without a fractional part; everything else
 //! uses Rust's shortest-round-trip `{:?}` float formatting).
 //!
+//! Parsing is linear in the input: the parser walks each byte a bounded
+//! number of times, and copies every unescaped string run as one slice
+//! of the (already valid UTF-8) input. A request line from an untrusted
+//! peer therefore costs time proportional to its size.
+//!
+//! Every value the parser accepts emits back to text that parses to the
+//! same value. Number literals outside the finite `f64` range (`1e400`)
+//! are rejected with a [`JsonError`] instead of parsing to infinity,
+//! which JSON cannot express (the emitter writes non-finite numbers as
+//! `null`).
+//!
 //! ```
 //! use dehealth_service::json::Json;
 //!
@@ -76,7 +87,7 @@ impl Json {
     /// # Errors
     /// A [`JsonError`] describing the first malformed byte.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: s.as_bytes(), at: 0 };
+        let mut p = Parser { text: s, bytes: s.as_bytes(), at: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -218,6 +229,9 @@ fn emit_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The input; string runs are copied out of it as slices.
+    text: &'a str,
+    /// `text` as bytes, for the byte-level scan.
     bytes: &'a [u8],
     at: usize,
 }
@@ -354,7 +368,11 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.at]).expect("number bytes are ASCII");
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -408,13 +426,17 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .expect("input was a valid &str");
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the whole unescaped run in one slice. It stops
+                    // only at an ASCII byte or the end of input, so both
+                    // ends are char boundaries of the valid input.
+                    let start = self.at;
+                    while let Some(&b) = self.bytes.get(self.at) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.at += 1;
+                    }
+                    out.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -483,6 +505,9 @@ mod tests {
     fn unicode_escapes() {
         let v = Json::parse(r#""\u00e9\ud83c\udf0d""#).unwrap();
         assert_eq!(v.as_str(), Some("é🌍"));
+        // Multi-byte runs between escapes are copied intact.
+        let v = Json::parse(r#""héllo\n wörld 🌍\t\"end\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("héllo\n wörld 🌍\t\"endA"));
         // Raw UTF-8 passes through and re-parses.
         let s = Json::Str("é🌍 ± µ".into());
         assert_eq!(Json::parse(&s.emit()).unwrap(), s);
@@ -508,12 +533,66 @@ mod tests {
             "\"\\udc00\"",
             "[1] trailing",
             "\u{1}",
+            "1e400",
+            "-1e400",
+            "[0, 1.5e99999]",
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+        // Overflowing literals are typed errors, not infinities that
+        // would emit as `null`; underflow to zero stays a finite number.
+        assert_eq!(Json::parse("1e400"), Err(JsonError { message: "number out of range", at: 5 }));
+        assert_eq!(Json::parse("1e-400"), Ok(Json::Num(0.0)));
         // Depth guard.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let cases = [
+            ("\"abc", "unterminated string", 4),
+            ("\"ab\u{1}c\"", "control character in string", 3),
+            ("\"é\u{1f}\"", "control character in string", 3),
+            ("\"ok\\x\"", "invalid escape", 4),
+            ("\"\\ud800x\"", "lone high surrogate", 7),
+            ("\"\\ud800\\u0041\"", "invalid low surrogate", 13),
+        ];
+        for (text, message, at) in cases {
+            assert_eq!(Json::parse(text), Err(JsonError { message, at }), "{text:?}");
+        }
+    }
+
+    /// Parse time must grow linearly with the string length: 4× the
+    /// bytes may cost about 4× the time, never the 16× of a scan that
+    /// re-reads the rest of the input for every character.
+    #[test]
+    fn string_parse_time_is_linear_in_the_input() {
+        use std::time::{Duration, Instant};
+        fn document(bytes: usize) -> String {
+            let unit = "plain ascii text, ünïcödé ✓ 🌍 and escapes \\\" \\n \\u00e9 | ";
+            let mut body = String::with_capacity(bytes + unit.len());
+            while body.len() < bytes {
+                body.push_str(unit);
+            }
+            format!(r#"{{"cmd":"attack","text":"{body}"}}"#)
+        }
+        fn best_of_3(text: &str) -> Duration {
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let v = Json::parse(text).unwrap();
+                    let elapsed = start.elapsed();
+                    assert!(v.get("text").and_then(Json::as_str).is_some_and(|s| s.len() > 1000));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        }
+        let small = document(256 * 1024);
+        let large = document(1024 * 1024);
+        let ratio = best_of_3(&large).as_secs_f64() / best_of_3(&small).as_secs_f64().max(1e-9);
+        assert!(ratio < 8.0, "4x the input took {ratio:.1}x the time");
     }
 
     #[test]

@@ -129,15 +129,20 @@ pub fn bucket_index(nanos: u64) -> usize {
 /// A lock-free log-bucketed latency histogram.
 ///
 /// Records land in the fixed [`BUCKET_BOUNDS_NANOS`] ladder (per-bucket
-/// atomic counts) plus an exact nanosecond sum, so `count` and `sum` are
-/// exact while quantiles are estimates with a documented error: an
-/// estimated quantile always falls inside the bucket that holds the true
-/// sample, i.e. it is off by at most one bucket width (the ladder's 1-2-5
-/// steps bound the ratio error at 2.5×).
+/// atomic counts) plus an exact nanosecond sum, minimum and maximum, so
+/// `count`, `sum`, `min` and `max` are exact while quantiles are
+/// estimates with a documented error: an estimated quantile always falls
+/// inside the bucket that holds the true sample, i.e. it is off by at
+/// most one bucket width (the ladder's 1-2-5 steps bound the ratio error
+/// at 2.5×), and never outside the range of recorded samples.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; N_BUCKETS],
     sum_nanos: AtomicU64,
+    /// Smallest sample; `u64::MAX` while empty.
+    min_nanos: AtomicU64,
+    /// Largest sample; 0 while empty.
+    max_nanos: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -150,7 +155,12 @@ impl Histogram {
     /// An empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        Self { buckets: [const { AtomicU64::new(0) }; N_BUCKETS], sum_nanos: AtomicU64::new(0) }
+        Self {
+            buckets: [const { AtomicU64::new(0) }; N_BUCKETS],
+            sum_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
+            max_nanos: AtomicU64::new(0),
+        }
     }
 
     /// Record one elapsed duration.
@@ -160,6 +170,10 @@ impl Histogram {
 
     /// Record one sample given in nanoseconds.
     pub fn record_nanos(&self, nanos: u64) {
+        // Extremes first, so a snapshot that sees this sample's count
+        // rarely misses its extremes.
+        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -191,14 +205,19 @@ impl Histogram {
         self.sum_nanos() as f64 / 1e9
     }
 
-    /// A point-in-time copy of the bucket counts and sum.
+    /// A point-in-time copy of the bucket counts, sum and extremes.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = [0u64; N_BUCKETS];
         for (out, bucket) in counts.iter_mut().zip(&self.buckets) {
             *out = bucket.load(Ordering::Relaxed);
         }
-        HistogramSnapshot { counts, sum_nanos: self.sum_nanos() }
+        HistogramSnapshot {
+            counts,
+            sum_nanos: self.sum_nanos(),
+            min_nanos: self.min_nanos.load(Ordering::Relaxed),
+            max_nanos: self.max_nanos.load(Ordering::Relaxed),
+        }
     }
 
     /// Estimated `q`-quantile (see [`HistogramSnapshot::quantile`]).
@@ -233,6 +252,10 @@ pub struct HistogramSnapshot {
     pub counts: [u64; N_BUCKETS],
     /// Exact sum of all samples, in nanoseconds.
     pub sum_nanos: u64,
+    /// Smallest sample, in nanoseconds (`u64::MAX` when empty).
+    pub min_nanos: u64,
+    /// Largest sample, in nanoseconds (0 when empty).
+    pub max_nanos: u64,
 }
 
 impl HistogramSnapshot {
@@ -260,12 +283,14 @@ impl HistogramSnapshot {
     }
 
     /// Estimated `q`-quantile (`q` clamped to `[0, 1]`), linearly
-    /// interpolated inside the bucket holding the target rank.
+    /// interpolated inside the bucket holding the target rank, then
+    /// clamped to `[min_nanos, max_nanos]`.
     ///
     /// Error bound: the estimate lies inside the same bucket as the true
     /// rank-order statistic, so it is off by at most that bucket's width
-    /// (a ratio of ≤ 2.5× on the 1-2-5 ladder). When the target rank
-    /// falls in the overflow bucket the true value is unbounded above:
+    /// (a ratio of ≤ 2.5× on the 1-2-5 ladder), and it never exceeds the
+    /// largest sample nor falls below the smallest. When the target rank
+    /// falls in the overflow bucket the true value is beyond the ladder:
     /// the result carries the ladder ceiling **and** `overflow: true`,
     /// never a fabricated finite estimate. Returns 0 when empty.
     #[must_use]
@@ -292,6 +317,9 @@ impl HistogramSnapshot {
                 let lower = if i == 0 { 0 } else { BUCKET_BOUNDS_NANOS[i - 1] };
                 let fraction = (rank - seen) as f64 / n as f64;
                 let nanos = lower as f64 + (upper - lower) as f64 * fraction;
+                // Interpolation can reach the top of a bucket no sample
+                // came near; the recorded extremes bound the estimate.
+                let nanos = nanos.max(self.min_nanos as f64).min(self.max_nanos as f64);
                 return Quantile { seconds: nanos / 1e9, overflow: false };
             }
             seen += n;
@@ -432,6 +460,59 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_never_leave_the_recorded_range() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for round in 0..200 {
+            let hist = Histogram::new();
+            let n = rng.gen_range(1..50usize);
+            let base = 10u64.pow(rng.gen_range(3..11u32));
+            let mut exact: Vec<u64> = (0..n).map(|_| base + rng.gen_range(0..base)).collect();
+            for &nanos in &exact {
+                hist.record_nanos(nanos);
+            }
+            exact.sort_unstable();
+            let snapshot = hist.snapshot();
+            assert_eq!((snapshot.min_nanos, snapshot.max_nanos), (exact[0], exact[n - 1]));
+            let (min, max) = (exact[0] as f64 / 1e9, exact[n - 1] as f64 / 1e9);
+            for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                let estimate = snapshot.quantile(q);
+                assert!(!estimate.overflow);
+                assert!(
+                    (min..=max).contains(&estimate.seconds),
+                    "round {round}, q={q}: {} outside the recorded [{min}, {max}]",
+                    estimate.seconds
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_sample_is_every_quantile() {
+        let hist = Histogram::new();
+        hist.record(Duration::from_micros(1_234));
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(hist.quantile(q), Quantile { seconds: 0.001_234, overflow: false });
+        }
+    }
+
+    #[test]
+    fn samples_sharing_one_bucket_bound_its_quantiles() {
+        // 1.05-1.085 s, all in the (1 s, 2 s] bucket: interpolation alone
+        // would report p90 ≈ 1.9 s and p99 ≈ 2.0 s.
+        let hist = Histogram::new();
+        for i in 0..8u64 {
+            hist.record_nanos(1_050_000_000 + i * 5_000_000);
+        }
+        let snapshot = hist.snapshot();
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let estimate = snapshot.quantile(q).seconds;
+            assert!((1.05..=1.085).contains(&estimate), "q={q}: {estimate}");
+        }
+        assert_eq!(snapshot.quantile(1.0).seconds, 1.085);
+    }
+
+    #[test]
     fn concurrent_recording_from_8_threads_sums_exactly() {
         let hist = Arc::new(Histogram::new());
         let per_thread = 10_000u64;
@@ -452,6 +533,9 @@ mod tests {
         let expected: u64 =
             (0..8u64).map(|t| (0..per_thread).map(|i| t * 1_000 + i).sum::<u64>()).sum();
         assert_eq!(hist.sum_nanos(), expected, "nanosecond sum must be exact");
+        let snapshot = hist.snapshot();
+        assert_eq!(snapshot.min_nanos, 0);
+        assert_eq!(snapshot.max_nanos, 7 * 1_000 + per_thread - 1, "the max must be exact");
     }
 
     #[test]
@@ -498,6 +582,8 @@ mod tests {
     fn quantile_of_empty_histogram_is_zero() {
         assert_eq!(Histogram::new().quantile(0.5), Quantile { seconds: 0.0, overflow: false });
         assert_eq!(Histogram::new().snapshot().mean_seconds(), 0.0);
+        let snapshot = Histogram::new().snapshot();
+        assert_eq!((snapshot.min_nanos, snapshot.max_nanos), (u64::MAX, 0), "empty sentinels");
     }
 
     #[test]
