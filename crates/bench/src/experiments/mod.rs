@@ -7,9 +7,7 @@ pub mod fig3_fig5_topk;
 pub mod fig4_fig6_refined;
 pub mod fig7_fig8_graph;
 pub mod linkage_attack;
-pub mod recall;
 pub mod scale;
-pub mod scaling;
 pub mod service;
 pub mod snapshot_load;
 pub mod table1;

@@ -13,8 +13,7 @@
 //!
 //! ## The oracle contract
 //!
-//! - Tiers up to [`FULL_ORACLE_MAX_USERS`]
-//!   (`scaling::FULL_ORACLE_MAX_USERS`) additionally run the full
+//! - Tiers up to [`FULL_ORACLE_MAX_USERS`] additionally run the full
 //!   `(Dense, PerUser)` differential oracle and assert the *entire*
 //!   outcome — candidate sets, candidate score bits, mapping — is
 //!   bit-identical.
@@ -52,12 +51,15 @@ use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_core::{refine_user, AttackConfig, BoundedTopK, ClassifierKind, SimilarityEngine};
 use dehealth_corpus::snapshot::{encode_forum, fnv1a, SectionBuf};
 use dehealth_corpus::{closed_world_split, Forum, ForumConfig, SplitConfig};
-use dehealth_engine::{
-    Engine, EngineConfig, EngineReport, ExactnessMode, RefinedMode, ScoringMode,
-};
+use dehealth_engine::{Engine, EngineConfig, EngineReport, RefinedMode, ScoringMode};
 use dehealth_service::PreparedCorpus;
 
-use super::scaling::FULL_ORACLE_MAX_USERS;
+/// Largest corpus at which the full differential oracles still run: the
+/// dense all-pairs Top-K sweep and the per-user refined path are both
+/// O(N²)-ish in the corpus size and would silently turn a 100k-user sweep
+/// into a run that never finishes. Above this, exactness is covered by
+/// the *sampled* oracle alone.
+pub const FULL_ORACLE_MAX_USERS: usize = 2000;
 
 /// Seeded random anonymized users whose dense Top-K rows are recomputed
 /// and compared bit-exactly at every tier.
@@ -200,7 +202,6 @@ fn scale_engine() -> Engine {
         scoring: ScoringMode::Indexed,
         refined: RefinedMode::Shared,
         candidate_budget: None,
-        exactness: ExactnessMode::Exact,
     })
 }
 

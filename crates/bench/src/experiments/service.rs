@@ -64,8 +64,8 @@ use dehealth_service::daemon::Daemon;
 use dehealth_service::{AttackOptions, PreparedCorpus, ServiceClient, WireEncoding};
 use dehealth_telemetry::{HistogramSnapshot, Quantile};
 
-/// Attack parameters used throughout the benchmark (matching the scaling
-/// experiment's sweep so the numbers are comparable).
+/// Attack parameters used throughout the benchmark (matching the scale
+/// sweep so the numbers are comparable).
 fn attack_config() -> AttackConfig {
     AttackConfig { top_k: 10, n_landmarks: 30, ..AttackConfig::default() }
 }

@@ -165,10 +165,12 @@ pub fn run_to(path: &Path, base_users: usize, seed: u64) -> io::Result<Vec<LoadC
 
 /// Hand-rolled JSON (the workspace carries no serialization dependency).
 fn write_json(path: &Path, seed: u64, cells: &[LoadCell]) -> io::Result<()> {
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"experiment\": \"snapshot-load\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
+    let _ = writeln!(out, "  \"machine_parallelism\": {parallelism},");
     let _ = writeln!(out, "  \"repeats\": {REPEATS},");
     out.push_str("  \"sweep\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -209,6 +211,7 @@ mod tests {
         assert!(cells.windows(2).all(|w| w[0].snapshot_bytes < w[1].snapshot_bytes));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"experiment\": \"snapshot-load\""));
+        assert!(text.contains("\"machine_parallelism\""));
         assert!(text.contains("\"mapped_seconds\""));
         assert!(text.contains("\"mapped_borrowed_bytes\""));
         let _ = std::fs::remove_dir_all(dir);

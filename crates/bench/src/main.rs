@@ -15,15 +15,11 @@
 //!   fig8     community structure under degree thresholds
 //!   linkage  Section VI linkage attack
 //!   theory   Section IV bounds vs Monte-Carlo
-//!   scaling  engine throughput vs worker threads (BENCH_scaling.json)
 //!   scale    order-of-magnitude corpus sweep w/ sampled oracle (BENCH_scale.json;
 //!            defaults to 100k users — not part of `all`)
 //!            [--tiers 1k,10k] sweeps an explicit tier list instead of the
 //!            default /100, /10, ×1 pyramid; [--max-users N] sets the
 //!            pyramid's top tier (synonym of --users for this experiment)
-//!   recall   approximate-tier margin sweep: recall@1/recall@k vs per-stage
-//!            speedup at 1k and 10k users (BENCH_recall.json; --users N runs
-//!            a single tier — not part of `all`)
 //!   service  snapshot persistence + daemon wire throughput (BENCH_service.json)
 //!   snapshot-load  owned vs mmap reload latency sweep (BENCH_snapshot.json)
 //!   all      everything above
@@ -54,7 +50,7 @@ use std::path::Path;
 
 use dehealth_bench::experiments::{
     ablation, datasets, defense, fig3_fig5_topk, fig4_fig6_refined, fig7_fig8_graph,
-    linkage_attack, recall, scale, scaling, service, snapshot_load, table1, theory_bounds,
+    linkage_attack, scale, service, snapshot_load, table1, theory_bounds,
 };
 use dehealth_service::LoadMode;
 
@@ -149,12 +145,10 @@ fn parse_args() -> Args {
 
 fn print_help() {
     println!(
-        "repro <fig1|fig2|table1|fig3|fig4|fig5|fig6|fig7|fig8|linkage|theory|ablation|defense|scaling|service|snapshot-load|all> \
+        "repro <fig1|fig2|table1|fig3|fig4|fig5|fig6|fig7|fig8|linkage|theory|ablation|defense|service|snapshot-load|all> \
          [--users N] [--seed S]\n\
          repro scale [--users N | --max-users N] [--tiers 1k,10k] [--seed S]   \
          # 1k/10k/100k sweep by default; not in `all`\n\
-         repro recall [--users N] [--seed S]  # approx-tier margin sweep, 1k+10k tiers by \
-         default; not in `all`\n\
          repro snapshot [--users N] [--seed S] [--path corpus.snap]\n\
          repro serve [--path corpus.snap] [--addr 127.0.0.1:7699] [--users N] [--seed S] \
          [--mmap | --owned] [--metrics-addr HOST:PORT]"
@@ -367,12 +361,6 @@ fn main() {
     if run("defense") {
         let _ = defense::run(topk_users.min(150), seed);
     }
-    if run("scaling") {
-        if let Err(e) = scaling::run(args.users.unwrap_or(600), seed) {
-            eprintln!("scaling: failed to write BENCH_scaling.json: {e}");
-            std::process::exit(1);
-        }
-    }
     if run("service") {
         if let Err(e) = service::run(args.users.unwrap_or(600), seed) {
             eprintln!("service: failed to run the service benchmark: {e}");
@@ -398,19 +386,6 @@ fn main() {
             Ok(path) => println!("scale: report at {}", path.display()),
             Err(e) => {
                 eprintln!("scale: failed to write BENCH_scale.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    // `recall` is also excluded from `all`: its default tiers (1k and
-    // 10k users, six attacks each) take minutes, and its JSON is a
-    // committed artifact regenerated deliberately, not on every sweep.
-    if args.experiment == "recall" {
-        match recall::run(args.users, seed) {
-            Ok(path) => println!("recall: report at {}", path.display()),
-            Err(e) => {
-                eprintln!("recall: failed to write BENCH_recall.json: {e}");
                 std::process::exit(1);
             }
         }
@@ -446,7 +421,6 @@ fn main() {
         "theory",
         "ablation",
         "defense",
-        "scaling",
         "service",
         "snapshot-load",
         "all",

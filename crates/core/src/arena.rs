@@ -5,8 +5,8 @@
 //! and the [`RefinedContext`](crate::refined::RefinedContext) feature
 //! arenas — hold their scalar data in [`ArenaView`]s. A view is either
 //!
-//! - **owned**: a plain `Vec<T>` (freshly built structures, v1 snapshot
-//!   decodes, and any structure about to be mutated), or
+//! - **owned**: a plain `Vec<T>` (freshly built structures, owned
+//!   snapshot decodes, and any structure about to be mutated), or
 //! - **mapped**: a `(SharedBytes, Range)` pair borrowing a little-endian
 //!   byte region of a loaded snapshot — typically an `mmap`ed file —
 //!   reinterpreted in place through [`dehealth_mapped`]'s
@@ -187,8 +187,8 @@ impl<T: LePod> Deref for ArenaView<T> {
 }
 
 /// Decode a little-endian byte region into owned values — the copying
-/// counterpart of [`ArenaView::try_mapped`], used for v1 snapshots, for
-/// owned load mode, and as the big-endian fallback.
+/// counterpart of [`ArenaView::try_mapped`], used for owned load mode
+/// and as the big-endian fallback.
 pub trait DecodeLe: LePod {
     /// Decode `bytes` (length must be a whole number of elements).
     #[must_use]

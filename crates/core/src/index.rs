@@ -71,13 +71,13 @@
 //! disabled — the engine does this automatically whenever
 //! `AttackConfig::filtering` is set.
 
-use dehealth_corpus::snapshot::{SectionBuf, SectionReader, SectionWrite, SnapshotError};
+use dehealth_corpus::snapshot::{SectionReader, SectionWrite, SnapshotError};
 use dehealth_mapped::SharedBytes;
 use dehealth_stylometry::UserAttributes;
 
 use crate::arena::{ArenaCastError, ArenaView};
 use crate::filter::ScoreBounds;
-use crate::similarity::{QuantizedStructural, SimilarityEngine};
+use crate::similarity::SimilarityEngine;
 use crate::topk::BoundedTopK;
 use crate::uda::UdaGraph;
 
@@ -171,7 +171,7 @@ impl Default for PostingStore {
 ///
 /// The per-user tables and posting arenas are **storage-generic**
 /// ([`ArenaView`]): a freshly built index owns its `Vec`s, while an
-/// index decoded from a v2 snapshot through [`Self::decode_v2`] borrows
+/// index decoded from a snapshot through [`Self::decode`] borrows
 /// them straight out of the (typically memory-mapped) file. Appending
 /// promotes borrowed storage to owned copy-on-write.
 ///
@@ -417,119 +417,12 @@ impl AttributeIndex {
         (resident, total - resident)
     }
 
-    /// Serialize into a v1 snapshot section: the per-user totals, then
-    /// every posting list (see ARCHITECTURE.md for the byte layout). The
-    /// `present` list and `n_postings` are derivable and not stored.
-    /// Kept for compatibility fixtures; new snapshots use
-    /// [`Self::encode_v2`].
-    ///
-    /// # Panics
-    /// Panics if the index holds more than `u32::MAX` attributes or any
-    /// posting list longer than `u32::MAX` (beyond any supported corpus).
-    pub fn encode(&self, buf: &mut SectionBuf) {
-        let n_users = self.n_users();
-        buf.put_u32(u32::try_from(n_users).expect("user count overflows u32"));
-        let attr_counts = self.attr_counts.as_slice();
-        let weight_sums = self.weight_sums.as_slice();
-        let present_flags = self.present_flags.as_slice();
-        for v in 0..n_users {
-            buf.put_u32(attr_counts[v]);
-            buf.put_u64(weight_sums[v]);
-            buf.put_u8(present_flags[v]);
-        }
-        buf.put_u32(u32::try_from(self.n_attrs()).expect("attribute count overflows u32"));
-        for attr in 0..self.n_attrs() {
-            let plist = self.posting(attr);
-            buf.put_u32(u32::try_from(plist.len()).expect("posting list overflows u32"));
-            for p in plist.iter() {
-                buf.put_u32(p.user);
-                buf.put_u32(p.weight);
-            }
-        }
-    }
-
-    /// Deserialize an index written by [`Self::encode`] (the v1 payload
-    /// schema), revalidating every structural invariant (ascending
-    /// posting lists, ids in range, postings only for present users,
-    /// positive weights). Always copies — the v1 layout is unaligned.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`] on
-    /// malformed payloads; never panics.
-    pub fn decode(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let n_users = r.take_u32()? as usize;
-        if n_users > r.remaining() / 13 {
-            // Each user entry occupies 13 bytes.
-            return Err(SnapshotError::Malformed { context: "implausible index user count" });
-        }
-        let mut attr_counts = Vec::with_capacity(n_users);
-        let mut weight_sums = Vec::with_capacity(n_users);
-        let mut present_flags = Vec::with_capacity(n_users);
-        let mut present = Vec::new();
-        for id in 0..n_users {
-            attr_counts.push(r.take_u32()?);
-            weight_sums.push(r.take_u64()?);
-            let flag = r.take_u8()?;
-            if flag > 1 {
-                return Err(SnapshotError::Malformed { context: "invalid presence flag" });
-            }
-            if flag == 1 {
-                present.push(id as u32);
-            }
-            present_flags.push(flag);
-        }
-        let n_attrs = r.take_u32()? as usize;
-        if n_attrs > r.remaining() / 4 {
-            return Err(SnapshotError::Malformed { context: "implausible attribute count" });
-        }
-        let mut starts = Vec::with_capacity(n_attrs + 1);
-        let mut users: Vec<u32> = Vec::new();
-        let mut weights: Vec<u32> = Vec::new();
-        starts.push(0u64);
-        for _ in 0..n_attrs {
-            let len = r.take_u32()? as usize;
-            if len > r.remaining() / 8 {
-                return Err(SnapshotError::Malformed { context: "implausible posting length" });
-            }
-            let list_start = users.len();
-            for _ in 0..len {
-                let user = r.take_u32()?;
-                let weight = r.take_u32()?;
-                if user as usize >= n_users || weight == 0 {
-                    return Err(SnapshotError::Malformed { context: "invalid posting entry" });
-                }
-                if present_flags[user as usize] == 0 {
-                    return Err(SnapshotError::Malformed {
-                        context: "posting references absent user",
-                    });
-                }
-                if users.len() > list_start && users[users.len() - 1] >= user {
-                    return Err(SnapshotError::Malformed { context: "posting list not ascending" });
-                }
-                users.push(user);
-                weights.push(weight);
-            }
-            starts.push(users.len() as u64);
-        }
-        Ok(Self {
-            attr_counts: attr_counts.into(),
-            weight_sums: weight_sums.into(),
-            present_flags: present_flags.into(),
-            present: present.into(),
-            postings: PostingStore::Csr {
-                starts: starts.into(),
-                users: users.into(),
-                weights: weights.into(),
-            },
-        })
-    }
-
-    /// Serialize into a v2 snapshot section: eight `u64` counts, then the
+    /// Serialize into a snapshot section: eight `u64` counts, then the
     /// per-user tables and the flattened CSR posting arenas, each padded
     /// to an 8-byte payload offset (see ARCHITECTURE.md for the byte
-    /// layout). Unlike the v1 schema this persists the `present` id list
-    /// too, so a zero-copy load derives nothing.
-    pub fn encode_v2<W: SectionWrite>(&self, buf: &mut W) {
+    /// layout). The `present` id list is stored too, so a zero-copy load
+    /// derives nothing.
+    pub fn encode<W: SectionWrite>(&self, buf: &mut W) {
         let n_attrs = self.n_attrs();
         buf.put_u64(self.n_users() as u64);
         buf.put_u64(n_attrs as u64);
@@ -573,20 +466,21 @@ impl AttributeIndex {
         }
     }
 
-    /// Deserialize an index written by [`Self::encode_v2`]. With a
+    /// Deserialize an index written by [`Self::encode`]. With a
     /// `backing`, every arena becomes a zero-copy [`ArenaView`] borrowing
-    /// the snapshot's bytes (the v2 alignment guarantee makes the casts
+    /// the snapshot's bytes (the alignment guarantee makes the casts
     /// succeed); without one — or on targets that cannot cast
     /// little-endian bytes in place — the arenas are copied out instead.
-    /// Either way every structural invariant of [`Self::decode`] is
-    /// re-validated, so downstream scorers can index unchecked.
+    /// Either way every structural invariant is re-validated (ascending
+    /// posting lists, ids in range, postings only for present users,
+    /// positive weights), so downstream scorers can index unchecked.
     ///
     /// # Errors
     /// [`SnapshotError::Truncated`] / [`SnapshotError::Malformed`] on
     /// malformed payloads, [`SnapshotError::Misaligned`] when an arena
     /// that the format guarantees aligned is not (corrupt framing or an
     /// unaligned backing); never panics.
-    pub fn decode_v2(
+    pub fn decode(
         r: &mut SectionReader<'_>,
         backing: Option<&SharedBytes>,
     ) -> Result<Self, SnapshotError> {
@@ -615,8 +509,8 @@ impl AttributeIndex {
         let users = take_view::<u32>(r, backing, n_postings, "index posting users arena")?;
         let weights = take_view::<u32>(r, backing, n_postings, "index posting weights arena")?;
 
-        // Validation scans — the same invariants the v1 decoder enforces,
-        // over the (possibly borrowed) arenas, without copying anything.
+        // Validation scans over the (possibly borrowed) arenas, without
+        // copying anything.
         {
             let flags = present_flags.as_slice();
             if flags.iter().any(|&f| f > 1) {
@@ -691,7 +585,7 @@ fn cast_error(e: ArenaCastError, context: &'static str) -> SnapshotError {
 }
 
 /// Take an aligned arena of `n` elements of `T` as a (zero-copy where
-/// possible) view — the shared primitive of every v2 section decoder.
+/// possible) view — the shared primitive of every section decoder.
 pub(crate) fn take_view<T: crate::arena::DecodeLe>(
     r: &mut SectionReader<'_>,
     backing: Option<&SharedBytes>,
@@ -716,17 +610,7 @@ pub struct PairTally {
     /// needs none: its attribute term is exactly 0) and were then pruned
     /// on their exact attribute term or scored. `merged - scored` pairs
     /// were pruned after the merge, the rest of `pruned` before it.
-    /// Pairs a prescreen margin skips are not counted.
     pub merged: u64,
-    /// Pairs fully scored *under an active prescreen margin* — the exact
-    /// scorings the approximate tier still paid. Always 0 in exact mode.
-    pub admitted: u64,
-    /// Pairs dropped by the margin prescreen: either the global bound or
-    /// the per-pair quantized ceiling cleared the floor by less than the
-    /// margin, so they were skipped without exact scoring (their true
-    /// score is `< floor + margin`, up to quantization slack). Always 0
-    /// in exact mode.
-    pub skipped: u64,
 }
 
 impl std::ops::AddAssign for PairTally {
@@ -734,8 +618,6 @@ impl std::ops::AddAssign for PairTally {
         self.scored += rhs.scored;
         self.pruned += rhs.pruned;
         self.merged += rhs.merged;
-        self.admitted += rhs.admitted;
-        self.skipped += rhs.skipped;
     }
 }
 
@@ -871,27 +753,6 @@ impl HotAttrs {
     }
 }
 
-/// How a pair fares against the Top-K floor in [`IndexedScorer::screen`].
-#[derive(Debug, Clone, Copy)]
-enum Screen {
-    /// Its upper bound is strictly below the floor: it cannot enter.
-    Prune,
-    /// Dropped by the margin prescreen (approximate tier only).
-    Skip,
-    /// It may enter; go on.
-    Keep,
-}
-
-/// A pair's structural ceilings, each computed at most once and shared
-/// by the pre- and post-merge screens.
-#[derive(Debug, Default)]
-struct PairCeilings {
-    /// [`SimilarityEngine::structural_ceiling`].
-    exact: Option<f64>,
-    /// [`QuantizedStructural::ceiling`], under an armed margin.
-    band: Option<f64>,
-}
-
 /// Sparse scorer: drives one [`SimilarityEngine`] through an
 /// [`AttributeIndex`] instead of the all-pairs sweep.
 ///
@@ -915,17 +776,10 @@ pub struct IndexedScorer<'e, 'i> {
     hot: HotAttrs,
     from: usize,
     prune: bool,
-    /// Prescreen confidence margin in score units (see
-    /// [`Self::with_margin`]); `0.0` = exact.
-    margin: f64,
     /// `c1·s^d_max + c2·s^s_max`, evaluated with the same association as
     /// the score itself (negative weights contribute their maximum, 0):
     /// the free first check before a pair's own structural ceiling.
     struct_bound: f64,
-    /// u8-quantized structural mirror backing the margin band's per-pair
-    /// score ceiling. Built only when `margin > 0`; the exact paths
-    /// never touch it.
-    quant: Option<QuantizedStructural>,
 }
 
 impl<'e, 'i> IndexedScorer<'e, 'i> {
@@ -963,66 +817,26 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             hot: HotAttrs::build(index, from),
             from,
             prune,
-            margin: 0.0,
             struct_bound: td + ts,
-            quant: None,
         }
     }
 
-    /// Arm the approximate tier's margin prescreen: a two-stage skip
-    /// test against the bar `floor + margin` (score units), applied to
-    /// pairs the exact bounds could not prune. Stage one is the free
-    /// check — the constant structural ceiling (`c1·3 + c2·2`) plus the
-    /// pair's attribute term. A pair that clears it is re-tested with
-    /// the structural part re-bounded by the per-pair quantized ceiling
-    /// ([`QuantizedStructural::ceiling`] — exact degree ratios plus u8
-    /// integer-dot cosines), which tracks the true score closely instead
-    /// of assuming every cosine is 1. Pairs that fail either test are
-    /// skipped without exact scoring; survivors are scored exactly. Only
-    /// candidates within `margin` (± quantization slack) of the evolving
-    /// admission floor can be lost. Applied at every prune site, and
-    /// only when pruning is enabled; `margin == 0.0` builds no quantized
-    /// state and is bit-identical to the exact scorer.
-    ///
-    /// # Panics
-    /// Panics if `margin` is negative or non-finite.
-    #[must_use]
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        assert!(margin.is_finite() && margin >= 0.0, "prescreen margin must be finite and >= 0");
-        self.margin = margin;
-        if margin > 0.0 && self.quant.is_none() {
-            self.quant = Some(self.sim.quantized_structural());
-        }
-        self
-    }
-
-    /// Screen a pair whose weighted attribute term is at most `attr`
-    /// against `floor`. The constant `struct_bound` goes first, as the
-    /// cheapest test; the pair's exact structural ceiling next; then,
-    /// under an armed margin, the prescreen against `floor + margin`
-    /// (stage one the constant, stage two the quantized ceiling).
+    /// `true` if a pair whose weighted attribute term is at most `attr`
+    /// is strictly below `floor`, so it cannot enter the Top-K. The
+    /// constant `struct_bound` goes first, as the cheapest test; the
+    /// pair's own structural ceiling next, computed at most once into
+    /// `ceiling` and shared by the pre- and post-merge screens.
     #[inline]
-    fn screen(&self, u: usize, lv: usize, attr: f64, floor: f64, c: &mut PairCeilings) -> Screen {
-        if self.struct_bound + attr < floor
-            || *c.exact.get_or_insert_with(|| self.sim.structural_ceiling(u, lv)) + attr < floor
-        {
-            return Screen::Prune;
-        }
-        if self.margin > 0.0 {
-            let bar = floor + self.margin;
-            if self.struct_bound + attr < bar
-                || *c.band.get_or_insert_with(|| {
-                    self.quant
-                        .as_ref()
-                        .expect("armed margin builds quantized tables")
-                        .ceiling(u, lv)
-                }) + attr
-                    < bar
-            {
-                return Screen::Skip;
-            }
-        }
-        Screen::Keep
+    fn below_floor(
+        &self,
+        u: usize,
+        lv: usize,
+        attr: f64,
+        floor: f64,
+        ceiling: &mut Option<f64>,
+    ) -> bool {
+        self.struct_bound + attr < floor
+            || *ceiling.get_or_insert_with(|| self.sim.structural_ceiling(u, lv)) + attr < floor
     }
 
     /// Fresh accumulators sized for this scorer's auxiliary range.
@@ -1106,7 +920,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             };
             let inter = u64::from(scratch.inter[lv]) + u64::from(inter_hot);
             let floor = if self.prune { top.floor() } else { None };
-            let mut ceilings = PairCeilings::default();
+            let mut ceiling = None;
 
             let attr_term = if inter == 0 {
                 // Zero-shared pair: the attribute term is exactly 0 (both
@@ -1128,16 +942,9 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
                     let min_ub = rare_min + u_hot_wsum.min(hot.hot_wsums[lv]);
                     let wunion_lb = u_wsum + self.weight_sums[v] - min_ub;
                     let s_attr_ub = inter as f64 / union as f64 + min_ub as f64 / wunion_lb as f64;
-                    match self.screen(u, lv, w.c3 * s_attr_ub, floor, &mut ceilings) {
-                        Screen::Prune => {
-                            tally.pruned += 1;
-                            continue;
-                        }
-                        Screen::Skip => {
-                            tally.skipped += 1;
-                            continue;
-                        }
-                        Screen::Keep => {}
+                    if self.below_floor(u, lv, w.c3 * s_attr_ub, floor, &mut ceiling) {
+                        tally.pruned += 1;
+                        continue;
                     }
                 }
                 // Exact hot merge: O(|v's hot row|) against u's dense
@@ -1157,17 +964,10 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             };
 
             if let Some(floor) = floor {
-                match self.screen(u, lv, attr_term, floor, &mut ceilings) {
-                    Screen::Prune => {
-                        tally.merged += 1;
-                        tally.pruned += 1;
-                        continue;
-                    }
-                    Screen::Skip => {
-                        tally.skipped += 1;
-                        continue;
-                    }
-                    Screen::Keep => {}
+                if self.below_floor(u, lv, attr_term, floor, &mut ceiling) {
+                    tally.merged += 1;
+                    tally.pruned += 1;
+                    continue;
                 }
             }
             let s = (w.c1 * self.sim.degree_similarity(u, lv)
@@ -1177,7 +977,6 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             bounds.observe(s);
             tally.merged += 1;
             tally.scored += 1;
-            tally.admitted += u64::from(self.margin > 0.0);
         }
 
         // Sparse reset: clear only the touched slots.
@@ -1268,13 +1067,13 @@ mod tests {
         let (_, aux) = sides();
         let dynamic = AttributeIndex::from_uda(&aux); // Dynamic storage
         let mut w = SnapshotWriter::new();
-        dynamic.encode_v2(w.section(TAG));
+        dynamic.encode(w.section(TAG));
         let bytes = w.finish();
 
         // Owned decode (no backing).
         let r = SnapshotReader::parse(&bytes).unwrap();
         let mut s = r.section(TAG).unwrap();
-        let owned = AttributeIndex::decode_v2(&mut s, None).unwrap();
+        let owned = AttributeIndex::decode(&mut s, None).unwrap();
         s.expect_end().unwrap();
         assert!(!owned.is_borrowed());
 
@@ -1282,7 +1081,7 @@ mod tests {
         let backing = ByteSource::from_vec(bytes.clone());
         let r = SnapshotReader::parse(backing.bytes()).unwrap();
         let mut s = r.section(TAG).unwrap();
-        let mapped = AttributeIndex::decode_v2(&mut s, Some(&backing)).unwrap();
+        let mapped = AttributeIndex::decode(&mut s, Some(&backing)).unwrap();
         s.expect_end().unwrap();
         assert!(mapped.is_borrowed());
         let (resident, borrowed) = mapped.arena_bytes();
@@ -1301,7 +1100,7 @@ mod tests {
                 assert_eq!(a.weights, b.weights);
             }
             let mut w = SnapshotWriter::new();
-            decoded.encode_v2(w.section(TAG));
+            decoded.encode(w.section(TAG));
             assert_eq!(w.finish(), bytes);
         }
     }
@@ -1315,11 +1114,11 @@ mod tests {
         let (_, aux) = sides();
         let mut reference = AttributeIndex::from_uda(&aux);
         let mut w = SnapshotWriter::new();
-        reference.encode_v2(w.section(TAG));
+        reference.encode(w.section(TAG));
         let backing = ByteSource::from_vec(w.finish());
         let r = SnapshotReader::parse(backing.bytes()).unwrap();
         let mut mapped =
-            AttributeIndex::decode_v2(&mut r.section(TAG).unwrap(), Some(&backing)).unwrap();
+            AttributeIndex::decode(&mut r.section(TAG).unwrap(), Some(&backing)).unwrap();
         assert!(mapped.is_borrowed());
 
         // Appending the same user to both must agree — and detach the
@@ -1329,9 +1128,9 @@ mod tests {
         mapped.push_user(&attrs, true);
         assert!(!mapped.is_borrowed());
         let mut wa = SnapshotWriter::new();
-        reference.encode_v2(wa.section(TAG));
+        reference.encode(wa.section(TAG));
         let mut wb = SnapshotWriter::new();
-        mapped.encode_v2(wb.section(TAG));
+        mapped.encode(wb.section(TAG));
         assert_eq!(wa.finish(), wb.finish());
     }
 
@@ -1345,7 +1144,7 @@ mod tests {
         // Decode a tampered copy and expect a typed error (patch the
         // present-count to disagree with the flags).
         let mut w = SnapshotWriter::new();
-        index.encode_v2(w.section(TAG));
+        index.encode(w.section(TAG));
         let bytes = w.finish();
         let parse = |bytes: &[u8]| -> Result<AttributeIndex, SnapshotError> {
             let r = SnapshotReader::parse_with(
@@ -1353,7 +1152,7 @@ mod tests {
                 &dehealth_corpus::snapshot::ParseOptions::trusting(),
             )?;
             let mut s = r.section(TAG)?;
-            AttributeIndex::decode_v2(&mut s, None)
+            AttributeIndex::decode(&mut s, None)
         };
         assert!(parse(&bytes).is_ok());
         // n_present lives at payload offset 24 (fourth u64) = file 32+24.

@@ -26,7 +26,6 @@ pub mod arena;
 pub mod attack;
 pub mod filter;
 pub mod index;
-pub mod quant;
 pub mod refined;
 pub mod similarity;
 pub mod snapshot;
@@ -37,10 +36,9 @@ pub use arena::{ArenaCastError, ArenaView};
 pub use attack::{stylometry_baseline, AttackConfig, AttackOutcome, DeHealth, Evaluation};
 pub use filter::{FilterConfig, Filtered, ScoreBounds};
 pub use index::{AttributeIndex, IndexScratch, IndexedScorer, PairTally, PostingsRef};
-pub use quant::{QuantizedContext, QuantizedRows};
 pub use refined::{
-    refine_user, refine_user_shared, refine_user_shared_quantized, ClassifierKind, RefinedConfig,
-    RefinedContext, RefinedScratch, Side, Verification,
+    refine_user, refine_user_shared, ClassifierKind, RefinedConfig, RefinedContext, RefinedScratch,
+    Side, Verification,
 };
 pub use similarity::{SimilarityEngine, SimilarityWeights};
 pub use topk::{BoundedTopK, Selection};

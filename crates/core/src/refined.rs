@@ -26,18 +26,17 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dehealth_corpus::snapshot::{SectionBuf, SectionReader, SectionWrite, SnapshotError};
+use dehealth_corpus::snapshot::{SectionReader, SectionWrite, SnapshotError};
 use dehealth_corpus::Forum;
 use dehealth_mapped::SharedBytes;
 use dehealth_ml::{
-    knn_vote_quantized, knn_vote_scored, Classifier, Dataset, DatasetView, Knn, KnnMetric,
-    MinMaxScaler, NearestCentroid, Rlsc, SmoSvm, SvmParams,
+    knn_vote_scored, Classifier, Dataset, DatasetView, Knn, KnnMetric, MinMaxScaler,
+    NearestCentroid, Rlsc, SmoSvm, SvmParams,
 };
 use dehealth_stylometry::{FeatureVector, M};
 
 use crate::arena::ArenaView;
 use crate::index::take_view;
-use crate::quant::{QuantizedContext, QuantizedRows};
 use crate::uda::UdaGraph;
 
 /// Which benchmark classifier refined DA trains.
@@ -162,7 +161,7 @@ pub struct Side<'a> {
 /// for every anonymized user.
 ///
 /// Storage-generic ([`ArenaView`]): a freshly built context owns its
-/// arenas, a context decoded from a v2 snapshot ([`Self::decode_v2`])
+/// arenas, a context decoded from a snapshot ([`Self::decode`])
 /// borrows them straight out of the (typically memory-mapped) file, and
 /// [`Self::append_rows`] promotes borrowed arenas to owned copy-on-write.
 #[derive(Debug, Clone)]
@@ -355,114 +354,14 @@ impl RefinedContext {
         }
     }
 
-    /// Serialize into a v1 snapshot section: dimension, representation
-    /// flag, then the arena the flag selects (interleaved, unaligned —
-    /// see ARCHITECTURE.md). Floats are stored as raw IEEE-754 bits, so a
-    /// reloaded context is bit-identical to the one built from scratch.
-    /// Kept for compatibility fixtures; new snapshots use
-    /// [`Self::encode_v2`].
-    ///
-    /// # Panics
-    /// Panics if the context holds more than `u32::MAX` posts or sparse
-    /// entries (beyond any supported corpus).
-    pub fn encode(&self, buf: &mut SectionBuf) {
-        buf.put_u32(u32::try_from(self.dim).expect("dimension overflows u32"));
-        buf.put_u8(u8::from(self.sparse));
-        if self.sparse {
-            buf.put_u32(u32::try_from(self.n_posts()).expect("post count overflows u32"));
-            buf.put_u32(u32::try_from(self.sp_idx.len()).expect("entry count overflows u32"));
-            for (&i, &v) in self.sp_idx.as_slice().iter().zip(self.sp_val.as_slice()) {
-                buf.put_u32(i);
-                buf.put_f64(v);
-            }
-            for &s in self.sp_start.as_slice() {
-                buf.put_u64(s);
-            }
-        } else {
-            buf.put_u32(u32::try_from(self.n_posts()).expect("post count overflows u32"));
-            for &v in self.data.as_slice() {
-                buf.put_f64(v);
-            }
-        }
-    }
-
-    /// Deserialize a context written by [`Self::encode`] (the v1 payload
-    /// schema), revalidating the arena invariants (ascending in-range
-    /// indices per row, a monotone row offset table, non-negative
-    /// values). Always copies — the v1 layout is interleaved and
-    /// unaligned.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`] on
-    /// malformed payloads; never panics.
-    pub fn decode(r: &mut SectionReader<'_>) -> Result<Self, SnapshotError> {
-        let dim = r.take_u32()? as usize;
-        if dim == 0 {
-            return Err(SnapshotError::Malformed { context: "zero context dimension" });
-        }
-        let sparse = match r.take_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed { context: "invalid representation flag" }),
-        };
-        let n_posts = r.take_u32()? as usize;
-        if sparse {
-            let n_entries = r.take_u32()? as usize;
-            if n_entries > r.remaining() / 12 {
-                return Err(SnapshotError::Malformed { context: "implausible entry count" });
-            }
-            let mut sp_idx = Vec::with_capacity(n_entries);
-            let mut sp_val = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                sp_idx.push(r.take_u32()?);
-                sp_val.push(r.take_f64()?);
-            }
-            if n_posts > r.remaining() / 8 {
-                return Err(SnapshotError::Malformed { context: "implausible post count" });
-            }
-            let mut sp_start = Vec::with_capacity(n_posts + 1);
-            for _ in 0..=n_posts {
-                sp_start.push(r.take_u64()?);
-            }
-            let ctx = Self {
-                dim,
-                sparse,
-                data: ArenaView::default(),
-                sp_idx: sp_idx.into(),
-                sp_val: sp_val.into(),
-                sp_start: sp_start.into(),
-            };
-            ctx.validate_sparse()?;
-            Ok(ctx)
-        } else {
-            let n_values = n_posts
-                .checked_mul(dim)
-                .ok_or(SnapshotError::Malformed { context: "implausible post count" })?;
-            if n_values > r.remaining() / 8 {
-                return Err(SnapshotError::Malformed { context: "implausible post count" });
-            }
-            let mut data = Vec::with_capacity(n_values);
-            for _ in 0..n_values {
-                data.push(r.take_f64()?);
-            }
-            Ok(Self {
-                dim,
-                sparse,
-                data: data.into(),
-                sp_idx: ArenaView::default(),
-                sp_val: ArenaView::default(),
-                sp_start: ArenaView::default(),
-            })
-        }
-    }
-
-    /// Serialize into a v2 snapshot section: four `u64` header words,
+    /// Serialize into a snapshot section: four `u64` header words,
     /// then the arenas the representation flag selects, each padded to an
     /// 8-byte payload offset (see ARCHITECTURE.md). The sparse mirror is
-    /// stored struct-of-arrays (indices, values, row starts) instead of
-    /// the v1 interleaving, which is what lets a zero-copy load cast the
-    /// `f64` and `u64` arenas in place.
-    pub fn encode_v2<W: SectionWrite>(&self, buf: &mut W) {
+    /// stored struct-of-arrays (indices, values, row starts), which is
+    /// what lets a zero-copy load cast the `f64` and `u64` arenas in
+    /// place. Floats are stored as raw IEEE-754 bits, so a reloaded
+    /// context is bit-identical to the one built from scratch.
+    pub fn encode<W: SectionWrite>(&self, buf: &mut W) {
         buf.put_u64(self.dim as u64);
         buf.put_u64(u64::from(self.sparse));
         buf.put_u64(self.n_posts() as u64);
@@ -477,17 +376,19 @@ impl RefinedContext {
         }
     }
 
-    /// Deserialize a context written by [`Self::encode_v2`]. With a
+    /// Deserialize a context written by [`Self::encode`]. With a
     /// `backing`, the arenas become zero-copy [`ArenaView`]s borrowing
     /// the snapshot's bytes; without one — or on targets that cannot
     /// cast little-endian bytes in place — they are copied out instead.
-    /// Either way every invariant of [`Self::decode`] is re-validated.
+    /// Either way the arena invariants are re-validated (ascending
+    /// in-range indices per row, a monotone row offset table, finite
+    /// non-negative values).
     ///
     /// # Errors
     /// [`SnapshotError::Truncated`] / [`SnapshotError::Malformed`] on
     /// malformed payloads, [`SnapshotError::Misaligned`] when an arena
     /// that the format guarantees aligned is not; never panics.
-    pub fn decode_v2(
+    pub fn decode(
         r: &mut SectionReader<'_>,
         backing: Option<&SharedBytes>,
     ) -> Result<Self, SnapshotError> {
@@ -534,7 +435,7 @@ impl RefinedContext {
         }
     }
 
-    /// The sparse-arena invariants both decoders re-validate: a monotone
+    /// The sparse-arena invariants the decoder re-validates: a monotone
     /// row offset table covering the arenas, strictly ascending in-range
     /// indices per row, and finite non-negative values (the precondition
     /// of the sparse scaling fast path).
@@ -602,9 +503,6 @@ pub struct RefinedScratch {
     /// [`sparse_knn_votes`]'s per-post scatter/unscatter).
     q_idx: Vec<u32>,
     q_dense: Vec<f64>,
-    /// Dense scatter of the query's `u8` codes for the quantized kernel
-    /// (same all-zeros invariant as `q_dense`).
-    q_codes: Vec<u8>,
 }
 
 impl RefinedScratch {
@@ -770,62 +668,6 @@ fn sparse_knn_votes(
         scratch.votes[p.label] += 1;
         for &j in &scratch.q_idx {
             scratch.q_dense[j as usize] = 0.0;
-        }
-    }
-}
-
-/// The quantized KNN loop: like [`sparse_knn_votes`] but over the `u8`
-/// affine codes of a [`QuantizedContext`] — no per-user min-max fit, no
-/// scaled-row materialization, and integer-accumulation cosine
-/// ([`knn_vote_quantized`]). The per-user passes 1 and 2 of the exact
-/// kernel disappear entirely; classification is one gather per training
-/// row over precomputed codes and norms.
-///
-/// Approximate in two ways: entry values are coded to 8 bits, and rows
-/// are compared in the *global* code space instead of the per-training-set
-/// min-max scale. Selection and tie-break semantics are exactly the exact
-/// kernel's.
-fn quantized_knn_votes(
-    k: usize,
-    anon_posts: &[usize],
-    anon_ctx: &RefinedContext,
-    anon_q: &QuantizedRows,
-    aux_ctx: &RefinedContext,
-    aux_q: &QuantizedContext,
-    scratch: &mut RefinedScratch,
-) {
-    let dim = aux_ctx.dim();
-    let n_train = scratch.rows.len();
-    let aux_rows = aux_ctx.sparse_slices();
-    let anon_rows = anon_ctx.sparse_slices();
-    let aux_codes = aux_q.codes();
-    let aux_norms = aux_q.norms();
-    scratch.q_codes.resize(dim, 0);
-    for &pi in anon_posts {
-        let (idx, _) = anon_rows.post(pi);
-        let entry_range = anon_rows.start[pi] as usize..anon_rows.start[pi + 1] as usize;
-        let codes = &anon_q.codes[entry_range];
-        for (&j, &c) in idx.iter().zip(codes) {
-            scratch.q_codes[j as usize] = c;
-        }
-        let rows = &scratch.rows;
-        let labels = &scratch.labels;
-        let p = knn_vote_quantized(
-            k,
-            n_train,
-            &scratch.q_codes,
-            anon_q.norms[pi],
-            |i| {
-                let ti = rows[i] as usize;
-                let r = aux_rows.start[ti] as usize..aux_rows.start[ti + 1] as usize;
-                (&aux_rows.idx[r.clone()], &aux_codes[r])
-            },
-            |i| aux_norms[rows[i] as usize],
-            |i| labels[i],
-        );
-        scratch.votes[p.label] += 1;
-        for &j in idx {
-            scratch.q_codes[j as usize] = 0;
         }
     }
 }
@@ -1070,121 +912,6 @@ pub fn refine_user_shared(
         return None;
     }
     Some(v)
-}
-
-/// De-anonymize one anonymized user through the **approximate** KNN tier:
-/// classify with the quantized integer-cosine kernel
-/// (`quantized_knn_votes`), and fall back to the exact sparse kernel
-/// only when the vote is inside the confidence margin — when the winning
-/// class leads the runner-up by **at most `margin · n_posts` votes**, the
-/// quantized decision is considered ambiguous and the user is rescored
-/// exactly. Decoy sampling, vote tie-breaks, decoy rejection and the
-/// verification tests are the exact path's (verification always runs at
-/// full precision).
-///
-/// Returns `(mapping, rescored)`: the mapping decision, and whether the
-/// margin band triggered an exact rescore. With `margin >= 1.0` every
-/// user rescores, making the decision identical to
-/// [`refine_user_shared`]'s.
-///
-/// `aux_q` must be fitted from `aux_ctx`
-/// ([`QuantizedContext::matches_context`]) and `anon_q` must hold
-/// `anon_ctx`'s rows coded against `aux_q`'s parameters
-/// ([`QuantizedContext::quantize_rows`]).
-///
-/// # Panics
-/// Panics if the classifier is not KNN, a context holds the wrong
-/// representation, or the quantized mirrors are inconsistent with their
-/// contexts.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn refine_user_shared_quantized(
-    u: usize,
-    candidates: &[usize],
-    anon: &Side<'_>,
-    aux: &Side<'_>,
-    anon_ctx: &RefinedContext,
-    anon_q: &QuantizedRows,
-    aux_ctx: &RefinedContext,
-    aux_q: &QuantizedContext,
-    similarity_row: &[f64],
-    config: &RefinedConfig,
-    margin: f64,
-    scratch: &mut RefinedScratch,
-) -> (Option<usize>, bool) {
-    let ClassifierKind::Knn { k } = config.classifier else {
-        panic!("quantized refined path requires the KNN classifier");
-    };
-    assert!(
-        aux_ctx.sparse && anon_ctx.sparse,
-        "RefinedContext built for a different classifier kind"
-    );
-    assert!(aux_q.matches_context(aux_ctx), "quantized mirror inconsistent with aux context");
-    assert_eq!(
-        anon_q.codes.len(),
-        anon_ctx.sparse_slices().val.len(),
-        "quantized rows inconsistent with anon context"
-    );
-    if candidates.is_empty() {
-        return (None, false);
-    }
-    let anon_posts = anon.forum.user_posts(u);
-    if anon_posts.is_empty() {
-        return (None, false);
-    }
-
-    scratch.class_users.clear();
-    scratch.class_users.extend_from_slice(candidates);
-    let n_real = scratch.class_users.len();
-    if let Verification::FalseAddition { n_false } = config.verification {
-        let decoys = false_addition_decoys(u, candidates, aux, n_false, config.seed);
-        scratch.class_users.extend(decoys);
-    }
-
-    scratch.rows.clear();
-    scratch.labels.clear();
-    for (class, &v) in scratch.class_users.iter().enumerate() {
-        for &pi in aux.forum.user_posts(v) {
-            scratch.rows.push(pi as u32);
-            scratch.labels.push(class);
-        }
-    }
-    if scratch.rows.is_empty() {
-        return (None, false);
-    }
-
-    scratch.votes.clear();
-    scratch.votes.resize(scratch.class_users.len(), 0);
-    quantized_knn_votes(k, anon_posts, anon_ctx, anon_q, aux_ctx, aux_q, scratch);
-
-    // Margin band: a lead of at most `margin · n_posts` votes is too
-    // close to trust the quantized kernel — rescore exactly.
-    let (mut best, mut second) = (0usize, 0usize);
-    for &c in &scratch.votes {
-        if c > best {
-            second = best;
-            best = c;
-        } else if c > second {
-            second = c;
-        }
-    }
-    let mut rescored = false;
-    if ((best - second) as f64) <= margin * anon_posts.len() as f64 {
-        rescored = true;
-        scratch.votes.clear();
-        scratch.votes.resize(scratch.class_users.len(), 0);
-        sparse_knn_votes(k, anon_posts, anon_ctx, aux_ctx, scratch);
-    }
-    let winner = vote_winner(&scratch.votes);
-
-    if winner >= n_real {
-        return (None, rescored);
-    }
-    let v = scratch.class_users[winner];
-    if !verification_accepts(u, v, candidates, anon, aux, similarity_row, config) {
-        return (None, rescored);
-    }
-    (Some(v), rescored)
 }
 
 /// Sigma-verification test: is `u`'s mean profile within `factor` standard

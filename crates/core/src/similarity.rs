@@ -30,17 +30,6 @@ impl Default for SimilarityWeights {
     }
 }
 
-/// Leading NCS components coded exactly in [`QuantizedStructural`];
-/// everything beyond is folded into a tail norm and bounded via
-/// Cauchy–Schwarz. NCS vectors are sorted decreasing, so the prefix
-/// carries the mass that matters.
-const NCS_PREFIX: usize = 32;
-
-/// Additive slack applied to a quantized cosine before it is used as a
-/// score ceiling, covering u8 rounding (≤ `0.5/255` per component,
-/// amplified through the norm ratio).
-const QUANT_COS_SLACK: f64 = 0.02;
-
 /// Ratio `min/max` with the convention that two zeros are perfectly
 /// similar.
 fn ratio(a: f64, b: f64) -> f64 {
@@ -244,39 +233,6 @@ impl<'a> SimilarityEngine<'a> {
         crate::index::AttributeIndex::from_uda(self.aux)
     }
 
-    /// Build the u8-quantized mirror of this engine's structural state
-    /// (degrees + NCS/closeness vectors) that powers the approximate
-    /// tier's per-pair score ceiling ([`QuantizedStructural`]). Only the
-    /// margin prescreen reads it; the exact scoring paths never do.
-    #[must_use]
-    pub fn quantized_structural(&self) -> QuantizedStructural {
-        let (anon, aux) = (&self.anon_st, &self.aux_st);
-        let hops_dim = [&anon.hops, &aux.hops, &anon.whops, &aux.whops]
-            .iter()
-            .map(|rows| rows.first().map_or(0, Vec::len))
-            .max()
-            .unwrap_or(0);
-        let degrees = |st: &Structure| -> (Vec<f64>, Vec<f64>) {
-            st.scalars.iter().map(|s| (s.degree, s.wdegree)).unzip()
-        };
-        let (anon_deg, anon_wdeg) = degrees(anon);
-        let (aux_deg, aux_wdeg) = degrees(aux);
-        QuantizedStructural {
-            c1: self.weights.c1,
-            c2: self.weights.c2,
-            anon_deg,
-            anon_wdeg,
-            aux_deg,
-            aux_wdeg,
-            anon_ncs: QuantizedFamily::from_rows(&anon.ncs, NCS_PREFIX),
-            aux_ncs: QuantizedFamily::from_rows(&aux.ncs, NCS_PREFIX),
-            anon_hops: QuantizedFamily::from_rows(&anon.hops, hops_dim),
-            aux_hops: QuantizedFamily::from_rows(&aux.hops, hops_dim),
-            anon_whops: QuantizedFamily::from_rows(&anon.whops, hops_dim),
-            aux_whops: QuantizedFamily::from_rows(&aux.whops, hops_dim),
-        }
-    }
-
     /// Scores of anonymized user `u` against every *present* auxiliary
     /// user, as a `(aux_user, score)` stream. Absent auxiliary users (no
     /// posts) are skipped entirely; every yielded score is finite.
@@ -345,114 +301,6 @@ impl<'a> SimilarityEngine<'a> {
             }
         });
         rows
-    }
-}
-
-/// One family of fixed-stride quantized vectors: u8 codes (each vector
-/// scaled against its own maximum — cosine is invariant to per-vector
-/// scale, so the scales cancel in every cross-side dot), the full-vector
-/// Euclidean norm in code units, and the norm of the components beyond
-/// the stored prefix (used to bound the truncated part of a dot product
-/// via Cauchy–Schwarz). Assumes non-negative inputs (edge weights and
-/// closeness values); negative components clamp to code 0.
-#[derive(Debug, Clone, Default)]
-struct QuantizedFamily {
-    dim: usize,
-    codes: Vec<u8>,
-    norms: Vec<f64>,
-    tails: Vec<f64>,
-}
-
-impl QuantizedFamily {
-    fn from_rows(rows: &[Vec<f64>], dim: usize) -> Self {
-        let mut codes = vec![0u8; rows.len() * dim];
-        let mut norms = vec![0.0; rows.len()];
-        let mut tails = vec![0.0; rows.len()];
-        for (i, row) in rows.iter().enumerate() {
-            let max = row.iter().copied().fold(0.0_f64, f64::max);
-            if max <= 0.0 {
-                continue;
-            }
-            let scale = max / 255.0;
-            let (mut norm2, mut tail2) = (0.0, 0.0);
-            for (j, &v) in row.iter().enumerate() {
-                let c = (v / scale).round().clamp(0.0, 255.0);
-                if j < dim {
-                    codes[i * dim + j] = c as u8;
-                } else {
-                    tail2 += c * c;
-                }
-                norm2 += c * c;
-            }
-            norms[i] = norm2.sqrt();
-            tails[i] = tail2.sqrt();
-        }
-        Self { dim, codes, norms, tails }
-    }
-
-    /// Approximate ceiling on `padded_cosine` of the original vectors
-    /// `self[i]` and `other[j]`: integer dot over the code prefixes, the
-    /// truncated tails bounded by the product of their norms, plus
-    /// [`QUANT_COS_SLACK`] for rounding. Zero-norm vectors answer 0.0
-    /// exactly like [`padded_cosine`].
-    fn cos_ceiling(&self, i: usize, other: &Self, j: usize) -> f64 {
-        let (na, nb) = (self.norms[i], other.norms[j]);
-        if na == 0.0 || nb == 0.0 {
-            return 0.0;
-        }
-        debug_assert_eq!(self.dim, other.dim, "families quantized at different strides");
-        let a = &self.codes[i * self.dim..(i + 1) * self.dim];
-        let b = &other.codes[j * other.dim..(j + 1) * other.dim];
-        let dot: u64 = a.iter().zip(b).map(|(&x, &y)| u64::from(x) * u64::from(y)).sum();
-        let cos = (dot as f64 + self.tails[i] * other.tails[j]) / (na * nb);
-        (cos + QUANT_COS_SLACK).min(1.0)
-    }
-}
-
-/// u8-quantized mirror of a [`SimilarityEngine`]'s structural state —
-/// per-user degrees plus quantized NCS and landmark-closeness vectors —
-/// built once per scoring pass by
-/// [`SimilarityEngine::quantized_structural`].
-///
-/// Its one product is [`Self::ceiling`]: a cheap per-pair *approximate*
-/// upper bound on the structural part `c1·s^d + c2·s^s` of the combined
-/// score. The degree/weighted-degree ratios are exact; the three cosines
-/// are integer dots over u8 codes padded with a small additive slack. The
-/// ceiling is not a strict bound — quantization can underestimate a
-/// cosine by more than the slack in pathological cases — which is
-/// exactly why only the approximate tier's margin band consults it; the
-/// recall meter (`repro recall`) measures the resulting loss.
-#[derive(Debug, Clone)]
-pub struct QuantizedStructural {
-    c1: f64,
-    c2: f64,
-    anon_deg: Vec<f64>,
-    anon_wdeg: Vec<f64>,
-    aux_deg: Vec<f64>,
-    aux_wdeg: Vec<f64>,
-    anon_ncs: QuantizedFamily,
-    aux_ncs: QuantizedFamily,
-    anon_hops: QuantizedFamily,
-    aux_hops: QuantizedFamily,
-    anon_whops: QuantizedFamily,
-    aux_whops: QuantizedFamily,
-}
-
-impl QuantizedStructural {
-    /// Approximate per-pair ceiling on `c1·s^d_uv + c2·s^s_uv` for
-    /// anonymized user `u` against auxiliary user `v` (indexed in the
-    /// source engine's id space). Negative weights contribute 0, matching
-    /// the global bound convention of the indexed scorer.
-    #[must_use]
-    pub fn ceiling(&self, u: usize, v: usize) -> f64 {
-        let d = ratio(self.anon_deg[u], self.aux_deg[v])
-            + ratio(self.anon_wdeg[u], self.aux_wdeg[v])
-            + self.anon_ncs.cos_ceiling(u, &self.aux_ncs, v);
-        let s = self.anon_hops.cos_ceiling(u, &self.aux_hops, v)
-            + self.anon_whops.cos_ceiling(u, &self.aux_whops, v);
-        let td = if self.c1 >= 0.0 { self.c1 * d } else { 0.0 };
-        let ts = if self.c2 >= 0.0 { self.c2 * s } else { 0.0 };
-        td + ts
     }
 }
 

@@ -9,31 +9,20 @@
 //!
 //! ## File layout (byte-by-byte)
 //!
-//! Both container versions share the 16-byte header:
+//! One container version, [`VERSION`] 2, with a 16-byte header:
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     8  magic  b"DEHSNAP\n"
-//!      8     2  format version, u16 LE (1 or 2)
-//!     10     2  v1: reserved (must be 0) · v2: section alignment (must be 8)
+//!      8     2  format version, u16 LE (must be 2)
+//!     10     2  section alignment, u16 LE (must be 8)
 //!     12     4  section count, u32 LE
 //!     16     …  sections, back to back
 //! ```
 //!
-//! A **version-1** section (the copying-decode legacy format):
-//!
-//! ```text
-//! offset  size  field
-//! ------  ----  -----------------------------------------------------
-//!     +0     4  section tag (4 ASCII bytes, e.g. b"FORM")
-//!     +4     8  payload length `n`, u64 LE
-//!    +12     n  payload
-//!  +12+n     8  FNV-1a 64-bit checksum of the payload, u64 LE
-//! ```
-//!
-//! A **version-2** section carries an in-header alignment guarantee:
-//! every payload starts at a file offset that is a multiple of 8, so
+//! Every section carries the header's alignment guarantee: every
+//! payload starts at a file offset that is a multiple of 8, so
 //! 8-byte-aligned offsets *inside* a payload are 8-byte-aligned in the
 //! file (and — because loaders back snapshots with page-aligned mappings
 //! or `dehealth-mapped`'s `AlignedBytes`-style buffers — in memory,
@@ -43,7 +32,7 @@
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
-//!     +0     4  section tag (4 ASCII bytes)
+//!     +0     4  section tag (4 ASCII bytes, e.g. b"FORM")
 //!     +4     4  padding (must be 0)
 //!     +8     8  payload length `n`, u64 LE
 //!    +16     n  payload                       (+16 ≡ 0 mod 8 in the file)
@@ -54,15 +43,14 @@
 //! Payloads are themselves little-endian primitive streams written by
 //! [`SectionBuf`] and read back by [`SectionReader`]: `u8`, `u32`, `u64`,
 //! `f64` (IEEE-754 bit pattern, exact round-trip), length-prefixed
-//! byte strings (`u32` length + bytes), and — in v2 payload schemas —
-//! 8-byte-aligned scalar arrays ([`SectionBuf::align8`] /
+//! byte strings (`u32` length + bytes), and 8-byte-aligned scalar arrays ([`SectionBuf::align8`] /
 //! [`SectionReader::align8`], zero padding validated on read). Higher
 //! layers define the payload schema per tag — this crate ships the
 //! [`Forum`] codec ([`encode_forum`] / [`decode_forum`]); `dehealth-core`
 //! adds codecs for the derived structures (feature vectors, the attribute
 //! index, the refined-DA arenas), and `dehealth-service` assembles them
 //! into whole corpus snapshots. ARCHITECTURE.md documents the full
-//! section set of both versions.
+//! section set.
 //!
 //! ## Robustness contract
 //!
@@ -87,22 +75,12 @@ use crate::dataset::{Forum, Post};
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DEHSNAP\n";
 
-/// The legacy container format: unaligned sections, copying decode only.
-pub const V1: u16 = 1;
+/// The container format version: sections padded to 8 bytes so scalar
+/// arenas can be cast in place (zero-copy loading). Any other version in
+/// a header is rejected with [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u16 = 2;
 
-/// The aligned container format: sections padded to 8 bytes so scalar
-/// arenas can be cast in place (zero-copy loading).
-pub const V2: u16 = 2;
-
-/// The [`V2`] byte layout plus *optional* sections — readers that
-/// understand a v3 section set read it exactly like v2; files whose
-/// optional sections are absent are byte-compatible with v2 files.
-pub const V3: u16 = 3;
-
-/// Current (default) container format version.
-pub const VERSION: u16 = V2;
-
-/// The v2 alignment guarantee: every section payload starts at a file
+/// The alignment guarantee: every section payload starts at a file
 /// offset that is a multiple of this.
 pub const ALIGN: usize = 8;
 
@@ -150,7 +128,7 @@ pub enum SnapshotError {
         /// Which invariant failed.
         context: &'static str,
     },
-    /// An arena that the v2 format guarantees to be 8-byte aligned is not
+    /// An arena that the format guarantees to be 8-byte aligned is not
     /// aligned in memory — the zero-copy cast was refused rather than
     /// performed unaligned.
     Misaligned {
@@ -165,7 +143,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (expected {V1}, {V2} or {V3})")
+                write!(f, "unsupported snapshot version {v} (expected {VERSION})")
             }
             SnapshotError::Truncated { context } => {
                 write!(f, "snapshot truncated while reading {context}")
@@ -217,7 +195,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// bytes go: an in-memory [`SectionBuf`] (the materializing path) or a
 /// file-backed [`SectionStream`] (the streaming path, which never holds
 /// the payload in memory). Section codecs written against this trait —
-/// [`encode_forum`] and the `encode_v2` methods in `dehealth-core` — emit
+/// [`encode_forum`] and the `encode` methods in `dehealth-core` — emit
 /// the identical byte sequence through either implementation, which is
 /// what makes `save_streaming` bit-identical to `save`
 /// (pinned by `streamed_snapshot_is_bit_identical`).
@@ -276,19 +254,11 @@ pub trait SectionWrite {
     }
 
     /// Pad with zero bytes until the payload offset is a multiple of
-    /// [`ALIGN`] — the v2 idiom before emitting a scalar arena.
+    /// [`ALIGN`] — the idiom before emitting a scalar arena.
     fn align8(&mut self) {
         while !self.len().is_multiple_of(ALIGN) {
             self.put_u8(0);
         }
-    }
-
-    /// Append a `u8` arena: [`Self::align8`], then the bytes verbatim.
-    /// (The alignment is for layout uniformity with the scalar arenas —
-    /// a byte arena casts at any offset.)
-    fn put_u8_arena(&mut self, values: &[u8]) {
-        self.align8();
-        self.put_raw(values);
     }
 
     /// Append a `u32` arena: [`Self::align8`], then each value
@@ -381,8 +351,8 @@ impl SectionBuf {
     }
 
     /// Pad with zero bytes until the payload offset is a multiple of
-    /// [`ALIGN`] — the v2 idiom before emitting a scalar arena, mirrored
-    /// by [`SectionReader::align8`] on the way back in. Because v2
+    /// [`ALIGN`] — the idiom before emitting a scalar arena, mirrored
+    /// by [`SectionReader::align8`] on the way back in. Because
     /// payloads start 8-aligned in the file, this makes the arena's file
     /// offset (and hence, under an aligned backing, its address) 8-byte
     /// aligned.
@@ -455,45 +425,16 @@ impl SectionBuf {
 /// let mut s = r.section(SectionTag(*b"DEMO")).unwrap();
 /// assert_eq!(s.take_u32().unwrap(), 7);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotWriter {
-    version: u16,
     sections: Vec<(SectionTag, SectionBuf)>,
 }
 
-impl Default for SnapshotWriter {
-    fn default() -> Self {
-        Self { version: VERSION, sections: Vec::new() }
-    }
-}
-
 impl SnapshotWriter {
-    /// Writer with no sections yet, emitting the current ([`V2`],
-    /// aligned) container format.
+    /// Writer with no sections yet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Writer emitting a specific container version — [`V1`] for
-    /// compatibility fixtures, [`V3`] when optional sections ride along,
-    /// [`V2`] otherwise.
-    ///
-    /// # Panics
-    /// Panics on an unknown version.
-    #[must_use]
-    pub fn with_version(version: u16) -> Self {
-        assert!(
-            version == V1 || version == V2 || version == V3,
-            "unknown snapshot version {version}"
-        );
-        Self { version, sections: Vec::new() }
-    }
-
-    /// The container version this writer emits.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Start (or continue) the section `tag`, returning its payload
@@ -508,34 +449,25 @@ impl SnapshotWriter {
     }
 
     /// Assemble the final byte stream (header, then each section with its
-    /// length prefix, alignment padding for [`V2`], and trailing
-    /// checksum).
+    /// length prefix, alignment padding, and trailing checksum).
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
-        let per_section_overhead = if self.version == V1 { 20 } else { 24 + ALIGN };
-        let payload: usize =
-            self.sections.iter().map(|(_, b)| b.bytes.len() + per_section_overhead).sum();
+        let payload: usize = self.sections.iter().map(|(_, b)| b.bytes.len() + 24 + ALIGN).sum();
         let mut out = Vec::with_capacity(16 + payload);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        // v1: reserved. v2: the in-header alignment guarantee.
-        let align_field = if self.version == V1 { 0u16 } else { ALIGN as u16 };
-        out.extend_from_slice(&align_field.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(ALIGN as u16).to_le_bytes());
         out.extend_from_slice(
             &u32::try_from(self.sections.len()).expect("too many sections").to_le_bytes(),
         );
         for (tag, buf) in &self.sections {
             out.extend_from_slice(&tag.0);
-            if self.version != V1 {
-                out.extend_from_slice(&[0u8; 4]); // header padding
-            }
+            out.extend_from_slice(&[0u8; 4]); // header padding
             out.extend_from_slice(&(buf.bytes.len() as u64).to_le_bytes());
-            debug_assert!(self.version == V1 || out.len() % ALIGN == 0, "payload misaligned");
+            debug_assert!(out.len() % ALIGN == 0, "payload misaligned");
             out.extend_from_slice(&buf.bytes);
-            if self.version != V1 {
-                while out.len() % ALIGN != 0 {
-                    out.push(0); // payload padding
-                }
+            while out.len() % ALIGN != 0 {
+                out.push(0); // payload padding
             }
             out.extend_from_slice(&fnv1a(&buf.bytes).to_le_bytes());
         }
@@ -562,7 +494,7 @@ impl SnapshotWriter {
     }
 }
 
-/// Streams a [`V2`] snapshot straight to a file, one section at a time,
+/// Streams a snapshot straight to a file, one section at a time,
 /// without ever materializing a section payload in memory.
 ///
 /// [`SnapshotWriter`] buffers every payload and assembles the final byte
@@ -620,7 +552,7 @@ impl SnapshotStreamer {
         Ok(Self { out, tmp, path: path.to_path_buf(), offset: 16, n_sections: 0, committed: false })
     }
 
-    /// Write one section: the 16-byte v2 section header, then whatever
+    /// Write one section: the 16-byte section header, then whatever
     /// payload `fill` emits into the provided [`SectionStream`], then the
     /// alignment padding and checksum. Unlike [`SnapshotWriter::section`],
     /// sections are final once written — a tag cannot be continued later.
@@ -752,7 +684,6 @@ impl ParseOptions {
 /// validated, and (by default) checksum-verified up front.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
-    version: u16,
     sections: Vec<(SectionTag, &'a [u8])>,
 }
 
@@ -787,41 +718,37 @@ impl<'a> SnapshotReader<'a> {
             return Err(SnapshotError::Truncated { context: "header" });
         }
         let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != V1 && version != V2 && version != V3 {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let align_field = u16::from_le_bytes([bytes[10], bytes[11]]);
-        let expected_align = if version == V1 { 0 } else { ALIGN as u16 };
-        if align_field != expected_align {
+        if u16::from_le_bytes([bytes[10], bytes[11]]) != ALIGN as u16 {
             return Err(SnapshotError::Malformed { context: "unsupported section alignment" });
         }
-        let header_len = if version == V1 { 12 } else { 16 };
         let n_sections = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
         let mut sections = Vec::with_capacity(n_sections.min(64));
         let mut at = 16usize;
         for _ in 0..n_sections {
-            if bytes.len() < at + header_len {
+            if bytes.len() < at + 16 {
                 return Err(SnapshotError::Truncated { context: "section header" });
             }
             let tag = SectionTag([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-            if version != V1 && bytes[at + 4..at + 8] != [0u8; 4] {
+            if bytes[at + 4..at + 8] != [0u8; 4] {
                 return Err(SnapshotError::Malformed { context: "nonzero section header padding" });
             }
-            let len_at = at + header_len - 8;
             let len_bytes: [u8; 8] =
-                bytes[len_at..len_at + 8].try_into().expect("slice is 8 bytes long");
+                bytes[at + 8..at + 16].try_into().expect("slice is 8 bytes long");
             let len = u64::from_le_bytes(len_bytes);
             let Ok(len) = usize::try_from(len) else {
                 return Err(SnapshotError::Truncated { context: "section payload" });
             };
-            at += header_len;
+            at += 16;
             // Checked arithmetic throughout: a corrupt length near
             // usize::MAX must fail the bounds test, not wrap it into a
             // panic.
             let payload_end = at
                 .checked_add(len)
                 .ok_or(SnapshotError::Truncated { context: "section payload" })?;
-            let pad = if version == V1 { 0 } else { len.wrapping_neg() % ALIGN };
+            let pad = len.wrapping_neg() % ALIGN;
             let padded_end = payload_end
                 .checked_add(pad)
                 .ok_or(SnapshotError::Truncated { context: "section payload" })?;
@@ -831,7 +758,7 @@ impl<'a> SnapshotReader<'a> {
             if bytes.len() < end {
                 return Err(SnapshotError::Truncated { context: "section payload" });
             }
-            debug_assert!(version == V1 || at.is_multiple_of(ALIGN), "v2 payload misaligned");
+            debug_assert!(at.is_multiple_of(ALIGN), "payload misaligned");
             let payload = &bytes[at..payload_end];
             if bytes[payload_end..padded_end].iter().any(|&b| b != 0) {
                 return Err(SnapshotError::Malformed { context: "nonzero section padding" });
@@ -846,14 +773,7 @@ impl<'a> SnapshotReader<'a> {
             sections.push((tag, payload));
             at = end;
         }
-        Ok(Self { version, sections })
-    }
-
-    /// The container version of the parsed stream ([`V1`], [`V2`] or
-    /// [`V3`]).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
+        Ok(Self { sections })
     }
 
     /// Tags present, in file order.
@@ -964,7 +884,7 @@ impl<'a> SectionReader<'a> {
 
     /// Skip the zero padding [`SectionBuf::align8`] wrote, validating it.
     /// Afterwards the cursor's payload offset is a multiple of [`ALIGN`]
-    /// — and, in a v2 container under an 8-byte-aligned backing, so is
+    /// — and, under an 8-byte-aligned backing, so is
     /// the absolute address of whatever follows.
     ///
     /// # Errors
@@ -1113,11 +1033,14 @@ mod tests {
         let mut w = SnapshotWriter::new();
         w.section(SectionTag(*b"AAAA")).put_u8(1);
         let mut bytes = w.finish();
-        bytes[8] = 99;
-        assert!(matches!(
-            SnapshotReader::parse(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        ));
+        assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), VERSION);
+        for version in [1u16, 3, 99] {
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                SnapshotReader::parse(&bytes),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -1145,7 +1068,7 @@ mod tests {
     fn near_max_section_length_is_truncation_not_panic() {
         // A crafted section length close to u64::MAX must fail the bounds
         // check via checked arithmetic instead of wrapping into a
-        // slice-index panic (release) or overflow panic (debug). The v2
+        // slice-index panic (release) or overflow panic (debug). The
         // section length lives at file offset 24..32 (after the 16-byte
         // file header, 4-byte tag and 4-byte header padding).
         let mut w = SnapshotWriter::new();
@@ -1165,7 +1088,7 @@ mod tests {
         let mut w = SnapshotWriter::new();
         w.section(SectionTag(*b"AAAA")).put_bytes(b"some payload");
         let mut bytes = w.finish();
-        // Flip one payload byte (past the 16-byte header + 16-byte v2
+        // Flip one payload byte (past the 16-byte header + 16-byte
         // section header).
         bytes[34] ^= 0xff;
         match SnapshotReader::parse(&bytes) {
@@ -1175,7 +1098,6 @@ mod tests {
         // The trusting parse (zero-copy path) skips the checksum sweep;
         // structural validation still happens in the decoders.
         let r = SnapshotReader::parse_with(&bytes, &ParseOptions::trusting()).unwrap();
-        assert_eq!(r.version(), V2);
         assert!(r.section(SectionTag(*b"AAAA")).is_ok());
     }
 
@@ -1193,7 +1115,6 @@ mod tests {
         }
         let bytes = w.finish();
         let r = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(r.version(), V2);
         for (i, len) in [1usize, 7, 8, 13, 24].iter().enumerate() {
             let tag = SectionTag([b'S', b'0' + i as u8, b' ', b' ']);
             let mut s = r.section(tag).unwrap();
@@ -1225,29 +1146,6 @@ mod tests {
             SnapshotReader::parse(&bytes),
             Err(SnapshotError::Malformed { context: "nonzero section header padding" })
         ));
-    }
-
-    #[test]
-    fn v1_container_roundtrips_and_reports_its_version() {
-        let mut w = SnapshotWriter::with_version(V1);
-        assert_eq!(w.version(), V1);
-        let s = w.section(SectionTag(*b"TEST"));
-        s.put_u32(7);
-        s.put_bytes(b"legacy");
-        let bytes = w.finish();
-        assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), V1);
-        let r = SnapshotReader::parse(&bytes).unwrap();
-        assert_eq!(r.version(), V1);
-        let mut s = r.section(SectionTag(*b"TEST")).unwrap();
-        assert_eq!(s.take_u32().unwrap(), 7);
-        assert_eq!(s.take_bytes().unwrap(), b"legacy");
-        s.expect_end().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown snapshot version")]
-    fn unknown_writer_version_is_rejected() {
-        let _ = SnapshotWriter::with_version(4);
     }
 
     #[test]

@@ -8,10 +8,8 @@ use std::collections::{HashMap, HashSet};
 use dehealth_core::attack::AttackConfig;
 use dehealth_core::filter::{filter_user, threshold_vector, Filtered, ScoreBounds};
 use dehealth_core::index::{AttributeIndex, IndexedScorer, PairTally};
-use dehealth_core::quant::{QuantizedContext, QuantizedRows};
 use dehealth_core::refined::{
-    refine_user, refine_user_shared, refine_user_shared_quantized, ClassifierKind, RefinedConfig,
-    RefinedContext, RefinedScratch, Side,
+    refine_user, refine_user_shared, RefinedConfig, RefinedContext, RefinedScratch, Side,
 };
 use dehealth_core::similarity::SimilarityEngine;
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
@@ -56,63 +54,6 @@ pub enum RefinedMode {
     PerUser,
 }
 
-/// Whether the engine must reproduce the serial attack bit-for-bit or may
-/// trade a bounded slice of recall for speed.
-///
-/// Unlike [`ScoringMode`] and [`RefinedMode`] — execution strategies whose
-/// outcomes are pinned identical — this dial *can* change outcomes when
-/// set to [`ExactnessMode::Approx`]. It is therefore opt-in, and the
-/// default keeps every existing parity and golden suite byte-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ExactnessMode {
-    /// Bit-exact execution (the default): every surviving pair is scored
-    /// with the full f64 kernels, identical to the serial `DeHealth::run`.
-    #[default]
-    Exact,
-    /// The approximate fast tier. Two mechanisms engage, both governed by
-    /// the same `margin` dial:
-    ///
-    /// - **Top-K margin prescreen** ([`IndexedScorer::with_margin`]):
-    ///   pairs whose upper bound clears the running Top-K floor by less
-    ///   than `margin` (in score units) are skipped without exact
-    ///   scoring — first against the cheap global structural ceiling,
-    ///   then against a per-pair u8-quantized one that tracks the true
-    ///   score closely. Only active when pruning is (no Algorithm-2
-    ///   filtering).
-    /// - **Quantized refined kernels**
-    ///   ([`refine_user_shared_quantized`]): KNN votes run over u8
-    ///   affine-quantized feature arenas with integer accumulation; users
-    ///   whose winning vote share beats the runner-up by less than
-    ///   `margin` are rescored with the exact f64 kernel. Only applies to
-    ///   the KNN classifier under [`RefinedMode::Shared`]; every other
-    ///   classifier — and all verification schemes — stay exact.
-    ///
-    /// `Approx { margin: 0.0 }` is bit-identical to [`ExactnessMode::Exact`].
-    Approx {
-        /// The confidence margin: score units for the Top-K prescreen,
-        /// vote-share units for the refined rescore band. Must be finite
-        /// and `>= 0`.
-        margin: f64,
-    },
-}
-
-impl ExactnessMode {
-    /// The active margin (`0.0` under [`ExactnessMode::Exact`]).
-    #[must_use]
-    pub fn margin(self) -> f64 {
-        match self {
-            Self::Exact => 0.0,
-            Self::Approx { margin } => margin,
-        }
-    }
-
-    /// True for [`ExactnessMode::Approx`].
-    #[must_use]
-    pub fn is_approx(self) -> bool {
-        matches!(self, Self::Approx { .. })
-    }
-}
-
 /// Execution-engine configuration: the attack parameters plus the
 /// parallel-execution knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,9 +86,6 @@ pub struct EngineConfig {
     /// change outcomes when it binds — it is a resource/recall dial, not
     /// an execution strategy.
     pub candidate_budget: Option<usize>,
-    /// Exactness dial: bit-exact (the default) or the approximate fast
-    /// tier with its confidence margin.
-    pub exactness: ExactnessMode,
 }
 
 impl Default for EngineConfig {
@@ -159,7 +97,6 @@ impl Default for EngineConfig {
             scoring: ScoringMode::default(),
             refined: RefinedMode::default(),
             candidate_budget: None,
-            exactness: ExactnessMode::default(),
         }
     }
 }
@@ -199,11 +136,6 @@ impl Engine {
             config.attack.selection == Selection::Direct,
             "dehealth-engine supports Selection::Direct only; graph-matching \
              selection needs the dense similarity matrix — use DeHealth::run"
-        );
-        let margin = config.exactness.margin();
-        assert!(
-            margin.is_finite() && margin >= 0.0,
-            "approximate-tier margin must be finite and >= 0"
         );
         Self { config }
     }
@@ -281,16 +213,7 @@ impl Engine {
 
         let anon_side = Side { forum: anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
-        complete_attack(
-            &self.config,
-            &anon_side,
-            &aux_side,
-            heaps,
-            bounds,
-            aux.context,
-            aux.quantized,
-            report,
-        )
+        complete_attack(&self.config, &anon_side, &aux_side, heaps, bounds, aux.context, report)
     }
 
     /// Attack several independent anonymized batches against one
@@ -401,11 +324,8 @@ impl Engine {
             .map(|(request, sim)| {
                 // Pruning per request, exactly as the solo path: off
                 // whenever that request's filtering needs exact bounds.
-                // The prescreen margin rides on pruning, as in `topk_pass`.
                 index.map(|index| {
-                    let prune = request.attack.filtering.is_none();
-                    let margin = if prune { self.config.exactness.margin() } else { 0.0 };
-                    IndexedScorer::new(sim, index, 0, prune).with_margin(margin)
+                    IndexedScorer::new(sim, index, 0, request.attack.filtering.is_none())
                 })
             })
             .collect();
@@ -537,7 +457,6 @@ impl Engine {
         let n_aux = aux.forum.n_users;
         let mut mappings: Vec<Vec<Option<usize>>> =
             requests.iter().map(|r| vec![None; r.anonymized.n_users]).collect();
-        let mut rescored_per_req = vec![0u64; n_req];
         let ((), refined_secs) = timed(|| {
             /// Which auxiliary context a request's refined stage reads.
             #[derive(Clone, Copy)]
@@ -571,49 +490,6 @@ impl Engine {
                     .collect(),
                 RefinedMode::PerUser => (0..n_req).map(|_| None).collect(),
             };
-            // Approximate tier: quantized mirrors of the auxiliary
-            // contexts (one per distinct context an approx KNN request
-            // reads — shared exactly like the rebuild cache above), plus
-            // each such request's anonymized code rows in that mirror's
-            // code space.
-            // As in the solo path, a zero margin keeps the exact kernel
-            // (empty rescore band ⇒ quantized votes would decide alone).
-            let approx = self.config.exactness.margin() > 0.0;
-            let margin = self.config.exactness.margin();
-            let mut prepared_q: Option<QuantizedContext> = None;
-            let mut rebuilt_q: Vec<Option<QuantizedContext>> =
-                (0..rebuilt.len()).map(|_| None).collect();
-            let anon_q: Vec<Option<QuantizedRows>> = requests
-                .iter()
-                .enumerate()
-                .map(|(r, request)| {
-                    let (anon_ctx, aux_ref) = contexts[r].as_ref()?;
-                    if !approx || !matches!(request.attack.classifier, ClassifierKind::Knn { .. }) {
-                        return None;
-                    }
-                    let aux_q: &QuantizedContext = match aux_ref {
-                        AuxCtx::Prepared => {
-                            let ctx = aux.context.expect("Prepared implies aux.context");
-                            match aux.quantized {
-                                Some(q) if q.matches_context(ctx) => q,
-                                _ => prepared_q.get_or_insert_with(|| {
-                                    QuantizedContext::from_context(ctx)
-                                        .expect("KNN contexts are sparse and therefore quantizable")
-                                }),
-                            }
-                        }
-                        AuxCtx::Rebuilt(i) => rebuilt_q[*i].get_or_insert_with(|| {
-                            QuantizedContext::from_context(&rebuilt[*i])
-                                .expect("KNN contexts are sparse and therefore quantizable")
-                        }),
-                    };
-                    Some(
-                        aux_q
-                            .quantize_rows(anon_ctx)
-                            .expect("KNN contexts are sparse and therefore quantizable"),
-                    )
-                })
-                .collect();
             let refined_cfgs: Vec<RefinedConfig> = requests
                 .iter()
                 .map(|request| RefinedConfig {
@@ -635,12 +511,12 @@ impl Engine {
                     (0..request.anonymized.n_users).map(move |u| RefinedSlot { req, u, out: None })
                 })
                 .collect();
-            let states = run_blocks(
+            run_blocks(
                 &mut refined_slots,
                 self.config.block_size,
                 threads,
-                || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new(), vec![0u64; n_req]),
-                |_, block, (scratch_row, scratch, rescored)| {
+                || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new()),
+                |_, block, (scratch_row, scratch)| {
                     for slot in block.iter_mut() {
                         let (r, u) = (slot.req, slot.u);
                         for &(v, s) in &per_req_scores[r][u] {
@@ -654,47 +530,17 @@ impl Engine {
                                     }
                                     AuxCtx::Rebuilt(i) => &rebuilt[*i],
                                 };
-                                if let Some(anon_rows) = &anon_q[r] {
-                                    let aux_q: &QuantizedContext = match aux_ref {
-                                        AuxCtx::Prepared => match aux.quantized {
-                                            Some(q) if q.matches_context(aux_ctx) => q,
-                                            _ => prepared_q
-                                                .as_ref()
-                                                .expect("cached while quantizing anon rows"),
-                                        },
-                                        AuxCtx::Rebuilt(i) => rebuilt_q[*i]
-                                            .as_ref()
-                                            .expect("cached while quantizing anon rows"),
-                                    };
-                                    let (out, re) = refine_user_shared_quantized(
-                                        u,
-                                        &per_req_candidates[r][u],
-                                        &anon_sides[r],
-                                        &aux_side,
-                                        anon_ctx,
-                                        anon_rows,
-                                        aux_ctx,
-                                        aux_q,
-                                        scratch_row,
-                                        &refined_cfgs[r],
-                                        margin,
-                                        scratch,
-                                    );
-                                    rescored[r] += u64::from(re);
-                                    out
-                                } else {
-                                    refine_user_shared(
-                                        u,
-                                        &per_req_candidates[r][u],
-                                        &anon_sides[r],
-                                        &aux_side,
-                                        anon_ctx,
-                                        aux_ctx,
-                                        scratch_row,
-                                        &refined_cfgs[r],
-                                        scratch,
-                                    )
-                                }
+                                refine_user_shared(
+                                    u,
+                                    &per_req_candidates[r][u],
+                                    &anon_sides[r],
+                                    &aux_side,
+                                    anon_ctx,
+                                    aux_ctx,
+                                    scratch_row,
+                                    &refined_cfgs[r],
+                                    scratch,
+                                )
                             }
                             None => refine_user(
                                 u,
@@ -711,18 +557,12 @@ impl Engine {
                     }
                 },
             );
-            for (_, _, rescored) in states {
-                for (total, n) in rescored_per_req.iter_mut().zip(rescored) {
-                    *total += n;
-                }
-            }
             for slot in refined_slots {
                 mappings[slot.req][slot.u] = slot.out;
             }
         });
         for (r, request) in requests.iter().enumerate() {
             reports[r].record("refined", "users", request.anonymized.n_users as u64, refined_secs);
-            reports[r].record_rescored(rescored_per_req[r]);
         }
 
         let mut outcomes = Vec::with_capacity(n_req);
@@ -892,7 +732,7 @@ impl EngineSession<'_> {
 
         let anon_side = Side { forum: anon_forum, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
-        complete_attack(&config, &anon_side, &aux_side, heaps, bounds, None, None, report)
+        complete_attack(&config, &anon_side, &aux_side, heaps, bounds, None, report)
     }
 }
 
@@ -941,11 +781,6 @@ pub struct PreparedAuxiliary<'a> {
     /// `features` when `None`, or when its representation does not match
     /// the configured classifier). May be owned or snapshot-borrowed.
     pub context: Option<&'a RefinedContext>,
-    /// Pre-built quantized mirror of `context` for the approximate tier
-    /// (quantized on the fly when `None` and [`ExactnessMode::Approx`]
-    /// needs it, or when it does not match the context actually used).
-    /// Ignored entirely in exact mode. May be owned or snapshot-borrowed.
-    pub quantized: Option<&'a QuantizedContext>,
 }
 
 /// One Top-K scoring pass of `sim`'s full anonymized population against
@@ -968,10 +803,7 @@ fn topk_pass(
     // Algorithm-2 filtering thresholds against — so it is only enabled
     // when no filtering is configured.
     let prune = config.attack.filtering.is_none();
-    // The margin prescreen piggybacks on pruning (it compares the same
-    // upper bound against the same floor), so it is inert without it.
-    let margin = if prune { config.exactness.margin() } else { 0.0 };
-    let scorer = index.map(|index| IndexedScorer::new(sim, index, from, prune).with_margin(margin));
+    let scorer = index.map(|index| IndexedScorer::new(sim, index, from, prune));
     let ((), topk_secs) = timed(|| {
         let states = run_blocks(
             heaps,
@@ -1064,11 +896,6 @@ fn apply_candidate_budget(
 /// [`RefinedMode::Shared`] when a matching pre-built context is at hand
 /// (the snapshot-serving path); a context for the wrong classifier
 /// representation is ignored and rebuilt from `aux_side`'s features.
-/// `aux_quantized` does the same for the approximate tier's quantized
-/// mirror — used only under [`ExactnessMode::Approx`] with the KNN
-/// classifier, and quantized on the fly from the auxiliary context when
-/// absent or mismatched.
-#[allow(clippy::too_many_arguments)]
 fn complete_attack(
     config: &EngineConfig,
     anon_side: &Side<'_>,
@@ -1076,7 +903,6 @@ fn complete_attack(
     heaps: Vec<BoundedTopK>,
     bounds: ScoreBounds,
     aux_context: Option<&RefinedContext>,
-    aux_quantized: Option<&QuantizedContext>,
     mut report: EngineReport,
 ) -> EngineOutcome {
     let cfg = &config.attack;
@@ -1128,7 +954,6 @@ fn complete_attack(
         seed: cfg.seed,
     };
     let mut mapping: Vec<Option<usize>> = vec![None; n_anon];
-    let mut rescored_total = 0u64;
     let ((), refined_secs) = timed(|| {
         let contexts: Option<(RefinedContext, Cow<'_, RefinedContext>)> = match config.refined {
             RefinedMode::Shared => {
@@ -1140,63 +965,19 @@ fn complete_attack(
             }
             RefinedMode::PerUser => None,
         };
-        // The approximate tier's quantized mirror: only for KNN under the
-        // shared path; every other classifier stays exact under Approx.
-        // Gated on the margin, not `is_approx()`: at `margin == 0.0` the
-        // rescore band is empty, so quantized votes would decide outright
-        // — engaging the mirror there would break the contract that a
-        // zero margin is bit-identical to `Exact`.
-        let quantized: Option<(QuantizedRows, Cow<'_, QuantizedContext>)> = match &contexts {
-            Some((anon_ctx, aux_ctx))
-                if config.exactness.margin() > 0.0
-                    && matches!(cfg.classifier, ClassifierKind::Knn { .. }) =>
-            {
-                let aux_q = match aux_quantized {
-                    Some(q) if q.matches_context(aux_ctx) => Cow::Borrowed(q),
-                    _ => Cow::Owned(
-                        QuantizedContext::from_context(aux_ctx)
-                            .expect("KNN contexts are sparse and therefore quantizable"),
-                    ),
-                };
-                let anon_q = aux_q
-                    .quantize_rows(anon_ctx)
-                    .expect("KNN contexts are sparse and therefore quantizable");
-                Some((anon_q, aux_q))
-            }
-            _ => None,
-        };
-        let margin = config.exactness.margin();
-        let states = run_blocks(
+        run_blocks(
             &mut mapping,
             config.block_size,
             config.effective_threads(),
-            || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new(), 0u64),
-            |offset, block, (scratch_row, scratch, rescored)| {
+            || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new()),
+            |offset, block, (scratch_row, scratch)| {
                 for (i, slot) in block.iter_mut().enumerate() {
                     let u = offset + i;
                     for &(v, s) in &candidate_scores[u] {
                         scratch_row[v] = s;
                     }
-                    *slot = match (&contexts, &quantized) {
-                        (Some((anon_ctx, aux_ctx)), Some((anon_q, aux_q))) => {
-                            let (out, re) = refine_user_shared_quantized(
-                                u,
-                                &candidates[u],
-                                anon_side,
-                                aux_side,
-                                anon_ctx,
-                                anon_q,
-                                aux_ctx,
-                                aux_q,
-                                scratch_row,
-                                &refined_cfg,
-                                margin,
-                                scratch,
-                            );
-                            *rescored += u64::from(re);
-                            out
-                        }
-                        (Some((anon_ctx, aux_ctx)), None) => refine_user_shared(
+                    *slot = match &contexts {
+                        Some((anon_ctx, aux_ctx)) => refine_user_shared(
                             u,
                             &candidates[u],
                             anon_side,
@@ -1207,7 +988,7 @@ fn complete_attack(
                             &refined_cfg,
                             scratch,
                         ),
-                        (None, _) => refine_user(
+                        None => refine_user(
                             u,
                             &candidates[u],
                             anon_side,
@@ -1222,12 +1003,8 @@ fn complete_attack(
                 }
             },
         );
-        for (_, _, rescored) in states {
-            rescored_total += rescored;
-        }
     });
     report.record("refined", "users", n_anon as u64, refined_secs);
-    report.record_rescored(rescored_total);
 
     EngineOutcome { candidates, candidate_scores, mapping, report }
 }
@@ -1556,7 +1333,6 @@ mod tests {
                 uda: &uda,
                 index: ix,
                 context: ctx,
-                quantized: None,
             };
             let out = engine.run_prepared(&prepared, &split.anonymized);
             assert_eq!(out.candidates, baseline.candidates);
@@ -1585,7 +1361,6 @@ mod tests {
             uda: &uda,
             index: Some(&index),
             context: None,
-            quantized: None,
         };
         for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
             let engine = Engine::new(EngineConfig {
@@ -1638,7 +1413,6 @@ mod tests {
                 uda: &uda,
                 index: ix,
                 context,
-                quantized: None,
             };
             for n_threads in [1, 2, 8] {
                 let engine = Engine::new(EngineConfig {
@@ -1695,7 +1469,6 @@ mod tests {
             uda: &uda,
             index: None,
             context: None,
-            quantized: None,
         };
         let engine = Engine::new(EngineConfig::default());
         assert!(engine.run_prepared_batch(&prepared, &[]).is_empty());
@@ -1717,7 +1490,6 @@ mod tests {
             uda: &uda,
             index: Some(&stale),
             context: None,
-            quantized: None,
         };
         let engine = Engine::new(EngineConfig::default());
         let _ = engine.run_prepared(&prepared, &split.anonymized);

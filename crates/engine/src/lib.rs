@@ -30,8 +30,8 @@
 //!   heaps — previously scored pairs are never recomputed (the streaming
 //!   auxiliary-data scenario);
 //! - **accounts for every stage**: an [`EngineReport`] with per-stage
-//!   wall-clock and throughput counters, feeding the scaling benchmark in
-//!   `dehealth-bench`.
+//!   wall-clock and throughput counters, feeding the daemon's metrics and
+//!   the scale sweep in `dehealth-bench`.
 //!
 //! With [`Selection::Direct`](dehealth_core::topk::Selection) the engine's
 //! candidate sets and final mapping are **bit-identical** to the serial
@@ -76,7 +76,7 @@ pub mod pool;
 pub mod report;
 
 pub use engine::{
-    BatchRequest, Engine, EngineConfig, EngineOutcome, EngineSession, ExactnessMode,
-    PreparedAuxiliary, RefinedMode, ScoringMode,
+    BatchRequest, Engine, EngineConfig, EngineOutcome, EngineSession, PreparedAuxiliary,
+    RefinedMode, ScoringMode,
 };
-pub use report::{EngineReport, PrescreenTally, StageStats, TopkPairs};
+pub use report::{EngineReport, StageStats, TopkPairs};

@@ -2,10 +2,10 @@
 //!
 //! Every engine run produces an [`EngineReport`]: one [`StageStats`] entry
 //! per pipeline stage (repeated stages — e.g. the Top-K stage across
-//! several incremental ingests — accumulate into one entry). The scaling
-//! benchmark in `dehealth-bench` serializes these counters to
-//! `BENCH_scaling.json` so the performance trajectory is tracked across
-//! PRs.
+//! several incremental ingests — accumulate into one entry). The daemon
+//! exports these counters to its metric registry
+//! ([`EngineReport::record_into`]), and `repro scale` writes them to
+//! `BENCH_scale.json`.
 
 use std::time::Instant;
 
@@ -41,30 +41,6 @@ impl StageStats {
     }
 }
 
-/// Counters for the approximate tier's margin-prescreen and rescore
-/// decisions. All three stay zero under `ExactnessMode::Exact`, which the
-/// wire serializers rely on to keep exact-mode responses byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrescreenTally {
-    /// Top-K pairs fully scored while a prescreen margin was active.
-    pub admitted: u64,
-    /// Top-K pairs dropped by the margin prescreen without exact scoring;
-    /// each one's true score was below `floor + margin`.
-    pub skipped: u64,
-    /// Refined-stage users whose quantized vote landed inside the margin
-    /// band and were rescored with the exact f64 kernel.
-    pub rescored: u64,
-}
-
-impl PrescreenTally {
-    /// True when every counter is zero — i.e. the run was exact, or the
-    /// approximate tier never made a decision.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.admitted == 0 && self.skipped == 0 && self.rescored == 0
-    }
-}
-
 /// Where the Top-K stage's pairs ended. Every pair the stage considered
 /// lands in exactly one outcome, so the three sum to the `topk` stage's
 /// `items + skipped`.
@@ -89,8 +65,6 @@ pub struct EngineReport {
     pub block_size: usize,
     /// Stage counters.
     pub stages: Vec<StageStats>,
-    /// Approximate-tier decision counters (all zero in exact mode).
-    pub prescreen: PrescreenTally,
     /// Top-K pair outcomes (pruned before or after the merge, scored).
     pub topk_pairs: TopkPairs,
 }
@@ -101,8 +75,8 @@ impl EngineReport {
     }
 
     /// Accumulate one Top-K pass's pair counters: scored pairs as the
-    /// `topk` stage's items, pruned ones as its skipped items, the
-    /// outcome split, and the margin-prescreen decisions.
+    /// `topk` stage's items, pruned ones as its skipped items, and the
+    /// outcome split.
     pub(crate) fn record_topk(&mut self, tally: &PairTally) {
         self.record("topk", "pairs", tally.scored, 0.0);
         self.record_skipped("topk", "pairs", tally.pruned);
@@ -110,13 +84,6 @@ impl EngineReport {
         self.topk_pairs.pruned_before_merge += tally.pruned - after;
         self.topk_pairs.pruned_after_merge += after;
         self.topk_pairs.scored += tally.scored;
-        self.prescreen.admitted += tally.admitted;
-        self.prescreen.skipped += tally.skipped;
-    }
-
-    /// Accumulate refined-stage exact rescores of margin-band users.
-    pub(crate) fn record_rescored(&mut self, rescored: u64) {
-        self.prescreen.rescored += rescored;
     }
 
     /// Accumulate `items` processed in `seconds` into `stage`.
@@ -177,12 +144,6 @@ impl EngineReport {
         ] {
             registry.counter_with("engine_topk_pairs_total", &[("outcome", outcome)]).add(n);
         }
-        let p = self.prescreen;
-        for (outcome, n) in
-            [("admitted", p.admitted), ("skipped", p.skipped), ("rescored", p.rescored)]
-        {
-            registry.counter_with("engine_prescreen_total", &[("outcome", outcome)]).add(n);
-        }
     }
 }
 
@@ -211,14 +172,6 @@ impl std::fmt::Display for EngineReport {
                 f,
                 "  topk pairs  {} pruned before merge, {} pruned after merge, {} scored",
                 t.pruned_before_merge, t.pruned_after_merge, t.scored
-            )?;
-        }
-        if !self.prescreen.is_empty() {
-            let p = self.prescreen;
-            writeln!(
-                f,
-                "  prescreen  {} admitted, {} skipped, {} rescored",
-                p.admitted, p.skipped, p.rescored
             )?;
         }
         write!(f, "  total    {:>10.3}s", self.total_seconds())
@@ -309,8 +262,8 @@ mod tests {
         assert!(!format!("{r}").contains("topk pairs"));
         // 10 pairs: 4 pruned before the merge, 6 merged, of which 2 were
         // pruned after it and 4 scored.
-        r.record_topk(&PairTally { scored: 4, pruned: 6, merged: 6, ..PairTally::default() });
-        r.record_topk(&PairTally { scored: 1, pruned: 0, merged: 1, ..PairTally::default() });
+        r.record_topk(&PairTally { scored: 4, pruned: 6, merged: 6 });
+        r.record_topk(&PairTally { scored: 1, pruned: 0, merged: 1 });
         assert_eq!(
             r.topk_pairs,
             TopkPairs { pruned_before_merge: 4, pruned_after_merge: 2, scored: 5 }
@@ -324,24 +277,6 @@ mod tests {
             [("pruned_before_merge", 4), ("pruned_after_merge", 2), ("scored", 5)]
         {
             let c = registry.counter_with("engine_topk_pairs_total", &[("outcome", outcome)]);
-            assert_eq!(c.get(), want);
-        }
-    }
-
-    #[test]
-    fn prescreen_counters_accumulate_and_export() {
-        let mut r = EngineReport::new(1, 8);
-        assert!(r.prescreen.is_empty());
-        assert!(!format!("{r}").contains("prescreen"));
-        r.record_topk(&PairTally { scored: 5, merged: 5, admitted: 5, skipped: 3, pruned: 0 });
-        r.record_topk(&PairTally { scored: 1, merged: 1, admitted: 1, skipped: 0, pruned: 0 });
-        r.record_rescored(2);
-        assert_eq!(r.prescreen, PrescreenTally { admitted: 6, skipped: 3, rescored: 2 });
-        assert!(format!("{r}").contains("6 admitted, 3 skipped, 2 rescored"));
-        let registry = dehealth_telemetry::Registry::new();
-        r.record_into(&registry);
-        for (outcome, want) in [("admitted", 6), ("skipped", 3), ("rescored", 2)] {
-            let c = registry.counter_with("engine_prescreen_total", &[("outcome", outcome)]);
             assert_eq!(c.get(), want);
         }
     }

@@ -20,16 +20,12 @@
 //! - [`svm`] — Platt's SMO dual solver with linear and RBF kernels and a
 //!   one-vs-rest multiclass wrapper;
 //! - [`rlsc`] — regularized least-squares classification via Cholesky;
-//! - [`eval`] — accuracy / confusion helpers and k-fold splits;
-//! - [`quant`] — u8 per-feature affine quantization and the
-//!   integer-accumulation KNN cosine kernel behind the approximate
-//!   refined-DA tier.
+//! - [`eval`] — accuracy / confusion helpers and k-fold splits.
 
 pub mod centroid;
 pub mod dataset;
 pub mod eval;
 pub mod knn;
-pub mod quant;
 pub mod rlsc;
 pub mod scale;
 pub mod svm;
@@ -38,10 +34,6 @@ pub use centroid::NearestCentroid;
 pub use dataset::{Classifier, Dataset, DatasetView, Prediction, Samples};
 pub use eval::{accuracy, confusion_counts, kfold_indices};
 pub use knn::{knn_predict, knn_vote_scored, Knn, KnnMetric};
-pub use quant::{
-    affine_params, cosine_from_dot, dequantize, dot_u8, knn_vote_quantized, norm_codes, quantize,
-    scatter_dot_u8,
-};
 pub use rlsc::Rlsc;
 pub use scale::{MinMaxScaler, ZScoreScaler};
 pub use svm::{Kernel, SmoSvm, SvmParams};

@@ -12,8 +12,8 @@
 //! - the refined-DA [`RefinedContext`] feature arena.
 //!
 //! [`PreparedCorpus::save`] writes all of it into one snapshot file
-//! (container format: [`dehealth_corpus::snapshot`], version 2 with
-//! 8-byte-aligned sections; byte-level layout: ARCHITECTURE.md), and
+//! (container format: [`dehealth_corpus::snapshot`], 8-byte-aligned
+//! sections; byte-level layout: ARCHITECTURE.md), and
 //! [`PreparedCorpus::load`] restores it without touching any post text —
 //! feature extraction is skipped entirely, which is what makes a daemon
 //! restart orders of magnitude cheaper than a cold corpus build.
@@ -25,8 +25,7 @@
 //! [`PreparedCorpus::load_with`] takes a [`LoadMode`]:
 //!
 //! - [`LoadMode::Owned`] — the eager path: read the file, verify every
-//!   checksum, decode every section into owned structures. Works for v1
-//!   and v2 snapshots.
+//!   checksum, decode every section into owned structures.
 //! - [`LoadMode::Mapped`] — the zero-copy path: `mmap` the file
 //!   ([`dehealth_mapped`]), decode the forum/features sections (owned —
 //!   they are pointer-rich structures), and *borrow* the attribute-index
@@ -36,8 +35,7 @@
 //!   self-referential state; dropping the corpus unmaps the file. The
 //!   FNV checksum sweep is skipped for speed — every structural
 //!   invariant is still re-validated — and reload time no longer pays
-//!   for the largest sections at all. v1 files (which cannot be borrowed)
-//!   transparently fall back to the owned decode.
+//!   for the largest sections at all.
 //!
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
@@ -47,13 +45,12 @@ use std::path::Path;
 use std::time::Instant;
 
 use dehealth_core::index::AttributeIndex;
-use dehealth_core::quant::QuantizedContext;
 use dehealth_core::refined::{ClassifierKind, RefinedContext, Side, N_STRUCT};
 use dehealth_core::snapshot::{decode_features, encode_features};
 use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_corpus::snapshot::{
     decode_forum, encode_forum, ParseOptions, SectionTag, SnapshotError, SnapshotReader,
-    SnapshotStreamer, SnapshotWriter, V1, V2, V3,
+    SnapshotStreamer, SnapshotWriter,
 };
 use dehealth_corpus::{Forum, Post};
 use dehealth_engine::{Engine, PreparedAuxiliary};
@@ -68,9 +65,6 @@ pub const SECTION_FEATURES: SectionTag = SectionTag(*b"FEAT");
 pub const SECTION_INDEX: SectionTag = SectionTag(*b"AIDX");
 /// Section holding the refined-DA [`RefinedContext`].
 pub const SECTION_CONTEXT: SectionTag = SectionTag(*b"RCTX");
-/// Optional section ([`V3`] snapshots) holding the approximate tier's
-/// quantized mirror of the refined context.
-pub const SECTION_QUANTIZED: SectionTag = SectionTag(*b"QCTX");
 
 /// How [`PreparedCorpus::load_with`] materializes a snapshot (see the
 /// [module docs](self)).
@@ -78,8 +72,7 @@ pub const SECTION_QUANTIZED: SectionTag = SectionTag(*b"QCTX");
 pub enum LoadMode {
     /// Read + verify + decode everything into owned structures.
     Owned,
-    /// Memory-map the file and borrow the index/context arenas in place
-    /// (v2 snapshots; v1 falls back to the owned decode).
+    /// Memory-map the file and borrow the index/context arenas in place.
     #[default]
     Mapped,
 }
@@ -109,10 +102,6 @@ pub struct PreparedCorpus {
     index: AttributeIndex,
     context: RefinedContext,
     classifier: ClassifierKind,
-    /// The approximate tier's quantized mirror of `context`. Optional:
-    /// built on demand ([`Self::ensure_quantized`]) or restored from a
-    /// [`V3`] snapshot's `QCTX` section; invalidated by mutation.
-    quantized: Option<QuantizedContext>,
 }
 
 impl PreparedCorpus {
@@ -145,7 +134,7 @@ impl PreparedCorpus {
             &Side { forum: &forum, uda: &uda, post_features: &features },
             classifier,
         );
-        Self { forum, features, uda, index, context, classifier, quantized: None }
+        Self { forum, features, uda, index, context, classifier }
     }
 
     /// The auxiliary forum.
@@ -184,26 +173,6 @@ impl PreparedCorpus {
         self.classifier
     }
 
-    /// The approximate tier's quantized mirror of the refined context,
-    /// if one has been built or loaded.
-    #[must_use]
-    pub fn quantized(&self) -> Option<&QuantizedContext> {
-        self.quantized.as_ref()
-    }
-
-    /// Build (or keep) the quantized mirror of the refined context.
-    /// Returns `true` when a mirror is present afterwards — `false` for
-    /// dense (non-KNN) contexts, which have nothing to quantize. Once
-    /// built, the mirror is persisted by [`Self::to_snapshot_bytes`] as
-    /// a [`V3`] `QCTX` section and handed to the engine by
-    /// [`Self::prepared`].
-    pub fn ensure_quantized(&mut self) -> bool {
-        if self.quantized.is_none() {
-            self.quantized = QuantizedContext::from_context(&self.context);
-        }
-        self.quantized.is_some()
-    }
-
     /// Number of auxiliary users (present and absent).
     #[must_use]
     pub fn n_users(&self) -> usize {
@@ -225,7 +194,6 @@ impl PreparedCorpus {
             uda: &self.uda,
             index: Some(&self.index),
             context: Some(&self.context),
-            quantized: self.quantized.as_ref(),
         }
     }
 
@@ -279,39 +247,13 @@ impl PreparedCorpus {
         self.forum = merged;
         self.features = features;
         self.uda = uda;
-        // The quantization grid was fit to the pre-append arena; drop it
-        // rather than serve codes from a stale grid.
-        self.quantized = None;
     }
 
-    /// Serialize into current-version aligned snapshot bytes (sections:
-    /// forum, features, index, context — see ARCHITECTURE.md for the
-    /// exact layout): [`V2`] normally, [`V3`] with a trailing `QCTX`
-    /// section when a quantized mirror is present
-    /// ([`Self::ensure_quantized`]). The byte layouts are otherwise
-    /// identical, and v2 files load everywhere v3 files do.
+    /// Serialize into snapshot bytes (sections: forum, features, index,
+    /// context — see ARCHITECTURE.md for the exact layout).
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = match &self.quantized {
-            Some(_) => SnapshotWriter::with_version(V3),
-            None => SnapshotWriter::new(),
-        };
-        encode_forum(&self.forum, w.section(SECTION_FORUM));
-        encode_features(&self.features, w.section(SECTION_FEATURES));
-        self.index.encode_v2(w.section(SECTION_INDEX));
-        self.context.encode_v2(w.section(SECTION_CONTEXT));
-        if let Some(q) = &self.quantized {
-            q.encode_v2(w.section(SECTION_QUANTIZED));
-        }
-        w.finish()
-    }
-
-    /// Serialize into legacy [`V1`] snapshot bytes — what pre-v2
-    /// deployments wrote. Kept so the v1 → v2 compatibility path stays
-    /// round-trip tested.
-    #[must_use]
-    pub fn to_snapshot_bytes_v1(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::with_version(V1);
+        let mut w = SnapshotWriter::new();
         encode_forum(&self.forum, w.section(SECTION_FORUM));
         encode_features(&self.features, w.section(SECTION_FEATURES));
         self.index.encode(w.section(SECTION_INDEX));
@@ -346,10 +288,7 @@ impl PreparedCorpus {
     /// copies of the serialized stream. At 100k auxiliary users that is
     /// the difference between a save that fits alongside the build and
     /// one that doubles peak RSS. The resulting file is bit-identical to
-    /// [`Self::save`]'s (`streamed_save_matches_materialized_save`) for
-    /// corpora without a quantized mirror; the streamer always emits
-    /// [`V2`] without the optional `QCTX` section, so a reloaded corpus
-    /// degrades to on-the-fly quantization under the approximate tier.
+    /// [`Self::save`]'s (`streamed_save_matches_materialized_save`).
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -357,13 +296,13 @@ impl PreparedCorpus {
         let mut w = SnapshotStreamer::create(path)?;
         w.section(SECTION_FORUM, |s| encode_forum(&self.forum, s))?;
         w.section(SECTION_FEATURES, |s| encode_features(&self.features, s))?;
-        w.section(SECTION_INDEX, |s| self.index.encode_v2(s))?;
-        w.section(SECTION_CONTEXT, |s| self.context.encode_v2(s))?;
+        w.section(SECTION_INDEX, |s| self.index.encode(s))?;
+        w.section(SECTION_CONTEXT, |s| self.context.encode(s))?;
         w.finish()
     }
 
-    /// Restore a corpus from snapshot bytes (either container version),
-    /// decoding everything into owned structures. The UDA graph is
+    /// Restore a corpus from snapshot bytes, decoding everything into
+    /// owned structures. The UDA graph is
     /// re-derived from the persisted forum and features (a cheap merge —
     /// no text is re-analyzed); the index and context are decoded
     /// directly and cross-checked against the forum for consistency.
@@ -378,9 +317,9 @@ impl PreparedCorpus {
     }
 
     /// Decode every section of a parsed snapshot. With a `backing`
-    /// (which must hold the same bytes the reader parsed), v2 index and
-    /// context arenas become zero-copy views borrowing it; v1 sections —
-    /// or a missing backing — decode into owned storage.
+    /// (which must hold the same bytes the reader parsed), the index and
+    /// context arenas become zero-copy views borrowing it; without one
+    /// they decode into owned storage.
     fn decode_sections(
         reader: &SnapshotReader<'_>,
         backing: Option<&SharedBytes>,
@@ -397,20 +336,14 @@ impl PreparedCorpus {
         }
 
         let mut s = reader.section(SECTION_INDEX)?;
-        let index = match reader.version() {
-            V2 | V3 => AttributeIndex::decode_v2(&mut s, backing)?,
-            _ => AttributeIndex::decode(&mut s)?,
-        };
+        let index = AttributeIndex::decode(&mut s, backing)?;
         s.expect_end()?;
         if index.n_users() != forum.n_users {
             return Err(SnapshotError::Malformed { context: "index/forum user count mismatch" });
         }
 
         let mut s = reader.section(SECTION_CONTEXT)?;
-        let context = match reader.version() {
-            V2 | V3 => RefinedContext::decode_v2(&mut s, backing)?,
-            _ => RefinedContext::decode(&mut s)?,
-        };
+        let context = RefinedContext::decode(&mut s, backing)?;
         s.expect_end()?;
         if context.n_posts() != forum.posts.len() {
             return Err(SnapshotError::Malformed { context: "context/forum post count mismatch" });
@@ -419,26 +352,11 @@ impl PreparedCorpus {
             return Err(SnapshotError::Malformed { context: "context dimension mismatch" });
         }
 
-        // The quantized mirror is an *optional* v3 section: a v3 file
-        // without it (or any older file) simply loads with `None`, and
-        // the engine quantizes on the fly when the approximate tier asks.
-        let quantized = match reader.section(SECTION_QUANTIZED) {
-            Ok(mut s) if reader.version() == V3 => {
-                let q = QuantizedContext::decode_v2(&mut s, backing)?;
-                s.expect_end()?;
-                if !q.matches_context(&context) {
-                    return Err(SnapshotError::Malformed { context: "quantized/context mismatch" });
-                }
-                Some(q)
-            }
-            _ => None,
-        };
-
         let uda = UdaGraph::build_with_features(&forum, &features);
         let classifier =
             if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
         debug_assert!(context.matches_classifier(classifier));
-        Ok(Self { forum, features, uda, index, context, classifier, quantized })
+        Ok(Self { forum, features, uda, index, context, classifier })
     }
 
     /// Read and restore a snapshot file, eagerly and fully owned
@@ -453,11 +371,9 @@ impl PreparedCorpus {
     /// Read and restore a snapshot file in the requested [`LoadMode`].
     ///
     /// [`LoadMode::Mapped`] maps the file, skips the checksum sweep
-    /// (structural validation still runs in full), and borrows the v2
+    /// (structural validation still runs in full), and borrows the
     /// index/context arenas from the mapping — the views keep the
-    /// mapping alive, so the returned corpus is self-contained. A v1
-    /// file cannot be borrowed and silently takes the owned decode
-    /// instead (check [`Self::is_mapped`]).
+    /// mapping alive, so the returned corpus is self-contained.
     ///
     /// # Errors
     /// Like [`Self::from_snapshot_bytes`], plus I/O errors.
@@ -481,14 +397,7 @@ impl PreparedCorpus {
     /// Like [`Self::from_snapshot_bytes`].
     pub fn from_shared_bytes(backing: &SharedBytes) -> Result<Self, SnapshotError> {
         let reader = SnapshotReader::parse_with(backing.bytes(), &ParseOptions::trusting())?;
-        let zero_copy = (reader.version() != V1).then_some(backing);
-        if zero_copy.is_none() {
-            // v1: nothing can be borrowed; run the fully-verified owned
-            // decode (the file is small-format legacy data anyway).
-            let reader = SnapshotReader::parse(backing.bytes())?;
-            return Self::decode_sections(&reader, None);
-        }
-        Self::decode_sections(&reader, zero_copy)
+        Self::decode_sections(&reader, Some(backing))
     }
 
     /// [`Self::load`] with wall-clock timing — the number the service
@@ -648,18 +557,8 @@ mod tests {
             PreparedCorpus::build(forum, ClassifierKind::default())
         };
         assert_ne!(other.n_users(), corpus.n_users());
-        // In both container versions the cross-check, not a decode error,
-        // must fire.
+        // The cross-check, not a decode error, must fire.
         let mut w = SnapshotWriter::new();
-        encode_forum(corpus.forum(), w.section(SECTION_FORUM));
-        encode_features(corpus.features(), w.section(SECTION_FEATURES));
-        other.index().encode_v2(w.section(SECTION_INDEX));
-        corpus.context().encode_v2(w.section(SECTION_CONTEXT));
-        assert!(matches!(
-            PreparedCorpus::from_snapshot_bytes(&w.finish()),
-            Err(SnapshotError::Malformed { context: "index/forum user count mismatch" })
-        ));
-        let mut w = SnapshotWriter::with_version(V1);
         encode_forum(corpus.forum(), w.section(SECTION_FORUM));
         encode_features(corpus.features(), w.section(SECTION_FEATURES));
         other.index().encode(w.section(SECTION_INDEX));
@@ -668,18 +567,6 @@ mod tests {
             PreparedCorpus::from_snapshot_bytes(&w.finish()),
             Err(SnapshotError::Malformed { context: "index/forum user count mismatch" })
         ));
-    }
-
-    #[test]
-    fn v1_snapshot_loads_via_the_copying_path() {
-        let corpus = tiny_corpus();
-        let v1 = corpus.to_snapshot_bytes_v1();
-        let loaded = PreparedCorpus::from_snapshot_bytes(&v1).unwrap();
-        assert!(!loaded.is_mapped());
-        // The v1-decoded corpus is the same corpus: re-encoding it in
-        // either version reproduces the reference bytes.
-        assert_eq!(loaded.to_snapshot_bytes_v1(), v1);
-        assert_eq!(loaded.to_snapshot_bytes(), corpus.to_snapshot_bytes());
     }
 
     #[test]

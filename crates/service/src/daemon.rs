@@ -94,9 +94,8 @@
 //! `attack` requests that arrive within one coalescing window
 //! ([`DaemonLimits::batch_window`]) against the **same corpus
 //! generation** (grouped by `Arc` identity, so a `load_snapshot`
-//! landing mid-window closes the old group), the same effective
-//! thread count and the same exactness mode (an `"mode": "approx"`
-//! request must never fuse with an exact one) are merged into a single
+//! landing mid-window closes the old group) and the same effective
+//! thread count are merged into a single
 //! [`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch)
 //! pass: one attribute-index build, one worker-pool schedule, one fused
 //! sweep over all requests' users — then demuxed back into per-request
@@ -143,8 +142,8 @@
 //! worker) — proving parse and emit are billed to the pool, not the
 //! front thread. `daemon_encoding_requests_total{encoding=json|binary}`
 //! counts how each served request arrived on the wire, and
-//! `daemon_attack_seconds{exactness=exact|approx}` splits attack
-//! latency by whether the request rode the approximate fast tier.
+//! `daemon_attack_seconds` records each attack's latency from wire
+//! arrival to engine completion.
 //! The whole registry is served by the `metrics` wire command (JSON,
 //! [`registry_to_json`]) and by the optional Prometheus scrape endpoint
 //! ([`MetricsServer`](crate::metrics::MetricsServer)). [`DaemonStats`]
@@ -195,7 +194,7 @@ use std::time::{Duration, Instant};
 
 use dehealth_core::AttackConfig;
 use dehealth_corpus::Forum;
-use dehealth_engine::{BatchRequest, Engine, EngineConfig, EngineOutcome, ExactnessMode};
+use dehealth_engine::{BatchRequest, Engine, EngineConfig, EngineOutcome};
 use dehealth_netpoll::{Event, Interest, Poller, Waker};
 use dehealth_telemetry::{info, warn, Counter, Gauge, Histogram, Registry, SpanTimer};
 
@@ -240,7 +239,7 @@ pub const COMMANDS: [&str; 8] = [
 /// (`bad_frame`, `frame_checksum`) classify rejected or dropped
 /// *connections* (which also answer with an error line but are not
 /// counted as served requests).
-pub const ERROR_KINDS: [&str; 12] = [
+pub const ERROR_KINDS: [&str; 11] = [
     "bad_frame",
     "connection_cap",
     "frame_checksum",
@@ -248,21 +247,11 @@ pub const ERROR_KINDS: [&str; 12] = [
     "invalid_json",
     "missing_cmd",
     "no_corpus",
-    "no_quantized_arenas",
     "oversize_request",
     "read_deadline",
     "snapshot_load",
     "unknown_cmd",
 ];
-
-/// Every `exactness` label of `daemon_attack_seconds`, pre-registered
-/// at bind time: whether each served attack ran the bit-exact pipeline
-/// or the approximate fast tier.
-pub const EXACTNESS_LABELS: [&str; 2] = ["approx", "exact"];
-
-/// Margin applied when an attack request selects `"mode": "approx"`
-/// without an explicit `margin` field.
-pub const DEFAULT_APPROX_MARGIN: f64 = 0.1;
 
 /// Every `encoding` label of `daemon_encoding_requests_total`,
 /// pre-registered at bind time: how each served request arrived on the
@@ -293,13 +282,6 @@ pub struct DaemonLimits {
     /// updates (clamped to at least 1). Two by default: one long attack
     /// batch cannot starve a corpus update or a second batch.
     pub workers: usize,
-    /// Whether approximate-mode attacks may quantize the corpus's
-    /// refined arenas on the fly when no persisted quantized mirror is
-    /// loaded (a v2 snapshot, or a v3 file without the quantized
-    /// section). When `false`, such requests are answered with a typed
-    /// `no_quantized_arenas` error instead of paying the per-attack
-    /// quantization cost silently.
-    pub runtime_quantization: bool,
 }
 
 impl Default for DaemonLimits {
@@ -311,7 +293,6 @@ impl Default for DaemonLimits {
             slow_request_threshold: Duration::from_secs(30),
             batch_window: Duration::from_millis(10),
             workers: 2,
-            runtime_quantization: true,
         }
     }
 }
@@ -371,6 +352,8 @@ struct DaemonMetrics {
     batch_window_seconds: Arc<Histogram>,
     /// Jobs waiting for a dispatch worker.
     queue_depth: Arc<Gauge>,
+    /// Attack latency, wire arrival → engine completion.
+    attack_seconds: Arc<Histogram>,
     /// Per-request stage timers, all billed on dispatch workers: time
     /// decoding the request (JSON parse + validation, or binary frame
     /// decode)…
@@ -399,9 +382,6 @@ impl DaemonMetrics {
         for kind in ERROR_KINDS {
             let _ = registry.counter_with("daemon_error_kind_total", &[("kind", kind)]);
         }
-        for exactness in EXACTNESS_LABELS {
-            let _ = registry.histogram_with("daemon_attack_seconds", &[("exactness", exactness)]);
-        }
         Self {
             requests: registry.counter("daemon_requests_total"),
             errors: registry.counter("daemon_errors_total"),
@@ -420,6 +400,7 @@ impl DaemonMetrics {
             batch_size: registry.histogram("daemon_batch_size"),
             batch_window_seconds: registry.histogram("daemon_batch_window_seconds"),
             queue_depth: registry.gauge("daemon_queue_depth"),
+            attack_seconds: registry.histogram("daemon_attack_seconds"),
             parse_seconds: registry.histogram("daemon_parse_seconds"),
             queue_seconds: registry.histogram("daemon_queue_seconds"),
             engine_seconds: registry.histogram("daemon_engine_seconds"),
@@ -442,12 +423,6 @@ impl DaemonMetrics {
 
     fn error_kind(&self, kind: &'static str) -> Arc<Counter> {
         self.registry.counter_with("daemon_error_kind_total", &[("kind", kind)])
-    }
-
-    /// Attack latency histogram (wire arrival → engine completion),
-    /// split by whether the request ran exact or approximate.
-    fn attack_seconds(&self, exactness: &'static str) -> Arc<Histogram> {
-        self.registry.histogram_with("daemon_attack_seconds", &[("exactness", exactness)])
     }
 
     /// Refresh the corpus gauges after a swap (or the initial load) and
@@ -499,9 +474,6 @@ struct ReadyAttack {
     parse_seconds: f64,
     /// The actual effective thread count the full parse produced.
     threads: usize,
-    /// Exact pipeline or the approximate fast tier, from the request's
-    /// `mode`/`margin` fields (JSON) or margin flag word (binary).
-    exactness: ExactnessMode,
     attack: AttackConfig,
     forum: Forum,
     corpus: Arc<PreparedCorpus>,
@@ -528,8 +500,8 @@ enum Job {
         /// window zero).
         solo: bool,
     },
-    /// A flushed batch: every item captured the same corpus `Arc`, the
-    /// same effective thread count and the same exactness mode.
+    /// A flushed batch: every item captured the same corpus `Arc` and
+    /// the same effective thread count.
     Attack { corpus: Arc<PreparedCorpus>, threads: usize, items: Vec<ReadyAttack> },
 }
 
@@ -857,15 +829,11 @@ impl ByteQueue {
 }
 
 /// One open coalescing group: attacks captured against the same corpus
-/// `Arc` with the same effective thread count and the same exactness
-/// mode, waiting for the window to elapse — and for every member's
-/// worker-side parse to land. Only same-exactness requests fuse: an
-/// approximate request must never drag an exact one onto the fast tier
-/// (or vice versa), so the dial is part of the batch key.
+/// `Arc` with the same effective thread count, waiting for the window to
+/// elapse — and for every member's worker-side parse to land.
 struct BatchGroup {
     corpus: Arc<PreparedCorpus>,
     threads: usize,
-    exactness: ExactnessMode,
     opened: Instant,
     /// Connections whose attack is still being parsed on a worker. The
     /// group never flushes while nonempty: the parses were dispatched
@@ -1412,7 +1380,6 @@ fn file_pending(
     groups.push(BatchGroup {
         corpus: Arc::clone(corpus),
         threads,
-        exactness: ExactnessMode::Exact,
         opened: Instant::now(),
         pending: vec![token],
         ready: Vec::new(),
@@ -1421,24 +1388,22 @@ fn file_pending(
 
 /// File one worker-parsed attack: resolve its pending entry (the token
 /// is unique to this in-flight request, so it is cleared from every
-/// group — the byte scan could not know the request's exactness), then
-/// place it by its *actual* (thread count, exactness) key — re-filing
-/// into (or opening) the right group when the byte scan and the full
-/// parse disagree.
+/// group), then place it by its *actual* thread count — re-filing into
+/// (or opening) the right group when the byte scan and the full parse
+/// disagree.
 fn file_parsed(groups: &mut Vec<BatchGroup>, r: ReadyAttack) {
     for g in groups.iter_mut() {
         g.pending.retain(|&t| t != r.conn);
     }
-    if let Some(g) = groups.iter_mut().find(|g| {
-        g.threads == r.threads && g.exactness == r.exactness && Arc::ptr_eq(&g.corpus, &r.corpus)
-    }) {
+    if let Some(g) =
+        groups.iter_mut().find(|g| g.threads == r.threads && Arc::ptr_eq(&g.corpus, &r.corpus))
+    {
         g.ready.push(r);
         return;
     }
     groups.push(BatchGroup {
         corpus: Arc::clone(&r.corpus),
         threads: r.threads,
-        exactness: r.exactness,
         opened: Instant::now(),
         pending: Vec::new(),
         ready: vec![r],
@@ -1702,11 +1667,7 @@ fn run_parse_job(
                         attack.seed = s;
                     }
                     let threads = p.options.threads.unwrap_or(state.config.n_threads);
-                    let exactness = match p.options.approx_margin {
-                        Some(margin) => ExactnessMode::Approx { margin },
-                        None => ExactnessMode::Exact,
-                    };
-                    (attack, p.forum, threads, exactness)
+                    (attack, p.forum, threads)
                 })
                 .map_err(|e| CmdError::new("invalid_argument", e));
             finish_attack_parse(state, conn, received, parse_timer, corpus, solo, parsed);
@@ -1741,7 +1702,7 @@ fn finish_attack_parse(
     parse_timer: SpanTimer,
     corpus: Option<Arc<PreparedCorpus>>,
     solo: bool,
-    parsed: Result<(AttackConfig, Forum, usize, ExactnessMode), CmdError>,
+    parsed: Result<(AttackConfig, Forum, usize), CmdError>,
 ) {
     let parse_seconds = parse_timer.stop().as_secs_f64();
     // `no_corpus` outranks per-field validation (`invalid_argument`),
@@ -1761,33 +1722,14 @@ fn finish_attack_parse(
             )),
         );
     };
-    let (attack, forum, threads, exactness) = match parsed {
+    let (attack, forum, threads) = match parsed {
         Ok(parts) => parts,
         Err(e) => {
             record_queue(state, received, parse_seconds);
             return respond(state, conn, "attack", received, Err(e));
         }
     };
-    // An approximate request against a corpus with no quantized mirror
-    // is a typed error when on-the-fly quantization is disabled — never
-    // a silent exact fallback: the client asked for the fast tier and
-    // must learn it cannot be served, not get a quietly slower answer.
-    if exactness.is_approx() && corpus.quantized().is_none() && !state.limits.runtime_quantization {
-        record_queue(state, received, parse_seconds);
-        return respond(
-            state,
-            conn,
-            "attack",
-            received,
-            Err(CmdError::new(
-                "no_quantized_arenas",
-                "corpus has no quantized arenas and runtime quantization is disabled \
-                 (load a v3 snapshot with quantized sections, or enable runtime quantization)",
-            )),
-        );
-    }
-    let ready =
-        ReadyAttack { conn, received, parse_seconds, threads, exactness, attack, forum, corpus };
+    let ready = ReadyAttack { conn, received, parse_seconds, threads, attack, forum, corpus };
     if solo {
         let corpus = Arc::clone(&ready.corpus);
         let threads = ready.threads;
@@ -1814,22 +1756,17 @@ fn run_attack_job(
     for item in &items {
         record_queue(state, item.received, item.parse_seconds);
     }
-    // Batches group by exactness (part of the coalescing key), so the
-    // whole job runs one mode; solo jobs trivially agree with item 0.
-    let exactness = items[0].exactness;
     let engine_start = Instant::now();
     let outcomes: Vec<EngineOutcome> = if items.len() == 1 {
         let item = &items[0];
         let engine = Engine::new(EngineConfig {
             n_threads: threads,
             attack: item.attack.clone(),
-            exactness,
             ..state.config.clone()
         });
         vec![corpus.attack(&engine, &item.forum)]
     } else {
-        let engine =
-            Engine::new(EngineConfig { n_threads: threads, exactness, ..state.config.clone() });
+        let engine = Engine::new(EngineConfig { n_threads: threads, ..state.config.clone() });
         let requests: Vec<BatchRequest<'_>> = items
             .iter()
             .map(|item| BatchRequest { attack: item.attack.clone(), anonymized: &item.forum })
@@ -1840,10 +1777,9 @@ fn run_attack_job(
     // is the batch's wall time, recorded per request like
     // `daemon_command_seconds`.
     let engine_elapsed = engine_start.elapsed();
-    let exactness_label = if exactness.is_approx() { "approx" } else { "exact" };
     for (item, outcome) in items.iter().zip(outcomes) {
         state.metrics.engine_seconds.record(engine_elapsed);
-        state.metrics.attack_seconds(exactness_label).record(item.received.elapsed());
+        state.metrics.attack_seconds.record(item.received.elapsed());
         state.metrics.attacks.inc();
         state.metrics.attacked_users.add(item.forum.n_users as u64);
         state
@@ -1875,7 +1811,7 @@ fn run_attack_job(
 fn parse_attack_request(
     state: &Arc<DaemonState>,
     request: &Json,
-) -> Result<(AttackConfig, Forum, usize, ExactnessMode), CmdError> {
+) -> Result<(AttackConfig, Forum, usize), CmdError> {
     let anonymized = match request
         .get("forum")
         .ok_or_else(|| "missing forum".to_string())
@@ -1910,36 +1846,7 @@ fn parse_attack_request(
             None => return Err(CmdError::new("invalid_argument", "invalid threads")),
         },
     };
-    let approx = match request.get("mode") {
-        None => false,
-        Some(m) => match m.as_str() {
-            Some("exact") => false,
-            Some("approx") => true,
-            _ => {
-                return Err(CmdError::new(
-                    "invalid_argument",
-                    "invalid mode (expected \"exact\" or \"approx\")",
-                ))
-            }
-        },
-    };
-    let exactness = match (approx, request.get("margin")) {
-        (false, None) => ExactnessMode::Exact,
-        (false, Some(_)) => {
-            return Err(CmdError::new("invalid_argument", "margin requires \"mode\": \"approx\""))
-        }
-        (true, None) => ExactnessMode::Approx { margin: DEFAULT_APPROX_MARGIN },
-        (true, Some(m)) => match m.as_f64() {
-            Some(margin) if margin.is_finite() && margin >= 0.0 => ExactnessMode::Approx { margin },
-            _ => {
-                return Err(CmdError::new(
-                    "invalid_argument",
-                    "invalid margin (expected a finite number >= 0)",
-                ))
-            }
-        },
-    };
-    Ok((attack, anonymized, threads, exactness))
+    Ok((attack, anonymized, threads))
 }
 
 /// A failed command: the error-kind label for
@@ -2180,5 +2087,43 @@ mod tests {
         }
         swapper.join().unwrap();
         assert_eq!(state.metrics.corpus_users.get(), state.corpus().unwrap().n_users() as i64);
+    }
+
+    /// `mode` and `margin` once selected an approximate attack tier.
+    /// They are unknown fields now, which the JSON path ignores: every
+    /// such request gets the exact answer.
+    #[test]
+    fn retired_mode_and_margin_fields_get_the_exact_answer() {
+        use crate::client::ServiceClient;
+        use crate::protocol::forum_to_json;
+        use dehealth_corpus::{closed_world_split, SplitConfig};
+
+        let forum = Forum::generate(&ForumConfig::tiny(), 42);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+        let corpus = PreparedCorpus::build(split.auxiliary, Default::default());
+        let daemon =
+            Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        let mut attack = |extra: Vec<(String, Json)>| {
+            let mut fields = vec![
+                ("cmd".into(), Json::Str("attack".into())),
+                ("forum".into(), forum_to_json(&split.anonymized)),
+            ];
+            fields.extend(extra);
+            let reply = client.request(&Json::Obj(fields)).unwrap();
+            ["mapping", "candidates"].map(|key| reply.get(key).map(Json::emit))
+        };
+        let exact = attack(Vec::new());
+        assert!(exact.iter().all(Option::is_some));
+        for extra in [
+            vec![("mode".into(), Json::Str("exact".into()))],
+            vec![("mode".into(), Json::Str("approx".into()))],
+            vec![("mode".into(), Json::Str("approx".into())), ("margin".into(), Json::Num(0.5))],
+            vec![("margin".into(), Json::Num(-1.0))],
+        ] {
+            assert_eq!(attack(extra), exact);
+        }
+        client.shutdown().unwrap();
+        daemon.join();
     }
 }

@@ -45,9 +45,8 @@
 //!
 //! ```text
 //! u32  option flags      (bit 0 top_k, 1 n_landmarks, 2 threads,
-//!                         3 seed, 4 approx margin)
-//! u64  × popcount(flags) option values, in bit order (the approx
-//!                        margin travels as its f64 bit pattern)
+//!                         3 seed; any other bit is rejected)
+//! u64  × popcount(flags) option values, in bit order
 //! u32  n_users │ u32 n_threads │ u32 n_posts │ posts…   (encode_forum)
 //! ```
 //!
@@ -253,8 +252,7 @@ const FLAG_TOP_K: u32 = 1 << 0;
 const FLAG_N_LANDMARKS: u32 = 1 << 1;
 const FLAG_THREADS: u32 = 1 << 2;
 const FLAG_SEED: u32 = 1 << 3;
-const FLAG_APPROX: u32 = 1 << 4;
-const KNOWN_FLAGS: u32 = FLAG_TOP_K | FLAG_N_LANDMARKS | FLAG_THREADS | FLAG_SEED | FLAG_APPROX;
+const KNOWN_FLAGS: u32 = FLAG_TOP_K | FLAG_N_LANDMARKS | FLAG_THREADS | FLAG_SEED;
 
 /// Encode a complete binary `attack` request frame.
 #[must_use]
@@ -266,7 +264,6 @@ pub fn encode_attack_frame(anonymized: &Forum, options: &AttackOptions) -> Vec<u
         (options.n_landmarks.is_some(), FLAG_N_LANDMARKS),
         (options.threads.is_some(), FLAG_THREADS),
         (options.seed.is_some(), FLAG_SEED),
-        (options.approx_margin.is_some(), FLAG_APPROX),
     ] {
         if set {
             flags |= flag;
@@ -284,9 +281,6 @@ pub fn encode_attack_frame(anonymized: &Forum, options: &AttackOptions) -> Vec<u
     }
     if let Some(s) = options.seed {
         buf.put_u64(s);
-    }
-    if let Some(margin) = options.approx_margin {
-        buf.put_u64(margin.to_bits());
     }
     encode_forum(anonymized, &mut buf);
     encode_frame(FrameTag::Attack, &buf.into_bytes())
@@ -356,13 +350,6 @@ pub fn decode_attack_payload(payload: &[u8]) -> Result<AttackPayload, String> {
     }
     if flags & FLAG_SEED != 0 {
         options.seed = Some(r.take_u64().map_err(|e| e.to_string())?);
-    }
-    if flags & FLAG_APPROX != 0 {
-        let margin = f64::from_bits(r.take_u64().map_err(|e| e.to_string())?);
-        if !margin.is_finite() || margin < 0.0 {
-            return Err("margin must be a finite number >= 0".into());
-        }
-        options.approx_margin = Some(margin);
     }
     let forum = decode_forum(&mut r).map_err(|e| e.to_string())?;
     r.expect_end().map_err(|e| e.to_string())?;
@@ -515,7 +502,6 @@ mod tests {
             n_landmarks: None,
             threads: Some(2),
             seed: Some(u64::MAX - 5), // far beyond the JSON wire's 2^53
-            approx_margin: Some(0.125),
         };
         let frame = encode_attack_frame(&forum, &options);
         let header = parse_header(frame[..8].try_into().unwrap(), usize::MAX).unwrap();
@@ -529,6 +515,20 @@ mod tests {
         assert_eq!(decoded.forum.posts.len(), forum.posts.len());
         for (a, b) in decoded.forum.posts.iter().zip(&forum.posts) {
             assert_eq!((a.author, a.thread, &a.text), (b.author, b.thread, &b.text));
+        }
+    }
+
+    #[test]
+    fn unknown_option_flags_are_rejected() {
+        let forum = Forum::generate(&ForumConfig::tiny(), 3);
+        let frame = encode_attack_frame(&forum, &AttackOptions::default());
+        let mut payload = frame[8..frame.len() - 8].to_vec();
+        // Bit 4 once carried an approximate-tier margin; no flag above
+        // bit 3 is defined.
+        for bit in [4, 5, 31] {
+            payload[..4].copy_from_slice(&(1u32 << bit).to_le_bytes());
+            let err = decode_attack_payload(&payload).unwrap_err();
+            assert!(err.starts_with("unknown attack option flags"), "bit {bit}: {err}");
         }
     }
 

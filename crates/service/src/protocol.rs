@@ -103,25 +103,11 @@ pub fn report_to_json(report: &EngineReport) -> Json {
             ])
         })
         .collect();
-    let mut fields = vec![
+    Json::Obj(vec![
         ("n_threads".into(), Json::int(report.n_threads)),
         ("block_size".into(), Json::int(report.block_size)),
         ("stages".into(), Json::Arr(stages)),
-    ];
-    // Only approximate runs carry prescreen counters; exact responses
-    // stay byte-identical to what pre-approx daemons emitted.
-    let p = report.prescreen;
-    if !p.is_empty() {
-        fields.push((
-            "prescreen".into(),
-            Json::Obj(vec![
-                ("admitted".into(), Json::Num(p.admitted as f64)),
-                ("skipped".into(), Json::Num(p.skipped as f64)),
-                ("rescored".into(), Json::Num(p.rescored as f64)),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
+    ])
 }
 
 /// A successful response: `{"ok": true, …fields}`.
@@ -156,10 +142,6 @@ pub struct AttackOptions {
     /// would break the request's seed-faithful parity with an in-process
     /// run — so larger seeds are rejected loudly at encode time.
     pub seed: Option<u64>,
-    /// Opt into the approximate fast tier with this confidence margin
-    /// (encodes as `"mode":"approx"` plus `"margin"`). `None` keeps the
-    /// daemon's default bit-exact execution.
-    pub approx_margin: Option<f64>,
 }
 
 impl AttackOptions {
@@ -183,10 +165,6 @@ impl AttackOptions {
         if let Some(s) = self.seed {
             assert!(s <= 1u64 << 53, "seed {s} is not exactly representable on the JSON wire");
             fields.push(("seed".into(), Json::Num(s as f64)));
-        }
-        if let Some(margin) = self.approx_margin {
-            fields.push(("mode".into(), Json::Str("approx".into())));
-            fields.push(("margin".into(), Json::Num(margin)));
         }
         fields
     }

@@ -128,7 +128,6 @@ fn valid_frames() -> Vec<(Vec<u8>, FrameTag)> {
         n_landmarks: Some(12),
         threads: Some(2),
         seed: Some(0xdead_beef_cafe_f00d),
-        approx_margin: Some(0.25),
     };
     vec![
         (encode_attack_frame(&forum, &options), FrameTag::Attack),

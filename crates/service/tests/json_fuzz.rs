@@ -178,7 +178,6 @@ fn valid_lines() -> Vec<Vec<u8>> {
         n_landmarks: Some(12),
         threads: Some(2),
         seed: Some(1 << 40),
-        approx_margin: Some(0.25),
     };
     let mut attack =
         vec![("cmd".into(), Json::Str("attack".into())), ("forum".into(), forum_to_json(&forum))];

@@ -1,16 +1,15 @@
 //! Snapshot persistence: round-trip bit-parity against a freshly built
-//! corpus, v1 ↔ v2 ↔ v3 compatibility (v3 = v2 plus an optional
-//! quantized-arena section), zero-copy (mmap) vs owned load
-//! parity, and robustness of the decoder against malformed files —
-//! truncation, bad magic, wrong version, corrupted payloads, bad
-//! padding, misaligned arenas, and a v1 file fed to the v2 fast path
+//! corpus, zero-copy (mmap) vs owned load parity, and robustness of the
+//! decoder against malformed files — truncation, bad magic, any version
+//! but the current one, corrupted payloads, bad padding, misaligned
+//! arenas, and one section's payload fed to another section's decoder
 //! must all surface as typed [`SnapshotError`]s, never panics or
 //! unaligned casts.
 
 use de_health::core::index::AttributeIndex;
 use de_health::core::refined::{ClassifierKind, RefinedContext};
 use de_health::corpus::snapshot::{
-    ParseOptions, SnapshotError, SnapshotReader, ALIGN, MAGIC, V1, V2, V3, VERSION,
+    ParseOptions, SnapshotError, SnapshotReader, ALIGN, MAGIC, VERSION,
 };
 use de_health::corpus::split::{closed_world_split, SplitConfig};
 use de_health::corpus::{Forum, ForumConfig};
@@ -89,12 +88,21 @@ fn bad_magic_is_rejected() {
 #[test]
 fn wrong_version_is_rejected() {
     let mut bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
-    let future = VERSION + 41;
-    bytes[8..10].copy_from_slice(&future.to_le_bytes());
-    assert!(matches!(
-        PreparedCorpus::from_snapshot_bytes(&bytes),
-        Err(SnapshotError::UnsupportedVersion(v)) if v == future
-    ));
+    // Version 1 (the retired unaligned layout), version 3 (the retired
+    // quantized-section layout) and a future version are all refused,
+    // by the owned and the mapped load paths alike.
+    for version in [1, 3, VERSION + 41] {
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            PreparedCorpus::from_snapshot_bytes(&bytes),
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version
+        ));
+        let backing = ByteSource::from_vec(bytes.clone());
+        assert!(matches!(
+            PreparedCorpus::from_shared_bytes(&backing),
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version
+        ));
+    }
 }
 
 #[test]
@@ -132,61 +140,40 @@ fn io_errors_are_propagated() {
 #[test]
 fn current_snapshots_are_v2_with_aligned_sections() {
     let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), V2);
-    assert_eq!(VERSION, V2);
+    assert_eq!(VERSION, 2);
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), VERSION);
     // The in-header alignment guarantee.
     assert_eq!(u16::from_le_bytes([bytes[10], bytes[11]]) as usize, ALIGN);
-    let reader = SnapshotReader::parse(&bytes).unwrap();
-    assert_eq!(reader.version(), V2);
+    assert!(SnapshotReader::parse(&bytes).is_ok());
 }
 
 #[test]
-fn v1_files_still_load_bit_exact_via_the_copying_path() {
+fn swapped_section_payloads_yield_typed_errors() {
+    // Each strict decoder must reject the other section's payload with a
+    // typed error — from the decode itself or from `expect_end` — never
+    // a panic or a misinterpretation.
+    use de_health::service::corpus::{SECTION_CONTEXT, SECTION_INDEX};
     for classifier in [ClassifierKind::default(), ClassifierKind::Centroid] {
-        let fresh = built_corpus(classifier);
-        let v1 = fresh.to_snapshot_bytes_v1();
-        assert_eq!(u16::from_le_bytes([v1[8], v1[9]]), V1);
-        // Borrowed-bytes decode (version-dispatched inside).
-        let loaded = PreparedCorpus::from_snapshot_bytes(&v1).unwrap();
-        assert!(!loaded.is_mapped());
-        assert_eq!(loaded.to_snapshot_bytes_v1(), v1, "{classifier:?}");
-        assert_eq!(loaded.to_snapshot_bytes(), fresh.to_snapshot_bytes(), "{classifier:?}");
-        // A v1 file handed to the *mapped* load mode falls back to the
-        // copying path gracefully — still correct, just not borrowed.
-        let path = std::env::temp_dir().join("dehealth-snapshot-v1-compat-test.snap");
-        std::fs::write(&path, &v1).unwrap();
-        let loaded = PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap();
-        assert!(!loaded.is_mapped());
-        assert_eq!(loaded.to_snapshot_bytes(), fresh.to_snapshot_bytes());
-        std::fs::remove_file(&path).unwrap();
-    }
-}
-
-#[test]
-fn v1_payloads_fed_to_the_v2_fast_path_yield_typed_errors() {
-    // The strict v2 decoders must reject a v1-schema payload with a
-    // typed error, never a panic or a misinterpretation.
-    let corpus = built_corpus(ClassifierKind::default());
-    let v1 = corpus.to_snapshot_bytes_v1();
-    let reader = SnapshotReader::parse(&v1).unwrap();
-    assert_eq!(reader.version(), V1);
-    let mut s = reader.section(de_health::service::corpus::SECTION_INDEX).unwrap();
-    match AttributeIndex::decode_v2(&mut s, None) {
-        Err(
-            SnapshotError::Malformed { .. }
-            | SnapshotError::Truncated { .. }
-            | SnapshotError::Misaligned { .. },
-        ) => {}
-        other => panic!("v1 index payload through the v2 decoder: {other:?}"),
-    }
-    let mut s = reader.section(de_health::service::corpus::SECTION_CONTEXT).unwrap();
-    match RefinedContext::decode_v2(&mut s, None) {
-        Err(
-            SnapshotError::Malformed { .. }
-            | SnapshotError::Truncated { .. }
-            | SnapshotError::Misaligned { .. },
-        ) => {}
-        other => panic!("v1 context payload through the v2 decoder: {other:?}"),
+        let bytes = built_corpus(classifier).to_snapshot_bytes();
+        let reader = SnapshotReader::parse(&bytes).unwrap();
+        let typed = |err: SnapshotError| {
+            matches!(
+                err,
+                SnapshotError::Malformed { .. }
+                    | SnapshotError::Truncated { .. }
+                    | SnapshotError::Misaligned { .. }
+            )
+        };
+        let mut s = reader.section(SECTION_CONTEXT).unwrap();
+        match AttributeIndex::decode(&mut s, None).and_then(|_| s.expect_end()) {
+            Err(e) => assert!(typed(e), "{classifier:?}: context payload as an index"),
+            Ok(()) => panic!("{classifier:?}: context payload decoded as an index"),
+        }
+        let mut s = reader.section(SECTION_INDEX).unwrap();
+        match RefinedContext::decode(&mut s, None).and_then(|_| s.expect_end()) {
+            Err(e) => assert!(typed(e), "{classifier:?}: index payload as a context"),
+            Ok(()) => panic!("{classifier:?}: index payload decoded as a context"),
+        }
     }
 }
 
@@ -213,96 +200,8 @@ fn mapped_and_owned_loads_restore_identical_corpora() {
 }
 
 #[test]
-fn v3_quantized_snapshots_roundtrip_owned_and_mapped() {
-    let mut fresh = built_corpus(ClassifierKind::default());
-    assert!(fresh.quantized().is_none());
-    assert!(fresh.ensure_quantized());
-    let bytes = fresh.to_snapshot_bytes();
-    // A corpus carrying quantized arenas serializes as v3 with the QCTX
-    // section appended after the v2 layout.
-    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), V3);
-    assert_eq!(SnapshotReader::parse(&bytes).unwrap().version(), V3);
-
-    // Owned load restores the quantized mirror and re-serializes to the
-    // identical v3 byte stream.
-    let loaded = PreparedCorpus::from_snapshot_bytes(&bytes).unwrap();
-    let q = loaded.quantized().expect("v3 QCTX section restores the quantized mirror");
-    assert!(q.matches_context(loaded.context()));
-    assert_eq!(loaded.to_snapshot_bytes(), bytes);
-
-    // Mapped load keeps the quantized arenas borrowed from the mapping.
-    let path = std::env::temp_dir().join("dehealth-snapshot-v3-roundtrip-test.snap");
-    std::fs::write(&path, &bytes).unwrap();
-    let mapped = PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap();
-    assert!(mapped.is_mapped());
-    let q = mapped.quantized().expect("mapped v3 load restores the quantized mirror");
-    assert!(q.is_borrowed(), "mapped load must not copy the quantized arenas");
-    assert!(q.matches_context(mapped.context()));
-    assert_eq!(mapped.to_snapshot_bytes(), bytes);
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn v2_and_sectionless_v3_files_load_without_a_quantized_mirror() {
-    // A plain v2 file (today's default for unquantized corpora) loads
-    // everywhere with `quantized() == None`.
-    let fresh = built_corpus(ClassifierKind::default());
-    let v2 = fresh.to_snapshot_bytes();
-    assert_eq!(u16::from_le_bytes([v2[8], v2[9]]), V2);
-    assert!(PreparedCorpus::from_snapshot_bytes(&v2).unwrap().quantized().is_none());
-
-    // A v3 file *without* the optional QCTX section is layout-identical
-    // to v2 (the 16-byte header carries the version but is not covered
-    // by a section checksum), and degrades gracefully: it loads with no
-    // quantized mirror and re-serializes as v2.
-    let mut v3 = v2.clone();
-    v3[8..10].copy_from_slice(&V3.to_le_bytes());
-    let loaded = PreparedCorpus::from_snapshot_bytes(&v3).unwrap();
-    assert!(loaded.quantized().is_none());
-    assert_eq!(loaded.to_snapshot_bytes(), v2, "no mirror, so it re-serializes as v2");
-
-    // Versions beyond v3 stay typed errors.
-    let mut v4 = v2.clone();
-    v4[8..10].copy_from_slice(&4u16.to_le_bytes());
-    assert!(matches!(
-        PreparedCorpus::from_snapshot_bytes(&v4),
-        Err(SnapshotError::UnsupportedVersion(4))
-    ));
-}
-
-#[test]
-fn v3_quantized_section_must_match_its_context() {
-    // Corrupting the QCTX payload either trips its checksum or — when the
-    // bytes still parse — fails the quantized/context cross-check with a
-    // typed Malformed error. Never an inconsistent corpus.
-    let mut fresh = built_corpus(ClassifierKind::default());
-    assert!(fresh.ensure_quantized());
-    let bytes = fresh.to_snapshot_bytes();
-    let v2_len = {
-        let plain = built_corpus(ClassifierKind::default());
-        assert!(plain.quantized().is_none());
-        plain.to_snapshot_bytes().len()
-    };
-    assert!(bytes.len() > v2_len, "QCTX section must extend the file");
-    for at in (v2_len + 16..bytes.len()).step_by(((bytes.len() - v2_len) / 11).max(1)) {
-        let mut corrupted = bytes.clone();
-        corrupted[at] ^= 0x5a;
-        match PreparedCorpus::from_snapshot_bytes(&corrupted) {
-            Err(
-                SnapshotError::ChecksumMismatch { .. }
-                | SnapshotError::Malformed { .. }
-                | SnapshotError::Truncated { .. }
-                | SnapshotError::Misaligned { .. },
-            ) => {}
-            Ok(_) => panic!("QCTX corruption at byte {at} went undetected"),
-            other => panic!("QCTX corruption at byte {at}: unexpected {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn misaligned_backing_yields_a_typed_error_not_an_unaligned_cast() {
-    // Shift a valid v2 snapshot by 4 bytes inside an 8-aligned buffer:
+    // Shift a valid snapshot by 4 bytes inside an 8-aligned buffer:
     // every u64/f64 arena offset is now misaligned in memory. The strict
     // zero-copy decoders must answer with `SnapshotError::Misaligned`.
     let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
@@ -312,12 +211,12 @@ fn misaligned_backing_yields_a_typed_error_not_an_unaligned_cast() {
     let snapshot = &backing.bytes()[4..];
     let reader = SnapshotReader::parse(snapshot).unwrap();
     let mut s = reader.section(de_health::service::corpus::SECTION_INDEX).unwrap();
-    match AttributeIndex::decode_v2(&mut s, Some(&backing)) {
+    match AttributeIndex::decode(&mut s, Some(&backing)) {
         Err(SnapshotError::Misaligned { .. }) => {}
         other => panic!("misaligned index arena must be refused, got {other:?}"),
     }
     let mut s = reader.section(de_health::service::corpus::SECTION_CONTEXT).unwrap();
-    match RefinedContext::decode_v2(&mut s, Some(&backing)) {
+    match RefinedContext::decode(&mut s, Some(&backing)) {
         Err(SnapshotError::Misaligned { .. }) => {}
         other => panic!("misaligned context arena must be refused, got {other:?}"),
     }
@@ -358,7 +257,7 @@ fn nonzero_v2_padding_is_rejected() {
 
 #[test]
 fn truncated_aligned_tails_are_typed_errors() {
-    // Cut a v2 file inside the final checksum, inside the final padding,
+    // Cut a snapshot inside the final checksum, inside the final padding,
     // and on the padding boundary — all must be `Truncated`, and the
     // zero-copy (trusting) parse must agree with the verified one.
     let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
