@@ -71,6 +71,8 @@
 //! disabled — the engine does this automatically whenever
 //! `AttackConfig::filtering` is set.
 
+use std::sync::Arc;
+
 use dehealth_corpus::snapshot::{SectionReader, SectionWrite, SnapshotError};
 use dehealth_mapped::SharedBytes;
 use dehealth_stylometry::UserAttributes;
@@ -753,6 +755,34 @@ impl HotAttrs {
     }
 }
 
+/// The hot-attribute tables of a whole [`AttributeIndex`] (`from = 0`),
+/// built once and shared read-only by every [`IndexedScorer`] over that
+/// index. They depend only on the index, so a standing auxiliary corpus
+/// can build them once per generation instead of once per attack.
+/// Cloning shares the tables.
+///
+/// The handle records the user and attribute counts of the index it was
+/// built from; [`IndexedScorer::with_hot_attrs`] refuses it for an index
+/// of another size.
+#[derive(Debug, Clone)]
+pub struct AuxHotAttrs {
+    hot: Arc<HotAttrs>,
+    n_users: usize,
+    n_attrs: usize,
+}
+
+impl AuxHotAttrs {
+    /// Classify `index`'s attributes and transpose its hot posting lists.
+    #[must_use]
+    pub fn build(index: &AttributeIndex) -> Self {
+        Self {
+            hot: Arc::new(HotAttrs::build(index, 0)),
+            n_users: index.n_users(),
+            n_attrs: index.n_attrs(),
+        }
+    }
+}
+
 /// Sparse scorer: drives one [`SimilarityEngine`] through an
 /// [`AttributeIndex`] instead of the all-pairs sweep.
 ///
@@ -773,7 +803,7 @@ pub struct IndexedScorer<'e, 'i> {
     weight_sums: &'i [u64],
     present_flags: &'i [u8],
     /// Hot-attribute bitmasks and per-user CSR (see [`HotAttrs`]).
-    hot: HotAttrs,
+    hot: Arc<HotAttrs>,
     from: usize,
     prune: bool,
     /// `c1·s^d_max + c2·s^s_max`, evaluated with the same association as
@@ -800,6 +830,39 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         from: usize,
         prune: bool,
     ) -> Self {
+        Self::from_parts(sim, index, from, Arc::new(HotAttrs::build(index, from)), prune)
+    }
+
+    /// [`Self::new`] over the whole index (`from = 0`) with its hot
+    /// tables already built. Scores are bit-identical to [`Self::new`].
+    ///
+    /// # Panics
+    /// Panics if `hot` was built from an index with another user or
+    /// attribute count — a stale handle must not score silently — or as
+    /// [`Self::new`].
+    #[must_use]
+    pub fn with_hot_attrs(
+        sim: &'e SimilarityEngine<'e>,
+        index: &'i AttributeIndex,
+        hot: AuxHotAttrs,
+        prune: bool,
+    ) -> Self {
+        assert!(
+            hot.n_users == index.n_users() && hot.n_attrs == index.n_attrs(),
+            "hot tables were built for another attribute index"
+        );
+        Self::from_parts(sim, index, 0, hot.hot, prune)
+    }
+
+    /// The construction path of [`Self::new`] and
+    /// [`Self::with_hot_attrs`].
+    fn from_parts(
+        sim: &'e SimilarityEngine<'e>,
+        index: &'i AttributeIndex,
+        from: usize,
+        hot: Arc<HotAttrs>,
+        prune: bool,
+    ) -> Self {
         assert_eq!(
             index.n_users() - from,
             sim.n_aux(),
@@ -814,7 +877,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             attr_counts: index.attr_counts.as_slice(),
             weight_sums: index.weight_sums.as_slice(),
             present_flags: index.present_flags.as_slice(),
-            hot: HotAttrs::build(index, from),
+            hot,
             from,
             prune,
             struct_bound: td + ts,
@@ -872,7 +935,7 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         let anon_attrs = &self.sim.anon_uda().attributes[u];
         let u_len = anon_attrs.len() as u64;
         let u_wsum = anon_attrs.weight_sum();
-        let hot = &self.hot;
+        let hot: &HotAttrs = &self.hot;
         let words = hot.words;
 
         // Split u's attributes: hot ones fill the dense slot table and
@@ -1294,6 +1357,46 @@ mod tests {
         let first = run(&mut shared);
         let second = run(&mut shared);
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn shared_hot_tables_score_like_fresh_ones() {
+        // Enough present users that some attributes are hot (lists of at
+        // least 16 users), so the shared tables are really exercised.
+        let posts: Vec<Post> = (0..40).map(|u| p(u, u % 5, texts()[u % 6])).collect();
+        let aux = uda(posts, 40, 5);
+        let (anon, _) = sides();
+        let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
+        let index = sim.attribute_index();
+        let hot = AuxHotAttrs::build(&index);
+        let fresh = IndexedScorer::new(&sim, &index, 0, true);
+        assert!(fresh.n_hot_attrs() > 0, "the corpus has no hot attributes");
+        let shared = IndexedScorer::with_hot_attrs(&sim, &index, hot, true);
+        assert_eq!(shared.n_hot_attrs(), fresh.n_hot_attrs());
+        let (mut a, mut b) = (fresh.scratch(), shared.scratch());
+        for u in 0..sim.n_anon() {
+            let mut tops = [BoundedTopK::new(3), BoundedTopK::new(3)];
+            let mut bounds = [ScoreBounds::new(), ScoreBounds::new()];
+            let ta = fresh.score_user(u, &mut a, &mut tops[0], &mut bounds[0]);
+            let tb = shared.score_user(u, &mut b, &mut tops[1], &mut bounds[1]);
+            assert_eq!(ta, tb);
+            let [x, y] = tops.map(BoundedTopK::into_sorted_entries);
+            assert_eq!(x.len(), y.len(), "u={u}");
+            for (a, b) in x.iter().zip(&y) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "u={u}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another attribute index")]
+    fn stale_hot_tables_are_rejected() {
+        let (anon, aux) = sides();
+        let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
+        let mut index = sim.attribute_index();
+        let stale = AuxHotAttrs::build(&index);
+        index.push_user(&dehealth_stylometry::UserAttributes::new(), false);
+        let _ = IndexedScorer::with_hot_attrs(&sim, &index, stale, false);
     }
 
     #[test]

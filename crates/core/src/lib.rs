@@ -35,11 +35,11 @@ pub mod uda;
 pub use arena::{ArenaCastError, ArenaView};
 pub use attack::{stylometry_baseline, AttackConfig, AttackOutcome, DeHealth, Evaluation};
 pub use filter::{FilterConfig, Filtered, ScoreBounds};
-pub use index::{AttributeIndex, IndexScratch, IndexedScorer, PairTally, PostingsRef};
+pub use index::{AttributeIndex, AuxHotAttrs, IndexScratch, IndexedScorer, PairTally, PostingsRef};
 pub use refined::{
     refine_user, refine_user_shared, ClassifierKind, RefinedConfig, RefinedContext, RefinedScratch,
     Side, Verification,
 };
-pub use similarity::{SimilarityEngine, SimilarityWeights};
+pub use similarity::{AuxStructure, SimilarityEngine, SimilarityWeights};
 pub use topk::{BoundedTopK, Selection};
 pub use uda::UdaGraph;

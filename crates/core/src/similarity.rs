@@ -9,6 +9,8 @@
 //! - `s^a` (attribute similarity): Jaccard plus weighted Jaccard of the
 //!   user attribute sets.
 
+use std::sync::Arc;
+
 use crate::uda::UdaGraph;
 
 /// The `c1, c2, c3` weights of the combined similarity. The paper's
@@ -111,6 +113,43 @@ impl Structure {
     }
 }
 
+/// The auxiliary side's structural state — its landmarks' closeness
+/// vectors, NCS vectors and per-user scalars — built once and shared
+/// read-only by every [`SimilarityEngine`] over the same auxiliary UDA
+/// graph. None of it depends on the anonymized side, so a standing
+/// auxiliary corpus can build it once per generation instead of once per
+/// attack. Cloning shares the state.
+///
+/// The handle records what it was built for: the auxiliary user count and
+/// `n_landmarks`. [`SimilarityEngine::with_aux_structure`] refuses a
+/// handle built over a graph of another size.
+#[derive(Debug, Clone)]
+pub struct AuxStructure {
+    st: Arc<Structure>,
+    n_landmarks: usize,
+}
+
+impl AuxStructure {
+    /// Select `n_landmarks` landmarks on `aux` and precompute its NCS and
+    /// landmark-closeness vectors, their norms, and every user's degree
+    /// and weighted degree.
+    #[must_use]
+    pub fn build(aux: &UdaGraph, n_landmarks: usize) -> Self {
+        Self { st: Arc::new(Structure::new(aux, n_landmarks)), n_landmarks }
+    }
+
+    /// The `n_landmarks` this structure was built for.
+    #[must_use]
+    pub fn n_landmarks(&self) -> usize {
+        self.n_landmarks
+    }
+
+    /// Number of auxiliary users this structure covers.
+    fn n_users(&self) -> usize {
+        self.st.scalars.len()
+    }
+}
+
 /// Pairwise similarity engine between an anonymized and an auxiliary UDA
 /// graph.
 #[derive(Debug)]
@@ -119,7 +158,7 @@ pub struct SimilarityEngine<'a> {
     aux: &'a UdaGraph,
     weights: SimilarityWeights,
     anon_st: Structure,
-    aux_st: Structure,
+    aux_st: Arc<Structure>,
 }
 
 impl<'a> SimilarityEngine<'a> {
@@ -133,9 +172,31 @@ impl<'a> SimilarityEngine<'a> {
         weights: SimilarityWeights,
         n_landmarks: usize,
     ) -> Self {
-        let anon_st = Structure::new(anon, n_landmarks);
-        let aux_st = Structure::new(aux, n_landmarks);
-        Self { anon, aux, weights, anon_st, aux_st }
+        Self::with_aux_structure(anon, aux, weights, AuxStructure::build(aux, n_landmarks))
+    }
+
+    /// [`Self::new`] with the auxiliary side already prepared: only the
+    /// anonymized side's structure is built, with the handle's
+    /// `n_landmarks`. Scores are bit-identical to [`Self::new`] with that
+    /// `n_landmarks`.
+    ///
+    /// # Panics
+    /// Panics if `aux_st` was built over a graph with another user count
+    /// than `aux` — a stale handle must not score silently.
+    #[must_use]
+    pub fn with_aux_structure(
+        anon: &'a UdaGraph,
+        aux: &'a UdaGraph,
+        weights: SimilarityWeights,
+        aux_st: AuxStructure,
+    ) -> Self {
+        assert_eq!(
+            aux_st.n_users(),
+            aux.n_users(),
+            "auxiliary structure was built for another auxiliary graph"
+        );
+        let anon_st = Structure::new(anon, aux_st.n_landmarks);
+        Self { anon, aux, weights, anon_st, aux_st: aux_st.st }
     }
 
     /// Degree similarity `s^d_uv ∈ [0, 3]`.
@@ -518,6 +579,34 @@ mod tests {
             }
         }
         assert!(isolated_pairs > 0 && equal_degree_pairs > 0, "forums miss the edge cases");
+    }
+
+    #[test]
+    fn shared_aux_structure_scores_like_a_fresh_one() {
+        let anon = uda(vec![p(0, 0, "a b c !!!"), p(1, 0, "x y"), p(2, 1, "1 2 3 $$$")], 3, 2);
+        let aux = uda(vec![p(0, 0, "x y z"), p(1, 0, "a b"), p(2, 1, "q r s")], 3, 2);
+        let weights = SimilarityWeights::default();
+        let shared = AuxStructure::build(&aux, 2);
+        assert_eq!((shared.n_users(), shared.n_landmarks()), (3, 2));
+        let fresh = SimilarityEngine::new(&anon, &aux, weights, 2);
+        for _ in 0..2 {
+            let cached = SimilarityEngine::with_aux_structure(&anon, &aux, weights, shared.clone());
+            for u in 0..3 {
+                for v in 0..3 {
+                    assert_eq!(cached.similarity(u, v).to_bits(), fresh.similarity(u, v).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another auxiliary graph")]
+    fn stale_aux_structure_is_rejected() {
+        let anon = uda(vec![p(0, 0, "hello there")], 1, 1);
+        let aux = uda(vec![p(0, 0, "hello there")], 2, 1);
+        let stale = AuxStructure::build(&uda(vec![p(0, 0, "hello there")], 1, 1), 1);
+        let _ =
+            SimilarityEngine::with_aux_structure(&anon, &aux, SimilarityWeights::default(), stale);
     }
 
     #[test]

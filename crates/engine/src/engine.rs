@@ -4,14 +4,16 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use dehealth_core::attack::AttackConfig;
 use dehealth_core::filter::{filter_user, threshold_vector, Filtered, ScoreBounds};
-use dehealth_core::index::{AttributeIndex, IndexedScorer, PairTally};
+use dehealth_core::index::{AttributeIndex, AuxHotAttrs, IndexedScorer, PairTally};
 use dehealth_core::refined::{
     refine_user, refine_user_shared, RefinedConfig, RefinedContext, RefinedScratch, Side,
 };
-use dehealth_core::similarity::SimilarityEngine;
+use dehealth_core::similarity::{AuxStructure, SimilarityEngine};
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
 use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_corpus::{Forum, Post};
@@ -166,7 +168,12 @@ impl Engine {
     /// [`RefinedContext`] when `aux` carries them (the context is used
     /// only if it matches the configured classifier's representation —
     /// sparse for KNN, dense otherwise — and is rebuilt from the
-    /// prepared features otherwise, still without touching post text).
+    /// prepared features otherwise, still without touching post text),
+    /// and the auxiliary [`AuxStructure`] and [`AuxHotAttrs`] once
+    /// `aux.cache` holds them (see [`AuxiliaryCache`]). The `structure`
+    /// stage of the report times the similarity-engine and scorer
+    /// construction; its items are the auxiliary users whose structure
+    /// this call built, 0 on a cache hit.
     /// Candidate sets and mappings are bit-identical to [`Engine::run`]
     /// on the same forums, and therefore to the serial `DeHealth::run`
     /// (`tests/service_parity.rs`).
@@ -198,18 +205,21 @@ impl Engine {
         });
         report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
 
-        let sim = SimilarityEngine::new(&anon_uda, aux.uda, cfg.weights, cfg.n_landmarks);
-        let built_index = match (self.config.scoring, aux.index) {
-            (ScoringMode::Indexed, None) => Some(AttributeIndex::from_uda(aux.uda)),
-            _ => None,
-        };
-        let index = match self.config.scoring {
-            ScoringMode::Indexed => aux.index.or(built_index.as_ref()),
-            ScoringMode::Dense => None,
-        };
+        let structure_start = Instant::now();
+        let index = aux.scoring_index(self.config.scoring);
+        let index = index.as_deref();
+        let (aux_st, built) = aux.cache.structure(aux.uda, cfg.n_landmarks);
+        let sim = SimilarityEngine::with_aux_structure(&anon_uda, aux.uda, cfg.weights, aux_st);
+        // Pruning would hide the global score minimum from `bounds`,
+        // which Algorithm-2 filtering thresholds against.
+        let prune = cfg.filtering.is_none();
+        let scorer = index.map(|index| {
+            IndexedScorer::with_hot_attrs(&sim, index, aux.cache.hot_attrs(index), prune)
+        });
+        report.record("structure", "users", built, structure_start.elapsed().as_secs_f64());
         let mut heaps = vec![BoundedTopK::new(cfg.top_k); anonymized.n_users];
         let mut bounds = ScoreBounds::new();
-        topk_pass(&self.config, &sim, index, 0, &mut heaps, &mut bounds, &mut report);
+        topk_pass(&self.config, &sim, scorer.as_ref(), 0, &mut heaps, &mut bounds, &mut report);
 
         let anon_side = Side { forum: anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
@@ -234,6 +244,10 @@ impl Engine {
     ///
     /// - the [`AttributeIndex`] build when `aux` does not carry one
     ///   (built once, probed by every request);
+    /// - the auxiliary [`AuxStructure`] and the index's [`AuxHotAttrs`],
+    ///   built once into `aux.cache` (or read from it). A request whose
+    ///   `n_landmarks` differs from the cached structure's builds its
+    ///   own;
     /// - the auxiliary [`RefinedContext`] rebuild when `aux`'s is
     ///   missing or does not match a request's classifier (built once
     ///   per distinct classifier kind, shared read-only);
@@ -243,9 +257,10 @@ impl Engine {
     ///   pool together instead of each paying their own fan-out.
     ///
     /// Per-request [`EngineReport`]s carry exact per-request item
-    /// counts; the wall-clock seconds of the fused `topk`/`refined`
-    /// stages are batch-wide (the pass is shared, so per-request time
-    /// is not separable) and therefore appear in every report.
+    /// counts; the wall-clock seconds of the shared `structure` and the
+    /// fused `topk`/`refined` stages are batch-wide (the work is shared,
+    /// so per-request time is not separable) and therefore appear in
+    /// every report.
     ///
     /// # Panics
     /// Panics if `aux` is internally inconsistent (as
@@ -296,25 +311,24 @@ impl Engine {
             anon_prepared.push((feats, uda));
         }
 
-        // Shared auxiliary artifacts: one index build serves the batch.
-        let built_index = match (self.config.scoring, aux.index) {
-            (ScoringMode::Indexed, None) => Some(AttributeIndex::from_uda(aux.uda)),
-            _ => None,
-        };
-        let index = match self.config.scoring {
-            ScoringMode::Indexed => aux.index.or(built_index.as_ref()),
-            ScoringMode::Dense => None,
-        };
-
+        // Shared auxiliary artifacts: one index build, and the cache's
+        // structure and hot tables, serve the batch.
+        let structure_start = Instant::now();
+        let index = aux.scoring_index(self.config.scoring);
+        let index = index.as_deref();
+        let mut built = vec![0u64; n_req];
         let sims: Vec<SimilarityEngine<'_>> = requests
             .iter()
             .zip(&anon_prepared)
-            .map(|(request, (_, anon_uda))| {
-                SimilarityEngine::new(
+            .zip(&mut built)
+            .map(|((request, (_, anon_uda)), built)| {
+                let (aux_st, n) = aux.cache.structure(aux.uda, request.attack.n_landmarks);
+                *built = n;
+                SimilarityEngine::with_aux_structure(
                     anon_uda,
                     aux.uda,
                     request.attack.weights,
-                    request.attack.n_landmarks,
+                    aux_st,
                 )
             })
             .collect();
@@ -325,10 +339,15 @@ impl Engine {
                 // Pruning per request, exactly as the solo path: off
                 // whenever that request's filtering needs exact bounds.
                 index.map(|index| {
-                    IndexedScorer::new(sim, index, 0, request.attack.filtering.is_none())
+                    let prune = request.attack.filtering.is_none();
+                    IndexedScorer::with_hot_attrs(sim, index, aux.cache.hot_attrs(index), prune)
                 })
             })
             .collect();
+        let structure_secs = structure_start.elapsed().as_secs_f64();
+        for (report, &built) in reports.iter_mut().zip(&built) {
+            report.record("structure", "users", built, structure_secs);
+        }
 
         // Fused Top-K: one work-stealing pass over every
         // (request, anon user) item. Workers keep per-request bounds
@@ -675,16 +694,29 @@ impl EngineSession<'_> {
         let chunk_uda = UdaGraph::build_with_features(chunk, &chunk_feats);
         self.report.record("prepare", "posts", chunk.posts.len() as u64, prep_secs);
 
-        let cfg = &self.config.attack;
-        let sim = SimilarityEngine::new(&self.anon_uda, &chunk_uda, cfg.weights, cfg.n_landmarks);
-
         if let Some(index) = &mut self.index {
             index.append_uda(&chunk_uda);
         }
+        // The chunk's structure is the session's own: each chunk brings
+        // its own graph and landmarks, so nothing is cached.
+        let structure_start = Instant::now();
+        let cfg = &self.config.attack;
+        let sim = SimilarityEngine::new(&self.anon_uda, &chunk_uda, cfg.weights, cfg.n_landmarks);
+        // Pruning would hide the global score minimum from `bounds`,
+        // which Algorithm-2 filtering thresholds against.
+        let prune = cfg.filtering.is_none();
+        let scorer =
+            self.index.as_ref().map(|index| IndexedScorer::new(&sim, index, user_offset, prune));
+        self.report.record(
+            "structure",
+            "users",
+            chunk.n_users as u64,
+            structure_start.elapsed().as_secs_f64(),
+        );
         topk_pass(
             &self.config,
             &sim,
-            self.index.as_ref(),
+            scorer.as_ref(),
             user_offset,
             &mut self.heaps,
             &mut self.bounds,
@@ -781,45 +813,100 @@ pub struct PreparedAuxiliary<'a> {
     /// `features` when `None`, or when its representation does not match
     /// the configured classifier). May be owned or snapshot-borrowed.
     pub context: Option<&'a RefinedContext>,
+    /// This corpus generation's cache of the auxiliary structure and hot
+    /// tables. An empty cache that is then dropped builds them for one
+    /// call, once per batch.
+    pub cache: &'a AuxiliaryCache,
+}
+
+impl<'a> PreparedAuxiliary<'a> {
+    /// The index one [`Engine::run_prepared`] or
+    /// [`Engine::run_prepared_batch`] call scores through under
+    /// `scoring`: `index`, or one built over `uda` for this call.
+    fn scoring_index(&self, scoring: ScoringMode) -> Option<Cow<'a, AttributeIndex>> {
+        match scoring {
+            ScoringMode::Indexed => Some(
+                self.index
+                    .map_or_else(|| Cow::Owned(AttributeIndex::from_uda(self.uda)), Cow::Borrowed),
+            ),
+            ScoringMode::Dense => None,
+        }
+    }
+}
+
+/// Per-generation cache of the auxiliary side's scoring state: the
+/// [`AuxStructure`] of its UDA graph (landmarks, closeness and NCS
+/// vectors, per-user scalars) and the [`AuxHotAttrs`] of its attribute
+/// index. Neither depends on the anonymized batch beyond `n_landmarks`,
+/// so a standing corpus builds each once and every later
+/// [`Engine::run_prepared`] or [`Engine::run_prepared_batch`] reads it.
+///
+/// - **Lazy.** The first attack that needs an entry builds it; attacks
+///   racing to be first wait for that one build ([`OnceLock`]).
+/// - **Keyed by first use.** The structure is built for the first
+///   attack's `n_landmarks`. An attack with another value builds a
+///   structure of its own and leaves the cached one in place, so the
+///   cache holds at most one structure whatever values clients send.
+/// - **Owned by the corpus.** Whoever changes the auxiliary side must
+///   replace the cache with a fresh default: new users can move the
+///   landmarks and the hot threshold. A stale entry of another size makes
+///   the scoring constructors panic instead of mis-scoring.
+///
+/// Cloning shares the built entries.
+#[derive(Debug, Clone, Default)]
+pub struct AuxiliaryCache {
+    structure: OnceLock<AuxStructure>,
+    hot: OnceLock<AuxHotAttrs>,
+}
+
+impl AuxiliaryCache {
+    /// The structure of `uda` for `n_landmarks`, and the number of
+    /// auxiliary users this call built it for (0 on a cache hit).
+    fn structure(&self, uda: &UdaGraph, n_landmarks: usize) -> (AuxStructure, u64) {
+        let mut built = 0;
+        let cached = self.structure.get_or_init(|| {
+            built = uda.n_users() as u64;
+            AuxStructure::build(uda, n_landmarks)
+        });
+        if cached.n_landmarks() == n_landmarks {
+            (cached.clone(), built)
+        } else {
+            (AuxStructure::build(uda, n_landmarks), uda.n_users() as u64)
+        }
+    }
+
+    /// The hot tables of `index`, built by the first call.
+    fn hot_attrs(&self, index: &AttributeIndex) -> AuxHotAttrs {
+        self.hot.get_or_init(|| AuxHotAttrs::build(index)).clone()
+    }
 }
 
 /// One Top-K scoring pass of `sim`'s full anonymized population against
 /// its auxiliary side, sharded over the worker pool — the shared core of
 /// [`EngineSession::add_auxiliary_users`] (where `from` is the session's
 /// pre-ingest watermark) and [`Engine::run_prepared`] (where `from` is
-/// 0). With an `index` the pass probes posting suffixes and prunes
-/// against each heap's floor; pruning stays off whenever Algorithm-2
-/// filtering needs exact global [`ScoreBounds`].
+/// 0). With a `scorer` the pass probes posting suffixes (and prunes
+/// against each heap's floor when the scorer does); without one it runs
+/// the dense sweep.
 fn topk_pass(
     config: &EngineConfig,
     sim: &SimilarityEngine<'_>,
-    index: Option<&AttributeIndex>,
+    scorer: Option<&IndexedScorer<'_, '_>>,
     from: usize,
     heaps: &mut [BoundedTopK],
     bounds: &mut ScoreBounds,
     report: &mut EngineReport,
 ) {
-    // Pruning would hide the global score minimum from `bounds`, which
-    // Algorithm-2 filtering thresholds against — so it is only enabled
-    // when no filtering is configured.
-    let prune = config.attack.filtering.is_none();
-    let scorer = index.map(|index| IndexedScorer::new(sim, index, from, prune));
     let ((), topk_secs) = timed(|| {
         let states = run_blocks(
             heaps,
             config.block_size,
             config.effective_threads(),
-            || {
-                (
-                    ScoreBounds::new(),
-                    PairTally::default(),
-                    scorer.as_ref().map(IndexedScorer::scratch),
-                )
-            },
+            || (ScoreBounds::new(), PairTally::default(), scorer.map(IndexedScorer::scratch)),
             |offset, block, (local_bounds, tally, scratch)| {
                 for (i, heap) in block.iter_mut().enumerate() {
                     let u = offset + i;
-                    if let (Some(scorer), Some(scratch)) = (&scorer, scratch.as_mut()) {
+                    if let (Some(scorer), Some(scratch)) = (scorer, scratch.as_mut()) {
                         *tally += scorer.score_user(u, scratch, heap, local_bounds);
                     } else {
                         for (v, s) in sim.scores_for(u) {
@@ -1156,6 +1243,9 @@ mod tests {
         assert_eq!(pairs.items + pairs.skipped, (split.anonymized.n_users * present) as u64);
         assert!(out.report.stage("prepare").is_some());
         assert!(out.report.stage("refined").is_some());
+        // The session built the structure of every auxiliary user.
+        let structure = out.report.stage("structure").expect("structure stage ran");
+        assert_eq!(structure.items, split.auxiliary.n_users as u64);
         assert_eq!(out.report.n_threads, 2);
     }
 
@@ -1333,6 +1423,7 @@ mod tests {
                 uda: &uda,
                 index: ix,
                 context: ctx,
+                cache: &AuxiliaryCache::default(),
             };
             let out = engine.run_prepared(&prepared, &split.anonymized);
             assert_eq!(out.candidates, baseline.candidates);
@@ -1361,6 +1452,7 @@ mod tests {
             uda: &uda,
             index: Some(&index),
             context: None,
+            cache: &AuxiliaryCache::default(),
         };
         for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
             let engine = Engine::new(EngineConfig {
@@ -1413,8 +1505,11 @@ mod tests {
                 uda: &uda,
                 index: ix,
                 context,
+                cache: &AuxiliaryCache::default(),
             };
             for n_threads in [1, 2, 8] {
+                // Each batch starts a fresh generation's cache.
+                let prepared = PreparedAuxiliary { cache: &AuxiliaryCache::default(), ..prepared };
                 let engine = Engine::new(EngineConfig {
                     attack: attack_cfg(),
                     n_threads,
@@ -1454,6 +1549,12 @@ mod tests {
                     assert_eq!(topk.items, solo_topk.items, "request {i}");
                     assert_eq!(topk.skipped, solo_topk.skipped, "request {i}");
                 }
+                // One structure serves the requests sharing the first
+                // request's `n_landmarks`; the third builds its own.
+                let n = split.auxiliary.n_users as u64;
+                let built: Vec<u64> =
+                    batch.iter().map(|o| o.report.stage("structure").unwrap().items).collect();
+                assert_eq!(built, [n, 0, n, 0]);
             }
         }
     }
@@ -1469,6 +1570,7 @@ mod tests {
             uda: &uda,
             index: None,
             context: None,
+            cache: &AuxiliaryCache::default(),
         };
         let engine = Engine::new(EngineConfig::default());
         assert!(engine.run_prepared_batch(&prepared, &[]).is_empty());
@@ -1490,6 +1592,7 @@ mod tests {
             uda: &uda,
             index: Some(&stale),
             context: None,
+            cache: &AuxiliaryCache::default(),
         };
         let engine = Engine::new(EngineConfig::default());
         let _ = engine.run_prepared(&prepared, &split.anonymized);

@@ -9,14 +9,21 @@
 //!   attack's single most expensive preprocessing step,
 //! - the [`UdaGraph`] (correlation graph, attributes, profiles),
 //! - the [`AttributeIndex`] behind the inverted-index Top-K scorer,
-//! - the refined-DA [`RefinedContext`] feature arena.
+//! - the refined-DA [`RefinedContext`] feature arena,
+//! - in memory only, the generation's [`AuxiliaryCache`]: the auxiliary
+//!   similarity structure and the index's hot tables, built by the first
+//!   attack, read by every later one, and reset by
+//!   [`PreparedCorpus::append_users`].
 //!
 //! [`PreparedCorpus::save`] writes all of it into one snapshot file
 //! (container format: [`dehealth_corpus::snapshot`], 8-byte-aligned
 //! sections; byte-level layout: ARCHITECTURE.md), and
 //! [`PreparedCorpus::load`] restores it without touching any post text —
 //! feature extraction is skipped entirely, which is what makes a daemon
-//! restart orders of magnitude cheaper than a cold corpus build.
+//! restart cheaper than a cold corpus build: at 600 users
+//! `BENCH_service.json` records the owned load at 11.3% of the cold
+//! build (8.9× cheaper), and repeated runs on the same 2-core box range
+//! from 11% to 23%.
 //! Round-trips are bit-exact: a loaded corpus re-saves to the identical
 //! byte stream (`tests/snapshot_roundtrip.rs`).
 //!
@@ -53,7 +60,7 @@ use dehealth_corpus::snapshot::{
     SnapshotStreamer, SnapshotWriter,
 };
 use dehealth_corpus::{Forum, Post};
-use dehealth_engine::{Engine, PreparedAuxiliary};
+use dehealth_engine::{AuxiliaryCache, Engine, PreparedAuxiliary};
 use dehealth_mapped::{ByteSource, SharedBytes};
 use dehealth_stylometry::{FeatureVector, M};
 
@@ -102,6 +109,9 @@ pub struct PreparedCorpus {
     index: AttributeIndex,
     context: RefinedContext,
     classifier: ClassifierKind,
+    /// This generation's auxiliary structure and hot tables, built by the
+    /// first attack and reset by [`Self::append_users`]; never saved.
+    cache: AuxiliaryCache,
 }
 
 impl PreparedCorpus {
@@ -134,7 +144,7 @@ impl PreparedCorpus {
             &Side { forum: &forum, uda: &uda, post_features: &features },
             classifier,
         );
-        Self { forum, features, uda, index, context, classifier }
+        Self { forum, features, uda, index, context, classifier, cache: AuxiliaryCache::default() }
     }
 
     /// The auxiliary forum.
@@ -194,6 +204,7 @@ impl PreparedCorpus {
             uda: &self.uda,
             index: Some(&self.index),
             context: Some(&self.context),
+            cache: &self.cache,
         }
     }
 
@@ -213,6 +224,10 @@ impl PreparedCorpus {
     /// On a [`LoadMode::Mapped`] corpus this is where copy-on-write
     /// happens: the borrowed arenas are promoted to owned storage before
     /// the first new row lands, and the corpus detaches from its mapping.
+    ///
+    /// The ingest starts a new generation: its [`AuxiliaryCache`] is
+    /// reset, and the next attack rebuilds the auxiliary structure and
+    /// hot tables.
     pub fn append_users(&mut self, chunk: &Forum) {
         let user_offset = self.forum.n_users;
         let thread_offset = self.forum.n_threads;
@@ -247,6 +262,9 @@ impl PreparedCorpus {
         self.forum = merged;
         self.features = features;
         self.uda = uda;
+        // A new cohort can bring new high-degree users (new landmarks)
+        // and moves the hot threshold: the next attack rebuilds both.
+        self.cache = AuxiliaryCache::default();
     }
 
     /// Serialize into snapshot bytes (sections: forum, features, index,
@@ -356,7 +374,15 @@ impl PreparedCorpus {
         let classifier =
             if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
         debug_assert!(context.matches_classifier(classifier));
-        Ok(Self { forum, features, uda, index, context, classifier })
+        Ok(Self {
+            forum,
+            features,
+            uda,
+            index,
+            context,
+            classifier,
+            cache: AuxiliaryCache::default(),
+        })
     }
 
     /// Read and restore a snapshot file, eagerly and fully owned
@@ -446,9 +472,10 @@ impl PreparedCorpus {
     /// Run a coalesced batch of attacks against this corpus in one
     /// fused engine pass
     /// ([`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch)):
-    /// the prepared index and refined context are shared across every
-    /// request, while each request's results stay bit-identical to a
-    /// solo [`PreparedCorpus::attack`].
+    /// the prepared index and refined context, and the generation's
+    /// cached structure and hot tables, are shared across every request,
+    /// while each request's results stay bit-identical to a solo
+    /// [`PreparedCorpus::attack`].
     pub fn attack_batch(
         &self,
         engine: &Engine,
@@ -462,6 +489,7 @@ impl PreparedCorpus {
 mod tests {
     use super::*;
     use dehealth_corpus::{closed_world_split, ForumConfig, SplitConfig};
+    use dehealth_engine::EngineOutcome;
 
     fn tiny_corpus() -> PreparedCorpus {
         let forum = Forum::generate(&ForumConfig::tiny(), 42);
@@ -585,6 +613,198 @@ mod tests {
         // Bit-identical state: both re-serialize to the on-disk bytes.
         assert_eq!(mapped.to_snapshot_bytes(), owned.to_snapshot_bytes());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The lifecycle tests' engine: a tiny-forum attack with `n_landmarks`.
+    /// Its Top-K is wide enough to keep pairs whose distance similarity
+    /// depends on the landmarks.
+    fn engine(n_landmarks: usize) -> Engine {
+        Engine::new(dehealth_engine::EngineConfig {
+            attack: dehealth_core::AttackConfig {
+                top_k: 30,
+                n_landmarks,
+                ..dehealth_core::AttackConfig::default()
+            },
+            n_threads: 2,
+            block_size: 8,
+            ..dehealth_engine::EngineConfig::default()
+        })
+    }
+
+    /// `engine`'s attack on `corpus` with the cache out of the picture.
+    fn uncached(corpus: &PreparedCorpus, engine: &Engine, anon: &Forum) -> EngineOutcome {
+        let cache = AuxiliaryCache::default();
+        engine.run_prepared(&PreparedAuxiliary { cache: &cache, ..corpus.prepared() }, anon)
+    }
+
+    /// Candidates, score bits and mappings agree.
+    fn assert_same(got: &EngineOutcome, want: &EngineOutcome, what: &str) {
+        assert_eq!(got.candidates, want.candidates, "{what}: candidates");
+        assert_eq!(got.mapping, want.mapping, "{what}: mapping");
+        assert_eq!(got.candidate_scores.len(), want.candidate_scores.len(), "{what}");
+        for (a, b) in got.candidate_scores.iter().zip(&want.candidate_scores) {
+            let bits = |e: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                e.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{what}: candidate scores");
+        }
+    }
+
+    /// Auxiliary users whose structure the attack built (the `structure`
+    /// stage's items).
+    fn built(outcome: &EngineOutcome) -> u64 {
+        outcome.report.stage("structure").expect("structure stage recorded").items
+    }
+
+    /// An auxiliary forum cut into two disjoint cohorts, their union in
+    /// the ingest's id convention, and the anonymized side to attack.
+    fn cohorts() -> (Forum, Forum, Forum, Forum) {
+        let forum = Forum::generate(&ForumConfig::tiny(), 3);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 5);
+        let aux = split.auxiliary;
+        let cut = aux.n_users / 2;
+        let chunk_of = |lo: usize, hi: usize| {
+            let posts: Vec<Post> = aux
+                .posts
+                .iter()
+                .filter(|p| (lo..hi).contains(&p.author))
+                .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
+                .collect();
+            Forum::from_posts(hi - lo, aux.n_threads, posts)
+        };
+        let (first, second) = (chunk_of(0, cut), chunk_of(cut, aux.n_users));
+        let mut posts = first.posts.clone();
+        posts.extend(second.posts.iter().map(|p| Post {
+            author: p.author + cut,
+            thread: p.thread + aux.n_threads,
+            text: p.text.clone(),
+        }));
+        let union = Forum::from_posts(aux.n_users, aux.n_threads * 2, posts);
+        (first, second, union, split.anonymized)
+    }
+
+    #[test]
+    fn append_users_resets_the_auxiliary_cache() {
+        let (first, second, union, anon) = cohorts();
+        let engine = engine(10);
+        let mut corpus = PreparedCorpus::build(first, ClassifierKind::default());
+        let filling = corpus.attack(&engine, &anon);
+        assert_same(&filling, &uncached(&corpus, &engine, &anon), "filling attack");
+        assert_eq!(built(&filling), corpus.n_users() as u64);
+        let hit = corpus.attack(&engine, &anon);
+        assert_same(&hit, &filling, "cached attack");
+        assert_eq!(built(&hit), 0, "a cached attack builds no auxiliary structure");
+        // A clone is identical to its source, filled cache included.
+        assert_eq!(built(&corpus.clone().attack(&engine, &anon)), 0);
+
+        corpus.append_users(&second);
+        let after = corpus.attack(&engine, &anon);
+        let fresh = PreparedCorpus::build(union, ClassifierKind::default());
+        assert_same(&after, &uncached(&fresh, &engine, &anon), "attack after append");
+        assert_eq!(built(&after), corpus.n_users() as u64, "the append reset the cache");
+        assert_eq!(built(&corpus.attack(&engine, &anon)), 0);
+    }
+
+    #[test]
+    fn other_n_landmarks_build_their_own_structure() {
+        let (_, _, union, anon) = cohorts();
+        let corpus = PreparedCorpus::build(union, ClassifierKind::default());
+        let n = corpus.n_users() as u64;
+        let (cached, other) = (engine(4), engine(10));
+        // The first attack keys the cache to its `n_landmarks` (4).
+        let filling = corpus.attack(&cached, &anon);
+        assert_same(&filling, &uncached(&corpus, &cached, &anon), "filling attack");
+        assert_eq!(built(&filling), n);
+        // Another value builds its own structure on every attack and never
+        // evicts the cached one.
+        for round in 0..2 {
+            let out = corpus.attack(&other, &anon);
+            assert_same(&out, &uncached(&corpus, &other, &anon), "other n_landmarks");
+            assert_eq!(built(&out), n, "round {round}");
+            let hit = corpus.attack(&cached, &anon);
+            assert_same(&hit, &filling, "cached n_landmarks");
+            assert_eq!(built(&hit), 0, "round {round}");
+        }
+        // The two values really score differently.
+        assert_ne!(
+            format!("{:?}", corpus.attack(&other, &anon).candidate_scores),
+            format!("{:?}", filling.candidate_scores)
+        );
+    }
+
+    #[test]
+    fn batch_mixing_n_landmarks_matches_solo_runs() {
+        let (_, _, union, anon) = cohorts();
+        let corpus = PreparedCorpus::build(union, ClassifierKind::default());
+        let n = corpus.n_users() as u64;
+        let landmarks = [10, 4, 10, 4];
+        let requests: Vec<dehealth_engine::BatchRequest<'_>> = landmarks
+            .iter()
+            .map(|&l| dehealth_engine::BatchRequest {
+                attack: engine(l).config().attack.clone(),
+                anonymized: &anon,
+            })
+            .collect();
+        // The first batch fills the cache with its first request's value
+        // (10); the second batch finds it filled.
+        for expect_built in [[n, n, 0, n], [0, n, 0, n]] {
+            let batch = corpus.attack_batch(&engine(10), &requests);
+            for (i, (out, &l)) in batch.iter().zip(&landmarks).enumerate() {
+                let solo = uncached(&corpus, &engine(l), &anon);
+                assert_same(out, &solo, &format!("request {i}"));
+                assert_eq!(built(out), expect_built[i], "request {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn owned_and_mapped_loads_fill_their_own_caches() {
+        let corpus = tiny_corpus();
+        let split = closed_world_split(
+            &Forum::generate(&ForumConfig::tiny(), 42),
+            &SplitConfig::fraction(0.5),
+            7,
+        );
+        let engine = engine(10);
+        let want = uncached(&corpus, &engine, &split.anonymized);
+        let path = std::env::temp_dir().join("dehealth-corpus-cache-load-test.snap");
+        corpus.save(&path).unwrap();
+        for mode in [LoadMode::Owned, LoadMode::Mapped] {
+            let loaded = PreparedCorpus::load_with(&path, mode).unwrap();
+            let filling = loaded.attack(&engine, &split.anonymized);
+            assert_same(&filling, &want, &format!("{mode:?} load, filling attack"));
+            assert_eq!(built(&filling), loaded.n_users() as u64);
+            let hit = loaded.attack(&engine, &split.anonymized);
+            assert_same(&hit, &want, &format!("{mode:?} load, cached attack"));
+            assert_eq!(built(&hit), 0);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn racing_first_attacks_share_one_build() {
+        let (_, _, union, anon) = cohorts();
+        let corpus = PreparedCorpus::build(union, ClassifierKind::default());
+        let engine = engine(10);
+        let want = uncached(&corpus, &engine, &anon);
+        let start = std::sync::Barrier::new(2);
+        let outcomes: Vec<EngineOutcome> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        corpus.attack(&engine, &anon)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().expect("attack thread panicked")).collect()
+        });
+        for out in &outcomes {
+            assert_same(out, &want, "racing attack");
+        }
+        let mut builds: Vec<u64> = outcomes.iter().map(built).collect();
+        builds.sort_unstable();
+        assert_eq!(builds, [0, corpus.n_users() as u64], "exactly one racer builds");
     }
 
     #[test]

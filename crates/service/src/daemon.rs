@@ -2089,6 +2089,49 @@ mod tests {
         assert_eq!(state.metrics.corpus_users.get(), state.corpus().unwrap().n_users() as i64);
     }
 
+    /// Served attacks report the `structure` stage on the wire and in
+    /// `engine_stage_*`: the first attack on a corpus generation builds
+    /// the auxiliary structure, the next one reuses it, and an ingest
+    /// starts a generation that builds it again.
+    #[test]
+    fn served_attacks_report_the_structure_stage() {
+        use crate::client::ServiceClient;
+        use crate::protocol::AttackOptions;
+        use dehealth_corpus::{closed_world_split, SplitConfig};
+
+        let forum = Forum::generate(&ForumConfig::tiny(), 42);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+        let corpus = PreparedCorpus::build(split.auxiliary, Default::default());
+        let n_before = corpus.n_users() as u64;
+        let daemon =
+            Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        let mut built = || {
+            let reply = client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
+            let stages = reply.raw.get("report").and_then(|r| r.get("stages")).unwrap().clone();
+            let stages = stages.as_array().unwrap();
+            let structure = stages
+                .iter()
+                .find(|s| s.get("stage").and_then(Json::as_str) == Some("structure"))
+                .expect("the reply reports the structure stage");
+            structure.get("items").and_then(Json::as_usize).unwrap() as u64
+        };
+        assert_eq!(built(), n_before);
+        assert_eq!(built(), 0, "the second attack reuses the generation's structure");
+        client.add_auxiliary_users(&Forum::generate(&ForumConfig::tiny(), 77)).unwrap();
+        let reply = client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
+        assert!(reply.raw.get("report").is_some());
+
+        let registry = daemon.registry();
+        let labels = [("stage", "structure")];
+        assert_eq!(registry.histogram_with("engine_stage_seconds", &labels).count(), 3);
+        let items = registry.counter_with("engine_stage_items_total", &labels).get();
+        let n_after = n_before + ForumConfig::tiny().n_users as u64;
+        assert_eq!(items, n_before + n_after, "the ingest started a new generation");
+        client.shutdown().unwrap();
+        daemon.join();
+    }
+
     /// `mode` and `margin` once selected an approximate attack tier.
     /// They are unknown fields now, which the JSON path ignores: every
     /// such request gets the exact answer.
