@@ -267,7 +267,9 @@ impl RefinedContext {
             }
         } else {
             let data = self.data.to_mut();
-            data.reserve_exact((side.forum.posts.len() - from_post) * dim);
+            // Amortized growth: a corpus that grows in place must not copy
+            // its whole arena on every ingest.
+            data.reserve((side.forum.posts.len() - from_post) * dim);
             for (post, features) in side.forum.posts.iter().zip(side.post_features).skip(from_post)
             {
                 data.extend_from_slice(&sample(features, side.uda, post.author));

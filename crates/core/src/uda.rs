@@ -43,7 +43,7 @@ pub fn extract_post_features(forum: &Forum) -> Vec<FeatureVector> {
 }
 
 /// The UDA graph of one forum.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UdaGraph {
     /// Correlation graph over the forum's users.
     pub graph: Graph,
@@ -102,6 +102,23 @@ impl UdaGraph {
             profiles: profiles_acc.iter().map(UserProfile::mean).collect(),
             post_counts: (0..n).map(|u| forum.post_count(u)).collect(),
         }
+    }
+
+    /// Append the UDA graph of a disjoint cohort: `other`'s user `i`
+    /// becomes user `n_users() + i`, with its attributes, profile and post
+    /// count, and its edges shifted by the same offset.
+    ///
+    /// A cohort that brings its own threads shares no edge with the users
+    /// already here, and their attributes, profiles and post counts do not
+    /// change. Each new user's posts arrive in the order a union build
+    /// would merge them, and co-thread weights are sums of `1.0`, exact in
+    /// any order. So appending the cohort's own graph equals
+    /// [`UdaGraph::build_with_features`] over the union, bit for bit.
+    pub fn append(&mut self, other: UdaGraph) {
+        self.graph.append(other.graph);
+        self.attributes.extend(other.attributes);
+        self.profiles.extend(other.profiles);
+        self.post_counts.extend(other.post_counts);
     }
 
     /// Number of users (including absent ones).

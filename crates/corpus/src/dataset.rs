@@ -258,6 +258,31 @@ impl Forum {
         }
     }
 
+    /// Append a disjoint cohort: `chunk`'s users and threads take the ids
+    /// after this forum's, and its posts follow this forum's posts. The
+    /// result equals [`Forum::from_posts`] over the merged posts, field
+    /// for field; like it, the merged forum carries no per-thread
+    /// metadata (`thread_board` and `thread_topic` end up empty).
+    pub fn append(&mut self, chunk: Forum) {
+        let (user_offset, thread_offset) = (self.n_users, self.n_threads);
+        let post_offset = self.posts.len();
+        self.posts.extend(chunk.posts.into_iter().map(|p| Post {
+            author: p.author + user_offset,
+            thread: p.thread + thread_offset,
+            text: p.text,
+        }));
+        self.post_index.extend(chunk.post_index.into_iter().map(|mut ids| {
+            for i in &mut ids {
+                *i += post_offset;
+            }
+            ids
+        }));
+        self.n_users += chunk.n_users;
+        self.n_threads += chunk.n_threads;
+        self.thread_board.clear();
+        self.thread_topic.clear();
+    }
+
     /// Indices into [`Forum::posts`] of user `u`'s posts.
     #[must_use]
     pub fn user_posts(&self, u: usize) -> &[usize] {
@@ -522,6 +547,34 @@ mod tests {
         // Paper: WebMD mean 5.66 posts/user, 87.3% below 5 posts.
         assert!((mean - 5.66).abs() < 1.0, "mean = {mean}");
         assert!((below5 - 0.873).abs() < 0.02, "below5 = {below5}");
+    }
+
+    #[test]
+    fn append_matches_from_posts_over_the_merged_posts() {
+        let f = small_forum();
+        let cut = f.posts.len() / 2;
+        let head = Forum::from_posts(f.n_users, f.n_threads, f.posts[..cut].to_vec());
+        let tail = Forum::from_posts(f.n_users + 2, f.n_threads + 1, f.posts[cut..].to_vec());
+        let mut merged_posts = head.posts.clone();
+        merged_posts.extend(tail.posts.iter().map(|p| Post {
+            author: p.author + f.n_users,
+            thread: p.thread + f.n_threads,
+            text: p.text.clone(),
+        }));
+        let want = Forum::from_posts(2 * f.n_users + 2, 2 * f.n_threads + 1, merged_posts);
+
+        // A base with thread metadata: the merged forum drops it.
+        let mut got = head;
+        got.thread_board = f.thread_board.clone();
+        got.thread_topic = f.thread_topic.clone();
+        got.append(tail);
+        assert_eq!((got.n_users, got.n_threads), (want.n_users, want.n_threads));
+        assert!(got.thread_board.is_empty() && got.thread_topic.is_empty());
+        let triple = |p: &Post| (p.author, p.thread, p.text.clone());
+        assert!(got.posts.iter().map(triple).eq(want.posts.iter().map(triple)));
+        for u in 0..want.n_users {
+            assert_eq!(got.user_posts(u), want.user_posts(u), "user {u}");
+        }
     }
 
     #[test]

@@ -966,12 +966,21 @@ pub fn encode_forum<W: SectionWrite>(forum: &Forum, buf: &mut W) {
 /// Decode a [`Forum`] written by [`encode_forum`], rebuilding the
 /// per-user post index via [`Forum::from_posts`].
 ///
+/// Decoding and every later use of the forum allocate per declared user
+/// and thread, so both counts are bounded by the bytes left in the
+/// section: a 12-byte payload cannot ask for `u32::MAX` users.
+///
 /// # Errors
 /// [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`] on
-/// malformed payloads (out-of-range author/thread ids, invalid UTF-8).
+/// malformed payloads (a user or thread count above the section's
+/// remaining bytes, out-of-range author/thread ids, invalid UTF-8).
 pub fn decode_forum(r: &mut SectionReader<'_>) -> Result<Forum, SnapshotError> {
+    let carrier = r.remaining();
     let n_users = r.take_u32()? as usize;
     let n_threads = r.take_u32()? as usize;
+    if n_users > carrier || n_threads > carrier {
+        return Err(SnapshotError::Malformed { context: "implausible user or thread count" });
+    }
     let n_posts = r.take_u32()? as usize;
     if n_posts > r.remaining() / 12 {
         // Each post needs ≥ 12 bytes (two ids + text length prefix).

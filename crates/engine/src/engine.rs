@@ -16,7 +16,7 @@ use dehealth_core::refined::{
 use dehealth_core::similarity::{AuxStructure, SimilarityEngine};
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
 use dehealth_core::uda::{extract_post_features, UdaGraph};
-use dehealth_corpus::{Forum, Post};
+use dehealth_corpus::Forum;
 use dehealth_stylometry::FeatureVector;
 
 use crate::pool::run_blocks;
@@ -615,10 +615,9 @@ impl Engine {
             anon_forum: anonymized,
             anon_feats,
             anon_uda,
-            aux_posts: Vec::new(),
+            aux_forum: Forum::from_posts(0, 0, Vec::new()),
             aux_feats: Vec::new(),
-            aux_users: 0,
-            aux_threads: 0,
+            aux_uda: UdaGraph::default(),
             heaps,
             index,
             bounds: ScoreBounds::new(),
@@ -634,7 +633,10 @@ impl Engine {
 /// chunks — the streaming-auxiliary-data scenario). Only the
 /// `|V1| × |chunk|` pair block is scored per ingest; previously scored
 /// pairs are never revisited, their surviving scores live in the per-user
-/// bounded Top-K heaps.
+/// bounded Top-K heaps. The session also keeps the merged auxiliary side
+/// for the refined stage: each chunk's forum rows, features and UDA graph
+/// are appended as it arrives, so [`EngineSession::finish`] rebuilds
+/// nothing.
 ///
 /// Structural caveat: each chunk's degree/distance similarities are
 /// computed against the chunk's own correlation graph and landmarks, so
@@ -647,13 +649,16 @@ pub struct EngineSession<'a> {
     anon_forum: &'a Forum,
     anon_feats: Vec<FeatureVector>,
     anon_uda: UdaGraph,
-    /// Accumulated auxiliary posts, authors/threads in global id space.
-    aux_posts: Vec<Post>,
-    /// Per-post features, parallel to `aux_posts` (extraction is a pure
-    /// per-post function, so chunk-time features are reused at finish).
+    /// The merged auxiliary forum, authors/threads in global id space.
+    aux_forum: Forum,
+    /// Per-post features, parallel to `aux_forum.posts` (extraction is a
+    /// pure per-post function, so chunk-time features are reused at
+    /// finish).
     aux_feats: Vec<FeatureVector>,
-    aux_users: usize,
-    aux_threads: usize,
+    /// The merged auxiliary UDA graph: each chunk's own graph, appended
+    /// (chunks are disjoint cohorts with their own threads, so this is
+    /// the graph of the merged forum).
+    aux_uda: UdaGraph,
     heaps: Vec<BoundedTopK>,
     /// Session-global inverted index over all ingested auxiliary users
     /// (`Some` iff [`ScoringMode::Indexed`]); each ingest appends the
@@ -667,7 +672,7 @@ impl EngineSession<'_> {
     /// Number of auxiliary users ingested so far.
     #[must_use]
     pub fn n_auxiliary_users(&self) -> usize {
-        self.aux_users
+        self.aux_forum.n_users
     }
 
     /// The execution report so far.
@@ -687,8 +692,7 @@ impl EngineSession<'_> {
     /// running Top-K floor are pruned (counted as `skipped` on the `topk`
     /// stage) unless Algorithm-2 filtering requires exact score bounds.
     pub fn add_auxiliary_users(&mut self, chunk: &Forum) {
-        let user_offset = self.aux_users;
-        let thread_offset = self.aux_threads;
+        let user_offset = self.aux_forum.n_users;
 
         let (chunk_feats, prep_secs) = timed(|| extract_post_features(chunk));
         let chunk_uda = UdaGraph::build_with_features(chunk, &chunk_feats);
@@ -723,20 +727,14 @@ impl EngineSession<'_> {
             &mut self.report,
         );
 
-        for post in &chunk.posts {
-            self.aux_posts.push(Post {
-                author: post.author + user_offset,
-                thread: post.thread + thread_offset,
-                text: post.text.clone(),
-            });
-        }
+        self.aux_forum.append(chunk.clone());
         self.aux_feats.extend(chunk_feats);
-        self.aux_users += chunk.n_users;
-        self.aux_threads += chunk.n_threads;
+        self.aux_uda.append(chunk_uda);
     }
 
     /// Run candidate filtering (if configured) and the parallel Refined-DA
-    /// stage over the accumulated candidates, producing the final outcome.
+    /// stage over the accumulated candidates and the merged auxiliary
+    /// side, producing the final outcome.
     #[must_use]
     pub fn finish(self) -> EngineOutcome {
         let EngineSession {
@@ -744,23 +742,14 @@ impl EngineSession<'_> {
             anon_forum,
             anon_feats,
             anon_uda,
-            aux_posts,
+            aux_forum,
             aux_feats,
-            aux_users,
-            aux_threads,
+            aux_uda,
             heaps,
             index: _,
             bounds,
-            mut report,
+            report,
         } = self;
-
-        // Materialize the merged auxiliary side for classifier training.
-        let ((aux_forum, aux_uda), prep_secs) = timed(|| {
-            let forum = Forum::from_posts(aux_users, aux_threads, aux_posts);
-            let uda = UdaGraph::build_with_features(&forum, &aux_feats);
-            (forum, uda)
-        });
-        report.record("prepare", "posts", 0, prep_secs);
 
         let anon_side = Side { forum: anon_forum, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
@@ -1116,7 +1105,7 @@ pub struct EngineOutcome {
 mod tests {
     use super::*;
     use dehealth_core::{AttackConfig, DeHealth};
-    use dehealth_corpus::{closed_world_split, ForumConfig, SplitConfig};
+    use dehealth_corpus::{closed_world_split, ForumConfig, Post, SplitConfig};
 
     fn tiny_split() -> dehealth_corpus::Split {
         let forum = Forum::generate(&ForumConfig::tiny(), 42);

@@ -20,7 +20,7 @@
 /// assert_eq!(g.edge_weight(0, 1), Some(2.0));
 /// assert_eq!(g.ncs_vector(1), vec![2.0, 2.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     adj: Vec<Vec<(u32, f64)>>,
     n_edges: usize,
@@ -121,6 +121,25 @@ impl Graph {
         self.adj[a].binary_search_by_key(&(b as u32), |&(v, _)| v).ok().map(|i| self.adj[a][i].1)
     }
 
+    /// Append `other` as a disjoint block: its node `i` becomes node
+    /// `node_count() + i`, its neighbour ids shift by the same offset, and
+    /// its edges add to the edge count. No edge joins the two blocks, so
+    /// the result equals a build of both edge sets over the union.
+    ///
+    /// # Panics
+    /// Panics if the union has more than `u32::MAX` nodes.
+    pub fn append(&mut self, other: Graph) {
+        let offset = self.node_count();
+        assert!(u32::try_from(offset + other.node_count()).is_ok(), "more than u32::MAX nodes");
+        self.adj.extend(other.adj.into_iter().map(|mut nbrs| {
+            for (v, _) in &mut nbrs {
+                *v += offset as u32;
+            }
+            nbrs
+        }));
+        self.n_edges += other.n_edges;
+    }
+
     /// Node ids sorted by decreasing degree (ties by id), truncated to `k`.
     /// This is the paper's landmark selection ("ħ users with the largest
     /// degrees ... sorted in the degree decreasing order").
@@ -192,6 +211,42 @@ mod tests {
         let g = b.build();
         assert_eq!(g.top_degree_nodes(3), vec![0, 1, 2]);
         assert_eq!(g.top_degree_nodes(99).len(), 5);
+    }
+
+    #[test]
+    fn disjoint_append_matches_a_build_over_the_union() {
+        let mut head = GraphBuilder::new(3);
+        head.add_edge(0, 2, 1.0);
+        head.add_edge(1, 2, 2.0);
+        let mut tail = GraphBuilder::new(4);
+        tail.add_edge(0, 3, 1.0);
+        tail.add_edge(3, 0, 1.0);
+        tail.add_edge(1, 2, 5.0);
+        let mut union = GraphBuilder::new(7);
+        union.add_edge(0, 2, 1.0);
+        union.add_edge(1, 2, 2.0);
+        union.add_edge(3, 6, 2.0);
+        union.add_edge(4, 5, 5.0);
+
+        let mut appended = head.build();
+        appended.append(tail.build());
+        let union = union.build();
+        assert_eq!(appended.node_count(), 7);
+        assert_eq!(appended.edge_count(), union.edge_count());
+        for u in 0..7 {
+            assert_eq!(appended.neighbors(u), union.neighbors(u), "node {u}");
+        }
+        assert_eq!(appended.edge_weight(6, 3), Some(2.0));
+        assert_eq!(appended.edge_weight(2, 3), None);
+
+        // Appending to or from an empty graph changes nothing else.
+        let mut empty = Graph::default();
+        empty.append(appended.clone());
+        empty.append(Graph::empty(2));
+        assert_eq!(empty.node_count(), 9);
+        assert_eq!(empty.edge_count(), union.edge_count());
+        assert_eq!(empty.neighbors(6), union.neighbors(6));
+        assert_eq!(empty.degree(8), 0);
     }
 
     #[test]

@@ -47,6 +47,17 @@
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
 //! append_users`]) promotes borrowed arenas to owned copy-on-write.
+//!
+//! ## Ingests
+//!
+//! An ingest costs what its chunk costs, not what the corpus costs.
+//! [`PreparedCorpus::append_users`] is two steps: `PreparedCohort::new`
+//! extracts the chunk's features and builds the chunk's own UDA graph,
+//! and `PreparedCorpus::append_cohort` appends the chunk's forum rows,
+//! features, UDA graph, index postings and refined-context rows in
+//! place. Chunks are disjoint cohorts with their own threads, so nothing
+//! already in the corpus changes. The daemon runs the first step before
+//! it takes any lock and the second under the slot's write lock.
 
 use std::path::Path;
 use std::time::Instant;
@@ -59,7 +70,7 @@ use dehealth_corpus::snapshot::{
     decode_forum, encode_forum, ParseOptions, SectionTag, SnapshotError, SnapshotReader,
     SnapshotStreamer, SnapshotWriter,
 };
-use dehealth_corpus::{Forum, Post};
+use dehealth_corpus::Forum;
 use dehealth_engine::{AuxiliaryCache, Engine, PreparedAuxiliary};
 use dehealth_mapped::{ByteSource, SharedBytes};
 use dehealth_stylometry::{FeatureVector, M};
@@ -114,6 +125,28 @@ pub struct PreparedCorpus {
     cache: AuxiliaryCache,
 }
 
+/// A chunk of new auxiliary users, prepared for
+/// [`PreparedCorpus::append_cohort`]: the chunk with its per-post
+/// features and its own UDA graph. All three depend on the chunk alone,
+/// so a server prepares them before it takes any lock on the corpus.
+#[derive(Debug)]
+pub(crate) struct PreparedCohort {
+    forum: Forum,
+    features: Vec<FeatureVector>,
+    uda: UdaGraph,
+}
+
+impl PreparedCohort {
+    /// Extract the chunk's features and build its UDA graph (chunk-local
+    /// ids; the append offsets them).
+    #[must_use]
+    pub(crate) fn new(chunk: Forum) -> Self {
+        let features = extract_post_features(&chunk);
+        let uda = UdaGraph::build_with_features(&chunk, &features);
+        Self { forum: chunk, features, uda }
+    }
+}
+
 impl PreparedCorpus {
     /// Prepare `forum` from scratch: extract every post's features (the
     /// expensive step a snapshot reload skips), then derive the UDA
@@ -139,6 +172,15 @@ impl PreparedCorpus {
     ) -> Self {
         assert_eq!(features.len(), forum.posts.len(), "features/posts mismatch");
         let uda = UdaGraph::build_with_features(&forum, &features);
+        Self::from_cohort(PreparedCohort { forum, features, uda }, classifier)
+    }
+
+    /// A corpus holding one prepared cohort alone: what an ingest into an
+    /// empty server starts from. Equal to [`Self::build`] on the cohort's
+    /// chunk.
+    #[must_use]
+    pub(crate) fn from_cohort(cohort: PreparedCohort, classifier: ClassifierKind) -> Self {
+        let PreparedCohort { forum, features, uda } = cohort;
         let index = AttributeIndex::from_uda(&uda);
         let context = RefinedContext::build(
             &Side { forum: &forum, uda: &uda, post_features: &features },
@@ -212,13 +254,20 @@ impl PreparedCorpus {
     /// `EngineSession::add_auxiliary_users`'s streaming convention:
     /// chunk-local user/thread ids are offset by the totals already in
     /// the corpus (chunks are disjoint user cohorts with their own
-    /// threads). Only the chunk's posts run feature extraction; the UDA
-    /// graph is re-derived over the merged corpus from cached features,
-    /// while the index and refined context are **appended to in place**
-    /// — under the disjoint-cohort convention earlier users' structural
-    /// features are unchanged, so appending the new users'/posts' rows is
-    /// bit-identical to a fresh union build (asserted by
-    /// `append_matches_fresh_build_over_union`), the invariant the
+    /// threads). This is `PreparedCohort::new` (the chunk's features and
+    /// its own UDA graph) followed by an in-place append of the chunk's
+    /// rows; its cost grows with the chunk, not with the corpus.
+    pub fn append_users(&mut self, chunk: &Forum) {
+        self.append_cohort(PreparedCohort::new(chunk.clone()));
+    }
+
+    /// Append a prepared cohort in place. The forum rows, features and
+    /// UDA graph are appended, and so are the index postings and the
+    /// refined-context rows. Under the disjoint-cohort convention no edge
+    /// joins old and new users, so every earlier user's attributes,
+    /// degrees, profile and post count stay as they were, and appending
+    /// the cohort's rows is bit-identical to a fresh union build (asserted
+    /// by `append_matches_fresh_build_over_union`), the invariant the
     /// daemon's parity guarantee rests on.
     ///
     /// On a [`LoadMode::Mapped`] corpus this is where copy-on-write
@@ -228,40 +277,18 @@ impl PreparedCorpus {
     /// The ingest starts a new generation: its [`AuxiliaryCache`] is
     /// reset, and the next attack rebuilds the auxiliary structure and
     /// hot tables.
-    pub fn append_users(&mut self, chunk: &Forum) {
+    pub(crate) fn append_cohort(&mut self, cohort: PreparedCohort) {
+        let PreparedCohort { forum, features, uda } = cohort;
         let user_offset = self.forum.n_users;
-        let thread_offset = self.forum.n_threads;
         let post_offset = self.forum.posts.len();
-        let chunk_features = extract_post_features(chunk);
-
-        let mut posts = std::mem::take(&mut self.forum.posts);
-        posts.reserve(chunk.posts.len());
-        for post in &chunk.posts {
-            posts.push(Post {
-                author: post.author + user_offset,
-                thread: post.thread + thread_offset,
-                text: post.text.clone(),
-            });
-        }
-        let merged =
-            Forum::from_posts(user_offset + chunk.n_users, thread_offset + chunk.n_threads, posts);
-        let mut features = std::mem::take(&mut self.features);
-        features.extend(chunk_features);
-
-        // The merged UDA graph is rebuilt (it feeds every attack's
-        // similarity engine); the index and context only append — chunks
-        // are disjoint user cohorts with disjoint threads, so the first
-        // `user_offset` users' attributes, degrees and post counts are
-        // bit-identical to what the existing rows were built from.
-        let uda = UdaGraph::build_with_features(&merged, &features);
-        self.index.append_uda_suffix(&uda, user_offset);
+        self.forum.append(forum);
+        self.features.extend(features);
+        self.uda.append(uda);
+        self.index.append_uda_suffix(&self.uda, user_offset);
         self.context.append_rows(
-            &Side { forum: &merged, uda: &uda, post_features: &features },
+            &Side { forum: &self.forum, uda: &self.uda, post_features: &self.features },
             post_offset,
         );
-        self.forum = merged;
-        self.features = features;
-        self.uda = uda;
         // A new cohort can bring new high-degree users (new landmarks)
         // and moves the hot threshold: the next attack rebuilds both.
         self.cache = AuxiliaryCache::default();
@@ -488,7 +515,7 @@ impl PreparedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dehealth_corpus::{closed_world_split, ForumConfig, SplitConfig};
+    use dehealth_corpus::{closed_world_split, ForumConfig, Post, SplitConfig};
     use dehealth_engine::EngineOutcome;
 
     fn tiny_corpus() -> PreparedCorpus {
@@ -560,6 +587,73 @@ mod tests {
         let merged = Forum::from_posts(aux.n_users, aux.n_threads * 2, merged_posts);
         let fresh = PreparedCorpus::build(merged, ClassifierKind::default());
         assert_eq!(incremental.to_snapshot_bytes(), fresh.to_snapshot_bytes());
+        assert_same_graph_and_forum(&incremental, &fresh);
+
+        // More cohorts, one at a time: a first chunk whose extra declared
+        // users have no posts, a chunk declaring threads no post uses, a
+        // chunk of postless users only, an empty chunk and a plain one.
+        // After every append the corpus equals a fresh build over the
+        // union so far.
+        let third = aux.n_users / 3;
+        let widen = |chunk: Forum, users: usize, threads: usize| {
+            Forum::from_posts(chunk.n_users + users, chunk.n_threads + threads, chunk.posts)
+        };
+        let mut chunks = vec![widen(chunk_of(0, third), 4, 0)];
+        let mut incremental = PreparedCorpus::build(chunks[0].clone(), ClassifierKind::default());
+        for chunk in [
+            widen(chunk_of(third, 2 * third), 0, 7),
+            Forum::from_posts(5, 2, Vec::new()),
+            Forum::from_posts(0, 0, Vec::new()),
+            chunk_of(2 * third, aux.n_users),
+        ] {
+            incremental.append_users(&chunk);
+            chunks.push(chunk);
+            let fresh = PreparedCorpus::build(union_of(&chunks), ClassifierKind::default());
+            assert_eq!(incremental.to_snapshot_bytes(), fresh.to_snapshot_bytes());
+            assert_same_graph_and_forum(&incremental, &fresh);
+        }
+    }
+
+    /// `chunks` merged the way consecutive ingests number them: each
+    /// chunk's users and threads offset by the totals before it.
+    fn union_of(chunks: &[Forum]) -> Forum {
+        let (mut users, mut threads, mut posts) = (0, 0, Vec::new());
+        for chunk in chunks {
+            posts.extend(chunk.posts.iter().map(|p| Post {
+                author: p.author + users,
+                thread: p.thread + threads,
+                text: p.text.clone(),
+            }));
+            users += chunk.n_users;
+            threads += chunk.n_threads;
+        }
+        Forum::from_posts(users, threads, posts)
+    }
+
+    /// The UDA graphs agree field by field (neighbour ids and weight bits,
+    /// edge count, attribute sets, profile bits, post counts), and so do
+    /// the forums (sizes, thread metadata, per-user post lists). Snapshot
+    /// bytes hold neither the graph's edges nor the post lists.
+    fn assert_same_graph_and_forum(got: &PreparedCorpus, want: &PreparedCorpus) {
+        let (g, w) = (got.uda(), want.uda());
+        assert_eq!(g.n_users(), w.n_users());
+        assert_eq!(g.graph.node_count(), w.graph.node_count());
+        assert_eq!(g.graph.edge_count(), w.graph.edge_count());
+        assert_eq!(g.post_counts, w.post_counts);
+        let (gf, wf) = (got.forum(), want.forum());
+        assert_eq!((gf.n_users, gf.n_threads), (wf.n_users, wf.n_threads));
+        assert_eq!((&gf.thread_board, &gf.thread_topic), (&wf.thread_board, &wf.thread_topic));
+        let profile_bits =
+            |v: &FeatureVector| v.to_dense().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for u in 0..w.n_users() {
+            let edges = |uda: &UdaGraph| -> Vec<(u32, u64)> {
+                uda.graph.neighbors(u).iter().map(|&(v, x)| (v, x.to_bits())).collect()
+            };
+            assert_eq!(edges(g), edges(w), "user {u}: neighbours");
+            assert_eq!(g.attributes[u], w.attributes[u], "user {u}: attributes");
+            assert_eq!(profile_bits(&g.profiles[u]), profile_bits(&w.profiles[u]), "user {u}");
+            assert_eq!(gf.user_posts(u), wf.user_posts(u), "user {u}: posts");
+        }
     }
 
     #[test]

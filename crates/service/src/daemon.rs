@@ -107,15 +107,24 @@
 //! coalescing: every request runs the classic solo
 //! [`run_prepared`](dehealth_engine::Engine::run_prepared) path.
 //!
-//! Corpus state is shared copy-on-write, exactly as before the
-//! readiness rewrite:
+//! Corpus state is shared by `Arc`, and a generation never changes
+//! under a request that holds it:
 //!
 //! - `attack` requests capture the corpus `Arc` when they are accepted
-//!   off the wire and run against that **immutable** snapshot;
-//! - `load_snapshot` / `add_auxiliary_users` build the replacement
-//!   corpus *outside* the lock and swap the slot afterwards — in-flight
-//!   attacks keep the version they started with, and the old version is
-//!   freed when the last of them drops its `Arc`.
+//!   off the wire and run against that **immutable** generation; every
+//!   job drops its handles before its reply is queued;
+//! - `load_snapshot` loads the replacement *outside* the slot's lock and
+//!   swaps it in; the replaced generation is freed after the lock is
+//!   released, or when the last in-flight attack drops its `Arc`;
+//! - `add_auxiliary_users` prepares the chunk's features and UDA graph
+//!   outside every lock. When the slot holds the generation's only
+//!   handle, it then appends the chunk's rows **in place** under the
+//!   slot's write lock, which covers the appends alone (plus, once per
+//!   mapped load, the promotion of the borrowed arenas). When an
+//!   in-flight request still holds the generation, it copies the corpus
+//!   outside the lock, appends to the copy and swaps it in
+//!   (`daemon_corpus_copies_total` counts these). Either way the ingest
+//!   starts a new generation with an empty auxiliary cache.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`Daemon::request_shutdown`]) raises a flag; the front thread stops
@@ -143,7 +152,10 @@
 //! front thread. `daemon_encoding_requests_total{encoding=json|binary}`
 //! counts how each served request arrived on the wire, and
 //! `daemon_attack_seconds` records each attack's latency from wire
-//! arrival to engine completion.
+//! arrival to engine completion. `daemon_corpus_copies_total` counts the
+//! ingests that had to copy a generation an in-flight request held, and
+//! `daemon_corpus_lock_seconds` records how long each corpus update held
+//! the slot's write lock, the time the front thread could not dispatch.
 //! The whole registry is served by the `metrics` wire command (JSON,
 //! [`registry_to_json`]) and by the optional Prometheus scrape endpoint
 //! ([`MetricsServer`](crate::metrics::MetricsServer)). [`DaemonStats`]
@@ -198,13 +210,13 @@ use dehealth_engine::{BatchRequest, Engine, EngineConfig, EngineOutcome};
 use dehealth_netpoll::{Event, Interest, Poller, Waker};
 use dehealth_telemetry::{info, warn, Counter, Gauge, Histogram, Registry, SpanTimer};
 
-use crate::corpus::{LoadMode, PreparedCorpus};
+use crate::corpus::{LoadMode, MemoryStats, PreparedCohort, PreparedCorpus};
 use crate::frame::{
     self, FrameError, FrameTag, FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_TRAILER_BYTES,
 };
 use crate::json::Json;
 use crate::metrics::registry_to_json;
-use crate::protocol::{error_response, forum_from_json, ok_response, report_to_json};
+use crate::protocol::{error_response, forum_from_request, ok_response, report_to_json};
 
 /// Ceiling on one poll wait: how often the front thread and the workers
 /// re-check the shutdown flag and read deadlines even when no socket
@@ -337,6 +349,12 @@ struct DaemonMetrics {
     attacked_users: Arc<Counter>,
     mapped_users: Arc<Counter>,
     corpus_updates: Arc<Counter>,
+    /// Ingests that copied the generation because an in-flight request
+    /// still held it (the rest grew it in place).
+    corpus_copies: Arc<Counter>,
+    /// How long each corpus update held the slot's write lock, during
+    /// which the front thread cannot dispatch an attack.
+    corpus_lock_seconds: Arc<Histogram>,
     rejected_connections: Arc<Counter>,
     dropped_connections: Arc<Counter>,
     connections_live: Arc<Gauge>,
@@ -362,7 +380,7 @@ struct DaemonMetrics {
     /// parse itself (coalescing window + job-queue wait)…
     queue_seconds: Arc<Histogram>,
     /// …time executing the command (the engine pass, or the corpus
-    /// rebuild for updates)…
+    /// load or append for updates)…
     engine_seconds: Arc<Histogram>,
     /// …and time serializing the finished reply into outbox bytes.
     emit_seconds: Arc<Histogram>,
@@ -389,6 +407,8 @@ impl DaemonMetrics {
             attacked_users: registry.counter("daemon_attacked_users_total"),
             mapped_users: registry.counter("daemon_mapped_users_total"),
             corpus_updates: registry.counter("daemon_corpus_updates_total"),
+            corpus_copies: registry.counter("daemon_corpus_copies_total"),
+            corpus_lock_seconds: registry.histogram("daemon_corpus_lock_seconds"),
             rejected_connections: registry.counter("daemon_rejected_connections_total"),
             dropped_connections: registry.counter("daemon_dropped_connections_total"),
             connections_live: registry.gauge("daemon_connections_live"),
@@ -425,14 +445,13 @@ impl DaemonMetrics {
         self.registry.counter_with("daemon_error_kind_total", &[("kind", kind)])
     }
 
-    /// Refresh the corpus gauges after a swap (or the initial load) and
-    /// bump the generation.
-    fn observe_corpus(&self, corpus: &PreparedCorpus) {
-        let memory = corpus.memory_stats();
-        self.corpus_users.set(corpus.n_users() as i64);
-        self.corpus_posts.set(corpus.n_posts() as i64);
-        self.corpus_resident_arena_bytes.set(memory.resident_arena_bytes as i64);
-        self.corpus_borrowed_arena_bytes.set(memory.borrowed_arena_bytes as i64);
+    /// Refresh the corpus gauges after an update (or the initial load)
+    /// and bump the generation.
+    fn observe_corpus(&self, gauges: CorpusGauges) {
+        self.corpus_users.set(gauges.users as i64);
+        self.corpus_posts.set(gauges.posts as i64);
+        self.corpus_resident_arena_bytes.set(gauges.memory.resident_arena_bytes as i64);
+        self.corpus_borrowed_arena_bytes.set(gauges.memory.borrowed_arena_bytes as i64);
         self.corpus_generation.inc();
     }
 
@@ -448,6 +467,21 @@ impl DaemonMetrics {
             rejected_connections: self.rejected_connections.get(),
             dropped_connections: self.dropped_connections.get(),
         }
+    }
+}
+
+/// A corpus generation's gauge values, read while the slot's write lock
+/// is held and published after it is released.
+#[derive(Debug, Clone, Copy, Default)]
+struct CorpusGauges {
+    users: usize,
+    posts: usize,
+    memory: MemoryStats,
+}
+
+impl CorpusGauges {
+    fn of(corpus: &PreparedCorpus) -> Self {
+        Self { users: corpus.n_users(), posts: corpus.n_posts(), memory: corpus.memory_stats() }
     }
 }
 
@@ -518,12 +552,15 @@ struct Completion {
 struct DaemonState {
     config: EngineConfig,
     limits: DaemonLimits,
+    /// The served generation. Its write lock is held only to swap the
+    /// slot or to append an ingest's rows in place, never across a
+    /// snapshot load, a corpus copy or a feature extraction.
     corpus: RwLock<Option<Arc<PreparedCorpus>>>,
     /// Serializes corpus *updates* (`load_snapshot`, `add_auxiliary_users`)
-    /// end to end. The copy-on-write rebuild happens outside the `corpus`
-    /// lock so attacks never block on it — but without this mutex two
-    /// concurrent updates would both clone the same base and the second
-    /// swap would silently discard the first one's ingest.
+    /// end to end. Loads and copies happen outside the `corpus` lock so
+    /// attacks never block on them — but without this mutex two
+    /// concurrent updates would both build on the same base and the
+    /// second swap would silently discard the first one's ingest.
     update: Mutex<()>,
     /// Jobs for the dispatch pool, drained FIFO.
     jobs: Mutex<VecDeque<Job>>,
@@ -549,19 +586,31 @@ struct DaemonState {
 
 impl DaemonState {
     /// Clone the current corpus `Arc` (poison-immune: the slot only ever
-    /// holds a fully built corpus, swapped in as the last step of an
-    /// update, so the value is coherent even after a panicked writer).
+    /// holds a fully built corpus, swapped in or grown to completion
+    /// under the write lock, and an in-place append that panics empties
+    /// the slot, so the value is coherent even after a panicked writer).
     fn corpus(&self) -> Option<Arc<PreparedCorpus>> {
         self.corpus.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    fn swap_corpus(&self, next: PreparedCorpus) {
+    /// Publish `next` in the slot and return the gauges published for it.
+    /// The replaced generation is taken out under the write lock and
+    /// freed after it is released, so the front thread never waits on the
+    /// deallocation.
+    fn swap_corpus(&self, next: PreparedCorpus) -> CorpusGauges {
+        let gauges = CorpusGauges::of(&next);
         let next = Arc::new(next);
-        *self.corpus.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&next));
+        let mut slot = self.corpus.write().unwrap_or_else(PoisonError::into_inner);
+        let locked = Instant::now();
+        let replaced = slot.replace(next);
+        drop(slot);
+        self.metrics.corpus_lock_seconds.record(locked.elapsed());
         // Gauges refreshed strictly *after* the swap: a scrape racing an
         // update must never describe a corpus newer than the one attacks
         // can actually observe in the slot.
-        self.metrics.observe_corpus(&next);
+        self.metrics.observe_corpus(gauges);
+        drop(replaced);
+        gauges
     }
 
     fn push_completion(&self, conn: usize, bytes: Option<Vec<u8>>) {
@@ -660,7 +709,7 @@ impl Daemon {
         let waker = poller.waker()?;
         let metrics = DaemonMetrics::new();
         if let Some(corpus) = &corpus {
-            metrics.observe_corpus(corpus);
+            metrics.observe_corpus(CorpusGauges::of(corpus));
         }
         let state = Arc::new(DaemonState {
             config,
@@ -832,6 +881,10 @@ impl ByteQueue {
 /// `Arc` with the same effective thread count, waiting for the window to
 /// elapse — and for every member's worker-side parse to land.
 struct BatchGroup {
+    /// The generation, keyed by `Arc` identity (`Arc::ptr_eq`). An ingest
+    /// grows a generation in place only while the slot holds its sole
+    /// handle, and this one keeps it shared, so every member of the group
+    /// sees the same, unchanging corpus.
     corpus: Arc<PreparedCorpus>,
     threads: usize,
     opened: Instant,
@@ -1549,7 +1602,7 @@ fn run_job(state: &Arc<DaemonState>, job: Job) {
         Job::Parse { conn, received, raw, label, corpus, solo } => {
             run_parse_job(state, conn, received, raw, label, corpus, solo);
         }
-        Job::Attack { corpus, threads, items } => run_attack_job(state, &corpus, threads, items),
+        Job::Attack { corpus, threads, items } => run_attack_job(state, corpus, threads, items),
     }));
     if outcome.is_err() {
         for conn in conns {
@@ -1609,6 +1662,7 @@ fn run_parse_job(
                 Err(e) => {
                     let parse_seconds = parse_timer.stop().as_secs_f64();
                     record_queue(state, received, parse_seconds);
+                    drop(corpus);
                     // Unparseable lines are billed to the "invalid"
                     // command, exactly like the front-thread era.
                     return respond(
@@ -1622,14 +1676,13 @@ fn run_parse_job(
             };
             match label {
                 "attack" => {
-                    let parsed = parse_attack_request(state, &request);
+                    let parsed = parse_attack_request(state, &request, line.len());
                     finish_attack_parse(state, conn, received, parse_timer, corpus, solo, parsed);
                 }
                 "add_auxiliary_users" => {
-                    let chunk = request
-                        .get("forum")
-                        .ok_or("missing forum")
-                        .and_then(|v| forum_from_json(v).map_err(|_| "invalid forum"));
+                    let chunk = request.get("forum").ok_or("missing forum").and_then(|v| {
+                        forum_from_request(v, line.len()).map_err(|_| "invalid forum")
+                    });
                     let parse_seconds = parse_timer.stop().as_secs_f64();
                     record_queue(state, received, parse_seconds);
                     let result = match chunk {
@@ -1726,14 +1779,14 @@ fn finish_attack_parse(
         Ok(parts) => parts,
         Err(e) => {
             record_queue(state, received, parse_seconds);
+            drop(corpus);
             return respond(state, conn, "attack", received, Err(e));
         }
     };
     let ready = ReadyAttack { conn, received, parse_seconds, threads, attack, forum, corpus };
     if solo {
         let corpus = Arc::clone(&ready.corpus);
-        let threads = ready.threads;
-        run_attack_job(state, &corpus, threads, vec![ready]);
+        run_attack_job(state, corpus, threads, vec![ready]);
     } else {
         state.parsed.lock().unwrap_or_else(PoisonError::into_inner).push(ready);
         state.waker.wake();
@@ -1746,7 +1799,7 @@ fn finish_attack_parse(
 /// `run_prepared_batch` — both bit-identical per request.
 fn run_attack_job(
     state: &Arc<DaemonState>,
-    corpus: &Arc<PreparedCorpus>,
+    corpus: Arc<PreparedCorpus>,
     threads: usize,
     items: Vec<ReadyAttack>,
 ) {
@@ -1777,11 +1830,17 @@ fn run_attack_job(
     // is the batch's wall time, recorded per request like
     // `daemon_command_seconds`.
     let engine_elapsed = engine_start.elapsed();
-    for (item, outcome) in items.iter().zip(outcomes) {
+    // Every handle on the generation goes before the first reply is
+    // queued: a client that follows its reply with an ingest then finds
+    // the slot's handle alone, and the ingest appends in place.
+    drop(corpus);
+    let answered: Vec<(usize, Instant, usize)> =
+        items.into_iter().map(|item| (item.conn, item.received, item.forum.n_users)).collect();
+    for ((conn, received, n_users), outcome) in answered.into_iter().zip(outcomes) {
         state.metrics.engine_seconds.record(engine_elapsed);
-        state.metrics.attack_seconds.record(item.received.elapsed());
+        state.metrics.attack_seconds.record(received.elapsed());
         state.metrics.attacks.inc();
-        state.metrics.attacked_users.add(item.forum.n_users as u64);
+        state.metrics.attacked_users.add(n_users as u64);
         state
             .metrics
             .mapped_users
@@ -1800,22 +1859,24 @@ fn run_attack_job(
             ("candidates".into(), Json::Arr(candidates)),
             ("report".into(), report_to_json(&outcome.report)),
         ];
-        respond(state, item.conn, "attack", item.received, Ok(fields));
+        respond(state, conn, "attack", received, Ok(fields));
     }
 }
 
 /// Resolve one attack request's forum, per-request overrides and
 /// effective thread count against the daemon's defaults (same field
 /// order — and therefore the same first error — as the pre-batching
-/// daemon).
+/// daemon). The forum's declared sizes are bounded by `line_bytes`, the
+/// length of the request line that carried them.
 fn parse_attack_request(
     state: &Arc<DaemonState>,
     request: &Json,
+    line_bytes: usize,
 ) -> Result<(AttackConfig, Forum, usize), CmdError> {
     let anonymized = match request
         .get("forum")
         .ok_or_else(|| "missing forum".to_string())
-        .and_then(forum_from_json)
+        .and_then(|forum| forum_from_request(forum, line_bytes))
     {
         Ok(f) => f,
         Err(e) => return Err(CmdError::new("invalid_argument", e)),
@@ -1976,30 +2037,57 @@ fn cmd_load_snapshot(
 /// Ingest one auxiliary-user chunk. The forum arrives already decoded —
 /// the worker bills its parse (JSON or binary frame) to
 /// `daemon_parse_seconds` before this runs.
+///
+/// The chunk's features and UDA graph depend on the chunk alone, so they
+/// are built before any lock is taken. The update lock then makes
+/// concurrent ingests append sequentially instead of both building on
+/// the same base and losing one chunk at the swap. Under the slot's write
+/// lock, the generation grows **in place** when the slot holds its only
+/// handle: the lock covers the appends alone. An in-flight request that
+/// still holds the generation must keep seeing it unchanged, so then the
+/// ingest copies it outside the lock, appends to the copy and swaps it
+/// in (`daemon_corpus_copies_total`).
 fn cmd_add_auxiliary_users(
     state: &Arc<DaemonState>,
     chunk: Forum,
 ) -> Result<Vec<(String, Json)>, CmdError> {
-    // Copy-on-write under the update lock: clone the current corpus (or
-    // bootstrap from the chunk alone), extend it outside the `corpus`
-    // lock so attacks stay unblocked, then swap the slot. The update
-    // lock makes concurrent ingests append sequentially instead of both
-    // building on the same base and losing one chunk at the swap.
+    let cohort = PreparedCohort::new(chunk);
     let _updating = state.update.lock().unwrap_or_else(PoisonError::into_inner);
-    let current = state.corpus();
-    let next = match current {
-        Some(corpus) => {
-            let mut next = (*corpus).clone();
-            next.append_users(&chunk);
-            next
+    let mut slot = state.corpus.write().unwrap_or_else(PoisonError::into_inner);
+    let locked = Instant::now();
+    let gauges = if let Some(corpus) = slot.as_mut().and_then(Arc::get_mut) {
+        let grown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            corpus.append_cohort(cohort);
+        }));
+        if let Err(panic) = grown {
+            // A half-grown generation must serve no attack: empty the slot.
+            *slot = None;
+            drop(slot);
+            state.metrics.observe_corpus(CorpusGauges::default());
+            std::panic::resume_unwind(panic);
         }
-        None => PreparedCorpus::build(chunk, state.config.attack.classifier),
+        let gauges = CorpusGauges::of(corpus);
+        drop(slot);
+        state.metrics.corpus_lock_seconds.record(locked.elapsed());
+        state.metrics.observe_corpus(gauges);
+        gauges
+    } else {
+        let current = slot.clone();
+        drop(slot);
+        let next = match current {
+            Some(corpus) => {
+                state.metrics.corpus_copies.inc();
+                let mut next = (*corpus).clone();
+                drop(corpus);
+                next.append_cohort(cohort);
+                next
+            }
+            None => PreparedCorpus::from_cohort(cohort, state.config.attack.classifier),
+        };
+        state.swap_corpus(next)
     };
-    let users = next.n_users();
-    let posts = next.n_posts();
-    state.swap_corpus(next);
     state.metrics.corpus_updates.inc();
-    Ok(vec![("users".into(), Json::int(users)), ("posts".into(), Json::int(posts))])
+    Ok(vec![("users".into(), Json::int(gauges.users)), ("posts".into(), Json::int(gauges.posts))])
 }
 
 fn cmd_stats(state: &Arc<DaemonState>) -> Result<Vec<(String, Json)>, CmdError> {
@@ -2128,6 +2216,105 @@ mod tests {
         let items = registry.counter_with("engine_stage_items_total", &labels).get();
         let n_after = n_before + ForumConfig::tiny().n_users as u64;
         assert_eq!(items, n_before + n_after, "the ingest started a new generation");
+        client.shutdown().unwrap();
+        daemon.join();
+    }
+
+    /// A served corpus, an ingest chunk, the anonymized side to attack,
+    /// and a fresh build over the union the ingest should produce.
+    fn ingest_fixture() -> (PreparedCorpus, Forum, Forum, PreparedCorpus) {
+        use dehealth_corpus::{closed_world_split, Post, SplitConfig};
+        let forum = Forum::generate(&ForumConfig::tiny(), 42);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+        let chunk = Forum::generate(&ForumConfig::tiny(), 77);
+        let base = split.auxiliary;
+        let mut posts = base.posts.clone();
+        posts.extend(chunk.posts.iter().map(|p| Post {
+            author: p.author + base.n_users,
+            thread: p.thread + base.n_threads,
+            text: p.text.clone(),
+        }));
+        let union = Forum::from_posts(
+            base.n_users + chunk.n_users,
+            base.n_threads + chunk.n_threads,
+            posts,
+        );
+        let classifier = default_config().attack.classifier;
+        (
+            PreparedCorpus::build(base, classifier),
+            chunk,
+            split.anonymized,
+            PreparedCorpus::build(union, classifier),
+        )
+    }
+
+    /// An attack on the daemon's current slot answers exactly like
+    /// `want`'s corpus.
+    fn assert_serves(
+        client: &mut crate::client::ServiceClient,
+        anon: &Forum,
+        want: &PreparedCorpus,
+    ) {
+        use crate::protocol::AttackOptions;
+        let reply = client.attack(anon, &AttackOptions::default()).unwrap();
+        let expected = want.attack(&Engine::new(default_config()), anon);
+        assert_eq!(reply.mapping, expected.mapping);
+        assert_eq!(reply.candidates, expected.candidates);
+    }
+
+    /// With no request holding the generation, an ingest appends to it in
+    /// place: the slot keeps its allocation, nothing is copied, and the
+    /// grown corpus serves exactly like a fresh build over the union.
+    #[test]
+    fn a_lone_ingest_grows_the_generation_in_place() {
+        use crate::client::ServiceClient;
+        let (corpus, chunk, anon, union) = ingest_fixture();
+        let daemon =
+            Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        // An attack first: its handles are gone before its reply arrives.
+        let _ = client.attack(&anon, &crate::protocol::AttackOptions::default()).unwrap();
+        // A raw pointer, not a handle: holding an `Arc` would force a copy.
+        let before = Arc::as_ptr(&daemon.state.corpus().unwrap());
+        let generation = daemon.state.metrics.corpus_generation.get();
+        client.add_auxiliary_users(&chunk).unwrap();
+        let after = daemon.state.corpus().unwrap();
+        assert!(std::ptr::eq(before, Arc::as_ptr(&after)), "the ingest replaced the slot");
+        assert_eq!(after.n_users(), union.n_users());
+        assert_eq!(after.to_snapshot_bytes(), union.to_snapshot_bytes());
+        drop(after);
+        let metrics = &daemon.state.metrics;
+        assert_eq!(metrics.corpus_copies.get(), 0);
+        assert_eq!(metrics.corpus_updates.get(), 1);
+        assert_eq!(metrics.corpus_lock_seconds.count(), 1);
+        assert_eq!(metrics.corpus_generation.get(), generation + 1);
+        assert_eq!(metrics.corpus_users.get(), union.n_users() as i64);
+        assert_serves(&mut client, &anon, &union);
+        client.shutdown().unwrap();
+        daemon.join();
+    }
+
+    /// While a handle stands in for an in-flight attack, an ingest copies
+    /// the generation: the held corpus is untouched, and the slot's new
+    /// generation serves exactly like a fresh build over the union.
+    #[test]
+    fn an_ingest_under_a_held_generation_copies_it() {
+        use crate::client::ServiceClient;
+        let (corpus, chunk, anon, union) = ingest_fixture();
+        let daemon =
+            Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        let held = daemon.state.corpus().unwrap();
+        let held_bytes = held.to_snapshot_bytes();
+        client.add_auxiliary_users(&chunk).unwrap();
+        let after = daemon.state.corpus().unwrap();
+        assert!(!Arc::ptr_eq(&held, &after), "the ingest grew a held generation");
+        assert_eq!(held.to_snapshot_bytes(), held_bytes, "the held generation changed");
+        assert_eq!(after.to_snapshot_bytes(), union.to_snapshot_bytes());
+        drop((held, after));
+        assert_eq!(daemon.state.metrics.corpus_copies.get(), 1);
+        assert_eq!(daemon.state.metrics.corpus_updates.get(), 1);
+        assert_serves(&mut client, &anon, &union);
         client.shutdown().unwrap();
         daemon.join();
     }

@@ -62,12 +62,35 @@ pub fn forum_to_json(forum: &Forum) -> Json {
 /// ranges (via [`Forum::from_posts`]'s own checks, pre-empted here so the
 /// failure is an error string instead of a panic).
 ///
+/// The declared `n_users` and `n_threads` are trusted: decoding allocates
+/// per declared user and thread. Untrusted input goes through
+/// [`forum_from_request`] instead.
+///
 /// # Errors
 /// A human-readable description of the malformed field.
 pub fn forum_from_json(v: &Json) -> Result<Forum, String> {
+    forum_from_request(v, usize::MAX)
+}
+
+/// [`forum_from_json`] for a forum that arrived in `carrier_bytes` bytes
+/// of untrusted input (the daemon passes the request line's length).
+/// A declared user or thread count above `carrier_bytes` is rejected
+/// before anything is allocated, so what a request makes the decoder
+/// and the attack allocate per user and per thread grows with the bytes
+/// it sent, not with the numbers it claims.
+///
+/// # Errors
+/// Like [`forum_from_json`], plus a declared count above
+/// `carrier_bytes`.
+pub fn forum_from_request(v: &Json, carrier_bytes: usize) -> Result<Forum, String> {
     let n_users = v.get("n_users").and_then(Json::as_usize).ok_or("missing or invalid n_users")?;
     let n_threads =
         v.get("n_threads").and_then(Json::as_usize).ok_or("missing or invalid n_threads")?;
+    for (field, n) in [("n_users", n_users), ("n_threads", n_threads)] {
+        if n > carrier_bytes {
+            return Err(format!("{field} {n} exceeds the {carrier_bytes} bytes that declare it"));
+        }
+    }
     let posts_json = v.get("posts").and_then(Json::as_array).ok_or("missing posts array")?;
     let mut posts = Vec::with_capacity(posts_json.len());
     for (i, p) in posts_json.iter().enumerate() {

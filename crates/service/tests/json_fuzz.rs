@@ -10,11 +10,19 @@
 //! [`forum_from_json`]. Parsing is linear in the line (see
 //! `json::tests::string_parse_time_is_linear_in_the_input`), so finishing
 //! the loop at all is the no-hang half of the property.
+//!
+//! Mutations leave a forum's declared sizes small. The daemon bounds them
+//! by the bytes that carry them ([`forum_from_request`] on a request
+//! line, `decode_forum` on a frame or snapshot section); the last tests
+//! here pin those bounds with counts no mutation reaches.
 
+use dehealth_corpus::snapshot::{decode_forum, SectionReader, SectionTag, SnapshotError};
 use dehealth_corpus::{Forum, ForumConfig, Post};
+use dehealth_service::daemon::default_config;
+use dehealth_service::frame::decode_add_users_payload;
 use dehealth_service::json::{Json, JsonError};
-use dehealth_service::protocol::{forum_from_json, forum_to_json};
-use dehealth_service::AttackOptions;
+use dehealth_service::protocol::{forum_from_json, forum_from_request, forum_to_json};
+use dehealth_service::{AttackOptions, Daemon, PreparedCorpus, ServiceClient, ServiceError};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -268,5 +276,112 @@ fn escapes_and_surrogates_injected_into_post_text_round_trip_or_fail_typed() {
                 _ => {}
             }
         }
+    }
+}
+
+/// A one-post request line for `cmd` whose forum declares `n` for `field`
+/// (the other count is 1).
+fn sized_request(cmd: &str, field: &str, n: f64) -> Json {
+    let count = |name: &str| Json::Num(if name == field { n } else { 1.0 });
+    let forum = Json::Obj(vec![
+        ("n_users".into(), count("n_users")),
+        ("n_threads".into(), count("n_threads")),
+        (
+            "posts".into(),
+            Json::Arr(vec![Json::Arr(vec![
+                Json::int(0),
+                Json::int(0),
+                Json::Str("a post".into()),
+            ])]),
+        ),
+    ]);
+    Json::Obj(vec![("cmd".into(), Json::Str(cmd.into())), ("forum".into(), forum)])
+}
+
+/// The request whose declared count is its own line length plus `extra`.
+fn sized_to_its_line(cmd: &str, field: &str, extra: usize) -> (Json, usize) {
+    let mut n = 0;
+    loop {
+        let request = sized_request(cmd, field, n as f64);
+        let want = request.emit().len() + extra;
+        if n == want {
+            return (request, n);
+        }
+        n = want;
+    }
+}
+
+#[test]
+fn declared_sizes_past_the_request_line_are_rejected() {
+    for cmd in ["attack", "add_auxiliary_users"] {
+        for field in ["n_users", "n_threads"] {
+            let (past, _) = sized_to_its_line(cmd, field, 1);
+            for request in [
+                sized_request(cmd, field, 1e15),
+                sized_request(cmd, field, f64::from(u32::MAX)),
+                past,
+            ] {
+                let line = request.emit();
+                let v = Json::parse(&line).unwrap();
+                let err = forum_from_request(v.get("forum").unwrap(), line.len()).unwrap_err();
+                assert!(err.contains(field), "{line}: {err}");
+            }
+            // A count equal to the line's length is within the bound.
+            let (at, n) = sized_to_its_line(cmd, field, 0);
+            let line = at.emit();
+            let v = Json::parse(&line).unwrap();
+            let forum = forum_from_request(v.get("forum").unwrap(), line.len()).unwrap();
+            assert_eq!(if field == "n_users" { forum.n_users } else { forum.n_threads }, n);
+        }
+    }
+}
+
+#[test]
+fn a_live_daemon_answers_oversized_declarations_with_a_typed_error() {
+    let base = Forum::generate(&ForumConfig::tiny(), 42);
+    let corpus = PreparedCorpus::build(base, Default::default());
+    let users = corpus.n_users();
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+    // One past the line's length is the smallest rejected count, and
+    // harmless to allocate had the daemon accepted it.
+    for cmd in ["attack", "add_auxiliary_users"] {
+        for field in ["n_users", "n_threads"] {
+            let (request, n) = sized_to_its_line(cmd, field, 1);
+            match client.request(&request) {
+                Err(ServiceError::Remote(_)) => {}
+                other => panic!("{cmd} declaring {field} = {n}: {other:?}"),
+            }
+        }
+    }
+    let rejected = daemon
+        .registry()
+        .counter_with("daemon_error_kind_total", &[("kind", "invalid_argument")])
+        .get();
+    assert_eq!(rejected, 4);
+    // The daemon still serves, and the corpus is unchanged.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("corpus_users").and_then(Json::as_usize), Some(users));
+    client.shutdown().unwrap();
+    daemon.join();
+}
+
+#[test]
+fn forum_sections_bound_declared_sizes_by_their_bytes() {
+    let header = |n_users: u32, n_threads: u32| -> Vec<u8> {
+        [n_users, n_threads, 0].iter().flat_map(|v| v.to_le_bytes()).collect()
+    };
+    let decode =
+        |bytes: &[u8]| decode_forum(&mut SectionReader::standalone(bytes, SectionTag(*b"FORM")));
+    // A 12-byte forum section may declare up to 12 users and threads.
+    let forum = decode(&header(12, 12)).unwrap();
+    assert_eq!((forum.n_users, forum.n_threads, forum.posts.len()), (12, 12, 0));
+    for bytes in [header(13, 1), header(1, 13), header(u32::MAX, 1), header(1, u32::MAX)] {
+        assert!(
+            matches!(decode(&bytes), Err(SnapshotError::Malformed { .. })),
+            "{bytes:?} decoded"
+        );
+        // A binary add_auxiliary_users frame carries the same bytes.
+        assert!(decode_add_users_payload(&bytes).is_err());
     }
 }
