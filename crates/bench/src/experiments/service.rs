@@ -5,8 +5,8 @@
 //!
 //! 1. **Restart cost** — wall-clock of a cold [`PreparedCorpus::build`]
 //!    (full stylometric feature extraction) vs a
-//!    [`PreparedCorpus::load`] of the equivalent snapshot (file read +
-//!    cheap merges, no text analysis). The load must come in below 25% of
+//!    [`PreparedCorpus::load`] of the equivalent snapshot (map, verify
+//!    and decode, no text analysis). The load must come in below 25% of
 //!    the cold build — asserted here, so the committed
 //!    `BENCH_service.json` always demonstrates the property.
 //! 2. **Serving throughput, per wire encoding** — a daemon is started on

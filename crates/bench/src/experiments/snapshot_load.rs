@@ -1,12 +1,12 @@
 //! Snapshot-load benchmark: owned vs. zero-copy (mmap) reload latency
 //! across a corpus-size sweep → `BENCH_snapshot.json`.
 //!
-//! This is the number the v2 snapshot format exists for. Both modes load
-//! the *same* file; the owned path verifies every checksum and decodes
-//! every section into heap structures, while the mapped path borrows the
-//! attribute-index and refined-context arenas straight out of the
-//! mapping (and skips the redundant FNV sweep). The benchmark asserts,
-//! at every size of a ≥4× sweep:
+//! This is the number the aligned snapshot format exists for. Both modes
+//! load the *same* file; the owned path verifies every checksum and
+//! copies every section into heap structures, while the mapped path
+//! borrows the attribute-index and refined-context arenas straight out of
+//! the mapping (and skips the redundant checksum sweep). The benchmark
+//! asserts, at every size of a ≥4× sweep:
 //!
 //! - **parity** — the mapped-loaded corpus re-serializes to bytes
 //!   identical to the owned-loaded one (the cheap proxy for the full

@@ -228,7 +228,8 @@ impl DecodeLe for f64 {
 impl<T: DecodeLe> ArenaView<T> {
     /// View `region` in place over `backing` when possible, otherwise
     /// decode it into owned storage. `backing = None` always decodes
-    /// (the owned load path).
+    /// (the owned load path): one bulk copy of the region cast in place
+    /// where it is aligned, element by element otherwise.
     ///
     /// # Errors
     /// [`ArenaCastError::Unaligned`] when a backing was supplied but the
@@ -246,7 +247,10 @@ impl<T: DecodeLe> ArenaView<T> {
                 Err(ArenaCastError::Unsupported) => Ok(Self::from_vec(T::decode_le(region))),
                 Err(e) => Err(e),
             },
-            None => Ok(Self::from_vec(T::decode_le(region))),
+            None => Ok(Self::from_vec(match T::cast_slice(region) {
+                Some(values) => values.to_vec(),
+                None => T::decode_le(region),
+            })),
         }
     }
 }
@@ -286,6 +290,22 @@ mod tests {
         let view = ArenaView::<u64>::from_region(None, region).unwrap();
         assert_eq!(view.len(), 2);
         assert!(!view.is_borrowed());
+    }
+
+    #[test]
+    fn owned_copies_agree_aligned_or_not() {
+        let backing = backing_of(&[1, 2, 3, 4]);
+        let bytes = backing.bytes();
+        // Aligned: a bulk copy of the cast slice.
+        let aligned = ArenaView::<u64>::from_region(None, &bytes[8..24]).unwrap();
+        assert_eq!(&*aligned, &[2, 3]);
+        assert_eq!(&*aligned, u64::decode_le(&bytes[8..24]).as_slice());
+        // Misaligned: the element-by-element decode.
+        let region = &bytes[4..20];
+        assert!(u64::cast_slice(region).is_none());
+        let unaligned = ArenaView::<u64>::from_region(None, region).unwrap();
+        assert_eq!(&*unaligned, u64::decode_le(region).as_slice());
+        assert!(!aligned.is_borrowed() && !unaligned.is_borrowed());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! extraction — by far the most expensive part of preparing a corpus.
 
 use dehealth_corpus::snapshot::{SectionReader, SectionWrite, SnapshotError};
+use dehealth_mapped::LePod;
 use dehealth_stylometry::FeatureVector;
 
 /// Encode per-post feature vectors: a count, then each vector as its
@@ -49,11 +50,23 @@ pub fn decode_features(r: &mut SectionReader<'_>) -> Result<Vec<FeatureVector>, 
         if nnz > r.remaining() / 12 {
             return Err(SnapshotError::Malformed { context: "implausible entry count" });
         }
+        // One bounds check for the vector's `nnz` 12-byte entries, read
+        // as three little-endian `u32` words each where the payload is
+        // aligned for them (every field is 4 bytes wide, and snapshot
+        // payloads start 8-aligned).
+        let raw = r.take_raw(nnz * 12)?;
         let mut entries = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            let i = r.take_u32()?;
-            let v = r.take_f64()?;
-            entries.push((i, v));
+        if let Some(words) = u32::cast_slice(raw) {
+            for w in words.chunks_exact(3) {
+                entries.push((w[0], f64::from_bits(u64::from(w[1]) | u64::from(w[2]) << 32)));
+            }
+        } else {
+            for e in raw.chunks_exact(12) {
+                let (i, v) = e.split_at(4);
+                let i = u32::from_le_bytes(i.try_into().expect("4 bytes"));
+                let v = u64::from_le_bytes(v.try_into().expect("8 bytes"));
+                entries.push((i, f64::from_bits(v)));
+            }
         }
         out.push(
             FeatureVector::try_from_sorted_entries(entries)
@@ -101,6 +114,33 @@ mod tests {
                 assert_eq!(i, j);
                 assert_eq!(x.to_bits(), y.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn aligned_and_unaligned_payloads_decode_alike() {
+        // An aligned payload reads each entry as three `u32` words, one at
+        // an odd address byte by byte; both give the encoded vectors.
+        use dehealth_corpus::snapshot::SectionBuf;
+        use dehealth_mapped::{AlignedBytes, LePod};
+        let features: Vec<FeatureVector> = ["I realy hate this migrane pain!", "", "20 mg & water"]
+            .iter()
+            .map(|t| extract(t))
+            .collect();
+        let mut buf = SectionBuf::new();
+        encode_features(&features, &mut buf);
+        let bytes = buf.into_bytes();
+        let aligned = AlignedBytes::from_slice(&bytes);
+        let shifted = AlignedBytes::from_slice(&[&[0u8][..], &bytes].concat());
+        assert!(u32::cast_slice(&shifted[1..5]).is_none());
+        let bits = |vs: &[FeatureVector]| -> Vec<Vec<(usize, u64)>> {
+            vs.iter().map(|v| v.iter_nonzero().map(|(i, x)| (i, x.to_bits())).collect()).collect()
+        };
+        for payload in [&aligned[..], &shifted[1..]] {
+            let mut r = SectionReader::standalone(payload, TAG);
+            let back = decode_features(&mut r).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(bits(&back), bits(&features));
         }
     }
 

@@ -11,7 +11,7 @@
 
 use dehealth_corpus::Forum;
 use dehealth_graph::{bfs_hops, dijkstra_weighted, Graph, GraphBuilder};
-use dehealth_stylometry::{extract, FeatureVector, UserAttributes, UserProfile};
+use dehealth_stylometry::{extract, FeatureVector, UserAccumulator, UserAttributes};
 
 /// Extract the Table-I features of every post, in parallel (scoped
 /// `std::thread`; posts are independent and extraction dominates the
@@ -67,20 +67,32 @@ impl UdaGraph {
     /// extraction via [`extract_post_features`]; `features` must be
     /// parallel to `forum.posts`).
     ///
+    /// Each user's attributes and profile are aggregated densely: the
+    /// user's posts ([`Forum::user_posts`], in post order) go through one
+    /// reused [`UserAccumulator`], which equals merging them one by one
+    /// into [`UserAttributes`] and a `UserProfile`, bit for bit.
+    ///
     /// # Panics
     /// Panics if `features.len() != forum.posts.len()`.
     #[must_use]
     pub fn build_with_features(forum: &Forum, features: &[FeatureVector]) -> Self {
         assert_eq!(features.len(), forum.posts.len(), "features/posts mismatch");
         let n = forum.n_users;
-        let mut attributes = vec![UserAttributes::new(); n];
-        let mut profiles_acc: Vec<UserProfile> = vec![UserProfile::new(); n];
+        let mut acc = UserAccumulator::new();
+        let mut attributes = Vec::with_capacity(n);
+        let mut profiles = Vec::with_capacity(n);
+        for u in 0..n {
+            for &p in forum.user_posts(u) {
+                acc.add_post(&features[p]);
+            }
+            let (attrs, profile) = acc.take();
+            attributes.push(attrs);
+            profiles.push(profile);
+        }
 
         // Thread membership for the correlation graph.
         let mut thread_members: Vec<Vec<u32>> = vec![Vec::new(); forum.n_threads];
-        for (post, v) in forum.posts.iter().zip(features) {
-            attributes[post.author].add_post(v);
-            profiles_acc[post.author].add_post(v);
+        for post in &forum.posts {
             let members = &mut thread_members[post.thread];
             if !members.contains(&(post.author as u32)) {
                 members.push(post.author as u32);
@@ -99,7 +111,7 @@ impl UdaGraph {
         Self {
             graph: builder.build(),
             attributes,
-            profiles: profiles_acc.iter().map(UserProfile::mean).collect(),
+            profiles,
             post_counts: (0..n).map(|u| forum.post_count(u)).collect(),
         }
     }
@@ -247,6 +259,50 @@ mod tests {
         assert!((hops[1][0] - 1.0).abs() < 1e-12); // self: 1/(1+0)
         assert!((hops[0][0] - 0.5).abs() < 1e-12); // one hop
         assert_eq!(hops[3][0], 0.0); // unreachable
+    }
+
+    /// The reference aggregation: every post merged into its author's
+    /// running attribute and profile lists, in post order.
+    fn merged_reference(
+        forum: &Forum,
+        features: &[FeatureVector],
+    ) -> (Vec<UserAttributes>, Vec<FeatureVector>) {
+        use dehealth_stylometry::UserProfile;
+        let mut attributes = vec![UserAttributes::new(); forum.n_users];
+        let mut profiles = vec![UserProfile::new(); forum.n_users];
+        for (post, v) in forum.posts.iter().zip(features) {
+            attributes[post.author].add_post(v);
+            profiles[post.author].add_post(v);
+        }
+        (attributes, profiles.iter().map(UserProfile::mean).collect())
+    }
+
+    #[test]
+    fn dense_aggregation_matches_merged_reference() {
+        use dehealth_corpus::ForumConfig;
+        let bits = |v: &FeatureVector| -> Vec<(usize, u64)> {
+            v.iter_nonzero().map(|(i, x)| (i, x.to_bits())).collect()
+        };
+        for (name, config) in [
+            ("tiny", ForumConfig::tiny()),
+            ("webmd-like", ForumConfig::webmd_like(120)),
+            ("hb-like", ForumConfig::healthboards_like(120)),
+        ] {
+            let generated = Forum::generate(&config, 23);
+            // Five extra declared users with no posts.
+            let forum =
+                Forum::from_posts(generated.n_users + 5, generated.n_threads, generated.posts);
+            let features = extract_post_features(&forum);
+            let uda = UdaGraph::build_with_features(&forum, &features);
+            let (attributes, profiles) = merged_reference(&forum, &features);
+            assert_eq!(uda.n_users(), forum.n_users, "{name}");
+            assert!(uda.post_counts.iter().filter(|&&c| c == 0).count() >= 5, "{name}");
+            for u in 0..forum.n_users {
+                assert_eq!(uda.attributes[u], attributes[u], "{name} user {u}: attributes");
+                assert_eq!(bits(&uda.profiles[u]), bits(&profiles[u]), "{name} user {u}: profile");
+                assert_eq!(uda.post_counts[u], forum.user_posts(u).len(), "{name} user {u}");
+            }
+        }
     }
 
     #[test]

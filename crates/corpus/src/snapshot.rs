@@ -9,13 +9,13 @@
 //!
 //! ## File layout (byte-by-byte)
 //!
-//! One container version, [`VERSION`] 2, with a 16-byte header:
+//! One container version, [`VERSION`] 4, with a 16-byte header:
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //!      0     8  magic  b"DEHSNAP\n"
-//!      8     2  format version, u16 LE (must be 2)
+//!      8     2  format version, u16 LE (must be 4)
 //!     10     2  section alignment, u16 LE (must be 8)
 //!     12     4  section count, u32 LE
 //!     16     …  sections, back to back
@@ -37,8 +37,12 @@
 //!     +8     8  payload length `n`, u64 LE
 //!    +16     n  payload                       (+16 ≡ 0 mod 8 in the file)
 //!  +16+n     p  zero padding, p = (8 − n mod 8) mod 8
-//! +16+n+p    8  FNV-1a 64-bit checksum of the payload, u64 LE
+//! +16+n+p    8  XXH64 (seed 0) checksum of the payload, u64 LE
 //! ```
+//!
+//! Versions 1 (unaligned sections), 2 (the same layout with FNV-1a
+//! checksums) and 3 (quantized sections) are retired: their headers fail
+//! with [`SnapshotError::UnsupportedVersion`].
 //!
 //! Payloads are themselves little-endian primitive streams written by
 //! [`SectionBuf`] and read back by [`SectionReader`]: `u8`, `u32`, `u64`,
@@ -63,7 +67,7 @@
 //!
 //! Checksum verification can be skipped per parse
 //! ([`ParseOptions::trusting`]) — the zero-copy load path does this so
-//! reload cost is not dominated by an FNV sweep over arenas it never
+//! reload cost is not dominated by a checksum sweep over arenas it never
 //! copies; every structural invariant is still re-validated by the
 //! decoders themselves.
 
@@ -72,13 +76,19 @@ use std::path::Path;
 
 use crate::dataset::{Forum, Post};
 
+mod xxh64;
+
+pub use xxh64::xxh64;
+use xxh64::Xxh64;
+
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DEHSNAP\n";
 
 /// The container format version: sections padded to 8 bytes so scalar
-/// arenas can be cast in place (zero-copy loading). Any other version in
-/// a header is rejected with [`SnapshotError::UnsupportedVersion`].
-pub const VERSION: u16 = 2;
+/// arenas can be cast in place (zero-copy loading), each checksummed with
+/// [`xxh64`]. Any other version in a header is rejected with
+/// [`SnapshotError::UnsupportedVersion`].
+pub const VERSION: u16 = 4;
 
 /// The alignment guarantee: every section payload starts at a file
 /// offset that is a multiple of this.
@@ -180,7 +190,10 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit hash — the per-section checksum.
+/// FNV-1a 64-bit hash: the digest of forum encodings (`repro scale`, the
+/// generator-determinism test, the benchmark's input digest) and the
+/// service's binary frame checksum. Snapshot sections are checksummed
+/// with [`xxh64`] instead.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -469,7 +482,7 @@ impl SnapshotWriter {
             while out.len() % ALIGN != 0 {
                 out.push(0); // payload padding
             }
-            out.extend_from_slice(&fnv1a(&buf.bytes).to_le_bytes());
+            out.extend_from_slice(&xxh64(&buf.bytes).to_le_bytes());
         }
         out
     }
@@ -503,7 +516,7 @@ impl SnapshotWriter {
 /// and the materializing path briefly holds *two* copies (the buffers and
 /// the assembled stream) on top of the corpus itself. This writer instead
 /// appends each section's bytes to the file as the codec produces them,
-/// computing the FNV-1a checksum incrementally and seeking back to patch
+/// computing the XXH64 checksum incrementally and seeking back to patch
 /// the section's length field once the payload size is known (and the
 /// header's section count at [`Self::finish`]).
 ///
@@ -570,9 +583,10 @@ impl SnapshotStreamer {
         self.out.write_all(&tag.0)?;
         self.out.write_all(&[0u8; 4])?; // header padding
         self.out.write_all(&0u64.to_le_bytes())?; // length placeholder
-        let mut stream = SectionStream { out: &mut self.out, len: 0, hash: FNV_OFFSET, err: None };
+        let mut stream =
+            SectionStream { out: &mut self.out, len: 0, hash: Xxh64::new(), err: None };
         fill(&mut stream);
-        let (len, hash, err) = (stream.len, stream.hash, stream.err.take());
+        let (len, hash, err) = (stream.len, stream.hash.finish(), stream.err.take());
         if let Some(e) = err {
             return Err(e.into());
         }
@@ -618,7 +632,8 @@ impl Drop for SnapshotStreamer {
 
 /// The [`SectionWrite`] sink handed to [`SnapshotStreamer::section`]'s
 /// closure: appends straight to the snapshot file while folding every
-/// byte into the running FNV-1a checksum.
+/// byte into the running XXH64 checksum (whose 32-byte stripe buffer
+/// carries partial stripes between writes).
 ///
 /// [`SectionWrite`] methods are infallible by design (codecs stay free of
 /// error plumbing), so an I/O failure mid-payload is *deferred*: the
@@ -629,7 +644,7 @@ impl Drop for SnapshotStreamer {
 pub struct SectionStream<'a> {
     out: &'a mut std::io::BufWriter<std::fs::File>,
     len: usize,
-    hash: u64,
+    hash: Xxh64,
     err: Option<std::io::Error>,
 }
 
@@ -639,10 +654,7 @@ impl SectionWrite for SectionStream<'_> {
         if self.err.is_some() {
             return;
         }
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
+        self.hash.update(bytes);
         match self.out.write_all(bytes) {
             Ok(()) => self.len += bytes.len(),
             Err(e) => self.err = Some(e),
@@ -657,8 +669,8 @@ impl SectionWrite for SectionStream<'_> {
 /// Parse-time knobs for [`SnapshotReader::parse_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseOptions {
-    /// Verify every section's FNV-1a checksum (the default). The
-    /// zero-copy load path turns this off: an FNV sweep over arenas it
+    /// Verify every section's XXH64 checksum (the default). The
+    /// zero-copy load path turns this off: a checksum sweep over arenas it
     /// never copies would re-linearize a load whose whole point is to
     /// not touch them, and every structural invariant is still
     /// re-validated by the section decoders.
@@ -766,7 +778,7 @@ impl<'a> SnapshotReader<'a> {
             if options.verify_checksums {
                 let check_bytes: [u8; 8] =
                     bytes[padded_end..end].try_into().expect("slice is 8 bytes long");
-                if fnv1a(payload) != u64::from_le_bytes(check_bytes) {
+                if xxh64(payload) != u64::from_le_bytes(check_bytes) {
                     return Err(SnapshotError::ChecksumMismatch { tag });
                 }
             }
@@ -822,6 +834,16 @@ impl<'a> SectionReader<'a> {
         let s = &self.bytes[self.at..self.at + n];
         self.at += n;
         Ok(s)
+    }
+
+    /// Read `n` raw bytes — the inverse of [`SectionWrite::put_raw`], for
+    /// decoders that parse a run of fixed-size records in one bounds
+    /// check.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Truncated`] when fewer than `n` bytes remain.
+    pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        self.take(n, "raw bytes")
     }
 
     /// Read one byte.
@@ -1043,7 +1065,7 @@ mod tests {
         w.section(SectionTag(*b"AAAA")).put_u8(1);
         let mut bytes = w.finish();
         assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), VERSION);
-        for version in [1u16, 3, 99] {
+        for version in [1u16, 2, 3, 99] {
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
                 SnapshotReader::parse(&bytes),
@@ -1192,7 +1214,7 @@ mod tests {
         // fix the checksum so the padding check itself must fire.
         bytes[32 + 3] = 0x77;
         let payload_len = 16usize;
-        let sum = fnv1a(&bytes[32..32 + payload_len]);
+        let sum = xxh64(&bytes[32..32 + payload_len]);
         let at = 32 + payload_len; // already 8-aligned: no section padding
         bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
         let r = SnapshotReader::parse(&bytes).unwrap();
@@ -1321,7 +1343,7 @@ mod tests {
         bytes[32..36].copy_from_slice(&1u32.to_le_bytes());
         // Fix the checksum so the schema check, not the checksum, fires.
         let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        let sum = fnv1a(&bytes[32..32 + payload_len]);
+        let sum = xxh64(&bytes[32..32 + payload_len]);
         let at = 32 + payload_len + payload_len.wrapping_neg() % ALIGN;
         bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
         let r = SnapshotReader::parse(&bytes).unwrap();

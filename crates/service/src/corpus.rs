@@ -21,9 +21,9 @@
 //! [`PreparedCorpus::load`] restores it without touching any post text —
 //! feature extraction is skipped entirely, which is what makes a daemon
 //! restart cheaper than a cold corpus build: at 600 users
-//! `BENCH_service.json` records the owned load at 11.3% of the cold
-//! build (8.9× cheaper), and repeated runs on the same 2-core box range
-//! from 11% to 23%.
+//! `BENCH_service.json` records the owned load at 15.7% of the cold
+//! build (29 ms against 184 ms), and seven runs on the same 2-core box
+//! ranged from 15.6% to 18.1%.
 //! Round-trips are bit-exact: a loaded corpus re-saves to the identical
 //! byte stream (`tests/snapshot_roundtrip.rs`).
 //!
@@ -31,8 +31,10 @@
 //!
 //! [`PreparedCorpus::load_with`] takes a [`LoadMode`]:
 //!
-//! - [`LoadMode::Owned`] — the eager path: read the file, verify every
-//!   checksum, decode every section into owned structures.
+//! - [`LoadMode::Owned`] — the eager path: map the file (an aligned read
+//!   where mmap is unavailable), verify every XXH64 checksum on a helper
+//!   thread while this thread decodes, copy every section into owned
+//!   structures (arenas in bulk), and drop the mapping.
 //! - [`LoadMode::Mapped`] — the zero-copy path: `mmap` the file
 //!   ([`dehealth_mapped`]), decode the forum/features sections (owned —
 //!   they are pointer-rich structures), and *borrow* the attribute-index
@@ -40,9 +42,15 @@
 //!   [`ArenaView`](dehealth_core::arena::ArenaView)s. The mapping is
 //!   kept alive by the views themselves (`Arc`-shared), so there is no
 //!   self-referential state; dropping the corpus unmaps the file. The
-//!   FNV checksum sweep is skipped for speed — every structural
-//!   invariant is still re-validated — and reload time no longer pays
-//!   for the largest sections at all.
+//!   checksum sweep is skipped for speed — every structural invariant is
+//!   still re-validated, the index and context views on a helper thread
+//!   while this thread decodes the forum and features — and reload time
+//!   no longer pays for the largest sections at all.
+//!
+//! Both modes read through a mapping, so both rely on the snapshot
+//! contract: a snapshot is replaced by `rename`, never truncated in place
+//! while it is loaded ([`PreparedCorpus::save`] and
+//! [`PreparedCorpus::save_streaming`] publish that way).
 //!
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
@@ -88,7 +96,8 @@ pub const SECTION_CONTEXT: SectionTag = SectionTag(*b"RCTX");
 /// [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadMode {
-    /// Read + verify + decode everything into owned structures.
+    /// Map, verify every checksum, and copy everything into owned
+    /// structures; the mapping is gone when the load returns.
     Owned,
     /// Memory-map the file and borrow the index/context arenas in place.
     #[default]
@@ -145,6 +154,43 @@ impl PreparedCohort {
         let uda = UdaGraph::build_with_features(&chunk, &features);
         Self { forum: chunk, features, uda }
     }
+}
+
+/// Decode the forum and feature sections and check that they agree.
+fn decode_head(reader: &SnapshotReader<'_>) -> Result<(Forum, Vec<FeatureVector>), SnapshotError> {
+    let mut s = reader.section(SECTION_FORUM)?;
+    let forum = decode_forum(&mut s)?;
+    s.expect_end()?;
+
+    let mut s = reader.section(SECTION_FEATURES)?;
+    let features = decode_features(&mut s)?;
+    s.expect_end()?;
+    if features.len() != forum.posts.len() {
+        return Err(SnapshotError::Malformed { context: "features/posts count mismatch" });
+    }
+    Ok((forum, features))
+}
+
+/// Decode the index section, borrowing `backing` when given.
+fn decode_index(
+    reader: &SnapshotReader<'_>,
+    backing: Option<&SharedBytes>,
+) -> Result<AttributeIndex, SnapshotError> {
+    let mut s = reader.section(SECTION_INDEX)?;
+    let index = AttributeIndex::decode(&mut s, backing)?;
+    s.expect_end()?;
+    Ok(index)
+}
+
+/// Decode the context section, borrowing `backing` when given.
+fn decode_context(
+    reader: &SnapshotReader<'_>,
+    backing: Option<&SharedBytes>,
+) -> Result<RefinedContext, SnapshotError> {
+    let mut s = reader.section(SECTION_CONTEXT)?;
+    let context = RefinedContext::decode(&mut s, backing)?;
+    s.expect_end()?;
+    Ok(context)
 }
 
 impl PreparedCorpus {
@@ -348,56 +394,85 @@ impl PreparedCorpus {
 
     /// Restore a corpus from snapshot bytes, decoding everything into
     /// owned structures. The UDA graph is
-    /// re-derived from the persisted forum and features (a cheap merge —
-    /// no text is re-analyzed); the index and context are decoded
-    /// directly and cross-checked against the forum for consistency.
+    /// re-derived from the persisted forum and features (a dense
+    /// aggregation — no text is re-analyzed); the index and context are
+    /// decoded directly and cross-checked against the forum for
+    /// consistency.
+    ///
+    /// Every checksum is verified on a scoped helper thread while this
+    /// thread decodes from a trusting parse, and a verification error
+    /// wins. So errors keep the order of a verify-then-decode load:
+    /// structural and checksum errors in file order, before any decode
+    /// error. Meanwhile the decoders see bytes whose checksums are not yet
+    /// known, as the mapped load's always do; they never panic on any
+    /// bytes (`byte_flips_through_the_trusting_decode_never_panic`).
     ///
     /// # Errors
     /// Any [`SnapshotError`]: bad magic, unsupported version, truncation,
     /// checksum mismatch, bad padding, missing sections, or cross-section
     /// inconsistency. Never panics on malformed input.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let reader = SnapshotReader::parse(bytes)?;
-        Self::decode_sections(&reader, None)
+        std::thread::scope(|scope| {
+            let verify = scope.spawn(|| SnapshotReader::parse(bytes).map(drop));
+            let decoded = SnapshotReader::parse_with(bytes, &ParseOptions::trusting())
+                .and_then(|reader| Self::decode_sections(&reader, None));
+            verify.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+            decoded
+        })
     }
 
     /// Decode every section of a parsed snapshot. With a `backing`
     /// (which must hold the same bytes the reader parsed), the index and
-    /// context arenas become zero-copy views borrowing it; without one
-    /// they decode into owned storage.
+    /// context arenas become zero-copy views borrowing it, decoded on a
+    /// scoped helper thread while this thread decodes the forum and
+    /// features and derives the UDA graph. Without one they decode into
+    /// owned storage on this thread, because the owned load's helper is
+    /// verifying checksums. Either way errors are reported in section
+    /// order.
     fn decode_sections(
         reader: &SnapshotReader<'_>,
         backing: Option<&SharedBytes>,
     ) -> Result<Self, SnapshotError> {
-        let mut s = reader.section(SECTION_FORUM)?;
-        let forum = decode_forum(&mut s)?;
-        s.expect_end()?;
+        let tail = || (decode_index(reader, backing), decode_context(reader, backing));
+        std::thread::scope(|scope| {
+            let helper = backing.is_some().then(|| scope.spawn(tail));
+            let head = decode_head(reader).map(|(forum, features)| {
+                let uda = UdaGraph::build_with_features(&forum, &features);
+                (forum, features, uda)
+            });
+            let (index, context) = match helper {
+                Some(helper) => {
+                    helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }
+                None => tail(),
+            };
+            let (forum, features, uda) = head?;
+            Self::assemble(forum, features, uda, index, context)
+        })
+    }
 
-        let mut s = reader.section(SECTION_FEATURES)?;
-        let features = decode_features(&mut s)?;
-        s.expect_end()?;
-        if features.len() != forum.posts.len() {
-            return Err(SnapshotError::Malformed { context: "features/posts count mismatch" });
-        }
-
-        let mut s = reader.section(SECTION_INDEX)?;
-        let index = AttributeIndex::decode(&mut s, backing)?;
-        s.expect_end()?;
+    /// Cross-check the decoded sections against the forum and assemble
+    /// the corpus. The index and context arrive as their decode results,
+    /// so each error is reported in section order: an index error, then
+    /// an index/forum mismatch, then a context error.
+    fn assemble(
+        forum: Forum,
+        features: Vec<FeatureVector>,
+        uda: UdaGraph,
+        index: Result<AttributeIndex, SnapshotError>,
+        context: Result<RefinedContext, SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
+        let index = index?;
         if index.n_users() != forum.n_users {
             return Err(SnapshotError::Malformed { context: "index/forum user count mismatch" });
         }
-
-        let mut s = reader.section(SECTION_CONTEXT)?;
-        let context = RefinedContext::decode(&mut s, backing)?;
-        s.expect_end()?;
+        let context = context?;
         if context.n_posts() != forum.posts.len() {
             return Err(SnapshotError::Malformed { context: "context/forum post count mismatch" });
         }
         if context.dim() != M + N_STRUCT {
             return Err(SnapshotError::Malformed { context: "context dimension mismatch" });
         }
-
-        let uda = UdaGraph::build_with_features(&forum, &features);
         let classifier =
             if context.is_sparse() { ClassifierKind::default() } else { ClassifierKind::Centroid };
         debug_assert!(context.matches_classifier(classifier));
@@ -423,6 +498,14 @@ impl PreparedCorpus {
 
     /// Read and restore a snapshot file in the requested [`LoadMode`].
     ///
+    /// Both modes read the file through a mapping, so both rely on the
+    /// snapshot contract: a snapshot is replaced by `rename` (as
+    /// [`Self::save`] and [`Self::save_streaming`] do) and never truncated
+    /// in place while it is loaded.
+    ///
+    /// [`LoadMode::Owned`] verifies every checksum
+    /// ([`Self::from_snapshot_bytes`]) and copies every section out of the
+    /// mapping, which it drops before returning.
     /// [`LoadMode::Mapped`] maps the file, skips the checksum sweep
     /// (structural validation still runs in full), and borrows the
     /// index/context arenas from the mapping — the views keep the
@@ -433,8 +516,11 @@ impl PreparedCorpus {
     pub fn load_with(path: &Path, mode: LoadMode) -> Result<Self, SnapshotError> {
         match mode {
             LoadMode::Owned => {
-                let bytes = std::fs::read(path)?;
-                Self::from_snapshot_bytes(&bytes)
+                // The mapping layer falls back to an aligned read where
+                // mmap is unavailable. Every arena is copied out, and the
+                // mapping is dropped on return: the corpus borrows nothing.
+                let backing = ByteSource::map(path)?;
+                Self::from_snapshot_bytes(backing.bytes())
             }
             LoadMode::Mapped => {
                 let backing = ByteSource::map(path)?;

@@ -6,10 +6,21 @@
 //! lengths are comparable; the raw length features themselves are kept in
 //! natural units. A value of `0` means "the post does not exhibit this
 //! feature", which is exactly the attribute semantics of Section II-B.
+//!
+//! Extraction is one pass over the post's tokens. Each word is lowercased
+//! once; an ASCII word then answers its function-word index, misspelling
+//! index and closed-class tag with one [`lexicon::lookup`]. Counts are
+//! kept as integers and divided once per block. The result is bit for bit
+//! what the earlier multi-pass extractor gave (kept as the test-only
+//! `reference` module): dividing an integer count once equals adding
+//! `1.0` that many times and dividing, and Yule's K sums integer-valued
+//! squares, exact in any order.
 
-use dehealth_text::lexicon::{function_word_index, misspelling_index};
-use dehealth_text::pos::{pos_bigrams, tag_tokens};
-use dehealth_text::stats::{frequency_table, legomena, yules_k};
+use std::collections::HashMap;
+use std::sync::LazyLock;
+
+use dehealth_text::lexicon::{self, function_word_index, misspelling_index};
+use dehealth_text::pos::{open_class_tag, tag_word, PosTag};
 use dehealth_text::tokenize::{paragraphs, tokenize, TokenKind, WordShape};
 
 use crate::registry::{idx, M, MAX_WORD_LEN, N_POS, PUNCT_CHARS, SPECIAL_CHARS};
@@ -22,6 +33,102 @@ fn shape_slot(shape: WordShape) -> usize {
         WordShape::Capitalized => 2,
         WordShape::Camel => 3,
         WordShape::Other => 4,
+    }
+}
+
+/// What one ASCII character counts toward.
+#[derive(Debug, Clone, Copy, Default)]
+struct AsciiClass {
+    whitespace: bool,
+    letter: bool,
+    upper: bool,
+    /// The letter, digit, special-character or punctuation feature the
+    /// character feeds, if any (the four sets are disjoint).
+    slot: Option<usize>,
+}
+
+/// The 128 ASCII characters, classified with the same predicates and
+/// inventories a per-character scan would use.
+static ASCII: LazyLock<[AsciiClass; 128]> = LazyLock::new(|| {
+    std::array::from_fn(|b| {
+        let c = char::from(b as u8);
+        let slot = if c.is_ascii_alphabetic() {
+            Some(idx::LETTER + usize::from(c.to_ascii_lowercase() as u8 - b'a'))
+        } else if c.is_ascii_digit() {
+            Some(idx::DIGIT + usize::from(c as u8 - b'0'))
+        } else if let Some(k) = SPECIAL_CHARS.iter().position(|&s| s == c) {
+            Some(idx::SPECIAL + k)
+        } else {
+            PUNCT_CHARS.iter().position(|&s| s == c).map(|k| idx::PUNCT + k)
+        };
+        AsciiClass {
+            whitespace: c.is_whitespace(),
+            letter: c.is_alphabetic(),
+            upper: c.is_uppercase(),
+            slot,
+        }
+    })
+});
+
+/// One word's character counts, gathered in one pass without allocating.
+#[derive(Debug, Clone, Copy)]
+struct WordStats {
+    chars: usize,
+    letters: usize,
+    upper: usize,
+    first_letter_upper: bool,
+    ascii: bool,
+}
+
+impl WordStats {
+    fn of(word: &str) -> Self {
+        let mut s = Self { chars: 0, letters: 0, upper: 0, first_letter_upper: false, ascii: true };
+        for c in word.chars() {
+            s.chars += 1;
+            s.ascii &= c.is_ascii();
+            if c.is_alphabetic() {
+                let upper = c.is_uppercase();
+                if s.letters == 0 {
+                    s.first_letter_upper = upper;
+                }
+                s.letters += 1;
+                s.upper += usize::from(upper);
+            }
+        }
+        s
+    }
+
+    /// The word's shape, by the rules of `Token::shape`.
+    fn shape(&self) -> WordShape {
+        if self.letters == 0 {
+            WordShape::Other
+        } else if self.upper == self.letters {
+            if self.letters >= 2 {
+                WordShape::AllUpper
+            } else {
+                WordShape::Other
+            }
+        } else if self.upper == 0 {
+            WordShape::AllLower
+        } else if self.first_letter_upper && self.upper == 1 {
+            WordShape::Capitalized
+        } else {
+            WordShape::Camel
+        }
+    }
+}
+
+/// Write `counts[range] / denom` into `v` (a zero `denom` leaves the
+/// block at zero: its counts are zero too).
+fn put_relative(v: &mut [f64], counts: &[u64], range: std::ops::Range<usize>, denom: usize) {
+    if denom == 0 {
+        return;
+    }
+    let denom = denom as f64;
+    for i in range {
+        if counts[i] != 0 {
+            v[i] = counts[i] as f64 / denom;
+        }
     }
 }
 
@@ -42,149 +149,169 @@ fn shape_slot(shape: WordShape) -> usize {
 /// ```
 #[must_use]
 pub fn extract(text: &str) -> FeatureVector {
-    let mut v = vec![0.0f64; M];
+    // Integer counts, indexed like the feature space.
+    let mut counts = [0u64; M];
+
+    // --- Character classes (one table lookup per ASCII character) ---
+    let ascii = &*ASCII;
+    let (mut n_chars, mut n_letters, mut n_upper) = (0usize, 0usize, 0usize);
+    for c in text.chars() {
+        if let Some(class) = ascii.get(c as usize) {
+            n_chars += usize::from(!class.whitespace);
+            n_letters += usize::from(class.letter);
+            n_upper += usize::from(class.upper);
+            if let Some(slot) = class.slot {
+                counts[slot] += 1;
+            }
+        } else {
+            n_chars += usize::from(!c.is_whitespace());
+            if c.is_alphabetic() {
+                n_letters += 1;
+                n_upper += usize::from(c.is_uppercase());
+            }
+        }
+    }
+
+    // --- Tokens: word length, shape, lexicons and POS tags in one pass ---
     let tokens = tokenize(text);
-    let words: Vec<&str> =
-        tokens.iter().filter(|t| t.kind == TokenKind::Word).map(|t| t.text).collect();
-    let n_chars = text.chars().filter(|c| !c.is_whitespace()).count();
-    let n_words = words.len();
+    // Every word's lowercase form, back to back: the lexicon key while the
+    // word is tagged, and the frequency-table key afterwards.
+    let mut lower = String::with_capacity(text.len());
+    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(tokens.len());
+    let (mut n_words, mut word_chars) = (0usize, 0usize);
+    let mut prev_shape: Option<usize> = None;
+    let mut prev_tag: Option<PosTag> = None;
+    let mut sentence_initial = true;
+    for tok in &tokens {
+        let tag = match tok.kind {
+            TokenKind::Punct => PosTag::Punct,
+            TokenKind::Symbol => PosTag::Sym,
+            TokenKind::Number => PosTag::Cd,
+            TokenKind::Word => {
+                let stats = WordStats::of(tok.text);
+                n_words += 1;
+                word_chars += stats.chars;
+                if let Some(k) = stats.chars.min(MAX_WORD_LEN).checked_sub(1) {
+                    counts[idx::WORD_LEN + k] += 1;
+                }
+                let shape = stats.shape();
+                let slot = shape_slot(shape);
+                counts[idx::SHAPE + slot] += 1;
+                if let Some(p) = prev_shape.filter(|&p| p < 4 && slot < 4) {
+                    counts[idx::SHAPE + 5 + p * 4 + slot] += 1;
+                }
+                prev_shape = Some(slot);
+
+                let start = lower.len();
+                let tag = if stats.ascii {
+                    lower.push_str(tok.text);
+                    lower[start..].make_ascii_lowercase();
+                    let word = &lower[start..];
+                    let entry = lexicon::lookup(word);
+                    if let Some(e) = entry {
+                        if let Some(i) = e.function_word {
+                            counts[idx::FUNC + usize::from(i)] += 1;
+                        }
+                        if let Some(i) = e.misspelling {
+                            counts[idx::MISSPELL + usize::from(i)] += 1;
+                        }
+                    }
+                    entry
+                        .and_then(|e| e.closed_class)
+                        .unwrap_or_else(|| open_class_tag(word, shape, sentence_initial))
+                } else {
+                    // Non-ASCII words keep the lexicons' own lowercasing,
+                    // which differs from the tagger's: `li\u{212A}e` (a
+                    // Kelvin sign) tags as `like` but is no function word.
+                    if let Some(i) = function_word_index(tok.text) {
+                        counts[idx::FUNC + i] += 1;
+                    }
+                    if let Some(i) = misspelling_index(tok.text) {
+                        counts[idx::MISSPELL + i] += 1;
+                    }
+                    lower.push_str(&tok.text.to_lowercase());
+                    tag_word(&lower[start..], shape, sentence_initial)
+                };
+                spans.push((start, lower.len()));
+                tag
+            }
+        };
+        // A determiner or possessive followed by a base verb is almost
+        // always a noun ("my ache", "the need"). The fix-up only turns VB
+        // into NN, so the previous final tag decides it.
+        let tag = if tag == PosTag::Vb && matches!(prev_tag, Some(PosTag::Dt | PosTag::PrpDollar)) {
+            PosTag::Nn
+        } else {
+            tag
+        };
+        counts[idx::POS + tag.index()] += 1;
+        if let Some(p) = prev_tag {
+            counts[idx::POS_BIGRAM + p.index() * N_POS + tag.index()] += 1;
+        }
+        prev_tag = Some(tag);
+        sentence_initial = matches!(tok.text, "." | "!" | "?");
+    }
+
+    let mut v = vec![0.0f64; M];
 
     // --- Length (raw units) ---
     v[idx::LENGTH] = n_chars as f64;
     v[idx::LENGTH + 1] = paragraphs(text).len() as f64;
     if n_words > 0 {
-        let word_chars: usize = words.iter().map(|w| w.chars().count()).sum();
         v[idx::LENGTH + 2] = word_chars as f64 / n_words as f64;
     }
 
     // --- Word length histogram (relative to word count) ---
+    put_relative(&mut v, &counts, idx::WORD_LEN..idx::WORD_LEN + MAX_WORD_LEN, n_words);
+
+    // --- Vocabulary richness over case-folded word types ---
     if n_words > 0 {
-        for w in &words {
-            let len = w.chars().count().min(MAX_WORD_LEN);
-            if len >= 1 {
-                v[idx::WORD_LEN + len - 1] += 1.0;
+        let mut freqs: HashMap<&str, usize> = HashMap::with_capacity(n_words);
+        for &(start, end) in &spans {
+            *freqs.entry(&lower[start..end]).or_insert(0) += 1;
+        }
+        if n_words >= 2 {
+            let m2: f64 = freqs.values().map(|&c| (c * c) as f64).sum();
+            let n = n_words as f64;
+            v[idx::VOCAB] = 1e4 * (m2 - n) / (n * n);
+        }
+        // Types occurring exactly 1, 2, 3 and 4 times.
+        let mut legomena = [0usize; 4];
+        for &c in freqs.values() {
+            if let Some(slot) = legomena.get_mut(c - 1) {
+                *slot += 1;
             }
         }
-        for k in 0..MAX_WORD_LEN {
-            v[idx::WORD_LEN + k] /= n_words as f64;
+        for (k, &l) in legomena.iter().enumerate() {
+            v[idx::VOCAB + 1 + k] = l as f64 / n_words as f64;
         }
-    }
-
-    // --- Vocabulary richness ---
-    if n_words > 0 {
-        let freqs = frequency_table(words.iter().copied());
-        v[idx::VOCAB] = yules_k(&freqs);
-        let l = legomena(&freqs);
-        v[idx::VOCAB + 1] = l.hapax as f64 / n_words as f64;
-        v[idx::VOCAB + 2] = l.dis as f64 / n_words as f64;
-        v[idx::VOCAB + 3] = l.tris as f64 / n_words as f64;
-        v[idx::VOCAB + 4] = l.tetrakis as f64 / n_words as f64;
     }
 
     // --- Character-class frequencies (relative to non-space chars) ---
-    if n_chars > 0 {
-        let mut n_letters = 0usize;
-        let mut n_upper = 0usize;
-        for c in text.chars() {
-            if c.is_alphabetic() {
-                n_letters += 1;
-                if c.is_uppercase() {
-                    n_upper += 1;
-                }
-            }
-            if c.is_ascii_alphabetic() {
-                let slot = (c.to_ascii_lowercase() as u8 - b'a') as usize;
-                v[idx::LETTER + slot] += 1.0;
-            } else if c.is_ascii_digit() {
-                v[idx::DIGIT + (c as u8 - b'0') as usize] += 1.0;
-            } else if let Some(slot) = SPECIAL_CHARS.iter().position(|&s| s == c) {
-                v[idx::SPECIAL + slot] += 1.0;
-            }
-            if let Some(slot) = PUNCT_CHARS.iter().position(|&s| s == c) {
-                v[idx::PUNCT + slot] += 1.0;
-            }
-        }
-        for k in 0..26 {
-            v[idx::LETTER + k] /= n_chars as f64;
-        }
-        for k in 0..10 {
-            v[idx::DIGIT + k] /= n_chars as f64;
-        }
-        for k in 0..21 {
-            v[idx::SPECIAL + k] /= n_chars as f64;
-        }
-        for k in 0..10 {
-            v[idx::PUNCT + k] /= n_chars as f64;
-        }
-        if n_letters > 0 {
-            v[idx::UPPER_PCT] = n_upper as f64 / n_letters as f64;
-        }
+    put_relative(&mut v, &counts, idx::LETTER..idx::LETTER + 26, n_chars);
+    put_relative(&mut v, &counts, idx::DIGIT..idx::DIGIT + 10, n_chars);
+    put_relative(&mut v, &counts, idx::SPECIAL..idx::SPECIAL + 21, n_chars);
+    put_relative(&mut v, &counts, idx::PUNCT..idx::PUNCT + 10, n_chars);
+    if n_letters > 0 {
+        v[idx::UPPER_PCT] = n_upper as f64 / n_letters as f64;
     }
 
     // --- Word shape: 5 class frequencies + 16 bigrams over main classes ---
-    if n_words > 0 {
-        let shapes: Vec<WordShape> = tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Word)
-            .map(dehealth_text::tokenize::Token::shape)
-            .collect();
-        for &s in &shapes {
-            v[idx::SHAPE + shape_slot(s)] += 1.0;
-        }
-        for k in 0..5 {
-            v[idx::SHAPE + k] /= n_words as f64;
-        }
-        if shapes.len() >= 2 {
-            let n_bi = shapes.len() - 1;
-            for w in shapes.windows(2) {
-                let (a, b) = (shape_slot(w[0]), shape_slot(w[1]));
-                if a < 4 && b < 4 {
-                    v[idx::SHAPE + 5 + a * 4 + b] += 1.0;
-                }
-            }
-            for k in 0..16 {
-                v[idx::SHAPE + 5 + k] /= n_bi as f64;
-            }
-        }
-    }
+    put_relative(&mut v, &counts, idx::SHAPE..idx::SHAPE + 5, n_words);
+    put_relative(&mut v, &counts, idx::SHAPE + 5..idx::SHAPE + 21, n_words.saturating_sub(1));
 
     // --- Function words and misspellings (relative to word count) ---
-    if n_words > 0 {
-        for w in &words {
-            if let Some(fi) = function_word_index(w) {
-                v[idx::FUNC + fi] += 1.0;
-            }
-            if let Some(mi) = misspelling_index(w) {
-                v[idx::MISSPELL + mi] += 1.0;
-            }
-        }
-        for k in 0..337 {
-            v[idx::FUNC + k] /= n_words as f64;
-        }
-        for k in 0..248 {
-            v[idx::MISSPELL + k] /= n_words as f64;
-        }
-    }
+    put_relative(&mut v, &counts, idx::FUNC..idx::FUNC + 337, n_words);
+    put_relative(&mut v, &counts, idx::MISSPELL..idx::MISSPELL + 248, n_words);
 
     // --- POS tags and bigrams (relative to tag / bigram counts) ---
-    if !tokens.is_empty() {
-        let tags = tag_tokens(&tokens);
-        for &t in &tags {
-            v[idx::POS + t.index()] += 1.0;
-        }
-        for k in 0..N_POS {
-            v[idx::POS + k] /= tags.len() as f64;
-        }
-        let bigrams = pos_bigrams(&tags);
-        if !bigrams.is_empty() {
-            for &(a, b) in &bigrams {
-                v[idx::POS_BIGRAM + a.index() * N_POS + b.index()] += 1.0;
-            }
-            for k in 0..N_POS * N_POS {
-                v[idx::POS_BIGRAM + k] /= bigrams.len() as f64;
-            }
-        }
-    }
+    put_relative(&mut v, &counts, idx::POS..idx::POS + N_POS, tokens.len());
+    put_relative(
+        &mut v,
+        &counts,
+        idx::POS_BIGRAM..idx::POS_BIGRAM + N_POS * N_POS,
+        tokens.len().saturating_sub(1),
+    );
 
     FeatureVector::from_dense(v)
 }

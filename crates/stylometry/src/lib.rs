@@ -12,7 +12,8 @@
 //! - [`registry`] — the stable feature index space (category layout,
 //!   feature names, total dimension [`registry::M`]);
 //! - [`features`] — the per-post extractor [`features::extract`];
-//! - [`vector`] — [`vector::FeatureVector`] plus per-user aggregation and
+//! - [`vector`] — [`vector::FeatureVector`] plus per-user aggregation
+//!   (merged per post, or densely with [`vector::UserAccumulator`]) and
 //!   the binary *attribute* projection of Section II-B (`u ~ A_i` with
 //!   weight `l_u(A_i)` = number of posts of `u` exhibiting feature `i`);
 //! - [`ngrams`] — the optional *content feature* extension (hashed
@@ -21,10 +22,12 @@
 
 pub mod features;
 pub mod ngrams;
+#[cfg(test)]
+mod reference;
 pub mod registry;
 pub mod vector;
 
 pub use features::extract;
 pub use ngrams::{extract_content, extract_extended, M_CONTENT};
 pub use registry::{categories, feature_name, Category, M};
-pub use vector::{FeatureVector, UserAttributes, UserProfile};
+pub use vector::{FeatureVector, UserAccumulator, UserAttributes, UserProfile};

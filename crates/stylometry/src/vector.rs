@@ -45,14 +45,18 @@ impl FeatureVector {
     /// non-finite — exactly the states [`FeatureVector::from_dense`] can
     /// never produce.
     pub fn try_from_sorted_entries(entries: Vec<(u32, f64)>) -> Result<Self, &'static str> {
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err("feature indices must be strictly increasing");
-        }
-        if entries.last().is_some_and(|&(i, _)| i as usize >= M) {
-            return Err("feature index out of registry range");
-        }
-        if !entries.iter().all(|&(_, v)| v != 0.0 && v.is_finite()) {
-            return Err("feature values must be non-zero and finite");
+        let mut prev = None;
+        for &(i, v) in &entries {
+            if prev.is_some_and(|p| i <= p) {
+                return Err("feature indices must be strictly increasing");
+            }
+            if i as usize >= M {
+                return Err("feature index out of registry range");
+            }
+            if v == 0.0 || !v.is_finite() {
+                return Err("feature values must be non-zero and finite");
+            }
+            prev = Some(i);
         }
         Ok(Self { entries })
     }
@@ -178,6 +182,77 @@ impl UserProfile {
         }
         let n = self.n_posts as f64;
         FeatureVector { entries: self.sum.iter().map(|&(i, v)| (i, v / n)).collect() }
+    }
+}
+
+/// Dense per-user aggregation: a user's [`UserAttributes`] and mean
+/// profile, accumulated post by post in reusable `M`-wide count and sum
+/// arrays, with a bitmap of the features touched.
+///
+/// [`Self::take`] equals [`UserAttributes::add_post`] and
+/// [`UserProfile::add_post`] over the same posts in the same order, field
+/// for field and bit for bit: each sum adds the same values in the same
+/// order, the first add is `0.0 + x == x` (feature values are non-zero),
+/// and counts saturate alike. It costs one array update per feature entry
+/// instead of one merge of the user's whole running list per post.
+#[derive(Debug, Clone)]
+pub struct UserAccumulator {
+    counts: Vec<u32>,
+    sums: Vec<f64>,
+    /// Bit `i` is set when feature `i` has a nonzero count.
+    touched: Vec<u64>,
+    n_posts: usize,
+}
+
+impl Default for UserAccumulator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl UserAccumulator {
+    /// An accumulator holding no posts.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            counts: vec![0; M],
+            sums: vec![0.0; M],
+            touched: vec![0; M.div_ceil(64)],
+            n_posts: 0,
+        }
+    }
+
+    /// Add one post's feature vector to the current user.
+    pub fn add_post(&mut self, v: &FeatureVector) {
+        self.n_posts += 1;
+        for &(i, x) in &v.entries {
+            let k = i as usize;
+            self.counts[k] = self.counts[k].saturating_add(1);
+            self.sums[k] += x;
+            self.touched[k / 64] |= 1 << (k % 64);
+        }
+    }
+
+    /// The current user's attributes and mean profile (empty for a user
+    /// with no posts), read off in index order from the touched bitmap,
+    /// which also resets the accumulator for the next user.
+    pub fn take(&mut self) -> (UserAttributes, FeatureVector) {
+        let len = self.touched.iter().map(|w| w.count_ones() as usize).sum();
+        let mut weights = Vec::with_capacity(len);
+        let mut mean = Vec::with_capacity(len);
+        let n = self.n_posts as f64;
+        for (word_at, word) in self.touched.iter_mut().enumerate() {
+            while *word != 0 {
+                let k = word_at * 64 + word.trailing_zeros() as usize;
+                weights.push((k as u32, self.counts[k]));
+                mean.push((k as u32, self.sums[k] / n));
+                self.counts[k] = 0;
+                self.sums[k] = 0.0;
+                *word &= *word - 1;
+            }
+        }
+        self.n_posts = 0;
+        (UserAttributes { weights }, FeatureVector { entries: mean })
     }
 }
 
@@ -420,6 +495,28 @@ mod tests {
         assert_eq!(p.n_posts(), 2);
         assert_eq!(m.get(0), 3.0);
         assert_eq!(m.get(5), 2.0);
+    }
+
+    #[test]
+    fn accumulator_matches_merges_and_resets() {
+        let posts = [fv(&[(0, 2.0), (5, 4.0)]), fv(&[(0, 0.1), (7, 1.0)]), fv(&[(5, 0.2)])];
+        let mut acc = UserAccumulator::new();
+        for round in 0..2 {
+            let (mut attrs, mut profile) = (UserAttributes::new(), UserProfile::new());
+            for v in &posts[round..] {
+                acc.add_post(v);
+                attrs.add_post(v);
+                profile.add_post(v);
+            }
+            let (got_attrs, got_mean) = acc.take();
+            assert_eq!(got_attrs, attrs, "round {round}");
+            let bits = |v: &FeatureVector| -> Vec<(usize, u64)> {
+                v.iter_nonzero().map(|(i, x)| (i, x.to_bits())).collect()
+            };
+            assert_eq!(bits(&got_mean), bits(&profile.mean()), "round {round}");
+        }
+        let (attrs, mean) = acc.take();
+        assert!(attrs.is_empty() && mean.nnz() == 0, "a user with no posts is empty");
     }
 
     #[test]

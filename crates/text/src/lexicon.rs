@@ -5,6 +5,17 @@
 //! [`FUNCTION_WORDS`] and [`MISSPELLINGS`]) and queried by binary search
 //! over a lowercase buffer, so lookups allocate only when the query
 //! contains uppercase characters.
+//!
+//! [`lookup`] answers all three per-word questions of the feature
+//! extractor at once (function-word index, misspelling index and the
+//! tagger's closed-class tag) from one hash table over every listed
+//! word, built on first use.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::LazyLock;
+
+use crate::pos::{closed_class_words, PosTag};
 
 #[path = "function_words.rs"]
 mod function_words;
@@ -13,6 +24,66 @@ mod misspellings;
 
 pub use function_words::FUNCTION_WORDS;
 pub use misspellings::MISSPELLINGS;
+
+/// Everything the lexicons know about one lowercase word.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LexiconEntry {
+    /// Index in [`FUNCTION_WORDS`].
+    pub function_word: Option<u16>,
+    /// Index in [`MISSPELLINGS`].
+    pub misspelling: Option<u16>,
+    /// The tag the POS tagger's closed-class lists give the word (the
+    /// first list it appears in).
+    pub closed_class: Option<PosTag>,
+}
+
+/// FNV-1a over the key bytes. The table's keys are fixed, so a fixed hash
+/// bounds every probe by the table's own longest chain, whatever the
+/// query.
+struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LexiconTable = HashMap<&'static str, LexiconEntry, BuildHasherDefault<WordHasher>>;
+
+static TABLE: LazyLock<LexiconTable> = LazyLock::new(|| {
+    let mut table = LexiconTable::default();
+    for (i, &w) in FUNCTION_WORDS.iter().enumerate() {
+        table.entry(w).or_default().function_word = Some(i as u16);
+    }
+    for (i, &(w, _)) in MISSPELLINGS.iter().enumerate() {
+        table.entry(w).or_default().misspelling = Some(i as u16);
+    }
+    for (w, tag) in closed_class_words() {
+        table.entry(w).or_default().closed_class = Some(tag);
+    }
+    table
+});
+
+/// Look a word up in every lexicon at once. `lower` must already be
+/// lowercase: for such a word the entry agrees with
+/// [`function_word_index`], [`misspelling_index`] and the tagger's
+/// closed-class lists, and a word in none of them has no entry.
+#[must_use]
+pub fn lookup(lower: &str) -> Option<&'static LexiconEntry> {
+    TABLE.get(lower)
+}
 
 /// Index of a function word in [`FUNCTION_WORDS`], or `None`.
 ///
@@ -101,6 +172,33 @@ mod tests {
         assert_eq!(correction("recieve"), Some("receive"));
         assert_eq!(correction("diabetis"), Some("diabetes"));
         assert_eq!(correction("receive"), None);
+    }
+
+    #[test]
+    fn lookup_agrees_with_every_list() {
+        use crate::pos::{closed_class_tag, PosTag};
+        let listed = FUNCTION_WORDS
+            .iter()
+            .copied()
+            .chain(MISSPELLINGS.iter().map(|&(w, _)| w))
+            .chain(closed_class_words().map(|(w, _)| w));
+        for w in listed.chain(["doctor", "", "the-", "li\u{212A}e", "n't"]) {
+            let want = LexiconEntry {
+                function_word: function_word_index(w).map(|i| i as u16),
+                misspelling: misspelling_index(w).map(|i| i as u16),
+                closed_class: closed_class_tag(w),
+            };
+            let got = lookup(w).copied();
+            if want == LexiconEntry::default() {
+                assert_eq!(got, None, "{w:?}");
+            } else {
+                assert_eq!(got, Some(want), "{w:?}");
+            }
+        }
+        // First list wins: `no` is a determiner before an interjection,
+        // `there` existential before an adverb.
+        assert_eq!(lookup("no").unwrap().closed_class, Some(PosTag::Dt));
+        assert_eq!(lookup("there").unwrap().closed_class, Some(PosTag::Ex));
     }
 
     #[test]

@@ -93,10 +93,10 @@ impl PosTag {
         PosTag::Sym,
     ];
 
-    /// Index of this tag in [`PosTag::ALL`].
+    /// Index of this tag in [`PosTag::ALL`] (the declaration order).
     #[must_use]
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&t| t == self).expect("tag in ALL")
+        self as usize
     }
 
     /// Penn-Treebank-style name.
@@ -290,49 +290,58 @@ fn in_list(list: &[&str], w: &str) -> bool {
     list.contains(&w)
 }
 
-fn tag_word(lower: &str, shape: WordShape, sentence_initial: bool) -> PosTag {
+/// Tag one word from its lowercase form: the closed-class lists first
+/// (the first list holding the word gives its tag), then shape and suffix
+/// rules ([`open_class_tag`]).
+#[must_use]
+pub fn tag_word(lower: &str, shape: WordShape, sentence_initial: bool) -> PosTag {
+    closed_class_tag(lower).unwrap_or_else(|| open_class_tag(lower, shape, sentence_initial))
+}
+
+/// The single-tag closed-class lists after [`AUX_BE_HAVE_DO`], in the
+/// order the tagger tries them.
+const CLOSED_CLASS: [(&[&str], PosTag); 13] = [
+    (MODALS, PosTag::Md),
+    (&["to"], PosTag::To),
+    (&["there"], PosTag::Ex),
+    (DETERMINERS, PosTag::Dt),
+    (POSSESSIVES, PosTag::PrpDollar),
+    (PRONOUNS, PosTag::Prp),
+    (CONJUNCTIONS, PosTag::Cc),
+    (WH_WORDS, PosTag::Wp),
+    (PREPOSITIONS, PosTag::In),
+    (INTERJECTIONS, PosTag::Uh),
+    (COMMON_ADVERBS, PosTag::Rb),
+    (COMMON_ADJECTIVES, PosTag::Jj),
+    (COMMON_BASE_VERBS, PosTag::Vb),
+];
+
+/// The closed-class tag of a lowercase word: the first list it appears
+/// in, in this order (so `no` is DT, not UH, and `there` is EX, not RB).
+#[must_use]
+pub(crate) fn closed_class_tag(lower: &str) -> Option<PosTag> {
     if let Some(&(_, t)) = AUX_BE_HAVE_DO.iter().find(|&&(w, _)| w == lower) {
-        return t;
+        return Some(t);
     }
-    if in_list(MODALS, lower) {
-        return PosTag::Md;
-    }
-    if lower == "to" {
-        return PosTag::To;
-    }
-    if lower == "there" {
-        return PosTag::Ex;
-    }
-    if in_list(DETERMINERS, lower) {
-        return PosTag::Dt;
-    }
-    if in_list(POSSESSIVES, lower) {
-        return PosTag::PrpDollar;
-    }
-    if in_list(PRONOUNS, lower) {
-        return PosTag::Prp;
-    }
-    if in_list(CONJUNCTIONS, lower) {
-        return PosTag::Cc;
-    }
-    if in_list(WH_WORDS, lower) {
-        return PosTag::Wp;
-    }
-    if in_list(PREPOSITIONS, lower) {
-        return PosTag::In;
-    }
-    if in_list(INTERJECTIONS, lower) {
-        return PosTag::Uh;
-    }
-    if in_list(COMMON_ADVERBS, lower) {
-        return PosTag::Rb;
-    }
-    if in_list(COMMON_ADJECTIVES, lower) {
-        return PosTag::Jj;
-    }
-    if in_list(COMMON_BASE_VERBS, lower) {
-        return PosTag::Vb;
-    }
+    CLOSED_CLASS.iter().find(|(list, _)| in_list(list, lower)).map(|&(_, t)| t)
+}
+
+/// Every word of the closed-class lists with its [`closed_class_tag`]
+/// (a word in several lists appears once per list, always with its
+/// first list's tag).
+pub(crate) fn closed_class_words() -> impl Iterator<Item = (&'static str, PosTag)> {
+    let listed = CLOSED_CLASS.iter().flat_map(|(list, _)| list.iter().copied());
+    AUX_BE_HAVE_DO
+        .iter()
+        .map(|&(w, _)| w)
+        .chain(listed)
+        .map(|w| (w, closed_class_tag(w).expect("listed words are closed-class")))
+}
+
+/// The tag of a lowercase word that no closed-class list holds: a proper
+/// noun by shape away from the sentence start, otherwise by suffix.
+#[must_use]
+pub fn open_class_tag(lower: &str, shape: WordShape, sentence_initial: bool) -> PosTag {
     // Proper noun by shape: capitalized or camel-case away from the
     // sentence start.
     if !sentence_initial

@@ -88,10 +88,11 @@ fn bad_magic_is_rejected() {
 #[test]
 fn wrong_version_is_rejected() {
     let mut bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
-    // Version 1 (the retired unaligned layout), version 3 (the retired
-    // quantized-section layout) and a future version are all refused,
-    // by the owned and the mapped load paths alike.
-    for version in [1, 3, VERSION + 41] {
+    // Version 1 (the retired unaligned layout), version 2 (the same
+    // layout with FNV-1a checksums), version 3 (the retired
+    // quantized-section layout) and a future version are all refused, by
+    // the owned and the mapped load paths alike.
+    for version in [1, 2, 3, VERSION + 41] {
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
             PreparedCorpus::from_snapshot_bytes(&bytes),
@@ -127,6 +128,102 @@ fn corrupted_payload_fails_its_checksum() {
     }
 }
 
+/// The file offsets of each section's header, payload and checksum.
+fn section_layout(bytes: &[u8]) -> Vec<(usize, usize, usize)> {
+    let mut sections = Vec::new();
+    let mut at = 16usize;
+    while at + 16 <= bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().unwrap()) as usize;
+        let payload = at + 16;
+        let checksum = payload + len + len.wrapping_neg() % ALIGN;
+        sections.push((at, payload, checksum));
+        at = checksum + 8;
+    }
+    sections
+}
+
+#[test]
+fn owned_load_reports_errors_in_file_order() {
+    // The owned load verifies checksums on a helper thread while it
+    // decodes; the helper's error must still win, exactly as when the
+    // whole file was verified before any decode.
+    let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
+    let sections = section_layout(&bytes);
+    assert_eq!(sections.len(), 4);
+    let form = de_health::service::corpus::SECTION_FORUM;
+    let path = std::env::temp_dir().join("dehealth-snapshot-precedence-test.snap");
+    let owned_loads = |bad: &[u8]| {
+        std::fs::write(&path, bad).unwrap();
+        [PreparedCorpus::from_snapshot_bytes(bad), PreparedCorpus::load(&path)]
+    };
+
+    // A bad FORM checksum, plus nonzero header padding in a later section
+    // (which the decoding thread's trusting parse trips over first).
+    let mut bad = bytes.clone();
+    bad[sections[0].2] ^= 0x01;
+    bad[sections[2].0 + 5] = 0x5a;
+    for result in owned_loads(&bad) {
+        assert!(
+            matches!(result, Err(SnapshotError::ChecksumMismatch { tag }) if tag == form),
+            "got {result:?}"
+        );
+    }
+    // A FORM payload whose user count no longer fits its posts: the decode
+    // fails too, but the checksum mismatch comes first.
+    let mut bad = bytes.clone();
+    bad[sections[0].1..sections[0].1 + 4].copy_from_slice(&1u32.to_le_bytes());
+    for result in owned_loads(&bad) {
+        assert!(
+            matches!(result, Err(SnapshotError::ChecksumMismatch { tag }) if tag == form),
+            "got {result:?}"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn byte_flips_through_the_trusting_decode_never_panic() {
+    // The mapped load decodes bytes whose checksums it never checks, and
+    // the owned load decodes while its helper thread is still checking.
+    // So every corruption must decode to a typed error or to a corpus,
+    // never a panic: flip bytes across every section, with three masks,
+    // on both context representations.
+    // A small corpus keeps every decode cheap enough to flip densely.
+    let mut config = ForumConfig::webmd_like(16);
+    config.mean_post_words = 12.0;
+    let forum = Forum::generate(&config, 5);
+    for classifier in [ClassifierKind::default(), ClassifierKind::Centroid] {
+        let bytes = PreparedCorpus::build(forum.clone(), classifier).to_snapshot_bytes();
+        // The file header, ~400 offsets spread over the file, and every
+        // section's header and first 64 payload bytes (the counts and
+        // lengths the decoders size their work by).
+        let spread = (16..bytes.len()).step_by((bytes.len() / 400).max(1));
+        let mut offsets: Vec<usize> = (0..16).chain(spread).collect();
+        for (header, payload, _) in section_layout(&bytes) {
+            offsets.extend(header..(payload + 64).min(bytes.len()));
+        }
+        for at in offsets {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut corrupted = bytes.clone();
+                corrupted[at] ^= mask;
+                let backing = ByteSource::from_vec(corrupted);
+                match PreparedCorpus::from_shared_bytes(&backing) {
+                    Ok(_)
+                    | Err(
+                        SnapshotError::Truncated { .. }
+                        | SnapshotError::Malformed { .. }
+                        | SnapshotError::Misaligned { .. }
+                        | SnapshotError::MissingSection(_)
+                        | SnapshotError::BadMagic
+                        | SnapshotError::UnsupportedVersion(_),
+                    ) => {}
+                    Err(other) => panic!("{classifier:?}, byte {at} ^ {mask:#x}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn io_errors_are_propagated() {
     let missing = std::env::temp_dir().join("dehealth-no-such-snapshot.snap");
@@ -138,9 +235,9 @@ fn io_errors_are_propagated() {
 }
 
 #[test]
-fn current_snapshots_are_v2_with_aligned_sections() {
+fn current_snapshots_are_v4_with_aligned_sections() {
     let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
-    assert_eq!(VERSION, 2);
+    assert_eq!(VERSION, 4);
     assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), VERSION);
     // The in-header alignment guarantee.
     assert_eq!(u16::from_le_bytes([bytes[10], bytes[11]]) as usize, ALIGN);
