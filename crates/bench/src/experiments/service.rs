@@ -26,9 +26,8 @@
 //!    attack it carries.
 //! 3. **Latency under concurrent load** — several clients attack the
 //!    daemon simultaneously with barrier-synchronized sends, so the
-//!    requests land inside one coalescing window and the daemon fuses
-//!    them into shared engine passes (`daemon_batch_size` is differenced
-//!    around the phase to record how many). p50/p90/p99 request latency
+//!    requests arrive together and run side by side on the daemon's
+//!    dispatch workers. p50/p90/p99 request latency
 //!    is read back from the daemon's own
 //!    `daemon_command_seconds{cmd="attack"}` histogram (the telemetry
 //!    layer's instrument, isolated to the concurrent phase by
@@ -38,13 +37,12 @@
 //!    ceiling is written to the JSON as a flagged floor
 //!    (`latency_p??_overflow: true`), never as a fabricated measurement.
 //!    Each client's own wall-clock is recorded too, plus the
-//!    **spread** (slowest minus fastest): with every coalesced reply
-//!    serialized by the workers and released together, the spread
-//!    should be a small fraction of the batch wall time, not a serial
-//!    staircase. Every reported quantile is asserted no larger than the
-//!    slowest round trip any client observed in the run: the daemon
-//!    measures each request inside its client's round trip, and the
-//!    histogram clamps its estimates to the largest sample it recorded.
+//!    **spread** (slowest minus fastest), which shows how evenly the
+//!    workers shared the concurrent attacks. Every reported quantile is
+//!    asserted no larger than the slowest round trip any client observed
+//!    in the run: the daemon measures each request inside its client's
+//!    round trip, and the histogram clamps its estimates to the largest
+//!    sample it recorded.
 //!
 //! Every wire attack — serial and concurrent — is compared against the
 //! in-process serial `DeHealth::run` on the freshly built corpus —
@@ -91,8 +89,7 @@ pub struct WireRun {
     /// Mean per-request raw-bytes→validated-request time on a worker
     /// (`daemon_parse_seconds` differenced around the run).
     pub parse_seconds: f64,
-    /// Mean per-request wait for a worker plus coalescing window
-    /// (`daemon_queue_seconds`).
+    /// Mean per-request wait for a worker (`daemon_queue_seconds`).
     pub queue_seconds: f64,
     /// Mean per-request engine execution time
     /// (`daemon_engine_seconds`).
@@ -122,15 +119,10 @@ pub struct ConcurrentRun {
     pub p90: Quantile,
     /// Estimated 99th-percentile request latency (overflow-marked).
     pub p99: Quantile,
-    /// Fused engine passes the daemon's coalescing window produced for
-    /// this phase's attacks (differenced `daemon_batch_size` count).
-    pub batches: u64,
     /// Each client's own wall-clock for its attack, seconds (sorted
     /// ascending).
     pub client_seconds: Vec<f64>,
-    /// Slowest client minus fastest client, seconds: near-uniform
-    /// release of a coalesced batch keeps this a small fraction of the
-    /// batch wall time.
+    /// Slowest client minus fastest client, seconds.
     pub spread_seconds: f64,
 }
 
@@ -331,18 +323,14 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
     }
     // Concurrent load: several clients, each its own connection, all
     // attacking at 1 worker thread so the contention is real. The sends
-    // are barrier-synchronized so all requests land inside the daemon's
-    // coalescing window and exercise the fused batch path (the number of
-    // batches is differenced from `daemon_batch_size`). Latency
+    // are barrier-synchronized so all requests arrive together. Latency
     // quantiles come from the daemon's own attack histogram, isolated to
     // this phase by differencing snapshots around it.
     let clients = 4usize;
     let rounds_per_client = 1usize;
     let attack_hist =
         daemon.registry().histogram_with("daemon_command_seconds", &[("cmd", "attack")]);
-    let batch_hist = daemon.registry().histogram("daemon_batch_size");
     let before = attack_hist.snapshot();
-    let batches_before = batch_hist.count();
     let barrier = std::sync::Barrier::new(clients);
     let t0 = Instant::now();
     let mut client_seconds: Vec<f64> = std::thread::scope(|scope| {
@@ -394,11 +382,6 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         issued as u64,
         "the attack histogram must count every concurrent request"
     );
-    let batches = batch_hist.count() - batches_before;
-    assert!(
-        (1..=issued as u64).contains(&batches),
-        "the coalescing window must flush between 1 and {issued} batches, got {batches}"
-    );
     let concurrent = ConcurrentRun {
         clients,
         rounds_per_client,
@@ -408,14 +391,13 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         p50: delta.quantile(0.5),
         p90: delta.quantile(0.9),
         p99: delta.quantile(0.99),
-        batches,
         client_seconds,
         spread_seconds,
     };
     println!(
         "  concurrent: {clients} clients × {rounds_per_client} attacks in \
-         {concurrent_seconds:.3}s ({:.2} attacks/s across {batches} fused batch(es); \
-         latency mean {:.3}s, p50 {}, p90 {}, p99 {}; per-client spread {:.3}s; \
+         {concurrent_seconds:.3}s ({:.2} attacks/s; latency mean {:.3}s, p50 {}, \
+         p90 {}, p99 {}; per-client spread {:.3}s; \
          slowest round trip {slowest_round_trip_seconds:.3}s)",
         concurrent.attacks_per_sec,
         concurrent.mean_seconds,
@@ -534,7 +516,6 @@ fn write_json(path: &Path, seed: u64, b: &ServiceBench) -> io::Result<()> {
     let _ = writeln!(out, "    \"rounds_per_client\": {},", c.rounds_per_client);
     let _ = writeln!(out, "    \"total_seconds\": {:.6},", c.total_seconds);
     let _ = writeln!(out, "    \"attacks_per_sec\": {:.3},", c.attacks_per_sec);
-    let _ = writeln!(out, "    \"batches\": {},", c.batches);
     let _ = writeln!(out, "    \"latency_mean_seconds\": {:.6},", c.mean_seconds);
     let _ = writeln!(out, "    \"latency_p50_seconds\": {:.6},", c.p50.seconds);
     let _ = writeln!(out, "    \"latency_p50_overflow\": {},", c.p50.overflow);
@@ -581,13 +562,11 @@ mod tests {
             assert!(r.emit_seconds > 0.0, "{}: emit not billed to workers", r.encoding);
             assert!(r.queue_seconds >= 0.0);
         }
-        // The concurrent phase's histogram-count and batch-count
-        // assertions ran inside `run_to`; the derived quantiles must be
-        // coherent, and at this scale (sub-second attacks, 1000s
-        // ceiling) none may resolve to the overflow bucket.
+        // The concurrent phase's histogram-count assertion ran inside
+        // `run_to`; the derived quantiles must be coherent, and at this
+        // scale (sub-second attacks, 1000s ceiling) none may resolve to
+        // the overflow bucket.
         assert!(bench.concurrent.clients > 1);
-        assert!(bench.concurrent.batches >= 1);
-        assert!(bench.concurrent.batches <= 4, "4 synced attacks cannot need more batches");
         assert!(bench.concurrent.p50.seconds > 0.0);
         assert!(bench.concurrent.p50.seconds <= bench.concurrent.p90.seconds);
         assert!(bench.concurrent.p90.seconds <= bench.concurrent.p99.seconds);
@@ -607,7 +586,6 @@ mod tests {
         assert!(text.contains("\"emit_seconds\""));
         assert!(text.contains("\"latency_p99_seconds\""));
         assert!(text.contains("\"latency_p99_overflow\": false"));
-        assert!(text.contains("\"batches\""));
         assert!(text.contains("\"client_seconds\""));
         assert!(text.contains("\"spread_seconds\""));
         assert!(text.contains("\"slowest_round_trip_seconds\""));

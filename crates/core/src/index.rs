@@ -1122,7 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_codec_roundtrips_across_backings_and_storages() {
+    fn codec_roundtrips_across_backings_and_storages() {
         use dehealth_corpus::snapshot::{SectionTag, SnapshotReader, SnapshotWriter};
         use dehealth_mapped::ByteSource;
         const TAG: SectionTag = SectionTag(*b"AIDX");
@@ -1198,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_decode_rejects_corrupt_structures() {
+    fn decode_rejects_corrupt_structures() {
         use dehealth_corpus::snapshot::{SectionTag, SnapshotReader, SnapshotWriter};
         const TAG: SectionTag = SectionTag(*b"AIDX");
         let (_, aux) = sides();

@@ -1133,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_sections_are_eight_byte_aligned_in_the_file() {
+    fn sections_are_eight_byte_aligned_in_the_file() {
         // Sweep deliberately awkward payload lengths; every payload must
         // start at a file offset that is a multiple of 8, with validated
         // zero padding in between.

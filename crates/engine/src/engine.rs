@@ -198,12 +198,7 @@ impl Engine {
         }
         let cfg = &self.config.attack;
         let mut report = EngineReport::new(self.config.effective_threads(), self.config.block_size);
-        let ((anon_feats, anon_uda), secs) = timed(|| {
-            let feats = extract_post_features(anonymized);
-            let uda = UdaGraph::build_with_features(anonymized, &feats);
-            (feats, uda)
-        });
-        report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
+        let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
 
         let structure_start = Instant::now();
         let index = aux.scoring_index(self.config.scoring);
@@ -226,385 +221,13 @@ impl Engine {
         complete_attack(&self.config, &anon_side, &aux_side, heaps, bounds, aux.context, report)
     }
 
-    /// Attack several independent anonymized batches against one
-    /// **pre-built** auxiliary corpus in a single fused pass — the
-    /// server-side batching path behind `dehealth-service`'s coalescing
-    /// window.
-    ///
-    /// Each request carries its own [`AttackConfig`] (per-request
-    /// `top_k`, `n_landmarks`, `seed`, filtering…), and each element of
-    /// the returned vector is **bit-identical** to what
-    /// [`Engine::run_prepared`] would produce for that request alone
-    /// with the same attack config (pinned by `batch_matches_solo_runs`
-    /// and, over the wire, `tests/service_parity.rs`): per-request
-    /// numeric state (similarity engine, heaps, score bounds, refined
-    /// classifiers) is kept fully separate, only *scheduling* and
-    /// *shared auxiliary artifacts* are fused. What the batch amortizes
-    /// across requests:
-    ///
-    /// - the [`AttributeIndex`] build when `aux` does not carry one
-    ///   (built once, probed by every request);
-    /// - the auxiliary [`AuxStructure`] and the index's [`AuxHotAttrs`],
-    ///   built once into `aux.cache` (or read from it). A request whose
-    ///   `n_landmarks` differs from the cached structure's builds its
-    ///   own;
-    /// - the auxiliary [`RefinedContext`] rebuild when `aux`'s is
-    ///   missing or does not match a request's classifier (built once
-    ///   per distinct classifier kind, shared read-only);
-    /// - worker-pool scheduling: the Top-K and Refined stages run as
-    ///   *one* `run_blocks` pass each over the concatenated
-    ///   per-(request, user) work items, so small requests fill the
-    ///   pool together instead of each paying their own fan-out.
-    ///
-    /// Per-request [`EngineReport`]s carry exact per-request item
-    /// counts; the wall-clock seconds of the shared `structure` and the
-    /// fused `topk`/`refined` stages are batch-wide (the work is shared,
-    /// so per-request time is not separable) and therefore appear in
-    /// every report.
-    ///
-    /// # Panics
-    /// Panics if `aux` is internally inconsistent (as
-    /// [`Engine::run_prepared`]) or if any request's
-    /// `attack.selection` is not [`Selection::Direct`].
-    #[must_use]
-    pub fn run_prepared_batch(
-        &self,
-        aux: &PreparedAuxiliary<'_>,
-        requests: &[BatchRequest<'_>],
-    ) -> Vec<EngineOutcome> {
-        assert_eq!(
-            aux.features.len(),
-            aux.forum.posts.len(),
-            "prepared auxiliary features/posts mismatch"
-        );
-        if let Some(index) = aux.index {
-            assert_eq!(
-                index.n_users(),
-                aux.forum.n_users,
-                "prepared index does not cover the auxiliary corpus's users"
-            );
-        }
-        for request in requests {
-            assert!(
-                request.attack.selection == Selection::Direct,
-                "dehealth-engine supports Selection::Direct only"
-            );
-        }
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let n_req = requests.len();
-        let threads = self.config.effective_threads();
-        let mut reports: Vec<EngineReport> =
-            (0..n_req).map(|_| EngineReport::new(threads, self.config.block_size)).collect();
-
-        // Per-request anonymized-side preparation (independent numeric
-        // state; nothing here is shared).
-        let mut anon_prepared: Vec<(Vec<FeatureVector>, UdaGraph)> = Vec::with_capacity(n_req);
-        for (request, report) in requests.iter().zip(&mut reports) {
-            let ((feats, uda), secs) = timed(|| {
-                let feats = extract_post_features(request.anonymized);
-                let uda = UdaGraph::build_with_features(request.anonymized, &feats);
-                (feats, uda)
-            });
-            report.record("prepare", "posts", request.anonymized.posts.len() as u64, secs);
-            anon_prepared.push((feats, uda));
-        }
-
-        // Shared auxiliary artifacts: one index build, and the cache's
-        // structure and hot tables, serve the batch.
-        let structure_start = Instant::now();
-        let index = aux.scoring_index(self.config.scoring);
-        let index = index.as_deref();
-        let mut built = vec![0u64; n_req];
-        let sims: Vec<SimilarityEngine<'_>> = requests
-            .iter()
-            .zip(&anon_prepared)
-            .zip(&mut built)
-            .map(|((request, (_, anon_uda)), built)| {
-                let (aux_st, n) = aux.cache.structure(aux.uda, request.attack.n_landmarks);
-                *built = n;
-                SimilarityEngine::with_aux_structure(
-                    anon_uda,
-                    aux.uda,
-                    request.attack.weights,
-                    aux_st,
-                )
-            })
-            .collect();
-        let scorers: Vec<Option<IndexedScorer<'_, '_>>> = requests
-            .iter()
-            .zip(&sims)
-            .map(|(request, sim)| {
-                // Pruning per request, exactly as the solo path: off
-                // whenever that request's filtering needs exact bounds.
-                index.map(|index| {
-                    let prune = request.attack.filtering.is_none();
-                    IndexedScorer::with_hot_attrs(sim, index, aux.cache.hot_attrs(index), prune)
-                })
-            })
-            .collect();
-        let structure_secs = structure_start.elapsed().as_secs_f64();
-        for (report, &built) in reports.iter_mut().zip(&built) {
-            report.record("structure", "users", built, structure_secs);
-        }
-
-        // Fused Top-K: one work-stealing pass over every
-        // (request, anon user) item. Workers keep per-request bounds
-        // and tallies so nothing numeric crosses request boundaries.
-        struct TopkSlot {
-            req: usize,
-            u: usize,
-            heap: BoundedTopK,
-        }
-        let mut slots: Vec<TopkSlot> = requests
-            .iter()
-            .enumerate()
-            .flat_map(|(req, request)| {
-                (0..request.anonymized.n_users).map(move |u| TopkSlot {
-                    req,
-                    u,
-                    heap: BoundedTopK::new(request.attack.top_k),
-                })
-            })
-            .collect();
-        let mut bounds: Vec<ScoreBounds> = (0..n_req).map(|_| ScoreBounds::new()).collect();
-        let mut tallies: Vec<PairTally> = vec![PairTally::default(); n_req];
-        let ((), topk_secs) = timed(|| {
-            let states = run_blocks(
-                &mut slots,
-                self.config.block_size,
-                threads,
-                || {
-                    (
-                        (0..n_req).map(|_| ScoreBounds::new()).collect::<Vec<_>>(),
-                        vec![PairTally::default(); n_req],
-                        (0..n_req).map(|_| None).collect::<Vec<_>>(),
-                    )
-                },
-                |_, block, (local_bounds, local_tallies, scratches)| {
-                    for slot in block.iter_mut() {
-                        let r = slot.req;
-                        if let Some(scorer) = &scorers[r] {
-                            let scratch = scratches[r].get_or_insert_with(|| scorer.scratch());
-                            local_tallies[r] += scorer.score_user(
-                                slot.u,
-                                scratch,
-                                &mut slot.heap,
-                                &mut local_bounds[r],
-                            );
-                        } else {
-                            for (v, s) in sims[r].scores_for(slot.u) {
-                                slot.heap.insert(v, s);
-                                local_bounds[r].observe(s);
-                                local_tallies[r].merged += 1;
-                                local_tallies[r].scored += 1;
-                            }
-                        }
-                    }
-                },
-            );
-            for (local_bounds, local_tallies, _) in states {
-                for (merged, local) in bounds.iter_mut().zip(local_bounds) {
-                    merged.merge(local);
-                }
-                for (merged, local) in tallies.iter_mut().zip(local_tallies) {
-                    *merged += local;
-                }
-            }
-        });
-        for (report, tally) in reports.iter_mut().zip(&tallies) {
-            report.record_topk(tally);
-            // Batch-wide stage wall-clock (the fused pass is shared).
-            report.record("topk", "pairs", 0, topk_secs);
-        }
-
-        // Per-request candidate extraction + Algorithm-2 filtering
-        // (cheap, serial), exactly as the solo `complete_attack`.
-        let mut per_req_scores: Vec<Vec<Vec<(usize, f64)>>> =
-            requests.iter().map(|r| vec![Vec::new(); r.anonymized.n_users]).collect();
-        for slot in slots {
-            per_req_scores[slot.req][slot.u] = slot.heap.into_sorted_entries();
-        }
-        // The candidate budget applies per request, exactly as each
-        // request's solo run would enforce it.
-        for (scores, report) in per_req_scores.iter_mut().zip(&mut reports) {
-            apply_candidate_budget(self.config.candidate_budget, scores, report);
-        }
-        let mut per_req_candidates: Vec<CandidateSets> = per_req_scores
-            .iter()
-            .map(|scores| {
-                scores.iter().map(|entries| entries.iter().map(|&(v, _)| v).collect()).collect()
-            })
-            .collect();
-        for (r, request) in requests.iter().enumerate() {
-            if let Some(filter_cfg) = &request.attack.filtering {
-                let ((), secs) = timed(|| {
-                    let thresholds = threshold_vector(bounds[r], filter_cfg);
-                    let mut scores: HashMap<usize, f64> = HashMap::new();
-                    for (cands, entries) in per_req_candidates[r].iter_mut().zip(&per_req_scores[r])
-                    {
-                        scores.clear();
-                        scores.extend(entries.iter().copied());
-                        let score_of =
-                            |v: usize| scores.get(&v).copied().unwrap_or(f64::NEG_INFINITY);
-                        match filter_user(score_of, cands, &thresholds) {
-                            Filtered::Kept(kept) => *cands = kept,
-                            Filtered::Rejected => cands.clear(),
-                        }
-                    }
-                });
-                reports[r].record("filter", "users", request.anonymized.n_users as u64, secs);
-            }
-        }
-
-        // Fused Refined DA. Auxiliary contexts are the shared artifact:
-        // one build per distinct classifier kind serves every request
-        // that needs a rebuild (`matches_classifier` decides, exactly
-        // as the solo path — parity holds because a rebuilt context is
-        // bit-identical to a matching pre-built one).
-        let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
-        let anon_sides: Vec<Side<'_>> = requests
-            .iter()
-            .zip(&anon_prepared)
-            .map(|(request, (feats, uda))| Side {
-                forum: request.anonymized,
-                uda,
-                post_features: feats,
-            })
-            .collect();
-        let n_aux = aux.forum.n_users;
-        let mut mappings: Vec<Vec<Option<usize>>> =
-            requests.iter().map(|r| vec![None; r.anonymized.n_users]).collect();
-        let ((), refined_secs) = timed(|| {
-            /// Which auxiliary context a request's refined stage reads.
-            #[derive(Clone, Copy)]
-            enum AuxCtx {
-                /// `aux.context` matches this request's classifier.
-                Prepared,
-                /// Index into the batch-shared rebuild cache.
-                Rebuilt(usize),
-            }
-            let mut rebuilt: Vec<RefinedContext> = Vec::new();
-            let contexts: Vec<Option<(RefinedContext, AuxCtx)>> = match self.config.refined {
-                RefinedMode::Shared => requests
-                    .iter()
-                    .zip(&anon_sides)
-                    .map(|(request, anon_side)| {
-                        let classifier = request.attack.classifier;
-                        let aux_ctx = match aux.context {
-                            Some(ctx) if ctx.matches_classifier(classifier) => AuxCtx::Prepared,
-                            _ => AuxCtx::Rebuilt(
-                                rebuilt
-                                    .iter()
-                                    .position(|ctx| ctx.matches_classifier(classifier))
-                                    .unwrap_or_else(|| {
-                                        rebuilt.push(RefinedContext::build(&aux_side, classifier));
-                                        rebuilt.len() - 1
-                                    }),
-                            ),
-                        };
-                        Some((RefinedContext::build(anon_side, classifier), aux_ctx))
-                    })
-                    .collect(),
-                RefinedMode::PerUser => (0..n_req).map(|_| None).collect(),
-            };
-            let refined_cfgs: Vec<RefinedConfig> = requests
-                .iter()
-                .map(|request| RefinedConfig {
-                    classifier: request.attack.classifier,
-                    verification: request.attack.verification,
-                    seed: request.attack.seed,
-                })
-                .collect();
-
-            struct RefinedSlot {
-                req: usize,
-                u: usize,
-                out: Option<usize>,
-            }
-            let mut refined_slots: Vec<RefinedSlot> = requests
-                .iter()
-                .enumerate()
-                .flat_map(|(req, request)| {
-                    (0..request.anonymized.n_users).map(move |u| RefinedSlot { req, u, out: None })
-                })
-                .collect();
-            run_blocks(
-                &mut refined_slots,
-                self.config.block_size,
-                threads,
-                || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new()),
-                |_, block, (scratch_row, scratch)| {
-                    for slot in block.iter_mut() {
-                        let (r, u) = (slot.req, slot.u);
-                        for &(v, s) in &per_req_scores[r][u] {
-                            scratch_row[v] = s;
-                        }
-                        slot.out = match &contexts[r] {
-                            Some((anon_ctx, aux_ref)) => {
-                                let aux_ctx: &RefinedContext = match aux_ref {
-                                    AuxCtx::Prepared => {
-                                        aux.context.expect("Prepared implies aux.context")
-                                    }
-                                    AuxCtx::Rebuilt(i) => &rebuilt[*i],
-                                };
-                                refine_user_shared(
-                                    u,
-                                    &per_req_candidates[r][u],
-                                    &anon_sides[r],
-                                    &aux_side,
-                                    anon_ctx,
-                                    aux_ctx,
-                                    scratch_row,
-                                    &refined_cfgs[r],
-                                    scratch,
-                                )
-                            }
-                            None => refine_user(
-                                u,
-                                &per_req_candidates[r][u],
-                                &anon_sides[r],
-                                &aux_side,
-                                scratch_row,
-                                &refined_cfgs[r],
-                            ),
-                        };
-                        for &(v, _) in &per_req_scores[r][u] {
-                            scratch_row[v] = f64::NEG_INFINITY;
-                        }
-                    }
-                },
-            );
-            for slot in refined_slots {
-                mappings[slot.req][slot.u] = slot.out;
-            }
-        });
-        for (r, request) in requests.iter().enumerate() {
-            reports[r].record("refined", "users", request.anonymized.n_users as u64, refined_secs);
-        }
-
-        let mut outcomes = Vec::with_capacity(n_req);
-        for (((candidates, candidate_scores), mapping), report) in
-            per_req_candidates.into_iter().zip(per_req_scores).zip(mappings).zip(reports)
-        {
-            outcomes.push(EngineOutcome { candidates, candidate_scores, mapping, report });
-        }
-        outcomes
-    }
-
     /// Start an incremental session against `anonymized`: auxiliary data
     /// can then be ingested chunk by chunk with
     /// [`EngineSession::add_auxiliary_users`].
     #[must_use]
     pub fn session<'a>(&self, anonymized: &'a Forum) -> EngineSession<'a> {
         let mut report = EngineReport::new(self.config.effective_threads(), self.config.block_size);
-        let ((anon_feats, anon_uda), secs) = timed(|| {
-            let feats = extract_post_features(anonymized);
-            let uda = UdaGraph::build_with_features(anonymized, &feats);
-            (feats, uda)
-        });
-        report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
+        let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
         let heaps = vec![BoundedTopK::new(self.config.attack.top_k); anonymized.n_users];
         let index = match self.config.scoring {
             ScoringMode::Indexed => Some(AttributeIndex::new()),
@@ -757,21 +380,6 @@ impl EngineSession<'_> {
     }
 }
 
-/// One request of an [`Engine::run_prepared_batch`] call: an anonymized
-/// batch plus the attack configuration to run it under. The engine-level
-/// knobs (threads, block size, scoring/refined modes) come from the
-/// [`EngineConfig`] of the engine executing the batch — results are
-/// invariant to all of them (`tests/engine_parity.rs`), so sharing them
-/// across a batch loses nothing.
-#[derive(Debug, Clone)]
-pub struct BatchRequest<'a> {
-    /// Attack parameters for this request (`selection` must be
-    /// [`Selection::Direct`]).
-    pub attack: AttackConfig,
-    /// The anonymized forum to attack.
-    pub anonymized: &'a Forum,
-}
-
 /// A fully prepared auxiliary corpus for [`Engine::run_prepared`]: the
 /// forum with its per-post features and UDA graph, plus (optionally) the
 /// derived scoring index and refined-DA feature context. This is the
@@ -804,13 +412,12 @@ pub struct PreparedAuxiliary<'a> {
     pub context: Option<&'a RefinedContext>,
     /// This corpus generation's cache of the auxiliary structure and hot
     /// tables. An empty cache that is then dropped builds them for one
-    /// call, once per batch.
+    /// call.
     pub cache: &'a AuxiliaryCache,
 }
 
 impl<'a> PreparedAuxiliary<'a> {
-    /// The index one [`Engine::run_prepared`] or
-    /// [`Engine::run_prepared_batch`] call scores through under
+    /// The index one [`Engine::run_prepared`] call scores through under
     /// `scoring`: `index`, or one built over `uda` for this call.
     fn scoring_index(&self, scoring: ScoringMode) -> Option<Cow<'a, AttributeIndex>> {
         match scoring {
@@ -828,7 +435,7 @@ impl<'a> PreparedAuxiliary<'a> {
 /// vectors, per-user scalars) and the [`AuxHotAttrs`] of its attribute
 /// index. Neither depends on the anonymized batch beyond `n_landmarks`,
 /// so a standing corpus builds each once and every later
-/// [`Engine::run_prepared`] or [`Engine::run_prepared_batch`] reads it.
+/// [`Engine::run_prepared`] reads it.
 ///
 /// - **Lazy.** The first attack that needs an entry builds it; attacks
 ///   racing to be first wait for that one build ([`OnceLock`]).
@@ -868,6 +475,19 @@ impl AuxiliaryCache {
     fn hot_attrs(&self, index: &AttributeIndex) -> AuxHotAttrs {
         self.hot.get_or_init(|| AuxHotAttrs::build(index)).clone()
     }
+}
+
+/// Prepare the anonymized side, the first stage of [`Engine::run_prepared`]
+/// and [`Engine::session`]: extract its per-post features and build its
+/// UDA graph, timed as the `prepare` stage.
+fn prepare(anonymized: &Forum, report: &mut EngineReport) -> (Vec<FeatureVector>, UdaGraph) {
+    let (prepared, secs) = timed(|| {
+        let feats = extract_post_features(anonymized);
+        let uda = UdaGraph::build_with_features(anonymized, &feats);
+        (feats, uda)
+    });
+    report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
+    prepared
 }
 
 /// One Top-K scoring pass of `sim`'s full anonymized population against
@@ -1458,111 +1078,6 @@ mod tests {
             // Filtering needs exact global bounds: nothing may be pruned.
             assert_eq!(out.report.stage("topk").unwrap().skipped, 0, "{scoring:?}");
         }
-    }
-
-    #[test]
-    fn batch_matches_solo_runs() {
-        use dehealth_core::FilterConfig;
-        // The fused batch pass must be bit-identical, request by
-        // request, to solo `run_prepared` calls with the same attack
-        // config — across thread counts, mixed per-request
-        // top_k/seed/n_landmarks overrides, a filtering request in the
-        // middle of the batch, and every index/context preparation.
-        let split = tiny_split();
-        let second = {
-            // A second, structurally different anonymized batch.
-            let forum = Forum::generate(&ForumConfig::tiny(), 99);
-            closed_world_split(&forum, &SplitConfig::fraction(0.6), 13).anonymized
-        };
-        let attacks = [
-            attack_cfg(),
-            AttackConfig { top_k: 3, seed: 1234, ..attack_cfg() },
-            AttackConfig { n_landmarks: 6, ..attack_cfg() },
-            AttackConfig { filtering: Some(FilterConfig::default()), ..attack_cfg() },
-        ];
-        let anon_of = |i: usize| if i.is_multiple_of(2) { &split.anonymized } else { &second };
-
-        let feats = extract_post_features(&split.auxiliary);
-        let uda = UdaGraph::build_with_features(&split.auxiliary, &feats);
-        let index = AttributeIndex::from_uda(&uda);
-        let side = Side { forum: &split.auxiliary, uda: &uda, post_features: &feats };
-        let ctx = RefinedContext::build(&side, attack_cfg().classifier);
-        for (ix, context) in [(None, None), (Some(&index), Some(&ctx))] {
-            let prepared = PreparedAuxiliary {
-                forum: &split.auxiliary,
-                features: &feats,
-                uda: &uda,
-                index: ix,
-                context,
-                cache: &AuxiliaryCache::default(),
-            };
-            for n_threads in [1, 2, 8] {
-                // Each batch starts a fresh generation's cache.
-                let prepared = PreparedAuxiliary { cache: &AuxiliaryCache::default(), ..prepared };
-                let engine = Engine::new(EngineConfig {
-                    attack: attack_cfg(),
-                    n_threads,
-                    block_size: 8,
-                    ..EngineConfig::default()
-                });
-                let requests: Vec<BatchRequest<'_>> = attacks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, attack)| BatchRequest {
-                        attack: attack.clone(),
-                        anonymized: anon_of(i),
-                    })
-                    .collect();
-                let batch = engine.run_prepared_batch(&prepared, &requests);
-                assert_eq!(batch.len(), requests.len());
-                for (i, (out, attack)) in batch.iter().zip(&attacks).enumerate() {
-                    let solo_engine = Engine::new(EngineConfig {
-                        attack: attack.clone(),
-                        n_threads,
-                        block_size: 8,
-                        ..EngineConfig::default()
-                    });
-                    let solo = solo_engine.run_prepared(&prepared, anon_of(i));
-                    assert_eq!(out.candidates, solo.candidates, "request {i}, {n_threads} thr");
-                    assert_eq!(out.mapping, solo.mapping, "request {i}, {n_threads} thr");
-                    for (a, b) in out.candidate_scores.iter().zip(&solo.candidate_scores) {
-                        assert_eq!(a.len(), b.len());
-                        for (&(v, s), &(w, t)) in a.iter().zip(b) {
-                            assert_eq!(v, w);
-                            assert_eq!(s.to_bits(), t.to_bits(), "request {i}");
-                        }
-                    }
-                    // Exact per-request item accounting survives fusion.
-                    let topk = out.report.stage("topk").unwrap();
-                    let solo_topk = solo.report.stage("topk").unwrap();
-                    assert_eq!(topk.items, solo_topk.items, "request {i}");
-                    assert_eq!(topk.skipped, solo_topk.skipped, "request {i}");
-                }
-                // One structure serves the requests sharing the first
-                // request's `n_landmarks`; the third builds its own.
-                let n = split.auxiliary.n_users as u64;
-                let built: Vec<u64> =
-                    batch.iter().map(|o| o.report.stage("structure").unwrap().items).collect();
-                assert_eq!(built, [n, 0, n, 0]);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_returns_no_outcomes() {
-        let split = tiny_split();
-        let feats = extract_post_features(&split.auxiliary);
-        let uda = UdaGraph::build_with_features(&split.auxiliary, &feats);
-        let prepared = PreparedAuxiliary {
-            forum: &split.auxiliary,
-            features: &feats,
-            uda: &uda,
-            index: None,
-            context: None,
-            cache: &AuxiliaryCache::default(),
-        };
-        let engine = Engine::new(EngineConfig::default());
-        assert!(engine.run_prepared_batch(&prepared, &[]).is_empty());
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod pool;
 pub mod report;
 
 pub use engine::{
-    AuxiliaryCache, BatchRequest, Engine, EngineConfig, EngineOutcome, EngineSession,
-    PreparedAuxiliary, RefinedMode, ScoringMode,
+    AuxiliaryCache, Engine, EngineConfig, EngineOutcome, EngineSession, PreparedAuxiliary,
+    RefinedMode, ScoringMode,
 };
 pub use report::{EngineReport, StageStats, TopkPairs};

@@ -581,21 +581,6 @@ impl PreparedCorpus {
     pub fn attack(&self, engine: &Engine, anonymized: &Forum) -> dehealth_engine::EngineOutcome {
         engine.run_prepared(&self.prepared(), anonymized)
     }
-
-    /// Run a coalesced batch of attacks against this corpus in one
-    /// fused engine pass
-    /// ([`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch)):
-    /// the prepared index and refined context, and the generation's
-    /// cached structure and hot tables, are shared across every request,
-    /// while each request's results stay bit-identical to a solo
-    /// [`PreparedCorpus::attack`].
-    pub fn attack_batch(
-        &self,
-        engine: &Engine,
-        requests: &[dehealth_engine::BatchRequest<'_>],
-    ) -> Vec<dehealth_engine::EngineOutcome> {
-        engine.run_prepared_batch(&self.prepared(), requests)
-    }
 }
 
 #[cfg(test)]
@@ -910,31 +895,6 @@ mod tests {
             format!("{:?}", corpus.attack(&other, &anon).candidate_scores),
             format!("{:?}", filling.candidate_scores)
         );
-    }
-
-    #[test]
-    fn batch_mixing_n_landmarks_matches_solo_runs() {
-        let (_, _, union, anon) = cohorts();
-        let corpus = PreparedCorpus::build(union, ClassifierKind::default());
-        let n = corpus.n_users() as u64;
-        let landmarks = [10, 4, 10, 4];
-        let requests: Vec<dehealth_engine::BatchRequest<'_>> = landmarks
-            .iter()
-            .map(|&l| dehealth_engine::BatchRequest {
-                attack: engine(l).config().attack.clone(),
-                anonymized: &anon,
-            })
-            .collect();
-        // The first batch fills the cache with its first request's value
-        // (10); the second batch finds it filled.
-        for expect_built in [[n, n, 0, n], [0, n, 0, n]] {
-            let batch = corpus.attack_batch(&engine(10), &requests);
-            for (i, (out, &l)) in batch.iter().zip(&landmarks).enumerate() {
-                let solo = uncached(&corpus, &engine(l), &anon);
-                assert_same(out, &solo, &format!("request {i}"));
-                assert_eq!(built(out), expect_built[i], "request {i}");
-            }
-        }
     }
 
     #[test]

@@ -15,45 +15,41 @@
 //!  clients ──▶ front thread: netpoll Poller over nonblocking │
 //!            │ listener + every connection; FRAMING ONLY     │
 //!            │ (line / binary-frame extraction, cap + magic  │
-//!            │ + checksum checks, batch-key byte scan),      │
+//!            │ + checksum checks, `cmd` byte scan),          │
 //!            │ outbox writes, hardening, fast commands       │
 //!            │ (stats / metrics / shutdown) served inline    │
 //!            └──────┬───────────────────────────▲────────────┘
-//!       parse jobs  │   ┌───────────────┐       │ completions
-//!       (raw bytes) ├──▶│ batcher:      │       │ (finished
-//!                   │   │ group by      │       │  outbox BYTES,
-//!                   │   │ corpus Arc ×  │       │  demuxed per
-//!                   │   │ thread count, │       │  request)
-//!                   │   │ flush after   │       │  + a wake of
-//!                   │   │ batch_window  │       │  the poll)
-//!                   │   └──────┬────────┘       │
-//!                   ▼          ▼                │
-//!            ┌───────────────────────────────────────────────┐
+//!       jobs        │                           │ completions
+//!       (raw bytes) │                           │ (finished outbox
+//!                   │                           │  BYTES, plus a
+//!                   ▼                           │  wake of the poll)
+//!            ┌──────────────────────────────────┴────────────┐
 //!            │ worker pool: parse / validate raw requests,   │
-//!            │ load_snapshot / add_auxiliary / attack batches│
-//!            │ via Engine::run_prepared_batch, then emit the │
-//!            │ reply JSON into finished outbox bytes         │
+//!            │ load_snapshot / add_auxiliary / attack (one   │
+//!            │ PreparedCorpus::attack per request), then     │
+//!            │ emit the reply JSON into finished outbox bytes│
 //!            └───────────────────────────────────────────────┘
 //! ```
 //!
 //! The front thread multiplexes any number of idle connections over one
-//! [`Poller`] (epoll on Linux, `poll(2)` elsewhere on unix, a timed
-//! tick fallback otherwise) — no thread per connection. Cheap commands
-//! (`stats`, `metrics`, `shutdown`, protocol errors) are answered
-//! inline on the front thread, so a scrape never queues behind a
-//! multi-second attack. Bulk commands (`attack`,
-//! `add_auxiliary_users`, `load_snapshot`) travel to the worker pool as
-//! **raw bytes** (`RawRequest`): a worker parses and validates the
-//! request, runs it, serializes the reply, and hands the front thread a
-//! finished byte buffer to splice into the connection's outbox.
+//! [`Poller`] (epoll on Linux, `poll(2)` elsewhere on unix, the portable
+//! tick backend off unix) — no thread per connection. A poller that
+//! cannot be created, or cannot register the listener, fails
+//! [`Daemon::bind_with`]. Cheap commands (`stats`, `metrics`,
+//! `shutdown`, protocol errors) are answered inline on the front
+//! thread, so a scrape never queues behind a multi-second attack. Bulk
+//! commands (`attack`, `add_auxiliary_users`, `load_snapshot`) travel
+//! to the worker pool as **raw bytes** (`RawRequest`): a worker parses
+//! and validates the request, runs it, serializes the reply, and hands
+//! the front thread a finished byte buffer to splice into the
+//! connection's outbox.
 //! Responses come back through a completion queue and are written in
 //! per-connection request order.
 //!
-//! A worker that pushes a finished reply or a parsed attack (bound for
-//! its coalescing group) wakes the front thread's poll through the
-//! poller's [`Waker`], so neither waits for a timer. The front thread's
-//! poll timeout, `POLL_INTERVAL` (25 ms), only limits how long shutdown
-//! and read-deadline checks can wait.
+//! A worker that pushes a finished reply wakes the front thread's poll
+//! through the poller's [`Waker`], so no reply waits for a timer. The
+//! front thread's poll timeout, `POLL_INTERVAL` (25 ms), only limits how
+//! long shutdown and read-deadline checks can wait.
 //!
 //! The front thread's per-request cost is linear in the bytes received,
 //! independent of forum size: each connection's inbox and outbox are
@@ -78,34 +74,18 @@
 //!   See [`frame`] for the exact byte layout.
 //!
 //! Both encodings of the same request are **bit-identical** on the
-//! reply side and coalesce into the same batches
-//! (`tests/service_parity.rs` pins both).
+//! reply side (`tests/service_parity.rs` pins both).
 //!
-//! For batching, the front thread needs one fact from each `attack`
-//! request before a worker has parsed it: the effective thread count
-//! (part of the group key). A byte scanner
-//! ([`frame::scan_top_level`]) extracts it from JSON without building a
-//! tree, and [`frame::peek_attack_threads`] reads it from a frame's
-//! fixed-offset options block; a request whose scanned key turns out
-//! wrong after the full parse is simply re-filed under its actual key.
+//! ## Attack execution
 //!
-//! ## Server-side attack batching
-//!
-//! `attack` requests that arrive within one coalescing window
-//! ([`DaemonLimits::batch_window`]) against the **same corpus
-//! generation** (grouped by `Arc` identity, so a `load_snapshot`
-//! landing mid-window closes the old group) and the same effective
-//! thread count are merged into a single
-//! [`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch)
-//! pass: one attribute-index build, one worker-pool schedule, one fused
-//! sweep over all requests' users — then demuxed back into per-request
-//! replies that are **bit-identical** to running each request alone
-//! (the engine keeps every request's numeric state separate; see
-//! `tests/service_parity.rs`). On a machine where N concurrent attacks
-//! would otherwise time-slice N engine pools, coalescing turns them
-//! into one saturated pass. A `batch_window` of zero disables
-//! coalescing: every request runs the classic solo
-//! [`run_prepared`](dehealth_engine::Engine::run_prepared) path.
+//! Every `attack` runs alone, as soon as a worker has parsed it: the
+//! worker builds an [`Engine`] from the daemon's defaults and the
+//! request's overrides (`top_k`, `n_landmarks`, `seed`, `threads`) and
+//! calls [`PreparedCorpus::attack`] on the generation the request
+//! captured off the wire. Concurrent attacks run side by side on
+//! different workers and share that generation's auxiliary cache, so
+//! its structure and hot tables are built once, by whichever attack
+//! comes first.
 //!
 //! Corpus state is shared by `Arc`, and a generation never changes
 //! under a request that holds it:
@@ -135,21 +115,17 @@
 //!
 //! Every daemon owns a [`Registry`] ([`Daemon::registry`]): per-command
 //! request counters and end-to-end latency histograms (spanning queue
-//! wait, coalescing window and execution), error counters by kind,
-//! connection gauges, corpus residency and generation gauges, and —
-//! after every attack — the engine's per-stage timings
+//! wait and execution), error counters by kind, connection gauges,
+//! corpus residency and generation gauges, `daemon_queue_depth` (jobs
+//! waiting for a worker), and — after every attack — the engine's
+//! per-stage timings
 //! ([`EngineReport::record_into`](dehealth_engine::EngineReport::record_into)).
-//! The batching layer adds three families: `daemon_batch_size` (a
-//! unitless histogram of requests per flushed batch),
-//! `daemon_batch_window_seconds` (how long each batch coalesced before
-//! flushing) and `daemon_queue_depth` (jobs waiting for a worker).
 //! Four per-request **stage timers** split every bulk request's wall
 //! time along the worker pipeline — `daemon_parse_seconds` (raw bytes →
 //! validated request, on a worker), `daemon_queue_seconds` (waiting for
-//! a worker plus any coalescing window), `daemon_engine_seconds`
-//! (execution), `daemon_emit_seconds` (reply → outbox bytes, on a
-//! worker) — proving parse and emit are billed to the pool, not the
-//! front thread. `daemon_encoding_requests_total{encoding=json|binary}`
+//! a worker), `daemon_engine_seconds` (execution), `daemon_emit_seconds`
+//! (reply → outbox bytes, on a worker) — proving parse and emit are
+//! billed to the pool, not the front thread. `daemon_encoding_requests_total{encoding=json|binary}`
 //! counts how each served request arrived on the wire, and
 //! `daemon_attack_seconds` records each attack's latency from wire
 //! arrival to engine completion. `daemon_corpus_copies_total` counts the
@@ -193,7 +169,7 @@
 //!
 //! `tests/service_parity.rs` pins the wire schema, the counter
 //! semantics, the hardening and malformed-frame behaviors, and
-//! batched/unbatched/serial bit-parity across both encodings.
+//! concurrent/serial bit-parity across both encodings.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -206,7 +182,7 @@ use std::time::{Duration, Instant};
 
 use dehealth_core::AttackConfig;
 use dehealth_corpus::Forum;
-use dehealth_engine::{BatchRequest, Engine, EngineConfig, EngineOutcome};
+use dehealth_engine::{Engine, EngineConfig};
 use dehealth_netpoll::{Event, Interest, Poller, Waker};
 use dehealth_telemetry::{info, warn, Counter, Gauge, Histogram, Registry, SpanTimer};
 
@@ -220,8 +196,8 @@ use crate::protocol::{error_response, forum_from_request, ok_response, report_to
 
 /// Ceiling on one poll wait: how often the front thread and the workers
 /// re-check the shutdown flag and read deadlines even when no socket
-/// turns ready. Completions and parsed attacks do not wait for it: the
-/// worker that hands one back wakes the front thread.
+/// turns ready. Completions do not wait for it: the worker that pushes
+/// one wakes the front thread.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// The front thread's token for the listening socket; connections get
@@ -285,14 +261,9 @@ pub struct DaemonLimits {
     /// Requests taking longer than this emit a structured slow-request
     /// log line (`warn!` level) with a per-stage breakdown.
     pub slow_request_threshold: Duration,
-    /// How long an `attack` request may wait for more attack requests
-    /// against the same corpus generation to coalesce into one fused
-    /// engine pass. Zero disables batching: every attack runs the solo
-    /// `run_prepared` path immediately.
-    pub batch_window: Duration,
-    /// Dispatch worker threads executing attack batches and corpus
-    /// updates (clamped to at least 1). Two by default: one long attack
-    /// batch cannot starve a corpus update or a second batch.
+    /// Dispatch worker threads executing attacks and corpus updates
+    /// (clamped to at least 1). Two by default: one long attack cannot
+    /// starve a corpus update or a second attack.
     pub workers: usize,
 }
 
@@ -303,7 +274,6 @@ impl Default for DaemonLimits {
             read_deadline: Duration::from_secs(30),
             max_connections: 64,
             slow_request_threshold: Duration::from_secs(30),
-            batch_window: Duration::from_millis(10),
             workers: 2,
         }
     }
@@ -363,11 +333,6 @@ struct DaemonMetrics {
     corpus_generation: Arc<Gauge>,
     corpus_resident_arena_bytes: Arc<Gauge>,
     corpus_borrowed_arena_bytes: Arc<Gauge>,
-    /// Requests per flushed attack batch — a **unitless** histogram
-    /// (the bucket bounds read as counts, not seconds).
-    batch_size: Arc<Histogram>,
-    /// How long each flushed batch coalesced (first enqueue → flush).
-    batch_window_seconds: Arc<Histogram>,
     /// Jobs waiting for a dispatch worker.
     queue_depth: Arc<Gauge>,
     /// Attack latency, wire arrival → engine completion.
@@ -377,7 +342,7 @@ struct DaemonMetrics {
     /// decode)…
     parse_seconds: Arc<Histogram>,
     /// …time between coming off the wire and execution start, minus the
-    /// parse itself (coalescing window + job-queue wait)…
+    /// parse itself (the wait for a worker)…
     queue_seconds: Arc<Histogram>,
     /// …time executing the command (the engine pass, or the corpus
     /// load or append for updates)…
@@ -417,8 +382,6 @@ impl DaemonMetrics {
             corpus_generation: registry.gauge("corpus_generation"),
             corpus_resident_arena_bytes: registry.gauge("corpus_resident_arena_bytes"),
             corpus_borrowed_arena_bytes: registry.gauge("corpus_borrowed_arena_bytes"),
-            batch_size: registry.histogram("daemon_batch_size"),
-            batch_window_seconds: registry.histogram("daemon_batch_window_seconds"),
             queue_depth: registry.gauge("daemon_queue_depth"),
             attack_seconds: registry.histogram("daemon_attack_seconds"),
             parse_seconds: registry.histogram("daemon_parse_seconds"),
@@ -497,46 +460,20 @@ enum RawRequest {
     AddUsersFrame(Vec<u8>),
 }
 
-/// An `attack` request a worker parsed and validated, headed back to
-/// the front thread's coalescing groups (or run solo when batching is
-/// off).
-struct ReadyAttack {
+/// One bulk request for the dispatch pool: a worker parses and
+/// validates it, runs it to completion and queues its reply.
+struct Job {
     conn: usize,
     /// When the request came off the wire — the latency clock.
     received: Instant,
-    /// Worker time spent decoding + validating the request.
-    parse_seconds: f64,
-    /// The actual effective thread count the full parse produced.
-    threads: usize,
-    attack: AttackConfig,
-    forum: Forum,
-    corpus: Arc<PreparedCorpus>,
-}
-
-/// Work for the dispatch pool.
-enum Job {
-    /// Parse + validate one raw request; corpus updates run to
-    /// completion in the same job, attacks either run solo immediately
-    /// (`solo`, when batching is off) or return to the front as a
-    /// [`ReadyAttack`].
-    Parse {
-        conn: usize,
-        received: Instant,
-        raw: RawRequest,
-        /// The front's zero-parse classification: `"attack"`,
-        /// `"add_auxiliary_users"` or `"load_snapshot"`.
-        label: &'static str,
-        /// For attacks: the corpus `Arc` captured when the request came
-        /// off the wire (`None` answers `no_corpus` *after* the parse,
-        /// preserving the invalid_json > no_corpus precedence).
-        corpus: Option<Arc<PreparedCorpus>>,
-        /// Run the attack in this job instead of returning it (batch
-        /// window zero).
-        solo: bool,
-    },
-    /// A flushed batch: every item captured the same corpus `Arc` and
-    /// the same effective thread count.
-    Attack { corpus: Arc<PreparedCorpus>, threads: usize, items: Vec<ReadyAttack> },
+    raw: RawRequest,
+    /// The front's zero-parse classification: `"attack"`,
+    /// `"add_auxiliary_users"` or `"load_snapshot"`.
+    label: &'static str,
+    /// For attacks: the corpus `Arc` captured when the request came off
+    /// the wire (`None` answers `no_corpus` *after* the parse, preserving
+    /// the invalid_json > no_corpus precedence).
+    corpus: Option<Arc<PreparedCorpus>>,
 }
 
 /// A finished request headed back to the front thread: the response
@@ -567,17 +504,14 @@ struct DaemonState {
     jobs_cv: Condvar,
     /// Finished responses headed back to the front thread.
     completions: Mutex<Vec<Completion>>,
-    /// Parsed attacks headed back to the front thread's coalescing
-    /// groups (batching on only).
-    parsed: Mutex<Vec<ReadyAttack>>,
     /// Ends the front thread's poll wait once a worker has pushed to
-    /// `completions` or `parsed`.
+    /// `completions`.
     waker: Waker,
     /// Requests in flight anywhere in the pipeline: incremented when a
-    /// `Parse` job is enqueued, decremented when the request's
-    /// completion is pushed. Workers must not exit while nonzero — a
-    /// parsed attack waiting in a coalescing group still needs a worker
-    /// for its batch job.
+    /// job is enqueued, decremented when the request's completion is
+    /// pushed. Workers must not exit while nonzero: a completion can
+    /// release a request pipelined behind it on the same connection,
+    /// which still needs a worker.
     dispatched: AtomicUsize,
     metrics: DaemonMetrics,
     started: Instant,
@@ -618,21 +552,16 @@ impl DaemonState {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(Completion { conn, bytes });
-        // Saturating: the panic fence pushes a completion for *every*
-        // conn its job touched, which can double-complete an item that
-        // already answered before the panic.
+        // Saturating: should the panic fence ever complete a request that
+        // had already replied, the count must not wrap.
         let _ =
             self.dispatched.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1));
         self.waker.wake();
     }
 
-    /// Enqueue a request's `Parse` job and count it in flight.
+    /// Enqueue a request's job and count it in flight.
     fn dispatch_request(&self, job: Job) {
         self.dispatched.fetch_add(1, Ordering::SeqCst);
-        self.enqueue_job(job);
-    }
-
-    fn enqueue_job(&self, job: Job) {
         let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         jobs.push_back(job);
         self.metrics.queue_depth.set(jobs.len() as i64);
@@ -667,7 +596,7 @@ impl Daemon {
     /// `n_landmarks`, `threads` and `seed` per call.
     ///
     /// # Errors
-    /// Propagates socket errors (bind/listen).
+    /// Like [`Daemon::bind_with`].
     pub fn bind<A: ToSocketAddrs>(addr: A, config: EngineConfig) -> std::io::Result<Self> {
         Self::bind_with_corpus(addr, config, None)
     }
@@ -676,7 +605,7 @@ impl Daemon {
     /// load the snapshot before accepting traffic).
     ///
     /// # Errors
-    /// Propagates socket errors (bind/listen).
+    /// Like [`Daemon::bind_with`].
     pub fn bind_with_corpus<A: ToSocketAddrs>(
         addr: A,
         config: EngineConfig,
@@ -686,10 +615,11 @@ impl Daemon {
     }
 
     /// [`Daemon::bind_with_corpus`] with explicit [`DaemonLimits`]
-    /// (protocol hardening, coalescing window, worker count).
+    /// (protocol hardening, worker count).
     ///
     /// # Errors
-    /// Propagates socket errors (bind/listen).
+    /// Propagates socket errors (bind/listen) and poller errors (creating
+    /// the readiness queue, registering the listener or the waker).
     pub fn bind_with<A: ToSocketAddrs>(
         addr: A,
         config: EngineConfig,
@@ -699,13 +629,8 @@ impl Daemon {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let mut poller = Poller::new().unwrap_or_else(|_| Poller::tick());
-        if poller.register(&listener, LISTENER_TOKEN, Interest::READ).is_err() {
-            // The tick backend's register cannot fail; fall back so the
-            // daemon still serves (inefficiently) instead of dying.
-            poller = Poller::tick();
-            let _ = poller.register(&listener, LISTENER_TOKEN, Interest::READ);
-        }
+        let mut poller = Poller::new()?;
+        poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
         let waker = poller.waker()?;
         let metrics = DaemonMetrics::new();
         if let Some(corpus) = &corpus {
@@ -719,7 +644,6 @@ impl Daemon {
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
             completions: Mutex::new(Vec::new()),
-            parsed: Mutex::new(Vec::new()),
             waker,
             dispatched: AtomicUsize::new(0),
             metrics,
@@ -877,28 +801,9 @@ impl ByteQueue {
     }
 }
 
-/// One open coalescing group: attacks captured against the same corpus
-/// `Arc` with the same effective thread count, waiting for the window to
-/// elapse — and for every member's worker-side parse to land.
-struct BatchGroup {
-    /// The generation, keyed by `Arc` identity (`Arc::ptr_eq`). An ingest
-    /// grows a generation in place only while the slot holds its sole
-    /// handle, and this one keeps it shared, so every member of the group
-    /// sees the same, unchanging corpus.
-    corpus: Arc<PreparedCorpus>,
-    threads: usize,
-    opened: Instant,
-    /// Connections whose attack is still being parsed on a worker. The
-    /// group never flushes while nonempty: the parses were dispatched
-    /// inside the window, so their requests belong in this batch.
-    pending: Vec<usize>,
-    /// Parsed, validated members awaiting the flush.
-    ready: Vec<ReadyAttack>,
-}
-
 /// The front thread: accept, read, extract lines, answer fast commands
-/// inline, feed slow ones to the batcher/worker pool, write responses —
-/// all multiplexed over one [`Poller`].
+/// inline, feed slow ones to the worker pool, write responses — all
+/// multiplexed over one [`Poller`].
 fn front_loop(
     listener: TcpListener,
     mut poller: Poller,
@@ -907,12 +812,10 @@ fn front_loop(
 ) {
     let mut listener = Some(listener);
     let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut groups: Vec<BatchGroup> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut next_token: usize = LISTENER_TOKEN + 1;
     loop {
-        let timeout = wait_timeout(&groups, state.limits.batch_window);
-        let _ = poller.wait(&mut events, Some(timeout));
+        let _ = poller.wait(&mut events, Some(POLL_INTERVAL));
 
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
@@ -923,19 +826,10 @@ fn front_loop(
             }
             if let Some(conn) = conns.get_mut(&ev.token) {
                 if ev.readable && !conn.in_flight && !conn.closing {
-                    read_ready(state, &mut groups, conn);
+                    read_ready(state, conn);
                 }
             }
             settle_conn(state, &mut poller, &mut conns, ev.token);
-        }
-
-        // File worker-parsed attacks into their coalescing groups (the
-        // scanned key's pending entry resolves; a mismatching parse
-        // re-files under the actual thread count).
-        let ready: Vec<ReadyAttack> =
-            std::mem::take(&mut *state.parsed.lock().unwrap_or_else(PoisonError::into_inner));
-        for r in ready {
-            file_parsed(&mut groups, r);
         }
 
         // Demux finished jobs back onto their connections, preserving
@@ -943,24 +837,16 @@ fn front_loop(
         let done: Vec<Completion> =
             std::mem::take(&mut *state.completions.lock().unwrap_or_else(PoisonError::into_inner));
         for c in done {
-            // A completion for a conn still pending in a group means its
-            // parse failed (or panicked): the batch must not wait for it.
-            for g in &mut groups {
-                g.pending.retain(|&t| t != c.conn);
-            }
             if let Some(conn) = conns.get_mut(&c.conn) {
                 conn.in_flight = false;
                 match c.bytes {
                     Some(bytes) => conn.outbox.extend(&bytes),
                     None => conn.closing = true,
                 }
-                pump(state, &mut groups, conn);
+                pump(state, conn);
             }
             settle_conn(state, &mut poller, &mut conns, c.conn);
         }
-
-        let shutting = state.shutting_down.load(Ordering::SeqCst);
-        flush_groups(state, &mut groups, shutting);
 
         // Half-open read deadline: a peer that started a request and
         // stalled gets a typed error, not an immortal connection slot.
@@ -989,7 +875,7 @@ fn front_loop(
             settle_conn(state, &mut poller, &mut conns, token);
         }
 
-        if shutting {
+        if state.shutting_down.load(Ordering::SeqCst) {
             if let Some(l) = listener.take() {
                 let _ = poller.deregister(&l, LISTENER_TOKEN);
                 // Dropping the listener refuses new connections while
@@ -1007,11 +893,7 @@ fn front_loop(
                 }
                 settle_conn(state, &mut poller, &mut conns, token);
             }
-            // `dispatched` covers parses still on a worker and parsed
-            // attacks not yet flushed: breaking earlier would strand a
-            // ReadyAttack the workers are waiting on and hang `join`.
-            if conns.is_empty() && groups.is_empty() && state.dispatched.load(Ordering::SeqCst) == 0
-            {
+            if conns.is_empty() && state.dispatched.load(Ordering::SeqCst) == 0 {
                 break;
             }
         }
@@ -1021,20 +903,6 @@ fn front_loop(
     for w in workers {
         let _ = w.join();
     }
-}
-
-/// Next poll wait: the poll interval, shortened to the nearest batch
-/// deadline so a coalescing window never overshoots by a full tick.
-/// Groups still waiting on a worker-side parse keep the full interval —
-/// their flush is gated on the parse landing, not on the clock.
-fn wait_timeout(groups: &[BatchGroup], window: Duration) -> Duration {
-    let mut timeout = POLL_INTERVAL;
-    for g in groups {
-        if g.pending.is_empty() {
-            timeout = timeout.min(window.saturating_sub(g.opened.elapsed()));
-        }
-    }
-    timeout
 }
 
 /// Whether the head of a connection's inbox is one complete request —
@@ -1126,7 +994,7 @@ fn reject_connection(stream: TcpStream, cap: usize) {
 /// Drain the socket into the connection's inbox (until `WouldBlock`,
 /// EOF, or the inbox exceeds the request-size cap), then serve what
 /// arrived.
-fn read_ready(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn) {
+fn read_ready(state: &Arc<DaemonState>, conn: &mut Conn) {
     let mut chunk = [0u8; 16 * 1024];
     while !conn.peer_closed && conn.inbox.len() <= state.limits.max_request_bytes {
         match conn.stream.read(&mut chunk) {
@@ -1137,7 +1005,7 @@ fn read_ready(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
             Err(_) => conn.peer_closed = true,
         }
     }
-    pump(state, groups, conn);
+    pump(state, conn);
 }
 
 /// Serve every complete request the connection has buffered — binary
@@ -1150,10 +1018,10 @@ fn read_ready(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
 /// This is the whole of the front thread's per-request work: framing
 /// and classification over raw bytes. Parsing, execution and reply
 /// serialization all happen on dispatch workers.
-fn pump(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn) {
+fn pump(state: &Arc<DaemonState>, conn: &mut Conn) {
     while !conn.in_flight && !conn.closing {
         if conn.inbox.bytes().first() == Some(&FRAME_MAGIC[0]) {
-            if !pump_frame(state, groups, conn) {
+            if !pump_frame(state, conn) {
                 break;
             }
             continue;
@@ -1166,7 +1034,7 @@ fn pump(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn)
             continue;
         }
         state.metrics.encoding_json.inc();
-        handle_line(state, groups, conn, line);
+        handle_line(state, conn, line);
     }
     if conn.inbox.is_empty() || head_message_complete(&mut conn.inbox) {
         conn.partial_since = None;
@@ -1198,7 +1066,7 @@ fn pump(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn)
 /// before the payload is buffered, let alone allocated — and a checksum
 /// mismatch (including JSON bytes injected inside a frame's declared
 /// extent) closes the connection with a typed error.
-fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut Conn) -> bool {
+fn pump_frame(state: &Arc<DaemonState>, conn: &mut Conn) -> bool {
     if conn.inbox.len() < FRAME_HEADER_BYTES {
         return false;
     }
@@ -1228,28 +1096,15 @@ fn pump_frame(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, conn: &mut
     let received = Instant::now();
     match parsed.tag {
         FrameTag::Attack => {
-            let scanned_threads =
-                frame::peek_attack_threads(&payload).unwrap_or(state.config.n_threads);
-            dispatch_attack(
-                state,
-                groups,
-                conn,
-                received,
-                RawRequest::AttackFrame(payload),
-                scanned_threads,
-            );
+            dispatch(state, conn, received, RawRequest::AttackFrame(payload), "attack")
         }
-        FrameTag::AddAuxiliaryUsers => {
-            conn.in_flight = true;
-            state.dispatch_request(Job::Parse {
-                conn: conn.token,
-                received,
-                raw: RawRequest::AddUsersFrame(payload),
-                label: "add_auxiliary_users",
-                corpus: None,
-                solo: false,
-            });
-        }
+        FrameTag::AddAuxiliaryUsers => dispatch(
+            state,
+            conn,
+            received,
+            RawRequest::AddUsersFrame(payload),
+            "add_auxiliary_users",
+        ),
     }
     true
 }
@@ -1264,45 +1119,138 @@ fn drop_frame_error(state: &Arc<DaemonState>, conn: &mut Conn, e: &FrameError) {
 /// commands (`attack`, `add_auxiliary_users`, `load_snapshot`) go to a
 /// dispatch worker unparsed; everything else falls through to the
 /// inline fast path.
-fn handle_line(
-    state: &Arc<DaemonState>,
-    groups: &mut Vec<BatchGroup>,
-    conn: &mut Conn,
-    line: &str,
-) {
+fn handle_line(state: &Arc<DaemonState>, conn: &mut Conn, line: &str) {
     let received = Instant::now();
     // Zero-parse classification: a byte scan for the top-level "cmd"
     // key. Lines it cannot follow (escape-laden keys, no simple value)
     // fall through to the inline path's authoritative full parse.
-    match frame::scan_top_level(line.as_bytes(), "cmd").as_deref() {
-        Some("attack") => {
-            let scanned_threads = frame::scan_top_level(line.as_bytes(), "threads")
-                .and_then(|t| t.parse::<usize>().ok())
-                .unwrap_or(state.config.n_threads);
-            dispatch_attack(
-                state,
-                groups,
-                conn,
-                received,
-                RawRequest::JsonLine(line.to_string()),
-                scanned_threads,
-            );
-        }
-        Some(bulk @ ("add_auxiliary_users" | "load_snapshot")) => {
-            let label: &'static str =
-                if bulk == "load_snapshot" { "load_snapshot" } else { "add_auxiliary_users" };
-            conn.in_flight = true;
-            state.dispatch_request(Job::Parse {
-                conn: conn.token,
-                received,
-                raw: RawRequest::JsonLine(line.to_string()),
-                label,
-                corpus: None,
-                solo: false,
-            });
-        }
-        _ => handle_control_line(state, groups, conn, received, line),
+    let label: &'static str = match scan_top_level(line.as_bytes(), "cmd").as_deref() {
+        Some("attack") => "attack",
+        Some("add_auxiliary_users") => "add_auxiliary_users",
+        Some("load_snapshot") => "load_snapshot",
+        _ => return handle_control_line(state, conn, received, line),
+    };
+    dispatch(state, conn, received, RawRequest::JsonLine(line.to_string()), label);
+}
+
+/// Scan a JSON request line for the string value of a top-level key,
+/// without building a parse tree — the front thread's classification
+/// primitive (`"cmd"`).
+///
+/// The scanner tracks object/array depth and string escapes, so a
+/// matching key inside a nested object (`forum.n_threads`) or inside a
+/// post's text can never false-positive. It returns the key's raw value
+/// slice only for simple (escape-free) string and number values; on
+/// anything else — or on text the scanner cannot follow — it returns
+/// `None` and the caller falls back to a full parse. The scanner may
+/// accept lines a strict parser rejects; the authoritative parse (and
+/// its error reply) happens on a worker either way.
+fn scan_top_level(line: &[u8], key: &str) -> Option<String> {
+    let n = line.len();
+    let mut i = 0;
+    while i < n && line[i].is_ascii_whitespace() {
+        i += 1;
     }
+    if i >= n || line[i] != b'{' {
+        return None;
+    }
+    i += 1;
+    let mut depth = 1usize;
+    let mut expecting_key = true;
+    while i < n {
+        match line[i] {
+            b'"' => {
+                let start = i + 1;
+                i += 1;
+                let mut escaped = false;
+                let mut end = None;
+                while i < n {
+                    let c = line[i];
+                    if escaped {
+                        escaped = false;
+                    } else if c == b'\\' {
+                        escaped = true;
+                    } else if c == b'"' {
+                        end = Some(i);
+                        break;
+                    }
+                    i += 1;
+                }
+                let end = end?;
+                i = end + 1;
+                if depth == 1 && expecting_key && &line[start..end] == key.as_bytes() {
+                    return scan_value(line, i);
+                }
+            }
+            b'{' | b'[' => {
+                depth += 1;
+                i += 1;
+            }
+            b'}' | b']' => {
+                if depth == 1 {
+                    return None;
+                }
+                depth -= 1;
+                i += 1;
+            }
+            b':' => {
+                if depth == 1 {
+                    expecting_key = false;
+                }
+                i += 1;
+            }
+            b',' => {
+                if depth == 1 {
+                    expecting_key = true;
+                }
+                i += 1;
+            }
+            _ => i += 1,
+        }
+    }
+    None
+}
+
+/// Read the simple value following a matched key: skip the colon, then
+/// return an escape-free string's contents or a bare number/keyword
+/// token verbatim.
+fn scan_value(line: &[u8], mut i: usize) -> Option<String> {
+    let n = line.len();
+    while i < n && line[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    if i >= n || line[i] != b':' {
+        return None;
+    }
+    i += 1;
+    while i < n && line[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    if i >= n {
+        return None;
+    }
+    if line[i] == b'"' {
+        let start = i + 1;
+        i += 1;
+        while i < n {
+            match line[i] {
+                // No known command or simple value contains escapes; a
+                // full parse will classify this line authoritatively.
+                b'\\' => return None,
+                b'"' => return String::from_utf8(line[start..i].to_vec()).ok(),
+                _ => i += 1,
+            }
+        }
+        return None;
+    }
+    let start = i;
+    while i < n && !matches!(line[i], b',' | b'}' | b']') && !line[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    if i == start {
+        return None;
+    }
+    String::from_utf8(line[start..i].to_vec()).ok()
 }
 
 /// The inline path: full-parse the line on the front thread and answer
@@ -1311,13 +1259,7 @@ fn handle_line(
 /// attack. Bulk commands land here only when the byte scanner could not
 /// classify the line (pathological but legal JSON) — they are handed to
 /// a worker like any other bulk request.
-fn handle_control_line(
-    state: &Arc<DaemonState>,
-    groups: &mut Vec<BatchGroup>,
-    conn: &mut Conn,
-    received: Instant,
-    line: &str,
-) {
+fn handle_control_line(state: &Arc<DaemonState>, conn: &mut Conn, received: Instant, line: &str) {
     let parsed = Json::parse(line);
     let (label, shutdown): (&'static str, bool) = match &parsed {
         Err(_) => ("invalid", false),
@@ -1333,29 +1275,8 @@ fn handle_control_line(
         },
     };
     match label {
-        "load_snapshot" | "add_auxiliary_users" => {
-            conn.in_flight = true;
-            state.dispatch_request(Job::Parse {
-                conn: conn.token,
-                received,
-                raw: RawRequest::JsonLine(line.to_string()),
-                label,
-                corpus: None,
-                solo: false,
-            });
-        }
-        "attack" => {
-            let request = parsed.expect("label implies the request parsed");
-            let scanned_threads =
-                request.get("threads").and_then(Json::as_usize).unwrap_or(state.config.n_threads);
-            dispatch_attack(
-                state,
-                groups,
-                conn,
-                received,
-                RawRequest::JsonLine(line.to_string()),
-                scanned_threads,
-            );
+        "load_snapshot" | "add_auxiliary_users" | "attack" => {
+            dispatch(state, conn, received, RawRequest::JsonLine(line.to_string()), label);
         }
         _ => {
             let result: Result<Vec<(String, Json)>, CmdError> = match &parsed {
@@ -1383,113 +1304,21 @@ fn handle_control_line(
     }
 }
 
-/// Put one raw `attack` request in flight: capture the corpus `Arc`
-/// (a swap landing later affects later requests, not this one — and
-/// batches group by this `Arc`, so a swap mid-window closes the old
-/// group), file the connection into the coalescing group for the
-/// *scanned* batch key, and dispatch the parse to a worker. With
-/// batching off the worker runs the attack in the same job; with no
-/// corpus loaded the worker answers `no_corpus` after its parse (so
-/// invalid JSON still outranks it, exactly like the fully inline era).
-fn dispatch_attack(
+/// Put one bulk request in flight on a dispatch worker, unparsed. An
+/// `attack` captures the corpus `Arc` here, as it comes off the wire: a
+/// swap landing later affects later requests, not this one. With no
+/// corpus loaded the worker answers `no_corpus` after its parse, so
+/// invalid JSON still outranks it.
+fn dispatch(
     state: &Arc<DaemonState>,
-    groups: &mut Vec<BatchGroup>,
     conn: &mut Conn,
     received: Instant,
     raw: RawRequest,
-    scanned_threads: usize,
+    label: &'static str,
 ) {
-    let corpus = state.corpus();
-    let solo = state.limits.batch_window.is_zero();
+    let corpus = if label == "attack" { state.corpus() } else { None };
     conn.in_flight = true;
-    if let (Some(corpus), false) = (&corpus, solo) {
-        file_pending(groups, corpus, scanned_threads, conn.token);
-    }
-    state.dispatch_request(Job::Parse {
-        conn: conn.token,
-        received,
-        raw,
-        label: "attack",
-        corpus,
-        solo,
-    });
-}
-
-/// File a connection's in-flight parse into the coalescing group for
-/// its (corpus, scanned threads) key, opening a new group (and its
-/// window clock) if none matches.
-fn file_pending(
-    groups: &mut Vec<BatchGroup>,
-    corpus: &Arc<PreparedCorpus>,
-    threads: usize,
-    token: usize,
-) {
-    if let Some(group) =
-        groups.iter_mut().find(|g| g.threads == threads && Arc::ptr_eq(&g.corpus, corpus))
-    {
-        group.pending.push(token);
-        return;
-    }
-    groups.push(BatchGroup {
-        corpus: Arc::clone(corpus),
-        threads,
-        opened: Instant::now(),
-        pending: vec![token],
-        ready: Vec::new(),
-    });
-}
-
-/// File one worker-parsed attack: resolve its pending entry (the token
-/// is unique to this in-flight request, so it is cleared from every
-/// group), then place it by its *actual* thread count — re-filing into
-/// (or opening) the right group when the byte scan and the full parse
-/// disagree.
-fn file_parsed(groups: &mut Vec<BatchGroup>, r: ReadyAttack) {
-    for g in groups.iter_mut() {
-        g.pending.retain(|&t| t != r.conn);
-    }
-    if let Some(g) =
-        groups.iter_mut().find(|g| g.threads == r.threads && Arc::ptr_eq(&g.corpus, &r.corpus))
-    {
-        g.ready.push(r);
-        return;
-    }
-    groups.push(BatchGroup {
-        corpus: Arc::clone(&r.corpus),
-        threads: r.threads,
-        opened: Instant::now(),
-        pending: Vec::new(),
-        ready: vec![r],
-    });
-}
-
-/// Hand every expired group (all of them when `force` — shutdown) to
-/// the worker pool as one fused batch job. A group whose members are
-/// still being parsed holds until every parse lands (the requests were
-/// framed inside the window; sequential parsing must not fragment the
-/// batch), then flushes on the next tick.
-fn flush_groups(state: &Arc<DaemonState>, groups: &mut Vec<BatchGroup>, force: bool) {
-    let window = state.limits.batch_window;
-    let mut i = 0;
-    while i < groups.len() {
-        let expired = force || window.is_zero() || groups[i].opened.elapsed() >= window;
-        if expired && groups[i].pending.is_empty() {
-            let group = groups.swap_remove(i);
-            if group.ready.is_empty() {
-                // Every member's parse failed — nothing ran, no batch.
-                continue;
-            }
-            state.metrics.batch_size.record_secs(group.ready.len() as f64);
-            state.metrics.batch_window_seconds.record(group.opened.elapsed());
-            state.enqueue_job(Job::Attack {
-                corpus: group.corpus,
-                threads: group.threads,
-                items: group.ready,
-            });
-        } else {
-            i += 1;
-        }
-    }
+    state.dispatch_request(Job { conn: conn.token, received, raw, label, corpus });
 }
 
 /// Append one response line to the connection's outbox.
@@ -1570,8 +1399,7 @@ fn worker_loop(state: &Arc<DaemonState>) {
                     break Some(job);
                 }
                 // Exit only when nothing is in flight anywhere in the
-                // pipeline: a parsed attack waiting in a coalescing
-                // group still becomes a batch job for this pool.
+                // pipeline (see `DaemonState::dispatched`).
                 if state.shutting_down.load(Ordering::SeqCst)
                     && state.dispatched.load(Ordering::SeqCst) == 0
                 {
@@ -1589,25 +1417,16 @@ fn worker_loop(state: &Arc<DaemonState>) {
     }
 }
 
-/// Execute one job; a panicking handler closes its connection(s)
-/// without a response — the moral equivalent of a died
-/// thread-per-connection handler — instead of wedging the front loop on
-/// a completion that never comes.
+/// Execute one job; a panicking handler closes its connection without a
+/// response — the moral equivalent of a died thread-per-connection
+/// handler — instead of wedging the front loop on a completion that
+/// never comes.
 fn run_job(state: &Arc<DaemonState>, job: Job) {
-    let conns: Vec<usize> = match &job {
-        Job::Attack { items, .. } => items.iter().map(|i| i.conn).collect(),
-        Job::Parse { conn, .. } => vec![*conn],
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job {
-        Job::Parse { conn, received, raw, label, corpus, solo } => {
-            run_parse_job(state, conn, received, raw, label, corpus, solo);
-        }
-        Job::Attack { corpus, threads, items } => run_attack_job(state, corpus, threads, items),
-    }));
+    let conn = job.conn;
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_request(state, job)));
     if outcome.is_err() {
-        for conn in conns {
-            state.push_completion(conn, None);
-        }
+        state.push_completion(conn, None);
     }
 }
 
@@ -1628,28 +1447,20 @@ fn respond(
     state.push_completion(conn, Some(bytes));
 }
 
-/// Record the queue stage for one request: wire arrival → execution
-/// start, minus the parse itself.
-fn record_queue(state: &Arc<DaemonState>, received: Instant, parse_seconds: f64) {
+/// Stop a request's parse timer and record its queue stage: wire arrival
+/// → execution start, minus the parse itself.
+fn end_parse(state: &Arc<DaemonState>, received: Instant, parse_timer: SpanTimer) {
+    let parse_seconds = parse_timer.stop().as_secs_f64();
     state
         .metrics
         .queue_seconds
         .record_secs((received.elapsed().as_secs_f64() - parse_seconds).max(0.0));
 }
 
-/// Parse + validate one raw request on a worker. Corpus updates run to
-/// completion here; a valid attack either runs solo (batching off) or
-/// returns to the front as a [`ReadyAttack`] for its coalescing group.
-#[allow(clippy::too_many_arguments)]
-fn run_parse_job(
-    state: &Arc<DaemonState>,
-    conn: usize,
-    received: Instant,
-    raw: RawRequest,
-    label: &'static str,
-    corpus: Option<Arc<PreparedCorpus>>,
-    solo: bool,
-) {
+/// Parse, validate and run one raw request on a worker, then queue its
+/// reply. An attack runs as soon as its parse lands.
+fn run_request(state: &Arc<DaemonState>, job: Job) {
+    let Job { conn, received, raw, label, corpus } = job;
     let parse_timer = SpanTimer::new(Arc::clone(&state.metrics.parse_seconds));
     // Decode the raw bytes into (attack, forum, threads) for attacks, a
     // Forum for ingests, or the parsed request for load_snapshot — any
@@ -1660,8 +1471,7 @@ fn run_parse_job(
             let request = match Json::parse(&line) {
                 Ok(request) => request,
                 Err(e) => {
-                    let parse_seconds = parse_timer.stop().as_secs_f64();
-                    record_queue(state, received, parse_seconds);
+                    end_parse(state, received, parse_timer);
                     drop(corpus);
                     // Unparseable lines are billed to the "invalid"
                     // command, exactly like the front-thread era.
@@ -1677,28 +1487,16 @@ fn run_parse_job(
             match label {
                 "attack" => {
                     let parsed = parse_attack_request(state, &request, line.len());
-                    finish_attack_parse(state, conn, received, parse_timer, corpus, solo, parsed);
+                    run_attack(state, conn, received, parse_timer, corpus, parsed);
                 }
                 "add_auxiliary_users" => {
                     let chunk = request.get("forum").ok_or("missing forum").and_then(|v| {
                         forum_from_request(v, line.len()).map_err(|_| "invalid forum")
                     });
-                    let parse_seconds = parse_timer.stop().as_secs_f64();
-                    record_queue(state, received, parse_seconds);
-                    let result = match chunk {
-                        Ok(chunk) => {
-                            let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
-                            let result = cmd_add_auxiliary_users(state, chunk);
-                            timer.stop();
-                            result
-                        }
-                        Err(e) => Err(CmdError::new("invalid_argument", e)),
-                    };
-                    respond(state, conn, label, received, result);
+                    run_ingest(state, conn, received, parse_timer, chunk.map_err(String::from));
                 }
                 _ => {
-                    let parse_seconds = parse_timer.stop().as_secs_f64();
-                    record_queue(state, received, parse_seconds);
+                    end_parse(state, received, parse_timer);
                     let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
                     let result = cmd_load_snapshot(state, &request);
                     timer.stop();
@@ -1723,47 +1521,32 @@ fn run_parse_job(
                     (attack, p.forum, threads)
                 })
                 .map_err(|e| CmdError::new("invalid_argument", e));
-            finish_attack_parse(state, conn, received, parse_timer, corpus, solo, parsed);
+            run_attack(state, conn, received, parse_timer, corpus, parsed);
         }
         RawRequest::AddUsersFrame(payload) => {
             let chunk = frame::decode_add_users_payload(&payload);
-            let parse_seconds = parse_timer.stop().as_secs_f64();
-            record_queue(state, received, parse_seconds);
-            let result = match chunk {
-                Ok(chunk) => {
-                    let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
-                    let result = cmd_add_auxiliary_users(state, chunk);
-                    timer.stop();
-                    result
-                }
-                Err(e) => Err(CmdError::new("invalid_argument", e)),
-            };
-            respond(state, conn, "add_auxiliary_users", received, result);
+            run_ingest(state, conn, received, parse_timer, chunk);
         }
     }
 }
 
-/// Close out an attack's parse phase: an error answers immediately (the
-/// front unblocks its coalescing group on the completion), `no_corpus`
+/// Finish an attack on its worker: an error answers at once, `no_corpus`
 /// is answered after the parse (invalid requests outrank it), and a
-/// valid request runs solo or returns to the front for batching.
-#[allow(clippy::too_many_arguments)]
-fn finish_attack_parse(
+/// valid request runs against the generation it captured off the wire.
+fn run_attack(
     state: &Arc<DaemonState>,
     conn: usize,
     received: Instant,
     parse_timer: SpanTimer,
     corpus: Option<Arc<PreparedCorpus>>,
-    solo: bool,
     parsed: Result<(AttackConfig, Forum, usize), CmdError>,
 ) {
-    let parse_seconds = parse_timer.stop().as_secs_f64();
+    end_parse(state, received, parse_timer);
     // `no_corpus` outranks per-field validation (`invalid_argument`),
     // matching the inline era where the corpus slot was checked before
     // the request body — while invalid JSON / a bad frame still outrank
     // both (answered before this function runs).
     let Some(corpus) = corpus else {
-        record_queue(state, received, parse_seconds);
         return respond(
             state,
             conn,
@@ -1778,95 +1561,66 @@ fn finish_attack_parse(
     let (attack, forum, threads) = match parsed {
         Ok(parts) => parts,
         Err(e) => {
-            record_queue(state, received, parse_seconds);
             drop(corpus);
             return respond(state, conn, "attack", received, Err(e));
         }
     };
-    let ready = ReadyAttack { conn, received, parse_seconds, threads, attack, forum, corpus };
-    if solo {
-        let corpus = Arc::clone(&ready.corpus);
-        run_attack_job(state, corpus, threads, vec![ready]);
-    } else {
-        state.parsed.lock().unwrap_or_else(PoisonError::into_inner).push(ready);
-        state.waker.wake();
-    }
+    let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
+    let engine = Engine::new(EngineConfig { n_threads: threads, attack, ..state.config.clone() });
+    let outcome = corpus.attack(&engine, &forum);
+    timer.stop();
+    // Every handle on the generation goes before the reply is queued: a
+    // client that follows its reply with an ingest then finds the slot's
+    // handle alone, and the ingest appends in place.
+    drop(corpus);
+    state.metrics.attack_seconds.record(received.elapsed());
+    state.metrics.attacks.inc();
+    state.metrics.attacked_users.add(forum.n_users as u64);
+    state.metrics.mapped_users.add(outcome.mapping.iter().filter(|m| m.is_some()).count() as u64);
+    // Per-stage latency histograms across requests — the engine report
+    // flows into the daemon's registry.
+    outcome.report.record_into(&state.metrics.registry);
+    let mapping = outcome.mapping.iter().map(|m| m.map_or(Json::Null, Json::int)).collect();
+    let candidates = outcome
+        .candidates
+        .iter()
+        .map(|c| Json::Arr(c.iter().map(|&v| Json::int(v)).collect()))
+        .collect();
+    let fields = vec![
+        ("mapping".into(), Json::Arr(mapping)),
+        ("candidates".into(), Json::Arr(candidates)),
+        ("report".into(), report_to_json(&outcome.report)),
+    ];
+    respond(state, conn, "attack", received, Ok(fields));
 }
 
-/// Execute and demux one attack batch of parsed, validated requests.
-/// Single-item batches (always the case with `batch_window == 0`) take
-/// the classic solo `run_prepared` path; larger ones run the fused
-/// `run_prepared_batch` — both bit-identical per request.
-fn run_attack_job(
+/// Finish an `add_auxiliary_users` request on its worker: a decode error
+/// answers at once, and a valid chunk is ingested.
+fn run_ingest(
     state: &Arc<DaemonState>,
-    corpus: Arc<PreparedCorpus>,
-    threads: usize,
-    items: Vec<ReadyAttack>,
+    conn: usize,
+    received: Instant,
+    parse_timer: SpanTimer,
+    chunk: Result<Forum, String>,
 ) {
-    if items.is_empty() {
-        return;
-    }
-    for item in &items {
-        record_queue(state, item.received, item.parse_seconds);
-    }
-    let engine_start = Instant::now();
-    let outcomes: Vec<EngineOutcome> = if items.len() == 1 {
-        let item = &items[0];
-        let engine = Engine::new(EngineConfig {
-            n_threads: threads,
-            attack: item.attack.clone(),
-            ..state.config.clone()
-        });
-        vec![corpus.attack(&engine, &item.forum)]
-    } else {
-        let engine = Engine::new(EngineConfig { n_threads: threads, ..state.config.clone() });
-        let requests: Vec<BatchRequest<'_>> = items
-            .iter()
-            .map(|item| BatchRequest { attack: item.attack.clone(), anonymized: &item.forum })
-            .collect();
-        corpus.attack_batch(&engine, &requests)
+    end_parse(state, received, parse_timer);
+    let result = match chunk {
+        Ok(chunk) => {
+            let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
+            let result = cmd_add_auxiliary_users(state, chunk);
+            timer.stop();
+            result
+        }
+        Err(e) => Err(CmdError::new("invalid_argument", e)),
     };
-    // Each request experienced the whole fused pass — the engine stage
-    // is the batch's wall time, recorded per request like
-    // `daemon_command_seconds`.
-    let engine_elapsed = engine_start.elapsed();
-    // Every handle on the generation goes before the first reply is
-    // queued: a client that follows its reply with an ingest then finds
-    // the slot's handle alone, and the ingest appends in place.
-    drop(corpus);
-    let answered: Vec<(usize, Instant, usize)> =
-        items.into_iter().map(|item| (item.conn, item.received, item.forum.n_users)).collect();
-    for ((conn, received, n_users), outcome) in answered.into_iter().zip(outcomes) {
-        state.metrics.engine_seconds.record(engine_elapsed);
-        state.metrics.attack_seconds.record(received.elapsed());
-        state.metrics.attacks.inc();
-        state.metrics.attacked_users.add(n_users as u64);
-        state
-            .metrics
-            .mapped_users
-            .add(outcome.mapping.iter().filter(|m| m.is_some()).count() as u64);
-        // Per-stage latency histograms across requests — the engine
-        // report flows into the daemon's registry.
-        outcome.report.record_into(&state.metrics.registry);
-        let mapping = outcome.mapping.iter().map(|m| m.map_or(Json::Null, Json::int)).collect();
-        let candidates = outcome
-            .candidates
-            .iter()
-            .map(|c| Json::Arr(c.iter().map(|&v| Json::int(v)).collect()))
-            .collect();
-        let fields = vec![
-            ("mapping".into(), Json::Arr(mapping)),
-            ("candidates".into(), Json::Arr(candidates)),
-            ("report".into(), report_to_json(&outcome.report)),
-        ];
-        respond(state, conn, "attack", received, Ok(fields));
-    }
+    respond(state, conn, "add_auxiliary_users", received, result);
 }
 
 /// Resolve one attack request's forum, per-request overrides and
-/// effective thread count against the daemon's defaults (same field
-/// order — and therefore the same first error — as the pre-batching
-/// daemon). The forum's declared sizes are bounded by `line_bytes`, the
+/// effective thread count against the daemon's defaults. Fields are
+/// checked in a fixed order (forum, `top_k`, `n_landmarks`, `seed`,
+/// `threads`), so a request with several bad fields always reports the
+/// same one. The forum's declared sizes are bounded by `line_bytes`, the
 /// length of the request line that carried them.
 fn parse_attack_request(
     state: &Arc<DaemonState>,
@@ -2121,6 +1875,23 @@ mod tests {
     use dehealth_corpus::{Forum, ForumConfig};
     use std::thread;
 
+    #[test]
+    fn scanner_finds_top_level_keys_only() {
+        let line = br#"{"cmd":"attack","threads":3,"forum":{"n_threads":9,"cmd":"nested","posts":[[0,0,"say \"threads\": 5"]]}}"#;
+        assert_eq!(scan_top_level(line, "cmd").as_deref(), Some("attack"));
+        assert_eq!(scan_top_level(line, "threads").as_deref(), Some("3"));
+        assert_eq!(scan_top_level(line, "n_threads"), None);
+        assert_eq!(scan_top_level(line, "posts"), None, "array values are not simple");
+        assert_eq!(scan_top_level(br#"  {"cmd" : "stats"} "#, "cmd").as_deref(), Some("stats"));
+        assert_eq!(scan_top_level(br#"{"cmd":"shut\"down"}"#, "cmd"), None, "escapes defer");
+        assert_eq!(scan_top_level(br#"not json"#, "cmd"), None);
+        assert_eq!(scan_top_level(br#"{"a":{"cmd":"attack"}}"#, "cmd"), None);
+        assert_eq!(
+            scan_top_level(br#"{"later":1,"cmd":"metrics"}"#, "cmd").as_deref(),
+            Some("metrics")
+        );
+    }
+
     /// Pins the `swap_corpus` ordering fix: the slot is swapped *before*
     /// the gauges are refreshed, so a scrape racing an update may see a
     /// stale (smaller) gauge, but never a gauge describing a corpus newer
@@ -2146,7 +1917,6 @@ mod tests {
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
             completions: Mutex::new(Vec::new()),
-            parsed: Mutex::new(Vec::new()),
             waker: Waker::default(),
             dispatched: AtomicUsize::new(0),
             metrics: DaemonMetrics::new(),

@@ -1,5 +1,4 @@
-//! Length-prefixed binary frames for bulk payloads, plus the front
-//! thread's zero-parse request classifier.
+//! Length-prefixed binary frames for bulk payloads.
 //!
 //! ## Why frames
 //!
@@ -294,25 +293,6 @@ pub fn encode_add_users_frame(chunk: &Forum) -> Vec<u8> {
     encode_frame(FrameTag::AddAuxiliaryUsers, &buf.into_bytes())
 }
 
-/// Peek an attack payload's `threads` override from its fixed-layout
-/// prefix without decoding the forum — the daemon's batch-key probe
-/// (the binary analogue of scanning a JSON line for `"threads"`). The
-/// flags word and the option values it announces sit at known offsets,
-/// so this reads at most three words. Returns `None` when the override
-/// is absent or the payload is too short to carry what it claims (the
-/// full decode then reports the error).
-#[must_use]
-pub fn peek_attack_threads(payload: &[u8]) -> Option<usize> {
-    let flags = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?);
-    if flags & FLAG_THREADS == 0 {
-        return None;
-    }
-    let skip = (flags & (FLAG_TOP_K | FLAG_N_LANDMARKS)).count_ones() as usize;
-    let at = 4 + 8 * skip;
-    let threads = u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?);
-    usize::try_from(threads).ok()
-}
-
 /// A decoded binary `attack` payload.
 #[derive(Debug, Clone)]
 pub struct AttackPayload {
@@ -366,127 +346,6 @@ pub fn decode_add_users_payload(payload: &[u8]) -> Result<Forum, String> {
     let forum = decode_forum(&mut r).map_err(|e| e.to_string())?;
     r.expect_end().map_err(|e| e.to_string())?;
     Ok(forum)
-}
-
-/// Scan a JSON request line for the string value of a top-level key,
-/// without building a parse tree — the front thread's classification
-/// primitive (`"cmd"`) and batch-key probe (`"threads"`).
-///
-/// The scanner tracks object/array depth and string escapes, so a
-/// matching key inside a nested object (`forum.n_threads`) or inside a
-/// post's text can never false-positive. It returns the key's raw value
-/// slice only for simple (escape-free) string and number values; on
-/// anything else — or on text the scanner cannot follow — it returns
-/// `None` and the caller falls back to a full parse. The scanner may
-/// accept lines a strict parser rejects; the authoritative parse (and
-/// its error reply) happens on a worker either way.
-#[must_use]
-pub fn scan_top_level(line: &[u8], key: &str) -> Option<String> {
-    let n = line.len();
-    let mut i = 0;
-    while i < n && line[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i >= n || line[i] != b'{' {
-        return None;
-    }
-    i += 1;
-    let mut depth = 1usize;
-    let mut expecting_key = true;
-    while i < n {
-        match line[i] {
-            b'"' => {
-                let start = i + 1;
-                i += 1;
-                let mut escaped = false;
-                let mut end = None;
-                while i < n {
-                    let c = line[i];
-                    if escaped {
-                        escaped = false;
-                    } else if c == b'\\' {
-                        escaped = true;
-                    } else if c == b'"' {
-                        end = Some(i);
-                        break;
-                    }
-                    i += 1;
-                }
-                let end = end?;
-                i = end + 1;
-                if depth == 1 && expecting_key && &line[start..end] == key.as_bytes() {
-                    return scan_value(line, i);
-                }
-            }
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                if depth == 1 {
-                    return None;
-                }
-                depth -= 1;
-                i += 1;
-            }
-            b':' => {
-                if depth == 1 {
-                    expecting_key = false;
-                }
-                i += 1;
-            }
-            b',' => {
-                if depth == 1 {
-                    expecting_key = true;
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Read the simple value following a matched key: skip the colon, then
-/// return an escape-free string's contents or a bare number/keyword
-/// token verbatim.
-fn scan_value(line: &[u8], mut i: usize) -> Option<String> {
-    let n = line.len();
-    while i < n && line[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i >= n || line[i] != b':' {
-        return None;
-    }
-    i += 1;
-    while i < n && line[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i >= n {
-        return None;
-    }
-    if line[i] == b'"' {
-        let start = i + 1;
-        i += 1;
-        while i < n {
-            match line[i] {
-                // No known command or simple value contains escapes; a
-                // full parse will classify this line authoritatively.
-                b'\\' => return None,
-                b'"' => return String::from_utf8(line[start..i].to_vec()).ok(),
-                _ => i += 1,
-            }
-        }
-        return None;
-    }
-    let start = i;
-    while i < n && !matches!(line[i], b',' | b'}' | b']') && !line[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if i == start {
-        return None;
-    }
-    String::from_utf8(line[start..i].to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -582,23 +441,6 @@ mod tests {
         let payload = &frame[8..len - 8];
         let err = verify_checksum(payload, frame[len - 8..].try_into().unwrap()).unwrap_err();
         assert_eq!(err, FrameError::ChecksumMismatch);
-    }
-
-    #[test]
-    fn scanner_finds_top_level_keys_only() {
-        let line = br#"{"cmd":"attack","threads":3,"forum":{"n_threads":9,"cmd":"nested","posts":[[0,0,"say \"threads\": 5"]]}}"#;
-        assert_eq!(scan_top_level(line, "cmd").as_deref(), Some("attack"));
-        assert_eq!(scan_top_level(line, "threads").as_deref(), Some("3"));
-        assert_eq!(scan_top_level(line, "n_threads"), None);
-        assert_eq!(scan_top_level(line, "posts"), None, "array values are not simple");
-        assert_eq!(scan_top_level(br#"  {"cmd" : "stats"} "#, "cmd").as_deref(), Some("stats"));
-        assert_eq!(scan_top_level(br#"{"cmd":"shut\"down"}"#, "cmd"), None, "escapes defer");
-        assert_eq!(scan_top_level(br#"not json"#, "cmd"), None);
-        assert_eq!(scan_top_level(br#"{"a":{"cmd":"attack"}}"#, "cmd"), None);
-        assert_eq!(
-            scan_top_level(br#"{"later":1,"cmd":"metrics"}"#, "cmd").as_deref(),
-            Some("metrics")
-        );
     }
 
     #[test]

@@ -16,16 +16,12 @@
 //!   plus length-prefixed, checksummed **binary frames** ([`frame`])
 //!   for the bulk commands, auto-detected per message by first byte.
 //!   One readiness-driven front thread (`dehealth-netpoll`: epoll /
-//!   `poll(2)` / tick fallback) multiplexes every connection and does
-//!   *framing only* — request parsing, execution, and reply
+//!   `poll(2)`, a tick backend off unix) multiplexes every connection
+//!   and does *framing only* — request parsing, execution, and reply
 //!   serialization are all billed to a bounded worker pool (per-request
 //!   `daemon_parse/queue/engine/emit_seconds` stage timers prove it);
-//!   attack requests against the same corpus generation landing inside
-//!   the coalescing window
-//!   ([`DaemonLimits::batch_window`](daemon::DaemonLimits)) are fused
-//!   into one sharded engine pass
-//!   ([`Engine::run_prepared_batch`](dehealth_engine::Engine::run_prepared_batch))
-//!   and demuxed back per request, bit-identical to solo execution.
+//!   each attack runs alone, as soon as a worker has parsed it
+//!   ([`PreparedCorpus::attack`](corpus::PreparedCorpus::attack)).
 //!   Requests: `load_snapshot`, `add_auxiliary_users` (incremental
 //!   streaming ingest), `attack` (batch of anonymized users → Top-K
 //!   candidates + refined mappings + per-stage report), `stats`, and

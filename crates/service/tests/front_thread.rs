@@ -11,13 +11,18 @@
 //! - **Worker replies wake the front thread.** A request answered on a
 //!   dispatch worker must reach its client as soon as the worker is
 //!   done, not at the front thread's next 25 ms poll tick.
+//! - **A lone attack runs as soon as it is parsed.** Between coming off
+//!   the wire and starting its engine pass, an attack on an idle daemon
+//!   waits only for a free worker, never for other attacks to join it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dehealth_corpus::{closed_world_split, Forum, ForumConfig, SplitConfig};
 use dehealth_service::daemon::{default_config, Daemon};
-use dehealth_service::{Json, ServiceClient, ServiceError};
+use dehealth_service::{AttackOptions, Json, PreparedCorpus, ServiceClient, ServiceError};
+use dehealth_telemetry::bucket_index;
 
 /// Send `n` pipelined lines in one write and read every reply, checking
 /// order. Returns the time from the write to the last reply.
@@ -93,4 +98,32 @@ fn worker_replies_do_not_wait_for_a_poll_tick() {
     // nearly a whole 25 ms interval.
     let median = round_trips[round_trips.len() / 2];
     assert!(median < Duration::from_millis(12), "median worker round trip {median:?}");
+}
+
+#[test]
+fn lone_attacks_do_not_wait_for_a_window() {
+    let forum = Forum::generate(&ForumConfig::tiny(), 42);
+    let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+    let corpus = PreparedCorpus::build(split.auxiliary, Default::default());
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+    let registry = daemon.registry();
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+    for _ in 0..21 {
+        client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
+    }
+    daemon.request_shutdown();
+    daemon.join();
+    // `daemon_queue_seconds` times each request from coming off the wire
+    // to the start of its execution, minus its parse: the wait for a
+    // worker, without parse or engine time. On an idle daemon that wait
+    // is microseconds; 5 ms leaves room for a busy host, not for any
+    // timer that holds a request back.
+    let queued = registry.histogram("daemon_queue_seconds").snapshot();
+    assert_eq!(queued.count(), 21);
+    let prompt: u64 = queued.counts[..=bucket_index(5_000_000)].iter().sum();
+    assert!(
+        2 * prompt >= queued.count(),
+        "only {prompt} of {} lone attacks started within 5 ms of arriving",
+        queued.count()
+    );
 }

@@ -563,14 +563,13 @@ fn metrics_round_trip_contains_every_registered_daemon_metric() {
 }
 
 #[test]
-fn coalesced_concurrent_attacks_are_bit_identical_to_serial_and_unbatched() {
-    // The batching acceptance oracle: four clients fire mixed attack
-    // requests (different top_k / seed / n_landmarks overrides) into one
-    // coalescing window. The daemon merges them into a single fused
-    // engine pass — and every demuxed reply must be bit-identical to
-    // (a) the serial `DeHealth::run` oracle for that request's config
-    // and (b) the unbatched daemon path (`batch_window = 0`), at 1, 2
-    // and 8 engine threads.
+fn concurrent_mixed_override_attacks_are_bit_identical_to_serial() {
+    // Four clients fire mixed attack requests (different top_k / seed /
+    // n_landmarks overrides) at once. The daemon runs them side by side
+    // on its workers, sharing one corpus generation and its auxiliary
+    // cache — and every reply must be bit-identical to the serial
+    // `DeHealth::run` oracle for that request's config, at 1, 2 and 8
+    // engine threads.
     let split = tiny_split();
     let variants: Vec<(AttackOptions, AttackConfig)> = vec![
         (AttackOptions::default(), attack_cfg()),
@@ -592,29 +591,11 @@ fn coalesced_concurrent_attacks_are_bit_identical_to_serial_and_unbatched() {
         .map(|(_, cfg)| DeHealth::new(cfg.clone()).run(&split.auxiliary, &split.anonymized))
         .collect();
 
-    // Unbatched control: window zero forces the classic solo
-    // `run_prepared` path for every request.
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
-    let unbatched_limits = DaemonLimits { batch_window: Duration::ZERO, ..DaemonLimits::default() };
-    let daemon =
-        Daemon::bind_with("127.0.0.1:0", config.clone(), Some(corpus.clone()), unbatched_limits)
-            .unwrap();
-    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
-    for ((options, _), reference) in variants.iter().zip(&references) {
-        let reply = client.attack(&split.anonymized, options).unwrap();
-        assert_eq!(reply.mapping, reference.mapping, "unbatched mapping diverged");
-        assert_eq!(reply.candidates, reference.candidates, "unbatched candidates diverged");
-    }
-    client.shutdown().unwrap();
-    daemon.join();
-
     for threads in [1usize, 2, 8] {
-        // Wide window so all four concurrent requests coalesce.
-        let limits =
-            DaemonLimits { batch_window: Duration::from_millis(250), ..DaemonLimits::default() };
         let daemon =
-            Daemon::bind_with("127.0.0.1:0", config.clone(), Some(corpus.clone()), limits).unwrap();
+            Daemon::bind_with_corpus("127.0.0.1:0", config.clone(), Some(corpus.clone())).unwrap();
         let addr = daemon.addr();
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(variants.len()));
         let handles: Vec<_> = variants
@@ -634,22 +615,13 @@ fn coalesced_concurrent_attacks_are_bit_identical_to_serial_and_unbatched() {
         for ((reply, reference), (options, _)) in replies.iter().zip(&references).zip(&variants) {
             assert_eq!(
                 reply.mapping, reference.mapping,
-                "batched mapping diverged from DeHealth::run at {threads} threads ({options:?})"
+                "concurrent mapping diverged from DeHealth::run at {threads} threads ({options:?})"
             );
             assert_eq!(
                 reply.candidates, reference.candidates,
-                "batched candidates diverged at {threads} threads ({options:?})"
+                "concurrent candidates diverged at {threads} threads ({options:?})"
             );
         }
-        // Coalescing actually happened: fewer flushed batches than
-        // attacks (four barrier-synchronized requests against one
-        // 250ms window cannot all ride alone).
-        let batch_sizes = daemon.registry().histogram("daemon_batch_size").snapshot();
-        let batches: u64 = batch_sizes.counts.iter().sum();
-        assert!(
-            (1..4).contains(&batches),
-            "expected 4 concurrent attacks to coalesce into 1–3 batches, got {batches}"
-        );
 
         let mut closer = ServiceClient::connect(addr).unwrap();
         closer.shutdown().unwrap();
@@ -658,12 +630,11 @@ fn coalesced_concurrent_attacks_are_bit_identical_to_serial_and_unbatched() {
 }
 
 #[test]
-fn corpus_swap_mid_window_closes_the_group_and_both_sides_stay_exact() {
-    // Attacks capture the corpus Arc when they come off the wire and
-    // batches group by that Arc: a swap landing mid-window must route
-    // pre-swap requests against the old corpus and post-swap requests
-    // against the new one — each side bit-identical to its own serial
-    // oracle.
+fn concurrent_attacks_on_both_sides_of_an_ingest_stay_exact() {
+    // Attacks capture the corpus Arc when they come off the wire: an
+    // ingest between two rounds of concurrent attacks must route the
+    // first round against the old corpus and the second against the new
+    // one — each side bit-identical to its own serial oracle.
     let split = tiny_split();
     let chunk = Forum::generate(&ForumConfig::tiny(), 77);
     let mut merged_posts: Vec<Post> = split.auxiliary.posts.clone();
@@ -684,9 +655,7 @@ fn corpus_swap_mid_window_closes_the_group_and_both_sides_stay_exact() {
 
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
-    let limits =
-        DaemonLimits { batch_window: Duration::from_millis(400), ..DaemonLimits::default() };
-    let daemon = Daemon::bind_with("127.0.0.1:0", config, Some(corpus), limits).unwrap();
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
     let addr = daemon.addr();
 
     let fire_pair = |expected_mapping: Vec<Option<usize>>| {
@@ -708,21 +677,13 @@ fn corpus_swap_mid_window_closes_the_group_and_both_sides_stay_exact() {
         }
     };
 
-    // Two attacks against the pre-swap corpus coalesce into one group…
+    // Two concurrent attacks against the pre-ingest corpus…
     fire_pair(reference_old.mapping.clone());
-    // …the ingest swaps the corpus Arc…
+    // …the ingest grows the corpus…
     let mut updater = ServiceClient::connect(addr).unwrap();
     updater.add_auxiliary_users(&chunk).unwrap();
-    // …and two post-swap attacks open a fresh group against the new Arc.
+    // …and two concurrent attacks against the grown one.
     fire_pair(reference_new.mapping.clone());
-
-    // Grouping by Arc identity kept the two sides in separate batches.
-    let batch_sizes = daemon.registry().histogram("daemon_batch_size").snapshot();
-    let batches: u64 = batch_sizes.counts.iter().sum();
-    assert!(
-        (2..=4).contains(&batches),
-        "expected the swap to close the old group (2–4 batches for 4 attacks), got {batches}"
-    );
 
     updater.shutdown().unwrap();
     daemon.join();
@@ -990,19 +951,16 @@ fn truncated_frame_header_stall_hits_the_read_deadline() {
 }
 
 #[test]
-fn mixed_encoding_attacks_coalesce_into_one_batch_and_stay_exact() {
+fn concurrent_json_and_binary_attacks_stay_exact() {
     // Encoding is a wire concern only: a binary-frame attack and a JSON
-    // attack landing inside the same coalescing window must fuse into one
-    // batched engine pass and still come back bit-identical to the serial
+    // attack sent at once must both come back bit-identical to the serial
     // reference.
     use de_health::service::WireEncoding;
     let split = tiny_split();
     let reference = DeHealth::new(attack_cfg()).run(&split.auxiliary, &split.anonymized);
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
-    let limits =
-        DaemonLimits { batch_window: Duration::from_millis(400), ..DaemonLimits::default() };
-    let daemon = Daemon::bind_with("127.0.0.1:0", config, Some(corpus), limits).unwrap();
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
     let addr = daemon.addr();
 
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
@@ -1025,12 +983,6 @@ fn mixed_encoding_attacks_coalesce_into_one_batch_and_stay_exact() {
         assert_eq!(reply.candidates, reference.candidates);
     }
 
-    let batch_sizes = daemon.registry().histogram("daemon_batch_size").snapshot();
-    let batches: u64 = batch_sizes.counts.iter().sum();
-    assert!(
-        (1..=2).contains(&batches),
-        "2 mixed-encoding attacks should land in at most 2 batches, got {batches}"
-    );
     assert!(daemon.registry().histogram("daemon_parse_seconds").count() >= 2);
 
     let mut client = ServiceClient::connect(addr).unwrap();

@@ -320,7 +320,7 @@ fn misaligned_backing_yields_a_typed_error_not_an_unaligned_cast() {
 }
 
 #[test]
-fn nonzero_v2_padding_is_rejected() {
+fn nonzero_padding_is_rejected() {
     let bytes = built_corpus(ClassifierKind::default()).to_snapshot_bytes();
     // Corrupt the first section header's padding (fixed offset 20..24).
     let mut bad = bytes.clone();
