@@ -9,21 +9,18 @@
 //!    and decode, no text analysis). The load must come in below 25% of
 //!    the cold build — asserted here, so the committed
 //!    `BENCH_service.json` always demonstrates the property.
-//! 2. **Serving throughput, per wire encoding** — a daemon is started on
-//!    an ephemeral local port with the snapshot-loaded corpus, and the
-//!    same anonymized batch is attacked repeatedly over TCP at 1 and
-//!    `machine_parallelism` worker threads, once over legacy
-//!    newline-JSON and once over binary frames. Each run records
-//!    attacks/sec, users/sec, the request's exact **bytes on the wire**
-//!    (the binary frame is asserted strictly smaller than the JSON
-//!    rendering of the same forum), and the daemon's own per-request
-//!    **stage timers** — mean `daemon_parse/queue/engine/emit_seconds`
-//!    differenced around the run — so the JSON shows where each
-//!    encoding's wall time goes (parse and emit are billed to the
-//!    worker pool, never the front thread). A JSON request's mean parse
-//!    time is asserted below 10% of its mean engine time: parsing is
-//!    linear in the request, so it must stay a small share of the
-//!    attack it carries.
+//! 2. **Serving throughput** — a daemon is started on an ephemeral local
+//!    port with the snapshot-loaded corpus, and the same anonymized batch
+//!    is attacked repeatedly over TCP at 1 and `machine_parallelism`
+//!    worker threads. Each run records attacks/sec, users/sec, the
+//!    request's exact **bytes on the wire**, and the daemon's own
+//!    per-request **stage timers** — mean
+//!    `daemon_parse/queue/engine/emit_seconds` differenced around the run
+//!    — so the JSON shows where the wall time goes (parse and emit are
+//!    billed to the worker pool, never the front thread). A request's
+//!    mean parse time is asserted below 10% of its mean engine time:
+//!    parsing is linear in the request, so it must stay a small share of
+//!    the attack it carries.
 //! 3. **Latency under concurrent load** — several clients attack the
 //!    daemon simultaneously with barrier-synchronized sends, so the
 //!    requests arrive together and run side by side on the daemon's
@@ -59,7 +56,7 @@ use dehealth_core::{AttackConfig, DeHealth};
 use dehealth_corpus::{closed_world_split, Forum, ForumConfig, SplitConfig};
 use dehealth_engine::EngineConfig;
 use dehealth_service::daemon::Daemon;
-use dehealth_service::{AttackOptions, PreparedCorpus, ServiceClient, WireEncoding};
+use dehealth_service::{AttackOptions, PreparedCorpus, ServiceClient};
 use dehealth_telemetry::{HistogramSnapshot, Quantile};
 
 /// Attack parameters used throughout the benchmark (matching the scale
@@ -71,8 +68,6 @@ fn attack_config() -> AttackConfig {
 /// One wire-throughput measurement.
 #[derive(Debug, Clone)]
 pub struct WireRun {
-    /// Wire encoding of the attack requests (`"json"` or `"binary"`).
-    pub encoding: &'static str,
     /// Worker threads the daemon used per attack.
     pub threads: usize,
     /// Repeated attacks of the same batch.
@@ -241,85 +236,59 @@ pub fn run_to(path: &Path, users: usize, seed: u64) -> io::Result<ServiceBench> 
         registry.histogram("daemon_engine_seconds"),
         registry.histogram("daemon_emit_seconds"),
     ];
-    for encoding in [WireEncoding::Json, WireEncoding::Binary] {
-        let encoding_label = match encoding {
-            WireEncoding::Json => "json",
-            WireEncoding::Binary => "binary",
-        };
-        client.set_encoding(encoding);
-        for &threads in &thread_sweep {
-            let options = AttackOptions { threads: Some(threads), ..AttackOptions::default() };
-            let request_bytes = client.encode_attack_request(&split.anonymized, &options).len();
-            let stages_before: Vec<_> = stage_hists.iter().map(|h| h.snapshot()).collect();
-            let t0 = Instant::now();
-            for _ in 0..rounds {
-                let sent = Instant::now();
-                let reply = client.attack(&split.anonymized, &options).map_err(io::Error::other)?;
-                slowest_round_trip_seconds =
-                    slowest_round_trip_seconds.max(sent.elapsed().as_secs_f64());
-                assert_eq!(
-                    reply.mapping, reference.mapping,
-                    "wire attack ({encoding_label}) must match the in-process serial attack"
-                );
-                assert_eq!(reply.candidates, reference.candidates);
-            }
-            let total_seconds = t0.elapsed().as_secs_f64();
-            let mut stage_means = [0.0f64; 4];
-            for (mean, (hist, before)) in
-                stage_means.iter_mut().zip(stage_hists.iter().zip(&stages_before))
-            {
-                *mean = histogram_delta(before, &hist.snapshot()).mean_seconds();
-            }
-            let run = WireRun {
-                encoding: encoding_label,
-                threads,
-                rounds,
-                request_bytes,
-                total_seconds,
-                attacks_per_sec: rounds as f64 / total_seconds.max(1e-12),
-                users_per_sec: (rounds * split.anonymized.n_users) as f64
-                    / total_seconds.max(1e-12),
-                parse_seconds: stage_means[0],
-                queue_seconds: stage_means[1],
-                engine_seconds: stage_means[2],
-                emit_seconds: stage_means[3],
-            };
-            println!(
-                "  wire attack × {rounds} [{encoding_label}, {request_bytes} B/req] at \
-                 {threads} threads: {total_seconds:.3}s ({:.2} attacks/s, {:.0} users/s; \
-                 stage means parse {:.4}s / queue {:.4}s / engine {:.4}s / emit {:.4}s)",
-                run.attacks_per_sec,
-                run.users_per_sec,
-                run.parse_seconds,
-                run.queue_seconds,
-                run.engine_seconds,
-                run.emit_seconds,
+    for &threads in &thread_sweep {
+        let options = AttackOptions { threads: Some(threads), ..AttackOptions::default() };
+        let request_bytes = client.encode_attack_request(&split.anonymized, &options).len();
+        let stages_before: Vec<_> = stage_hists.iter().map(|h| h.snapshot()).collect();
+        let t0 = Instant::now();
+        for _ in 0..rounds {
+            let sent = Instant::now();
+            let reply = client.attack(&split.anonymized, &options).map_err(io::Error::other)?;
+            slowest_round_trip_seconds =
+                slowest_round_trip_seconds.max(sent.elapsed().as_secs_f64());
+            assert_eq!(
+                reply.mapping, reference.mapping,
+                "wire attack must match the in-process serial attack"
             );
-            if encoding == WireEncoding::Json {
-                assert!(
-                    run.parse_seconds < 0.1 * run.engine_seconds,
-                    "a JSON attack's parse ({:.6}s) must stay below 10% of its engine time \
-                     ({:.6}s)",
-                    run.parse_seconds,
-                    run.engine_seconds
-                );
-            }
-            wire.push(run);
+            assert_eq!(reply.candidates, reference.candidates);
         }
-    }
-    // The binary frame must beat the JSON rendering of the same forum on
-    // the wire — the committed numbers always demonstrate the saving.
-    for json_run in wire.iter().filter(|r| r.encoding == "json") {
-        let binary_run = wire
-            .iter()
-            .find(|r| r.encoding == "binary" && r.threads == json_run.threads)
-            .expect("both encodings swept the same thread counts");
-        assert!(
-            binary_run.request_bytes < json_run.request_bytes,
-            "binary frame ({} B) must be smaller than the JSON request ({} B)",
-            binary_run.request_bytes,
-            json_run.request_bytes
+        let total_seconds = t0.elapsed().as_secs_f64();
+        let mut stage_means = [0.0f64; 4];
+        for (mean, (hist, before)) in
+            stage_means.iter_mut().zip(stage_hists.iter().zip(&stages_before))
+        {
+            *mean = histogram_delta(before, &hist.snapshot()).mean_seconds();
+        }
+        let run = WireRun {
+            threads,
+            rounds,
+            request_bytes,
+            total_seconds,
+            attacks_per_sec: rounds as f64 / total_seconds.max(1e-12),
+            users_per_sec: (rounds * split.anonymized.n_users) as f64 / total_seconds.max(1e-12),
+            parse_seconds: stage_means[0],
+            queue_seconds: stage_means[1],
+            engine_seconds: stage_means[2],
+            emit_seconds: stage_means[3],
+        };
+        println!(
+            "  wire attack × {rounds} [{request_bytes} B/req] at {threads} threads: \
+             {total_seconds:.3}s ({:.2} attacks/s, {:.0} users/s; stage means parse {:.4}s / \
+             queue {:.4}s / engine {:.4}s / emit {:.4}s)",
+            run.attacks_per_sec,
+            run.users_per_sec,
+            run.parse_seconds,
+            run.queue_seconds,
+            run.engine_seconds,
+            run.emit_seconds,
         );
+        assert!(
+            run.parse_seconds < 0.1 * run.engine_seconds,
+            "an attack's parse ({:.6}s) must stay below 10% of its engine time ({:.6}s)",
+            run.parse_seconds,
+            run.engine_seconds
+        );
+        wire.push(run);
     }
     // Concurrent load: several clients, each its own connection, all
     // attacking at 1 worker thread so the contention is real. The sends
@@ -490,12 +459,11 @@ fn write_json(path: &Path, seed: u64, b: &ServiceBench) -> io::Result<()> {
     for (i, r) in b.wire.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"encoding\": \"{}\", \"threads\": {}, \"rounds\": {}, \
+            "    {{\"threads\": {}, \"rounds\": {}, \
              \"request_bytes\": {}, \"total_seconds\": {:.6}, \
              \"attacks_per_sec\": {:.3}, \"users_per_sec\": {:.1}, \
              \"parse_seconds\": {:.6}, \"queue_seconds\": {:.6}, \
              \"engine_seconds\": {:.6}, \"emit_seconds\": {:.6}}}",
-            r.encoding,
             r.threads,
             r.rounds,
             r.request_bytes,
@@ -550,16 +518,14 @@ mod tests {
         assert!(bench.load_vs_build_ratio < 0.25);
         assert!(!bench.wire.is_empty());
         assert!(bench.wire.iter().all(|r| r.attacks_per_sec > 0.0));
-        // Both encodings swept; the binary-vs-JSON bytes-on-wire
-        // assertion ran inside `run_to`. The worker-side stage timers
-        // must have recorded real work for every run.
-        assert!(bench.wire.iter().any(|r| r.encoding == "json"));
-        assert!(bench.wire.iter().any(|r| r.encoding == "binary"));
+        // The worker-side stage timers must have recorded real work for
+        // every run.
         for r in &bench.wire {
-            assert!(r.request_bytes > 0, "{}: empty request?", r.encoding);
-            assert!(r.parse_seconds > 0.0, "{}: parse not billed to workers", r.encoding);
-            assert!(r.engine_seconds > 0.0, "{}: engine stage missing", r.encoding);
-            assert!(r.emit_seconds > 0.0, "{}: emit not billed to workers", r.encoding);
+            let threads = r.threads;
+            assert!(r.request_bytes > 0, "{threads} threads: empty request?");
+            assert!(r.parse_seconds > 0.0, "{threads} threads: parse not billed to workers");
+            assert!(r.engine_seconds > 0.0, "{threads} threads: engine stage missing");
+            assert!(r.emit_seconds > 0.0, "{threads} threads: emit not billed to workers");
             assert!(r.queue_seconds >= 0.0);
         }
         // The concurrent phase's histogram-count assertion ran inside
@@ -580,7 +546,6 @@ mod tests {
         assert!(text.contains("\"experiment\": \"service\""));
         assert!(text.contains("\"load_vs_build_ratio\""));
         assert!(text.contains("\"attacks_per_sec\""));
-        assert!(text.contains("\"encoding\": \"binary\""));
         assert!(text.contains("\"request_bytes\""));
         assert!(text.contains("\"parse_seconds\""));
         assert!(text.contains("\"emit_seconds\""));

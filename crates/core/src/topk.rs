@@ -86,10 +86,12 @@ pub struct BoundedTopK {
 }
 
 impl BoundedTopK {
-    /// An empty selector keeping the best `k` entries.
+    /// An empty selector keeping the best `k` entries. Nothing is
+    /// reserved up front: `k` may come off the wire, far past any
+    /// candidate count, and the heap grows only with what it keeps.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        Self { k, heap: BinaryHeap::with_capacity(k + 1) }
+        Self { k, heap: BinaryHeap::new() }
     }
 
     /// The bound `k`.
@@ -345,6 +347,17 @@ mod tests {
         assert!(!top.is_empty());
         assert_eq!(top.k(), 2);
         assert_eq!(top.into_sorted_entries(), vec![(3, 0.9), (7, 0.5)]);
+    }
+
+    #[test]
+    fn bounded_topk_of_usize_max_keeps_every_entry() {
+        let mut top = BoundedTopK::new(usize::MAX);
+        assert_eq!(top.floor(), None);
+        for (candidate, score) in [(3, 0.2), (1, 0.7), (8, 0.2)] {
+            top.insert(candidate, score);
+        }
+        assert_eq!(top.len(), 3);
+        assert_eq!(top.into_sorted_entries(), vec![(1, 0.7), (3, 0.2), (8, 0.2)]);
     }
 
     #[test]

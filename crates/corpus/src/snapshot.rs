@@ -192,7 +192,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash: the digest of forum encodings (`repro scale`, the
 /// generator-determinism test, the benchmark's input digest) and the
-/// service's binary frame checksum. Snapshot sections are checksummed
+/// checksum of the service's retired `attack` frame codec, which the
+/// benchmark still decodes. Snapshot sections are checksummed
 /// with [`xxh64`] instead.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -416,8 +417,9 @@ impl SectionBuf {
 
     /// Take the encoded payload out of the buffer — for embedding the
     /// codec's byte layout somewhere other than a snapshot container
-    /// (the service's binary wire frames reuse [`encode_forum`] this
-    /// way, with their own framing and checksum around it).
+    /// (the service's retired `attack` frame codec reuses
+    /// [`encode_forum`] this way, with its own framing and checksum
+    /// around it).
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes

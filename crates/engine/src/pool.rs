@@ -14,7 +14,9 @@
 use std::sync::Mutex;
 
 /// Process `items` in contiguous blocks of `block_size`, stealing blocks
-/// across `n_threads` scoped workers.
+/// across `n_threads` scoped workers — never more workers than blocks,
+/// so a thread count taken from a request costs at most one worker per
+/// block.
 ///
 /// Each worker owns a private state `S` created by `init` (score bounds,
 /// pair counters, scratch buffers); `work` receives the block's offset
@@ -35,8 +37,8 @@ where
     F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     let block_size = block_size.max(1);
-    let n_threads = n_threads.max(1);
-    if n_threads == 1 || items.len() <= block_size {
+    let n_threads = n_threads.clamp(1, items.len().div_ceil(block_size).max(1));
+    if n_threads == 1 {
         let mut state = init();
         for (b, block) in items.chunks_mut(block_size).enumerate() {
             work(b * block_size, block, &mut state);
@@ -98,6 +100,15 @@ mod tests {
             let expect: Vec<u32> = (1..=u32::try_from(n).unwrap()).collect();
             assert_eq!(got, expect, "n={n} bs={bs} threads={threads}");
         }
+    }
+
+    #[test]
+    fn workers_never_outnumber_blocks() {
+        // 100 items in 64-item blocks are two blocks, whatever the thread
+        // count asked for.
+        let mut items = vec![0u8; 100];
+        let states = run_blocks(&mut items, 64, 8, || (), |_, _, ()| {});
+        assert_eq!(states.len(), 2);
     }
 
     #[test]

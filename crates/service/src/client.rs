@@ -15,27 +15,8 @@ use std::time::Duration;
 
 use dehealth_corpus::Forum;
 
-use crate::frame::{encode_add_users_frame, encode_attack_frame};
 use crate::json::Json;
 use crate::protocol::{forum_to_json, AttackOptions};
-
-/// How this client puts bulk requests (`attack`,
-/// `add_auxiliary_users`) on the wire. Control commands and every
-/// response stay newline-JSON either way; the daemon detects the
-/// encoding per message, so one connection may switch freely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WireEncoding {
-    /// Legacy newline-delimited JSON for everything (the default).
-    #[default]
-    Json,
-    /// Length-prefixed, checksummed binary frames
-    /// ([`frame`](crate::frame)) for bulk payloads — the forum body
-    /// travels in the snapshot codec's byte layout, which decodes
-    /// without tokenizing text. Post text dominates either encoding, so
-    /// a frame is only slightly smaller than the JSON line (0.25% on the
-    /// 600-user benchmark request).
-    Binary,
-}
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -107,7 +88,6 @@ pub struct ServiceClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     read_timeout: Option<Duration>,
-    encoding: WireEncoding,
 }
 
 impl ServiceClient {
@@ -169,25 +149,7 @@ impl ServiceClient {
 
     fn from_stream(stream: TcpStream, read_timeout: Option<Duration>) -> std::io::Result<Self> {
         let read_half = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
-            read_timeout,
-            encoding: WireEncoding::default(),
-        })
-    }
-
-    /// Choose the wire encoding for subsequent bulk requests (`attack`,
-    /// `add_auxiliary_users`). Takes effect immediately — the daemon
-    /// detects the encoding per message.
-    pub fn set_encoding(&mut self, encoding: WireEncoding) {
-        self.encoding = encoding;
-    }
-
-    /// The encoding bulk requests currently use.
-    #[must_use]
-    pub fn encoding(&self) -> WireEncoding {
-        self.encoding
+        Ok(Self { reader: BufReader::new(read_half), writer: BufWriter::new(stream), read_timeout })
     }
 
     /// Bound (or unbound, with `None`) every subsequent response read;
@@ -214,18 +176,6 @@ impl ServiceClient {
     pub fn request(&mut self, request: &Json) -> Result<Json, ServiceError> {
         self.writer.write_all(request.emit().as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        self.read_reply()
-    }
-
-    /// Send raw request bytes — a pre-encoded binary frame
-    /// ([`crate::frame`]) — and read the matching JSON response line
-    /// (responses are newline-JSON regardless of request encoding).
-    ///
-    /// # Errors
-    /// Like [`Self::request`].
-    pub fn request_frame(&mut self, frame: &[u8]) -> Result<Json, ServiceError> {
-        self.writer.write_all(frame)?;
         self.writer.flush()?;
         self.read_reply()
     }
@@ -262,27 +212,18 @@ impl ServiceClient {
         ]))
     }
 
-    /// Stream a chunk of new auxiliary users into the standing corpus,
-    /// in this client's [`WireEncoding`].
+    /// Stream a chunk of new auxiliary users into the standing corpus.
     ///
     /// # Errors
     /// Like [`Self::request`].
     pub fn add_auxiliary_users(&mut self, chunk: &Forum) -> Result<Json, ServiceError> {
-        match self.encoding {
-            WireEncoding::Binary => {
-                let frame = encode_add_users_frame(chunk);
-                self.request_frame(&frame)
-            }
-            WireEncoding::Json => self.request(&Json::Obj(vec![
-                ("cmd".into(), Json::Str("add_auxiliary_users".into())),
-                ("forum".into(), forum_to_json(chunk)),
-            ])),
-        }
+        self.request(&Json::Obj(vec![
+            ("cmd".into(), Json::Str("add_auxiliary_users".into())),
+            ("forum".into(), forum_to_json(chunk)),
+        ]))
     }
 
-    /// De-anonymize a batch of users against the standing corpus, in
-    /// this client's [`WireEncoding`]. Replies are identical across
-    /// encodings (the parity suite holds them bit-for-bit equal).
+    /// De-anonymize a batch of users against the standing corpus.
     ///
     /// # Errors
     /// Like [`Self::request`], plus [`ServiceError::Protocol`] when the
@@ -324,24 +265,17 @@ impl ServiceClient {
     }
 
     /// The exact bytes [`Self::attack`] puts on the wire for this
-    /// request under the current [`WireEncoding`] (the trailing newline
-    /// included for JSON) — what a benchmark comparing bytes-on-wire
-    /// across encodings should measure.
+    /// request: one JSON line, trailing newline included.
     #[must_use]
     pub fn encode_attack_request(&self, anonymized: &Forum, options: &AttackOptions) -> Vec<u8> {
-        match self.encoding {
-            WireEncoding::Binary => encode_attack_frame(anonymized, options),
-            WireEncoding::Json => {
-                let mut fields = vec![
-                    ("cmd".into(), Json::Str("attack".into())),
-                    ("forum".into(), forum_to_json(anonymized)),
-                ];
-                fields.extend(options.to_fields());
-                let mut bytes = Json::Obj(fields).emit().into_bytes();
-                bytes.push(b'\n');
-                bytes
-            }
-        }
+        let mut fields = vec![
+            ("cmd".into(), Json::Str("attack".into())),
+            ("forum".into(), forum_to_json(anonymized)),
+        ];
+        fields.extend(options.to_fields());
+        let mut bytes = Json::Obj(fields).emit().into_bytes();
+        bytes.push(b'\n');
+        bytes
     }
 
     /// Fetch the daemon's counters.

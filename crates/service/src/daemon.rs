@@ -1,26 +1,24 @@
 //! The long-lived attack daemon: a readiness-driven TCP server speaking
-//! the newline-delimited JSON [`protocol`](crate::protocol) plus
-//! length-prefixed binary [`frame`]s for the bulk
-//! commands, auto-detected per message by first byte.
+//! the newline-delimited JSON [`protocol`](crate::protocol). Every
+//! request is one JSON line and every reply is one JSON line.
 //!
 //! ## Architecture
 //!
 //! One [`Daemon`] owns a single **front thread** plus a small pool of
 //! **dispatch workers** ([`DaemonLimits::workers`]). The front thread
-//! does **framing only** — it never parses a bulk request or serializes
-//! a reply; both are billed to the workers:
+//! does **line splitting only** — it never parses a bulk request or
+//! serializes a reply; both are billed to the workers:
 //!
 //! ```text
 //!            ┌───────────────────────────────────────────────┐
 //!  clients ──▶ front thread: netpoll Poller over nonblocking │
-//!            │ listener + every connection; FRAMING ONLY     │
-//!            │ (line / binary-frame extraction, cap + magic  │
-//!            │ + checksum checks, `cmd` byte scan),          │
+//!            │ listener + every connection; LINES ONLY       │
+//!            │ (newline split, byte cap, `cmd` byte scan),   │
 //!            │ outbox writes, hardening, fast commands       │
 //!            │ (stats / metrics / shutdown) served inline    │
 //!            └──────┬───────────────────────────▲────────────┘
 //!       jobs        │                           │ completions
-//!       (raw bytes) │                           │ (finished outbox
+//!       (raw lines) │                           │ (finished outbox
 //!                   │                           │  BYTES, plus a
 //!                   ▼                           │  wake of the poll)
 //!            ┌──────────────────────────────────┴────────────┐
@@ -39,7 +37,7 @@
 //! `shutdown`, protocol errors) are answered inline on the front
 //! thread, so a scrape never queues behind a multi-second attack. Bulk
 //! commands (`attack`, `add_auxiliary_users`, `load_snapshot`) travel
-//! to the worker pool as **raw bytes** (`RawRequest`): a worker parses
+//! to the worker pool as the **raw request line**: a worker parses
 //! and validates the request, runs it, serializes the reply, and hands
 //! the front thread a finished byte buffer to splice into the
 //! connection's outbox.
@@ -58,23 +56,12 @@
 //! stopped. A client that pipelines thousands of requests into one write
 //! costs each request only its own bytes.
 //!
-//! ## Wire encodings
+//! ## Wire encoding
 //!
-//! Each inbound message picks its encoding by first byte:
-//!
-//! - any byte other than `0xDE` starts a newline-delimited JSON request
-//!   line — the full legacy protocol, every command;
-//! - `0xDE` (never a legal first byte of JSON text) starts a binary
-//!   frame: magic, command tag, little-endian payload length (so the
-//!   total claim is validated against [`DaemonLimits::max_request_bytes`]
-//!   from the fixed 8-byte header, **before** any payload is buffered),
-//!   payload in the snapshot codec's layout, and an FNV-1a checksum
-//!   trailer. Only the bulk payload commands have binary forms
-//!   (`attack`, `add_auxiliary_users`); replies are always JSON lines.
-//!   See [`frame`] for the exact byte layout.
-//!
-//! Both encodings of the same request are **bit-identical** on the
-//! reply side (`tests/service_parity.rs` pins both).
+//! There is one: every request, whatever its first byte, is the bytes up
+//! to the next `\n`, decoded as UTF-8 (lossily), trimmed and parsed as
+//! JSON. A line that is not JSON gets an `invalid_json` reply, and the
+//! connection stays open for the next line.
 //!
 //! ## Attack execution
 //!
@@ -121,14 +108,13 @@
 //! per-stage timings
 //! ([`EngineReport::record_into`](dehealth_engine::EngineReport::record_into)).
 //! Four per-request **stage timers** split every bulk request's wall
-//! time along the worker pipeline — `daemon_parse_seconds` (raw bytes →
+//! time along the worker pipeline — `daemon_parse_seconds` (raw line →
 //! validated request, on a worker), `daemon_queue_seconds` (waiting for
 //! a worker), `daemon_engine_seconds` (execution), `daemon_emit_seconds`
 //! (reply → outbox bytes, on a worker) — proving parse and emit are
-//! billed to the pool, not the front thread. `daemon_encoding_requests_total{encoding=json|binary}`
-//! counts how each served request arrived on the wire, and
-//! `daemon_attack_seconds` records each attack's latency from wire
-//! arrival to engine completion. `daemon_corpus_copies_total` counts the
+//! billed to the pool, not the front thread. `daemon_attack_seconds`
+//! records each attack's latency from wire arrival to engine
+//! completion. `daemon_corpus_copies_total` counts the
 //! ingests that had to copy a generation an in-flight request held, and
 //! `daemon_corpus_lock_seconds` records how long each corpus update held
 //! the slot's write lock, the time the front thread could not dispatch.
@@ -148,19 +134,12 @@
 //!
 //! - a per-request byte-size cap (a request line exceeding it is
 //!   rejected and the connection closed before the daemon buffers
-//!   unbounded data; a binary frame is rejected from its 8-byte header
-//!   the moment the declared length exceeds the cap — a header claiming
-//!   2 GiB costs the daemon 8 buffered bytes),
+//!   unbounded data),
 //! - a read deadline on half-open connections (a peer that starts a
 //!   request and stalls mid-line is timed out and closed), and
 //! - a max-connections cap (connections beyond it receive an error line
 //!   and are closed immediately, so established sessions keep their
 //!   slots).
-//!
-//! Malformed frames — bad magic, unknown tag, nonzero reserved byte,
-//! checksum mismatch (including a JSON line injected inside a frame's
-//! declared extent) — get the same treatment: one typed error line
-//! counted under its [`ERROR_KINDS`] label, then a closed connection.
 //!
 //! Backpressure is per connection: while a connection has a request in
 //! flight the front thread stops reading its socket, so a pipelining
@@ -168,8 +147,7 @@
 //! thread-per-connection design it replaces.
 //!
 //! `tests/service_parity.rs` pins the wire schema, the counter
-//! semantics, the hardening and malformed-frame behaviors, and
-//! concurrent/serial bit-parity across both encodings.
+//! semantics, the hardening behaviors, and concurrent/serial bit-parity.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -187,9 +165,6 @@ use dehealth_netpoll::{Event, Interest, Poller, Waker};
 use dehealth_telemetry::{info, warn, Counter, Gauge, Histogram, Registry, SpanTimer};
 
 use crate::corpus::{LoadMode, MemoryStats, PreparedCohort, PreparedCorpus};
-use crate::frame::{
-    self, FrameError, FrameTag, FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_TRAILER_BYTES,
-};
 use crate::json::Json;
 use crate::metrics::registry_to_json;
 use crate::protocol::{error_response, forum_from_request, ok_response, report_to_json};
@@ -223,14 +198,11 @@ pub const COMMANDS: [&str; 8] = [
 
 /// Every `kind` label of `daemon_error_kind_total`, pre-registered at
 /// bind time. Most classify error *responses*; `connection_cap`,
-/// `read_deadline`, `oversize_request` and the two frame kinds
-/// (`bad_frame`, `frame_checksum`) classify rejected or dropped
+/// `read_deadline` and `oversize_request` classify rejected or dropped
 /// *connections* (which also answer with an error line but are not
 /// counted as served requests).
-pub const ERROR_KINDS: [&str; 11] = [
-    "bad_frame",
+pub const ERROR_KINDS: [&str; 9] = [
     "connection_cap",
-    "frame_checksum",
     "invalid_argument",
     "invalid_json",
     "missing_cmd",
@@ -240,11 +212,6 @@ pub const ERROR_KINDS: [&str; 11] = [
     "snapshot_load",
     "unknown_cmd",
 ];
-
-/// Every `encoding` label of `daemon_encoding_requests_total`,
-/// pre-registered at bind time: how each served request arrived on the
-/// wire — a newline-JSON line or a length-prefixed binary frame.
-pub const ENCODINGS: [&str; 2] = ["binary", "json"];
 
 /// Protocol-hardening and dispatch knobs (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,8 +305,7 @@ struct DaemonMetrics {
     /// Attack latency, wire arrival → engine completion.
     attack_seconds: Arc<Histogram>,
     /// Per-request stage timers, all billed on dispatch workers: time
-    /// decoding the request (JSON parse + validation, or binary frame
-    /// decode)…
+    /// decoding the request (JSON parse + validation)…
     parse_seconds: Arc<Histogram>,
     /// …time between coming off the wire and execution start, minus the
     /// parse itself (the wait for a worker)…
@@ -349,10 +315,6 @@ struct DaemonMetrics {
     engine_seconds: Arc<Histogram>,
     /// …and time serializing the finished reply into outbox bytes.
     emit_seconds: Arc<Histogram>,
-    /// Served requests that arrived as newline-JSON lines.
-    encoding_json: Arc<Counter>,
-    /// Served requests that arrived as binary frames.
-    encoding_binary: Arc<Counter>,
 }
 
 impl DaemonMetrics {
@@ -388,10 +350,6 @@ impl DaemonMetrics {
             queue_seconds: registry.histogram("daemon_queue_seconds"),
             engine_seconds: registry.histogram("daemon_engine_seconds"),
             emit_seconds: registry.histogram("daemon_emit_seconds"),
-            encoding_json: registry
-                .counter_with("daemon_encoding_requests_total", &[("encoding", "json")]),
-            encoding_binary: registry
-                .counter_with("daemon_encoding_requests_total", &[("encoding", "binary")]),
             registry,
         }
     }
@@ -448,25 +406,14 @@ impl CorpusGauges {
     }
 }
 
-/// One complete request as the front thread extracted it — raw bytes,
-/// never parsed on the front.
-enum RawRequest {
-    /// A trimmed newline-JSON request line.
-    JsonLine(String),
-    /// The checksum-verified payload of a binary `attack` frame.
-    AttackFrame(Vec<u8>),
-    /// The checksum-verified payload of a binary `add_auxiliary_users`
-    /// frame.
-    AddUsersFrame(Vec<u8>),
-}
-
 /// One bulk request for the dispatch pool: a worker parses and
 /// validates it, runs it to completion and queues its reply.
 struct Job {
     conn: usize,
     /// When the request came off the wire — the latency clock.
     received: Instant,
-    raw: RawRequest,
+    /// The trimmed request line, never parsed on the front thread.
+    line: String,
     /// The front's zero-parse classification: `"attack"`,
     /// `"add_auxiliary_users"` or `"load_snapshot"`.
     label: &'static str,
@@ -884,7 +831,7 @@ fn front_loop(
             let idle: Vec<usize> = conns
                 .values_mut()
                 .filter_map(|c| {
-                    (!c.in_flight && !head_message_complete(&mut c.inbox)).then_some(c.token)
+                    (!c.in_flight && c.inbox.find_newline().is_none()).then_some(c.token)
                 })
                 .collect();
             for token in idle {
@@ -902,29 +849,6 @@ fn front_loop(
     // connections included) and exit on the shutdown flag.
     for w in workers {
         let _ = w.join();
-    }
-}
-
-/// Whether the head of a connection's inbox is one complete request —
-/// a full newline-terminated line, or a full binary frame. (A frame
-/// with a malformed or oversized header counts as complete: pumping it
-/// produces its error reply rather than waiting for more bytes.)
-fn head_message_complete(inbox: &mut ByteQueue) -> bool {
-    let bytes = inbox.bytes();
-    match bytes.first() {
-        None => false,
-        Some(&b) if b == FRAME_MAGIC[0] => {
-            if bytes.len() < FRAME_HEADER_BYTES {
-                return false;
-            }
-            let header: [u8; FRAME_HEADER_BYTES] =
-                bytes[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
-            match frame::parse_header(&header, usize::MAX) {
-                Ok(h) => bytes.len() >= h.frame_len(),
-                Err(_) => true,
-            }
-        }
-        Some(_) => inbox.find_newline().is_some(),
     }
 }
 
@@ -1008,24 +932,17 @@ fn read_ready(state: &Arc<DaemonState>, conn: &mut Conn) {
     pump(state, conn);
 }
 
-/// Serve every complete request the connection has buffered — binary
-/// frames and JSON lines freely interleaved, detected per message by
-/// the first byte — stopping at the first request that goes in flight
-/// (per-connection request order; clients may pipeline, responses keep
-/// request order). Then update the half-open bookkeeping on whatever
-/// incomplete tail remains.
+/// Serve every complete request line the connection has buffered,
+/// stopping at the first request that goes in flight (per-connection
+/// request order; clients may pipeline, responses keep request order).
+/// Then update the half-open bookkeeping on whatever incomplete tail
+/// remains.
 ///
-/// This is the whole of the front thread's per-request work: framing
-/// and classification over raw bytes. Parsing, execution and reply
-/// serialization all happen on dispatch workers.
+/// This is the whole of the front thread's per-request work: line
+/// splitting and classification over raw bytes. Parsing, execution and
+/// reply serialization all happen on dispatch workers.
 fn pump(state: &Arc<DaemonState>, conn: &mut Conn) {
     while !conn.in_flight && !conn.closing {
-        if conn.inbox.bytes().first() == Some(&FRAME_MAGIC[0]) {
-            if !pump_frame(state, conn) {
-                break;
-            }
-            continue;
-        }
         let Some(pos) = conn.inbox.find_newline() else { break };
         let line = String::from_utf8_lossy(&conn.inbox.bytes()[..pos]).into_owned();
         conn.inbox.consume(pos + 1);
@@ -1033,16 +950,13 @@ fn pump(state: &Arc<DaemonState>, conn: &mut Conn) {
         if line.is_empty() {
             continue;
         }
-        state.metrics.encoding_json.inc();
         handle_line(state, conn, line);
     }
-    if conn.inbox.is_empty() || head_message_complete(&mut conn.inbox) {
+    if conn.inbox.is_empty() || conn.inbox.find_newline().is_some() {
         conn.partial_since = None;
     } else {
         // A request line larger than the cap can never complete —
-        // reject it now instead of buffering without bound. (Binary
-        // frames never reach this: their cap is enforced from the
-        // 8-byte header in `pump_frame`.)
+        // reject it now instead of buffering without bound.
         if !conn.in_flight && !conn.closing && conn.inbox.len() > state.limits.max_request_bytes {
             drop_conn_with_error(
                 state,
@@ -1060,61 +974,6 @@ fn pump(state: &Arc<DaemonState>, conn: &mut Conn) {
     }
 }
 
-/// Try to consume one binary frame from the head of the inbox. Returns
-/// `false` when the frame is incomplete (wait for more bytes). A
-/// malformed or oversized header is answered from the first 8 bytes —
-/// before the payload is buffered, let alone allocated — and a checksum
-/// mismatch (including JSON bytes injected inside a frame's declared
-/// extent) closes the connection with a typed error.
-fn pump_frame(state: &Arc<DaemonState>, conn: &mut Conn) -> bool {
-    if conn.inbox.len() < FRAME_HEADER_BYTES {
-        return false;
-    }
-    let header: [u8; FRAME_HEADER_BYTES] =
-        conn.inbox.bytes()[..FRAME_HEADER_BYTES].try_into().expect("8 header bytes");
-    let parsed = match frame::parse_header(&header, state.limits.max_request_bytes) {
-        Ok(h) => h,
-        Err(e) => {
-            drop_frame_error(state, conn, &e);
-            return false;
-        }
-    };
-    let total = parsed.frame_len();
-    if conn.inbox.len() < total {
-        return false;
-    }
-    let frame_bytes = &conn.inbox.bytes()[..total];
-    let payload = frame_bytes[FRAME_HEADER_BYTES..total - FRAME_TRAILER_BYTES].to_vec();
-    let trailer: [u8; FRAME_TRAILER_BYTES] =
-        frame_bytes[total - FRAME_TRAILER_BYTES..].try_into().expect("8 trailer bytes");
-    conn.inbox.consume(total);
-    if let Err(e) = frame::verify_checksum(&payload, &trailer) {
-        drop_frame_error(state, conn, &e);
-        return false;
-    }
-    state.metrics.encoding_binary.inc();
-    let received = Instant::now();
-    match parsed.tag {
-        FrameTag::Attack => {
-            dispatch(state, conn, received, RawRequest::AttackFrame(payload), "attack")
-        }
-        FrameTag::AddAuxiliaryUsers => dispatch(
-            state,
-            conn,
-            received,
-            RawRequest::AddUsersFrame(payload),
-            "add_auxiliary_users",
-        ),
-    }
-    true
-}
-
-/// Terminate a connection over a malformed frame: typed error line,
-/// counted under the frame error's kind, closed once the line drains.
-fn drop_frame_error(state: &Arc<DaemonState>, conn: &mut Conn, e: &FrameError) {
-    drop_conn_with_error(state, conn, e.kind(), &e.to_string());
-}
-
 /// Classify one request line from its raw bytes and route it: bulk
 /// commands (`attack`, `add_auxiliary_users`, `load_snapshot`) go to a
 /// dispatch worker unparsed; everything else falls through to the
@@ -1130,7 +989,7 @@ fn handle_line(state: &Arc<DaemonState>, conn: &mut Conn, line: &str) {
         Some("load_snapshot") => "load_snapshot",
         _ => return handle_control_line(state, conn, received, line),
     };
-    dispatch(state, conn, received, RawRequest::JsonLine(line.to_string()), label);
+    dispatch(state, conn, received, line, label);
 }
 
 /// Scan a JSON request line for the string value of a top-level key,
@@ -1276,7 +1135,7 @@ fn handle_control_line(state: &Arc<DaemonState>, conn: &mut Conn, received: Inst
     };
     match label {
         "load_snapshot" | "add_auxiliary_users" | "attack" => {
-            dispatch(state, conn, received, RawRequest::JsonLine(line.to_string()), label);
+            dispatch(state, conn, received, line, label);
         }
         _ => {
             let result: Result<Vec<(String, Json)>, CmdError> = match &parsed {
@@ -1313,12 +1172,13 @@ fn dispatch(
     state: &Arc<DaemonState>,
     conn: &mut Conn,
     received: Instant,
-    raw: RawRequest,
+    line: &str,
     label: &'static str,
 ) {
     let corpus = if label == "attack" { state.corpus() } else { None };
     conn.in_flight = true;
-    state.dispatch_request(Job { conn: conn.token, received, raw, label, corpus });
+    let line = line.to_string();
+    state.dispatch_request(Job { conn: conn.token, received, line, label, corpus });
 }
 
 /// Append one response line to the connection's outbox.
@@ -1353,8 +1213,7 @@ fn settle_conn(
 ) {
     let Some(conn) = conns.get_mut(&token) else { return };
     let alive = flush_outbox(conn);
-    let drained_eof =
-        conn.peer_closed && !conn.in_flight && !head_message_complete(&mut conn.inbox);
+    let drained_eof = conn.peer_closed && !conn.in_flight && conn.inbox.find_newline().is_none();
     if !alive || ((conn.closing || drained_eof) && conn.outbox.is_empty()) {
         let conn = conns.remove(&token).expect("connection was just looked up");
         let _ = poller.deregister(&conn.stream, token);
@@ -1457,75 +1316,45 @@ fn end_parse(state: &Arc<DaemonState>, received: Instant, parse_timer: SpanTimer
         .record_secs((received.elapsed().as_secs_f64() - parse_seconds).max(0.0));
 }
 
-/// Parse, validate and run one raw request on a worker, then queue its
+/// Parse, validate and run one request line on a worker, then queue its
 /// reply. An attack runs as soon as its parse lands.
 fn run_request(state: &Arc<DaemonState>, job: Job) {
-    let Job { conn, received, raw, label, corpus } = job;
+    let Job { conn, received, line, label, corpus } = job;
     let parse_timer = SpanTimer::new(Arc::clone(&state.metrics.parse_seconds));
-    // Decode the raw bytes into (attack, forum, threads) for attacks, a
-    // Forum for ingests, or the parsed request for load_snapshot — any
-    // error ends the request right here with the same kind, message and
-    // command label the fully inline era produced.
-    match raw {
-        RawRequest::JsonLine(line) => {
-            let request = match Json::parse(&line) {
-                Ok(request) => request,
-                Err(e) => {
-                    end_parse(state, received, parse_timer);
-                    drop(corpus);
-                    // Unparseable lines are billed to the "invalid"
-                    // command, exactly like the front-thread era.
-                    return respond(
-                        state,
-                        conn,
-                        "invalid",
-                        received,
-                        Err(CmdError::new("invalid_json", format!("invalid JSON: {e}"))),
-                    );
-                }
-            };
-            match label {
-                "attack" => {
-                    let parsed = parse_attack_request(state, &request, line.len());
-                    run_attack(state, conn, received, parse_timer, corpus, parsed);
-                }
-                "add_auxiliary_users" => {
-                    let chunk = request.get("forum").ok_or("missing forum").and_then(|v| {
-                        forum_from_request(v, line.len()).map_err(|_| "invalid forum")
-                    });
-                    run_ingest(state, conn, received, parse_timer, chunk.map_err(String::from));
-                }
-                _ => {
-                    end_parse(state, received, parse_timer);
-                    let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
-                    let result = cmd_load_snapshot(state, &request);
-                    timer.stop();
-                    respond(state, conn, label, received, result);
-                }
-            }
+    let request = match Json::parse(&line) {
+        Ok(request) => request,
+        Err(e) => {
+            end_parse(state, received, parse_timer);
+            drop(corpus);
+            // Billed to the "invalid" command, like an unparseable line
+            // the front thread answers inline.
+            return respond(
+                state,
+                conn,
+                "invalid",
+                received,
+                Err(CmdError::new("invalid_json", format!("invalid JSON: {e}"))),
+            );
         }
-        RawRequest::AttackFrame(payload) => {
-            let parsed = frame::decode_attack_payload(&payload)
-                .map(|p| {
-                    let mut attack = state.config.attack.clone();
-                    if let Some(k) = p.options.top_k {
-                        attack.top_k = k;
-                    }
-                    if let Some(h) = p.options.n_landmarks {
-                        attack.n_landmarks = h;
-                    }
-                    if let Some(s) = p.options.seed {
-                        attack.seed = s;
-                    }
-                    let threads = p.options.threads.unwrap_or(state.config.n_threads);
-                    (attack, p.forum, threads)
-                })
-                .map_err(|e| CmdError::new("invalid_argument", e));
+    };
+    match label {
+        "attack" => {
+            let parsed = parse_attack_request(state, &request, line.len());
             run_attack(state, conn, received, parse_timer, corpus, parsed);
         }
-        RawRequest::AddUsersFrame(payload) => {
-            let chunk = frame::decode_add_users_payload(&payload);
-            run_ingest(state, conn, received, parse_timer, chunk);
+        "add_auxiliary_users" => {
+            let chunk = request
+                .get("forum")
+                .ok_or("missing forum")
+                .and_then(|v| forum_from_request(v, line.len()).map_err(|_| "invalid forum"));
+            run_ingest(state, conn, received, parse_timer, chunk.map_err(String::from));
+        }
+        _ => {
+            end_parse(state, received, parse_timer);
+            let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
+            let result = cmd_load_snapshot(state, &request);
+            timer.stop();
+            respond(state, conn, label, received, result);
         }
     }
 }
@@ -1544,8 +1373,8 @@ fn run_attack(
     end_parse(state, received, parse_timer);
     // `no_corpus` outranks per-field validation (`invalid_argument`),
     // matching the inline era where the corpus slot was checked before
-    // the request body — while invalid JSON / a bad frame still outrank
-    // both (answered before this function runs).
+    // the request body — while invalid JSON still outranks both
+    // (answered before this function runs).
     let Some(corpus) = corpus else {
         return respond(
             state,
@@ -1789,8 +1618,8 @@ fn cmd_load_snapshot(
 }
 
 /// Ingest one auxiliary-user chunk. The forum arrives already decoded —
-/// the worker bills its parse (JSON or binary frame) to
-/// `daemon_parse_seconds` before this runs.
+/// the worker bills its parse to `daemon_parse_seconds` before this
+/// runs.
 ///
 /// The chunk's features and UDA graph depend on the chunk alone, so they
 /// are built before any lock is taken. The update lock then makes

@@ -10,12 +10,11 @@
 //!   binary **snapshot** ([`dehealth_corpus::snapshot`] container). A
 //!   snapshot reload skips feature extraction entirely — restart cost
 //!   drops from a full corpus build to a file read plus cheap merges.
-//! - [`daemon::Daemon`] — a TCP server speaking newline-delimited JSON
-//!   ([`protocol`]; the [`json`] module is the in-tree parser/emitter,
-//!   in the pattern of the `crates/rand` / `crates/criterion` shims)
-//!   plus length-prefixed, checksummed **binary frames** ([`frame`])
-//!   for the bulk commands, auto-detected per message by first byte.
-//!   One readiness-driven front thread (`dehealth-netpoll`: epoll /
+//! - [`daemon::Daemon`] — a TCP server speaking one wire encoding,
+//!   newline-delimited JSON ([`protocol`]; the [`json`] module is the
+//!   in-tree parser/emitter, in the pattern of the `crates/rand` /
+//!   `crates/criterion` shims): every request and every reply is one
+//!   JSON line. One readiness-driven front thread (`dehealth-netpoll`: epoll /
 //!   `poll(2)`, a tick backend off unix) multiplexes every connection
 //!   and does *framing only* — request parsing, execution, and reply
 //!   serialization are all billed to a bounded worker pool (per-request
@@ -77,7 +76,7 @@ pub mod json;
 pub mod metrics;
 pub mod protocol;
 
-pub use client::{AttackReply, ClientTimeouts, ServiceClient, ServiceError, WireEncoding};
+pub use client::{AttackReply, ClientTimeouts, ServiceClient, ServiceError};
 pub use corpus::{LoadMode, MemoryStats, PreparedCorpus};
 pub use daemon::{Daemon, DaemonLimits, DaemonStats};
 pub use json::Json;

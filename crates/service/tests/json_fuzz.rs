@@ -13,13 +13,13 @@
 //!
 //! Mutations leave a forum's declared sizes small. The daemon bounds them
 //! by the bytes that carry them ([`forum_from_request`] on a request
-//! line, `decode_forum` on a frame or snapshot section); the last tests
-//! here pin those bounds with counts no mutation reaches.
+//! line, `decode_forum` on a snapshot section); the last tests here pin
+//! those bounds with counts no mutation reaches, and a wire `top_k` far
+//! past the corpus.
 
 use dehealth_corpus::snapshot::{decode_forum, SectionReader, SectionTag, SnapshotError};
 use dehealth_corpus::{Forum, ForumConfig, Post};
 use dehealth_service::daemon::default_config;
-use dehealth_service::frame::decode_add_users_payload;
 use dehealth_service::json::{Json, JsonError};
 use dehealth_service::protocol::{forum_from_json, forum_from_request, forum_to_json};
 use dehealth_service::{AttackOptions, Daemon, PreparedCorpus, ServiceClient, ServiceError};
@@ -381,7 +381,37 @@ fn forum_sections_bound_declared_sizes_by_their_bytes() {
             matches!(decode(&bytes), Err(SnapshotError::Malformed { .. })),
             "{bytes:?} decoded"
         );
-        // A binary add_auxiliary_users frame carries the same bytes.
-        assert!(decode_add_users_payload(&bytes).is_err());
     }
+}
+
+#[test]
+fn a_live_daemon_answers_a_top_k_far_past_the_corpus() {
+    // Nothing bounds a wire `top_k` but f64's exact range, so no Top-K
+    // heap may reserve it up front: `1e15` once asked for 16 PB and
+    // aborted the daemon. From the corpus's user count on, every
+    // candidate set is already complete.
+    let base = Forum::generate(&ForumConfig::tiny(), 42);
+    let corpus = PreparedCorpus::build(base, Default::default());
+    let users = corpus.n_users();
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+    let mut attack = |top_k: f64| {
+        let request = Json::Obj(vec![
+            ("cmd".into(), Json::Str("attack".into())),
+            ("forum".into(), forum_to_json(&forum())),
+            ("top_k".into(), Json::Num(top_k)),
+        ]);
+        let reply = client.request(&request).unwrap_or_else(|e| panic!("top_k {top_k}: {e}"));
+        ["mapping", "candidates"].map(|key| reply.get(key).expect(key).clone())
+    };
+    let complete = attack(users as f64);
+    let widest = complete[1].as_array().unwrap().iter().map(|c| c.as_array().unwrap().len());
+    assert!(widest.max().unwrap() > default_config().attack.top_k, "the top_k went unused");
+    for top_k in [1e15, (1u64 << 53) as f64] {
+        assert_eq!(attack(top_k), complete, "top_k {top_k}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("attacks").and_then(Json::as_usize), Some(3));
+    client.shutdown().unwrap();
+    daemon.join();
 }

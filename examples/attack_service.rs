@@ -4,7 +4,7 @@
 //! serial `DeHealth::run` reference.
 //!
 //! ```text
-//! cargo run --release --example attack_service [-- --users N] [--seed S] [--addr HOST:PORT] [--clients C] [--encoding json|binary] [--no-shutdown]
+//! cargo run --release --example attack_service [-- --users N] [--seed S] [--addr HOST:PORT] [--clients C] [--no-shutdown]
 //! ```
 //!
 //! Without `--addr` the example spawns its own daemon on an ephemeral
@@ -15,10 +15,8 @@
 //! `--clients C` (C ≥ 2) it additionally fires one barrier-synchronized
 //! attack per client from C concurrent connections, so the daemon's
 //! workers get real simultaneous load: every reply is still held to
-//! bit-identical parity. `--encoding binary` sends the bulk
-//! commands (`attack`, `add_auxiliary_users`) as length-prefixed binary
-//! frames instead of JSON lines on every client — the CI smoke job runs
-//! one client of each encoding against the same live daemon.
+//! bit-identical parity. The CI smoke job runs two of these clients
+//! concurrently against the same live daemon.
 
 use std::time::Instant;
 
@@ -27,14 +25,13 @@ use de_health::corpus::split::{closed_world_split, SplitConfig};
 use de_health::corpus::{Forum, ForumConfig};
 use de_health::engine::EngineConfig;
 use de_health::service::daemon::default_config;
-use de_health::service::{AttackOptions, Daemon, PreparedCorpus, ServiceClient, WireEncoding};
+use de_health::service::{AttackOptions, Daemon, PreparedCorpus, ServiceClient};
 
 fn main() {
     let mut users = 300usize;
     let mut seed = 42u64;
     let mut addr: Option<String> = None;
     let mut clients = 1usize;
-    let mut encoding = WireEncoding::Json;
     let mut no_shutdown = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -44,16 +41,6 @@ fn main() {
             "--addr" => addr = argv.next(),
             "--clients" => {
                 clients = argv.next().and_then(|v| v.parse().ok()).unwrap_or(clients).max(1);
-            }
-            "--encoding" => {
-                encoding = match argv.next().as_deref() {
-                    Some("json") => WireEncoding::Json,
-                    Some("binary") => WireEncoding::Binary,
-                    other => {
-                        eprintln!("--encoding expects json or binary, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--no-shutdown" => no_shutdown = true,
             other => {
@@ -84,9 +71,7 @@ fn main() {
         None
     };
     let addr = addr.expect("an address either given or spawned");
-    println!("wire encoding for bulk commands: {encoding:?}");
     let mut client = ServiceClient::connect(&addr).expect("connect to daemon");
-    client.set_encoding(encoding);
 
     // Snapshot the prepared auxiliary corpus and load it over the wire.
     let snap_path = std::env::temp_dir().join(format!("attack-service-{users}-{seed}.snap"));
@@ -147,7 +132,6 @@ fn main() {
                 let barrier = std::sync::Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut client = ServiceClient::connect(&addr).expect("connect concurrent");
-                    client.set_encoding(encoding);
                     barrier.wait();
                     client.attack(&anonymized, &options).expect("concurrent attack")
                 })

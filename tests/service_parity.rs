@@ -477,7 +477,7 @@ fn stats_wire_schema_is_field_for_field_identical_to_the_mutex_era() {
 
 #[test]
 fn metrics_round_trip_contains_every_registered_daemon_metric() {
-    use de_health::service::daemon::{COMMANDS, ENCODINGS, ERROR_KINDS};
+    use de_health::service::daemon::{COMMANDS, ERROR_KINDS};
     let split = tiny_split();
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
@@ -528,9 +528,6 @@ fn metrics_round_trip_contains_every_registered_daemon_metric() {
     }
     for kind in ERROR_KINDS {
         assert!(has("daemon_error_kind_total", Some(("kind", kind))), "{kind}");
-    }
-    for encoding in ENCODINGS {
-        assert!(has("daemon_encoding_requests_total", Some(("encoding", encoding))), "{encoding}");
     }
 
     // The attack left observable traces: a live request counter, one
@@ -713,23 +710,15 @@ fn attack_parity_holds_while_the_registry_is_scraped() {
 }
 
 #[test]
-fn binary_attack_frames_are_bit_identical_to_json_and_the_serial_oracle() {
-    // The encoding-parity oracle for the tentpole: the same daemon serves
-    // one legacy newline-JSON client and one binary-frame client, and
-    // every (threads × options) cell of the attack matrix must come back
-    // bit-identical across encodings AND to the serial `DeHealth::run`
-    // reference. Replies are always JSON, so the emitted mapping and
-    // candidate arrays can be compared as strings, byte for byte.
-    use de_health::service::WireEncoding;
+fn attack_option_and_thread_matrix_is_bit_identical_to_the_serial_oracle() {
+    // Every (threads × options) cell of the attack matrix must come back
+    // bit-identical to the serial `DeHealth::run` reference for that
+    // cell's config.
     let split = tiny_split();
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
     let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
-
-    let mut json_client = ServiceClient::connect(daemon.addr()).unwrap();
-    let mut bin_client = ServiceClient::connect(daemon.addr()).unwrap();
-    bin_client.set_encoding(WireEncoding::Binary);
-    assert_eq!(bin_client.encoding(), WireEncoding::Binary);
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
 
     let variants: Vec<(AttackOptions, AttackConfig)> = vec![
         (AttackOptions::default(), attack_cfg()),
@@ -746,189 +735,63 @@ fn binary_attack_frames_are_bit_identical_to_json_and_the_serial_oracle() {
     ];
     for (options, serial_cfg) in variants {
         let reference = DeHealth::new(serial_cfg).run(&split.auxiliary, &split.anonymized);
-        let from_json = json_client.attack(&split.anonymized, &options).unwrap();
-        let from_bin = bin_client.attack(&split.anonymized, &options).unwrap();
-        assert_eq!(from_json.mapping, reference.mapping, "JSON vs serial: {options:?}");
-        assert_eq!(from_bin.mapping, reference.mapping, "binary vs serial: {options:?}");
-        assert_eq!(from_json.candidates, reference.candidates, "JSON vs serial: {options:?}");
-        assert_eq!(from_bin.candidates, reference.candidates, "binary vs serial: {options:?}");
-        // Bit-identical on the wire: the emitted result sub-objects (the
-        // report carries wall-clock timings, so it is excluded).
-        for key in ["mapping", "candidates"] {
-            let a = from_json.raw.get(key).unwrap().emit();
-            let b = from_bin.raw.get(key).unwrap().emit();
-            assert_eq!(a, b, "emitted {key} diverged across encodings: {options:?}");
-        }
+        let reply = client.attack(&split.anonymized, &options).unwrap();
+        assert_eq!(reply.mapping, reference.mapping, "wire vs serial: {options:?}");
+        assert_eq!(reply.candidates, reference.candidates, "wire vs serial: {options:?}");
     }
 
-    // Both wire encodings left their mark in the telemetry registry, and
-    // the stage timers prove parsing was billed to the workers.
+    // The stage timers prove parsing was billed to the workers.
     let registry = daemon.registry();
-    assert!(
-        registry.counter_with("daemon_encoding_requests_total", &[("encoding", "json")]).get() > 0
-    );
-    assert!(
-        registry.counter_with("daemon_encoding_requests_total", &[("encoding", "binary")]).get()
-            > 0
-    );
     for stage in ["parse", "queue", "engine", "emit"] {
         let h = registry.histogram(&format!("daemon_{stage}_seconds"));
         assert!(h.count() > 0, "daemon_{stage}_seconds recorded no samples");
     }
 
-    json_client.shutdown().unwrap();
-    daemon.join();
-}
-
-#[test]
-fn binary_incremental_ingest_matches_batch_reference() {
-    // `add_auxiliary_users` over binary frames: bootstrap with half the
-    // auxiliary cohort, append the rest as raw `encode_forum` payload,
-    // and the final attack must match a serial run on the merged forum —
-    // the same oracle the JSON ingest test pins.
-    use de_health::service::WireEncoding;
-    let split = tiny_split();
-    let aux = &split.auxiliary;
-    let chunk_of = |lo: usize, hi: usize| -> Forum {
-        let posts: Vec<Post> = aux
-            .posts
-            .iter()
-            .filter(|p| p.author >= lo && p.author < hi)
-            .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
-            .collect();
-        Forum::from_posts(hi - lo, aux.n_threads, posts)
-    };
-    let mid = aux.n_users / 2;
-    let chunks = [chunk_of(0, mid), chunk_of(mid, aux.n_users)];
-    // The daemon offsets an appended chunk's user AND thread ids by the
-    // prior totals — mirror that to build the serial reference.
-    let mut merged_posts = Vec::new();
-    let (mut user_off, mut thread_off) = (0usize, 0usize);
-    for chunk in &chunks {
-        for p in &chunk.posts {
-            merged_posts.push(Post {
-                author: p.author + user_off,
-                thread: p.thread + thread_off,
-                text: p.text.clone(),
-            });
-        }
-        user_off += chunk.n_users;
-        thread_off += chunk.n_threads;
-    }
-    let merged = Forum::from_posts(user_off, thread_off, merged_posts);
-    let reference = DeHealth::new(attack_cfg()).run(&merged, &split.anonymized);
-
-    let bootstrap = PreparedCorpus::build(chunks[0].clone(), attack_cfg().classifier);
-    let config = EngineConfig { attack: attack_cfg(), ..default_config() };
-    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(bootstrap)).unwrap();
-    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
-    client.set_encoding(WireEncoding::Binary);
-    let added = client.add_auxiliary_users(&chunks[1]).unwrap();
-    assert_eq!(added.get("users").and_then(Json::as_usize), Some(aux.n_users));
-
-    let reply = client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
-    assert_eq!(reply.mapping, reference.mapping);
-    assert_eq!(reply.candidates, reference.candidates);
     client.shutdown().unwrap();
     daemon.join();
 }
 
 #[test]
-fn oversize_frame_header_is_rejected_before_any_payload_is_buffered() {
-    // A frame header declaring a 2 GiB payload must be answered with the
-    // typed oversize error straight from the 8-byte header — the daemon
-    // never waits for (or buffers) a single payload byte.
-    use de_health::service::frame::{FrameTag, FRAME_MAGIC};
+fn a_line_that_is_not_json_gets_invalid_json_and_the_connection_serves_on() {
+    // 0xDE once opened a binary frame, so the daemon waited for an 8-byte
+    // header. Now every request is a line: this one gets one typed
+    // `invalid_json` reply, and the same connection serves the next line.
     use std::io::{BufRead, BufReader, Write};
-    let limits = DaemonLimits { max_request_bytes: 512, ..DaemonLimits::default() };
-    let daemon = Daemon::bind_with("127.0.0.1:0", default_config(), None, limits).unwrap();
-    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-
-    let mut header = Vec::from(FRAME_MAGIC);
-    header.push(FrameTag::Attack.to_byte());
-    header.push(0);
-    header.extend_from_slice(&(2u32 * 1024 * 1024 * 1024).to_le_bytes());
-    stream.write_all(&header).unwrap();
-    stream.flush().unwrap();
-
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let response = Json::parse(line.trim()).unwrap();
-    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
-    let error = response.get("error").and_then(Json::as_str).unwrap();
-    assert!(error.contains("exceeding the 512 byte limit"), "unexpected error: {error}");
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection must be closed");
-    assert_eq!(daemon.stats().dropped_connections, 1);
-
-    // A fresh, well-behaved connection is still served.
-    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
-    assert!(client.stats().is_ok());
-    client.shutdown().unwrap();
-    daemon.join();
-}
-
-#[test]
-fn malformed_frames_get_typed_errors_and_closed_connections_never_hangs() {
-    // Every way a frame can be malformed ends the same way: one typed
-    // `"ok":false` line, a counted error kind, and a closed connection —
-    // never a hang, never a panic.
-    use de_health::service::frame::{encode_add_users_frame, FRAME_HEADER_BYTES};
-    use std::io::{BufRead, BufReader, Write};
-    let chunk = Forum::generate(&ForumConfig::tiny(), 5);
-    let good = encode_add_users_frame(&chunk);
-
-    // (bytes to send, expected error substring)
-    let mut cases: Vec<(Vec<u8>, &str)> = Vec::new();
-    // Wrong second magic byte: 0xDE selects binary framing, then garbage.
-    cases.push((vec![0xDE, 0x00, 1, 0, 0, 0, 0, 0], "bad frame magic"));
-    // Unknown command tag.
-    cases.push((vec![0xDE, 0x48, 99, 0, 0, 0, 0, 0], "unknown frame command tag"));
-    // Nonzero reserved byte.
-    cases.push((vec![0xDE, 0x48, 1, 7, 0, 0, 0, 0], "nonzero reserved frame byte"));
-    // Valid frame with one payload byte flipped: checksum mismatch.
-    let mut flipped = good.clone();
-    flipped[FRAME_HEADER_BYTES + 3] ^= 0xFF;
-    cases.push((flipped, "checksum mismatch"));
-    // A JSON line injected inside the frame's declared extent is consumed
-    // as payload bytes and fails the checksum — it is never parsed as a
-    // command.
-    let mut injected = good.clone();
-    let json_line = b"{\"cmd\":\"shutdown\"}\n";
-    injected[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + json_line.len()].copy_from_slice(json_line);
-    cases.push((injected, "checksum mismatch"));
-
-    let n_cases = cases.len();
     let daemon = Daemon::bind("127.0.0.1:0", default_config()).unwrap();
-    for (bytes, expect) in cases {
-        let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        stream.write_all(&bytes).unwrap();
+    let mut stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = |bytes: &[u8]| {
+        stream.write_all(bytes).unwrap();
         stream.flush().unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        let response = Json::parse(line.trim()).unwrap();
-        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false), "{expect}");
-        let error = response.get("error").and_then(Json::as_str).unwrap();
-        assert!(error.contains(expect), "expected {expect:?} in {error:?}");
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{expect}: must close");
-    }
-    assert_eq!(daemon.stats().dropped_connections, n_cases as u64);
+        Json::parse(line.trim()).unwrap()
+    };
 
-    // The daemon shrugged it all off and still serves.
-    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
-    assert!(client.stats().is_ok());
-    client.shutdown().unwrap();
+    let rejected = reply(b"\xDE\n");
+    assert_eq!(rejected.get("ok").and_then(Json::as_bool), Some(false));
+    let error = rejected.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.starts_with("invalid JSON"), "unexpected error: {error}");
+    let stats = reply(b"{\"cmd\":\"stats\"}\n");
+    assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(stats.get("errors").and_then(Json::as_usize), Some(1));
+
+    let registry = daemon.registry();
+    assert_eq!(
+        registry.counter_with("daemon_error_kind_total", &[("kind", "invalid_json")]).get(),
+        1
+    );
+    assert_eq!(daemon.stats().dropped_connections, 0);
+    ServiceClient::connect(daemon.addr()).unwrap().shutdown().unwrap();
     daemon.join();
 }
 
 #[test]
 fn truncated_frame_header_stall_hits_the_read_deadline() {
-    // A client that sends half a frame header and stalls is a half-open
-    // connection like any other: the read deadline kills it with the
-    // typed error even though no newline ever arrived.
+    // The bytes that once opened a binary frame header are now the start
+    // of a line like any other: a client that sends them and stalls is
+    // half-open, and the read deadline kills it with the typed error.
     use std::io::{BufRead, BufReader, Write};
     let limits =
         DaemonLimits { read_deadline: Duration::from_millis(150), ..DaemonLimits::default() };
@@ -946,46 +809,6 @@ fn truncated_frame_header_stall_hits_the_read_deadline() {
     assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection must be closed");
     assert_eq!(daemon.stats().dropped_connections, 1);
     let mut client = ServiceClient::connect(daemon.addr()).unwrap();
-    client.shutdown().unwrap();
-    daemon.join();
-}
-
-#[test]
-fn concurrent_json_and_binary_attacks_stay_exact() {
-    // Encoding is a wire concern only: a binary-frame attack and a JSON
-    // attack sent at once must both come back bit-identical to the serial
-    // reference.
-    use de_health::service::WireEncoding;
-    let split = tiny_split();
-    let reference = DeHealth::new(attack_cfg()).run(&split.auxiliary, &split.anonymized);
-    let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
-    let config = EngineConfig { attack: attack_cfg(), ..default_config() };
-    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
-    let addr = daemon.addr();
-
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-    let handles: Vec<_> = [WireEncoding::Json, WireEncoding::Binary]
-        .into_iter()
-        .map(|encoding| {
-            let anonymized = split.anonymized.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = ServiceClient::connect(addr).unwrap();
-                client.set_encoding(encoding);
-                barrier.wait();
-                client.attack(&anonymized, &AttackOptions::default()).unwrap()
-            })
-        })
-        .collect();
-    for h in handles {
-        let reply = h.join().unwrap();
-        assert_eq!(reply.mapping, reference.mapping);
-        assert_eq!(reply.candidates, reference.candidates);
-    }
-
-    assert!(daemon.registry().histogram("daemon_parse_seconds").count() >= 2);
-
-    let mut client = ServiceClient::connect(addr).unwrap();
     client.shutdown().unwrap();
     daemon.join();
 }
