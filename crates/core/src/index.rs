@@ -670,12 +670,13 @@ impl IndexScratch {
 /// transposed into per-user bitmask rows (for exact intersection counts
 /// via popcount) and a per-user `(slot, weight)` CSR (for the exact
 /// min-weight merge, paid only by pairs that survive pruning).
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct HotAttrs {
     /// Attribute id → hot slot, `u32::MAX` for rare attributes.
     slot_of: Vec<u32>,
-    /// Number of hot attributes (slots).
-    n_hot: usize,
+    /// Hot attribute ids by slot: ascending, so slot order is attribute
+    /// order.
+    attrs: Vec<u32>,
     /// `u64` words per bitmask row (`ceil(n_hot / 64)`).
     words: usize,
     /// Concatenated per-local-user bitmask rows (`n_local * words`).
@@ -690,59 +691,96 @@ struct HotAttrs {
     weights: Vec<u32>,
 }
 
+/// The hot threshold over `n_present` present users: a list is hot when
+/// it touches at least 1/8th of them (and at least 16 users, so tiny
+/// corpora keep the pure probe path the differential tests already
+/// cover).
+fn hot_threshold(n_present: usize) -> usize {
+    (n_present / 8).max(16)
+}
+
 impl HotAttrs {
     /// Classify attributes of `index`'s tail (`from..`) and transpose the
     /// hot posting lists into per-user rows.
     fn build(index: &AttributeIndex, from: usize) -> Self {
         let from32 = u32::try_from(from).expect("watermark overflows u32");
-        let n_local = index.n_users() - from;
-        let n_present = index.present_from(from).len();
-        // A list is hot when it touches at least 1/8th of the present
-        // population (and at least 16 users, so tiny corpora keep the
-        // pure probe path the differential tests already cover).
-        let threshold = (n_present / 8).max(16);
-        let n_attrs = index.n_attrs();
-        let mut slot_of = vec![u32::MAX; n_attrs];
-        let mut hot_attrs: Vec<u32> = Vec::new();
+        let threshold = hot_threshold(index.present_from(from).len());
+        let mut slot_of = vec![u32::MAX; index.n_attrs()];
+        let mut attrs: Vec<u32> = Vec::new();
         for (attr, slot) in slot_of.iter_mut().enumerate() {
             if index.posting(attr).suffix(from32).len() >= threshold {
-                *slot = u32::try_from(hot_attrs.len()).expect("hot slot overflows u32");
-                hot_attrs.push(attr as u32);
+                *slot = u32::try_from(attrs.len()).expect("hot slot overflows u32");
+                attrs.push(attr as u32);
             }
         }
-        let n_hot = hot_attrs.len();
-        let words = n_hot.div_ceil(64);
-        let mut masks = vec![0u64; n_local * words];
-        let mut hot_wsums = vec![0u64; n_local];
-        let mut row_len = vec![0usize; n_local];
-        for &attr in &hot_attrs {
-            for &user in index.posting(attr as usize).suffix(from32).users {
-                row_len[user as usize - from] += 1;
+        let words = attrs.len().div_ceil(64);
+        let mut hot = Self {
+            slot_of,
+            attrs,
+            words,
+            masks: Vec::new(),
+            hot_wsums: Vec::new(),
+            starts: vec![0],
+            slots: Vec::new(),
+            weights: Vec::new(),
+        };
+        hot.push_rows(index, from);
+        hot
+    }
+
+    /// Append the rows of the index users after the last row already
+    /// here: users `from + rows..index.n_users()`, where `from` is the
+    /// watermark the tables were built at. Each row lists the user's hot
+    /// entries in slot order, as a build over the whole tail would.
+    fn push_rows(&mut self, index: &AttributeIndex, from: usize) {
+        let base = self.hot_wsums.len();
+        let first = from + base;
+        let first32 = u32::try_from(first).expect("watermark overflows u32");
+        let n_new = index.n_users() - first;
+        let mut row_len = vec![0usize; n_new];
+        for &attr in &self.attrs {
+            for &user in index.posting(attr as usize).suffix(first32).users {
+                row_len[user as usize - first] += 1;
             }
         }
-        let mut starts = Vec::with_capacity(n_local + 1);
-        let mut at = 0usize;
-        starts.push(0);
+        let mut at = self.starts[base];
+        let mut fill = Vec::with_capacity(n_new);
         for &l in &row_len {
+            fill.push(at);
             at += l;
-            starts.push(at);
+            self.starts.push(at);
         }
-        let mut slots = vec![0u32; at];
-        let mut weights = vec![0u32; at];
-        let mut fill = starts.clone();
-        for (slot, &attr) in hot_attrs.iter().enumerate() {
-            let plist = index.posting(attr as usize).suffix(from32);
+        let words = self.words;
+        self.slots.resize(at, 0);
+        self.weights.resize(at, 0);
+        self.masks.resize((base + n_new) * words, 0);
+        self.hot_wsums.resize(base + n_new, 0);
+        for (slot, &attr) in self.attrs.iter().enumerate() {
+            let plist = index.posting(attr as usize).suffix(first32);
             for (&user, &weight) in plist.users.iter().zip(plist.weights) {
-                let lv = user as usize - from;
-                let pos = fill[lv];
-                fill[lv] += 1;
-                slots[pos] = slot as u32;
-                weights[pos] = weight;
-                masks[lv * words + slot / 64] |= 1u64 << (slot % 64);
-                hot_wsums[lv] += u64::from(weight);
+                let i = user as usize - first;
+                let pos = fill[i];
+                fill[i] += 1;
+                self.slots[pos] = slot as u32;
+                self.weights[pos] = weight;
+                let lv = base + i;
+                self.masks[lv * words + slot / 64] |= 1u64 << (slot % 64);
+                self.hot_wsums[lv] += u64::from(weight);
             }
         }
-        Self { slot_of, n_hot, words, masks, hot_wsums, starts, slots, weights }
+    }
+
+    /// `true` when the hot set of the whole of `index` (`from = 0`) is
+    /// this table's: one pass over the attribute ids.
+    fn has_hot_set_of(&self, index: &AttributeIndex) -> bool {
+        let threshold = hot_threshold(index.present_from(0).len());
+        (0..index.n_attrs())
+            .all(|attr| (index.posting(attr).len() >= threshold) == self.slot(attr).is_some())
+    }
+
+    /// Number of attributes on the hot path (slots).
+    fn n_hot(&self) -> usize {
+        self.attrs.len()
     }
 
     /// Hot slot of `attr`, or `None` when the attribute is rare (or
@@ -758,8 +796,9 @@ impl HotAttrs {
 /// The hot-attribute tables of a whole [`AttributeIndex`] (`from = 0`),
 /// built once and shared read-only by every [`IndexedScorer`] over that
 /// index. They depend only on the index, so a standing auxiliary corpus
-/// can build them once per generation instead of once per attack.
-/// Cloning shares the tables.
+/// can build them once per generation instead of once per attack, and
+/// carry them across an ingest with [`Self::extend`]. Cloning shares the
+/// tables.
 ///
 /// The handle records the user and attribute counts of the index it was
 /// built from; [`IndexedScorer::with_hot_attrs`] refuses it for an index
@@ -780,6 +819,41 @@ impl AuxHotAttrs {
             n_users: index.n_users(),
             n_attrs: index.n_attrs(),
         }
+    }
+
+    /// Extend the tables to the users appended to their index since they
+    /// were built (or last extended): `index` must be that index, grown by
+    /// [`AttributeIndex::push_user`]. Returns `false`, and leaves the
+    /// tables as they were, when the grown index's hot set is not the
+    /// tables' own (a list crossed the threshold, or the threshold moved
+    /// past a list); the caller must then drop them.
+    ///
+    /// Otherwise the extended tables equal [`Self::build`] over `index`,
+    /// field for field: appending users leaves every earlier posting in
+    /// place, so the same hot set gets the same slots and every earlier
+    /// row stays as it is; attributes new to the index are rare; and each
+    /// new user's row is transposed by the same code as in a build. A
+    /// handle shared with a clone is copied first ([`Arc::make_mut`]), so
+    /// the clone keeps the tables it had.
+    ///
+    /// # Panics
+    /// Panics if `index` has fewer users or attributes than the tables
+    /// cover.
+    #[must_use = "refused tables no longer fit the index and must be dropped"]
+    pub fn extend(&mut self, index: &AttributeIndex) -> bool {
+        assert!(
+            index.n_users() >= self.n_users && index.n_attrs() >= self.n_attrs,
+            "attribute index shrank under its hot tables"
+        );
+        if !self.hot.has_hot_set_of(index) {
+            return false;
+        }
+        let hot = Arc::make_mut(&mut self.hot);
+        hot.slot_of.resize(index.n_attrs(), u32::MAX);
+        hot.push_rows(index, 0);
+        self.n_users = index.n_users();
+        self.n_attrs = index.n_attrs();
+        true
     }
 }
 
@@ -905,13 +979,13 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
     /// Fresh accumulators sized for this scorer's auxiliary range.
     #[must_use]
     pub fn scratch(&self) -> IndexScratch {
-        IndexScratch::new(self.index.n_users() - self.from, self.hot.n_hot, self.hot.words)
+        IndexScratch::new(self.index.n_users() - self.from, self.hot.n_hot(), self.hot.words)
     }
 
     /// Number of attributes on the hot (bitmask) path.
     #[must_use]
     pub fn n_hot_attrs(&self) -> usize {
-        self.hot.n_hot
+        self.hot.n_hot()
     }
 
     /// `true` if upper-bound pruning is enabled.
@@ -1386,6 +1460,116 @@ mod tests {
                 assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "u={u}");
             }
         }
+    }
+
+    /// The hot tables agree field for field.
+    fn assert_same_hot(got: &AuxHotAttrs, want: &AuxHotAttrs, what: &str) {
+        assert_eq!((got.n_users, got.n_attrs), (want.n_users, want.n_attrs), "{what}: sizes");
+        assert_eq!(*got.hot, *want.hot, "{what}: tables");
+    }
+
+    /// Append a user holding `attrs` with weights salted by `salt`; an
+    /// empty set is an absent user.
+    fn push(index: &mut AttributeIndex, attrs: &[u32], salt: u32) {
+        let mut ids = attrs.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let weights = ids.iter().map(|&a| (a, 1 + (a + salt) % 4)).collect();
+        index.push_user(&UserAttributes::from_weights(weights), !ids.is_empty());
+    }
+
+    /// 96 users, six of them absent, so the hot threshold is 16: attributes
+    /// 0, 1 and 2 are hot (90, 48 and 24 users), attribute 3 is two users
+    /// short of hot (14), and attributes 4..40 are sparse.
+    fn hot_base() -> AttributeIndex {
+        let mut index = AttributeIndex::new();
+        for u in 0..96u32 {
+            if u % 16 == 15 {
+                push(&mut index, &[], u);
+                continue;
+            }
+            let mut attrs = vec![0, 4 + u % 36, 4 + (u * 7) % 36];
+            if u % 2 == 0 {
+                attrs.push(1);
+            }
+            if u % 4 == 0 {
+                attrs.push(2);
+            }
+            if u < 14 {
+                attrs.push(3);
+            }
+            push(&mut index, &attrs, u);
+        }
+        index
+    }
+
+    #[test]
+    fn hot_extension_equals_a_fresh_build() {
+        let mut index = hot_base();
+        let mut hot = AuxHotAttrs::build(&index);
+        assert_eq!(hot.hot.attrs, [0, 1, 2]);
+        let cohorts: [&[&[u32]]; 4] = [
+            // Attribute 3 gains a user and stays rare; 2999..=3001 are new
+            // to the index; two declared users are absent.
+            &[&[0, 3, 3000, 3001], &[1, 2, 5, 2999], &[], &[0], &[]],
+            &[],
+            &[&[0, 1, 40], &[0, 1, 41], &[0, 1, 42], &[2, 4000], &[0, 2, 4, 5, 6], &[1]],
+            &[&[], &[]],
+        ];
+        for (i, cohort) in cohorts.iter().enumerate() {
+            for (j, attrs) in cohort.iter().enumerate() {
+                push(&mut index, attrs, (i * 10 + j) as u32);
+            }
+            assert!(hot.extend(&index), "cohort {i} moved the hot set");
+            assert_same_hot(&hot, &AuxHotAttrs::build(&index), &format!("cohort {i}"));
+        }
+        assert_eq!(index.n_attrs(), 4001);
+    }
+
+    #[test]
+    fn hot_extension_refuses_a_cohort_that_moves_the_hot_set() {
+        // Attribute 3 reaches the threshold: the hot set grows.
+        let mut index = hot_base();
+        let mut hot = AuxHotAttrs::build(&index);
+        push(&mut index, &[0, 3], 1);
+        assert!(hot.extend(&index));
+        push(&mut index, &[3], 2);
+        let before = hot.clone();
+        assert!(!hot.extend(&index));
+        assert_same_hot(&hot, &before, "refused cohort");
+
+        // The threshold rises past a list: 200 present users put it at 25,
+        // where attribute 1's 25 users are hot; eight more put it at 26.
+        let mut index = AttributeIndex::new();
+        for u in 0..200u32 {
+            let attrs: &[u32] = if u < 25 { &[0, 1] } else { &[0] };
+            push(&mut index, attrs, u);
+        }
+        let mut hot = AuxHotAttrs::build(&index);
+        assert_eq!(hot.hot.attrs, [0, 1]);
+        for u in 0..7 {
+            push(&mut index, &[0], u);
+        }
+        assert!(hot.extend(&index), "207 present users keep the threshold at 25");
+        push(&mut index, &[0], 7);
+        assert!(!hot.extend(&index));
+    }
+
+    #[test]
+    fn hot_extension_grows_unshared_tables_in_place_and_copies_shared_ones() {
+        let mut index = hot_base();
+        let mut hot = AuxHotAttrs::build(&index);
+        let shared = hot.clone();
+        push(&mut index, &[0, 1, 77], 5);
+        assert!(hot.extend(&index));
+        assert!(!Arc::ptr_eq(&hot.hot, &shared.hot), "shared tables are copied");
+        assert_same_hot(&shared, &AuxHotAttrs::build(&hot_base()), "the other handle");
+        drop(shared);
+        let at = Arc::as_ptr(&hot.hot);
+        push(&mut index, &[0, 2], 6);
+        assert!(hot.extend(&index));
+        assert_eq!(Arc::as_ptr(&hot.hot), at, "unshared tables grow in place");
+        assert_same_hot(&hot, &AuxHotAttrs::build(&index), "in place");
     }
 
     #[test]

@@ -83,10 +83,11 @@ struct UserScalars {
     whops_norm: f64,
 }
 
-/// One side's structural state: NCS and landmark-closeness vectors plus
-/// their [`UserScalars`].
-#[derive(Debug)]
+/// One side's structural state: its landmarks, NCS and
+/// landmark-closeness vectors, and their [`UserScalars`].
+#[derive(Debug, Clone)]
 struct Structure {
+    landmarks: Vec<usize>,
     ncs: Vec<Vec<f64>>,
     hops: Vec<Vec<f64>>,
     whops: Vec<Vec<f64>>,
@@ -95,21 +96,27 @@ struct Structure {
 
 impl Structure {
     fn new(uda: &UdaGraph, n_landmarks: usize) -> Self {
-        let (hops, whops) = uda.landmark_closeness(&uda.landmarks(n_landmarks));
-        let (ncs, scalars) = (0..uda.n_users())
-            .map(|u| {
-                let ncs = uda.graph.ncs_vector(u);
-                let scalars = UserScalars {
-                    degree: uda.graph.degree(u) as f64,
-                    wdegree: uda.graph.weighted_degree(u),
-                    ncs_norm: norm(&ncs),
-                    hops_norm: norm(&hops[u]),
-                    whops_norm: norm(&whops[u]),
-                };
-                (ncs, scalars)
-            })
-            .unzip();
-        Self { ncs, hops, whops, scalars }
+        let landmarks = uda.landmarks(n_landmarks);
+        let (hops, whops) = uda.landmark_closeness(&landmarks);
+        let mut st = Self { landmarks, ncs: Vec::new(), hops, whops, scalars: Vec::new() };
+        st.push_users(uda);
+        st
+    }
+
+    /// Compute the NCS vectors and scalars of `uda`'s users from the
+    /// first one without them, whose closeness rows are in place.
+    fn push_users(&mut self, uda: &UdaGraph) {
+        for u in self.scalars.len()..uda.n_users() {
+            let ncs = uda.graph.ncs_vector(u);
+            self.scalars.push(UserScalars {
+                degree: uda.graph.degree(u) as f64,
+                wdegree: uda.graph.weighted_degree(u),
+                ncs_norm: norm(&ncs),
+                hops_norm: norm(&self.hops[u]),
+                whops_norm: norm(&self.whops[u]),
+            });
+            self.ncs.push(ncs);
+        }
     }
 }
 
@@ -122,7 +129,9 @@ impl Structure {
 ///
 /// The handle records what it was built for: the auxiliary user count and
 /// `n_landmarks`. [`SimilarityEngine::with_aux_structure`] refuses a
-/// handle built over a graph of another size.
+/// handle built over a graph of another size. A standing corpus that
+/// grows by disjoint cohorts carries the structure along with
+/// [`Self::extend`].
 #[derive(Debug, Clone)]
 pub struct AuxStructure {
     st: Arc<Structure>,
@@ -136,6 +145,37 @@ impl AuxStructure {
     #[must_use]
     pub fn build(aux: &UdaGraph, n_landmarks: usize) -> Self {
         Self { st: Arc::new(Structure::new(aux, n_landmarks)), n_landmarks }
+    }
+
+    /// Extend the structure to the users a disjoint cohort appended to
+    /// its graph: `aux` must be the graph it was built over (or last
+    /// extended to), grown by [`UdaGraph::append`]. Returns `false`, and
+    /// leaves the structure as it was, when a cohort user enters
+    /// `aux.landmarks(n_landmarks)`; the caller must then drop it.
+    ///
+    /// Otherwise the extended structure equals [`Self::build`] over `aux`,
+    /// field for field. No edge joins a cohort to the users before it, so
+    /// their degrees, NCS vectors and closeness rows stay as they were, the
+    /// landmarks stay theirs, and every cohort user is unreachable from
+    /// every landmark: its closeness rows are all zero, as a fresh build
+    /// leaves them. Its NCS vector and scalars are computed by the same
+    /// code as in a build. A handle shared with a clone is copied first
+    /// ([`Arc::make_mut`]), so the clone keeps the structure it had.
+    ///
+    /// # Panics
+    /// Panics if `aux` has fewer users than the structure covers.
+    #[must_use = "a refused structure no longer fits the graph and must be dropped"]
+    pub fn extend(&mut self, aux: &UdaGraph) -> bool {
+        assert!(aux.n_users() >= self.n_users(), "auxiliary graph shrank under its structure");
+        if aux.landmarks(self.n_landmarks) != self.st.landmarks {
+            return false;
+        }
+        let st = Arc::make_mut(&mut self.st);
+        let zeros = vec![0.0; st.landmarks.len()];
+        st.hops.resize(aux.n_users(), zeros.clone());
+        st.whops.resize(aux.n_users(), zeros);
+        st.push_users(aux);
+        true
     }
 
     /// The `n_landmarks` this structure was built for.
@@ -597,6 +637,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The structures agree field for field, every `f64` by its bits.
+    fn assert_same_structure(got: &AuxStructure, want: &AuxStructure, what: &str) {
+        let rows = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let scalars = |st: &Structure| -> Vec<[u64; 5]> {
+            st.scalars
+                .iter()
+                .map(|s| {
+                    [s.degree, s.wdegree, s.ncs_norm, s.hops_norm, s.whops_norm].map(f64::to_bits)
+                })
+                .collect()
+        };
+        let (g, w) = (&*got.st, &*want.st);
+        assert_eq!(got.n_landmarks, want.n_landmarks, "{what}: n_landmarks");
+        assert_eq!(g.landmarks, w.landmarks, "{what}: landmarks");
+        assert_eq!(rows(&g.ncs), rows(&w.ncs), "{what}: NCS vectors");
+        assert_eq!(rows(&g.hops), rows(&w.hops), "{what}: hop closeness");
+        assert_eq!(rows(&g.whops), rows(&w.whops), "{what}: weighted closeness");
+        assert_eq!(scalars(g), scalars(w), "{what}: scalars");
+    }
+
+    const WORDS: [&str; 6] = ["pain", "rest", "doctor", "migrane", "tired", "water!"];
+
+    /// 22 users: users 0..12 share thread 0 (degree 11), so the five
+    /// landmarks are users 0..5; users 12..20 post in pairs, user 20
+    /// alone, and user 21 not at all.
+    fn landmark_base() -> UdaGraph {
+        let mut posts: Vec<Post> = (0..12).map(|u| p(u, 0, WORDS[u % 6])).collect();
+        posts.extend((12..20).map(|u| p(u, 1 + (u - 12) / 2, WORDS[u % 6])));
+        posts.push(p(20, 5, "alone here"));
+        uda(posts, 22, 6)
+    }
+
+    /// A cohort of `n` users who all post in one thread (degree `n - 1`),
+    /// with `absent` more declared users who never post.
+    fn one_thread_cohort(n: usize, absent: usize) -> UdaGraph {
+        uda((0..n).map(|u| p(u, 0, WORDS[(u + 3) % 6])).collect(), n + absent, 1)
+    }
+
+    #[test]
+    fn extension_equals_a_fresh_build() {
+        let mut grown = landmark_base();
+        let mut st = AuxStructure::build(&grown, 5);
+        assert_eq!(st.st.landmarks, [0, 1, 2, 3, 4]);
+        let cohorts = [
+            // Users 0 and 1 share two threads (a weight-2 edge); users 3
+            // and 4 are declared but absent.
+            uda(
+                vec![
+                    p(0, 0, "a b"),
+                    p(1, 0, "c d!"),
+                    p(0, 1, "again 42"),
+                    p(1, 1, "more #"),
+                    p(2, 2, "alone"),
+                ],
+                5,
+                3,
+            ),
+            uda(Vec::new(), 0, 0),
+            // Degree 11 ties the landmarks', and ties go to the smaller id.
+            one_thread_cohort(12, 1),
+            uda(Vec::new(), 3, 0),
+        ];
+        for (i, cohort) in cohorts.into_iter().enumerate() {
+            grown.append(cohort);
+            assert!(st.extend(&grown), "cohort {i} moved the landmarks");
+            assert_same_structure(&st, &AuxStructure::build(&grown, 5), &format!("cohort {i}"));
+        }
+    }
+
+    #[test]
+    fn extension_refuses_a_cohort_that_moves_the_landmarks() {
+        // A cohort user of degree 12 outranks the last landmark (degree
+        // 11): the structure refuses the cohort and stays as it was.
+        let base = landmark_base();
+        let mut grown = base.clone();
+        let mut st = AuxStructure::build(&grown, 5);
+        grown.append(one_thread_cohort(13, 0));
+        assert!(!st.extend(&grown));
+        assert_same_structure(&st, &AuxStructure::build(&base, 5), "refused cohort");
+
+        // With fewer present users than landmarks, every present cohort
+        // user is a landmark, while absent ones never are.
+        let small = uda(vec![p(0, 0, "a"), p(1, 0, "b"), p(2, 1, "c")], 4, 2);
+        let mut grown = small.clone();
+        let mut st = AuxStructure::build(&grown, 5);
+        grown.append(uda(Vec::new(), 2, 0));
+        assert!(st.extend(&grown));
+        assert_same_structure(&st, &AuxStructure::build(&grown, 5), "absent-only cohort");
+        grown.append(uda(vec![p(0, 0, "isolated")], 1, 1));
+        assert!(!st.extend(&grown));
+    }
+
+    #[test]
+    fn extension_grows_an_unshared_structure_in_place_and_copies_a_shared_one() {
+        let base = landmark_base();
+        let mut grown = base.clone();
+        let mut st = AuxStructure::build(&grown, 5);
+        let shared = st.clone();
+        grown.append(one_thread_cohort(3, 1));
+        assert!(st.extend(&grown));
+        assert!(!Arc::ptr_eq(&st.st, &shared.st), "a shared structure is copied");
+        assert_same_structure(&shared, &AuxStructure::build(&base, 5), "the other handle");
+        drop(shared);
+        let at = Arc::as_ptr(&st.st);
+        grown.append(one_thread_cohort(4, 0));
+        assert!(st.extend(&grown));
+        assert_eq!(Arc::as_ptr(&st.st), at, "an unshared structure grows in place");
+        assert_same_structure(&st, &AuxStructure::build(&grown, 5), "in place");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_corpus::Forum;
 use dehealth_stylometry::FeatureVector;
 
-use crate::pool::run_blocks;
+use crate::pool::{run_blocks, workers};
 use crate::report::{timed, EngineReport};
 
 /// How the Top-K stage scores `(anonymized, auxiliary)` pairs.
@@ -114,6 +114,12 @@ impl EngineConfig {
             self.n_threads
         }
     }
+
+    /// The workers each parallel stage starts for `n_anon` anonymized
+    /// users: [`Self::effective_threads`], at most one per block.
+    fn workers(&self, n_anon: usize) -> usize {
+        workers(n_anon, self.block_size, self.effective_threads())
+    }
 }
 
 /// The parallel De-Health execution engine.
@@ -197,7 +203,8 @@ impl Engine {
             );
         }
         let cfg = &self.config.attack;
-        let mut report = EngineReport::new(self.config.effective_threads(), self.config.block_size);
+        let mut report =
+            EngineReport::new(self.config.workers(anonymized.n_users), self.config.block_size);
         let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
 
         let structure_start = Instant::now();
@@ -226,7 +233,8 @@ impl Engine {
     /// [`EngineSession::add_auxiliary_users`].
     #[must_use]
     pub fn session<'a>(&self, anonymized: &'a Forum) -> EngineSession<'a> {
-        let mut report = EngineReport::new(self.config.effective_threads(), self.config.block_size);
+        let mut report =
+            EngineReport::new(self.config.workers(anonymized.n_users), self.config.block_size);
         let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
         let heaps = vec![BoundedTopK::new(self.config.attack.top_k); anonymized.n_users];
         let index = match self.config.scoring {
@@ -443,12 +451,15 @@ impl<'a> PreparedAuxiliary<'a> {
 ///   attack's `n_landmarks`. An attack with another value builds a
 ///   structure of its own and leaves the cached one in place, so the
 ///   cache holds at most one structure whatever values clients send.
-/// - **Owned by the corpus.** Whoever changes the auxiliary side must
-///   replace the cache with a fresh default: new users can move the
-///   landmarks and the hot threshold. A stale entry of another size makes
-///   the scoring constructors panic instead of mis-scoring.
+/// - **Owned by the corpus.** Whoever appends a disjoint cohort to the
+///   auxiliary side calls [`Self::extend`], which extends each filled
+///   entry by the cohort or drops it when the cohort moved its landmarks
+///   or its hot set; any other change needs a fresh default. A stale entry
+///   of another size makes the scoring constructors panic instead of
+///   mis-scoring.
 ///
-/// Cloning shares the built entries.
+/// Cloning shares the built entries; extending a clone copies an entry
+/// before it grows, so the other handle keeps its own.
 #[derive(Debug, Clone, Default)]
 pub struct AuxiliaryCache {
     structure: OnceLock<AuxStructure>,
@@ -456,6 +467,22 @@ pub struct AuxiliaryCache {
 }
 
 impl AuxiliaryCache {
+    /// Carry the cache across the append of a disjoint cohort: `uda` and
+    /// `index` are the auxiliary side's UDA graph and attribute index,
+    /// each grown by the cohort. A filled entry is extended by the cohort
+    /// ([`AuxStructure::extend`], [`AuxHotAttrs::extend`]) and then equals
+    /// a fresh build over the grown side; an entry whose landmarks or hot
+    /// set the cohort moved is dropped, and the next attack rebuilds it.
+    /// An empty entry stays empty.
+    pub fn extend(&mut self, uda: &UdaGraph, index: &AttributeIndex) {
+        if self.structure.get_mut().is_some_and(|st| !st.extend(uda)) {
+            self.structure.take();
+        }
+        if self.hot.get_mut().is_some_and(|hot| !hot.extend(index)) {
+            self.hot.take();
+        }
+    }
+
     /// The structure of `uda` for `n_landmarks`, and the number of
     /// auxiliary users this call built it for (0 on a cache hit).
     fn structure(&self, uda: &UdaGraph, n_landmarks: usize) -> (AuxStructure, u64) {
@@ -856,6 +883,33 @@ mod tests {
         let structure = out.report.stage("structure").expect("structure stage ran");
         assert_eq!(structure.items, split.auxiliary.n_users as u64);
         assert_eq!(out.report.n_threads, 2);
+    }
+
+    #[test]
+    fn report_counts_the_workers_started() {
+        // Six anonymized users fill one 64-user block, so each stage starts
+        // one worker whatever thread count was asked for.
+        let split = tiny_split();
+        let anon = &split.anonymized;
+        let posts = anon.posts.iter().filter(|p| p.author < 6).cloned().collect();
+        let six = Forum::from_posts(6, anon.n_threads, posts);
+        let config = EngineConfig { attack: attack_cfg(), n_threads: 8, ..EngineConfig::default() };
+        let engine = Engine::new(config.clone());
+        assert_eq!(engine.run(&split.auxiliary, &six).report.n_threads, 1);
+        let feats = extract_post_features(&split.auxiliary);
+        let uda = UdaGraph::build_with_features(&split.auxiliary, &feats);
+        let prepared = PreparedAuxiliary {
+            forum: &split.auxiliary,
+            features: &feats,
+            uda: &uda,
+            index: None,
+            context: None,
+            cache: &AuxiliaryCache::default(),
+        };
+        assert_eq!(engine.run_prepared(&prepared, &six).report.n_threads, 1);
+        // Blocks of two users make three blocks: three workers of eight.
+        let engine = Engine::new(EngineConfig { block_size: 2, ..config });
+        assert_eq!(engine.run_prepared(&prepared, &six).report.n_threads, 3);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 
 use std::sync::Mutex;
 
+/// The workers [`run_blocks`] starts for `n_items` items: `n_threads`,
+/// but no more than the blocks of `block_size` items, and at least one.
+#[must_use]
+pub fn workers(n_items: usize, block_size: usize, n_threads: usize) -> usize {
+    n_threads.clamp(1, n_items.div_ceil(block_size.max(1)).max(1))
+}
+
 /// Process `items` in contiguous blocks of `block_size`, stealing blocks
 /// across `n_threads` scoped workers — never more workers than blocks,
 /// so a thread count taken from a request costs at most one worker per
@@ -37,7 +44,7 @@ where
     F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     let block_size = block_size.max(1);
-    let n_threads = n_threads.clamp(1, items.len().div_ceil(block_size).max(1));
+    let n_threads = workers(items.len(), block_size, n_threads);
     if n_threads == 1 {
         let mut state = init();
         for (b, block) in items.chunks_mut(block_size).enumerate() {

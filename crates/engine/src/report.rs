@@ -59,7 +59,8 @@ pub struct TopkPairs {
 /// counters, in pipeline order of first appearance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineReport {
-    /// Resolved worker-thread count.
+    /// Workers each parallel stage started: the resolved thread count,
+    /// at most one per block of anonymized users.
     pub n_threads: usize,
     /// Anonymized users per work block.
     pub block_size: usize,

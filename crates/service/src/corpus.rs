@@ -12,8 +12,9 @@
 //! - the refined-DA [`RefinedContext`] feature arena,
 //! - in memory only, the generation's [`AuxiliaryCache`]: the auxiliary
 //!   similarity structure and the index's hot tables, built by the first
-//!   attack, read by every later one, and reset by
-//!   [`PreparedCorpus::append_users`].
+//!   attack, read by every later one, and extended by
+//!   [`PreparedCorpus::append_users`] (or dropped, when the new users
+//!   move the landmarks or the hot set).
 //!
 //! [`PreparedCorpus::save`] writes all of it into one snapshot file
 //! (container format: [`dehealth_corpus::snapshot`], 8-byte-aligned
@@ -64,9 +65,10 @@
 //! extracts the chunk's features and builds the chunk's own UDA graph,
 //! and `PreparedCorpus::append_cohort` appends the chunk's forum rows,
 //! features, UDA graph, index postings and refined-context rows in
-//! place. Chunks are disjoint cohorts with their own threads, so nothing
-//! already in the corpus changes. The daemon runs the first step before
-//! it takes any lock and the second under the slot's write lock.
+//! place, and extends the filled [`AuxiliaryCache`] entries by the
+//! chunk's rows. Chunks are disjoint cohorts with their own threads, so
+//! nothing already in the corpus changes. The daemon runs the first step
+//! before it takes any lock and the second under the slot's write lock.
 
 use std::path::Path;
 use std::time::Instant;
@@ -131,7 +133,8 @@ pub struct PreparedCorpus {
     context: RefinedContext,
     classifier: ClassifierKind,
     /// This generation's auxiliary structure and hot tables, built by the
-    /// first attack and reset by [`Self::append_users`]; never saved.
+    /// first attack and extended (or dropped) by [`Self::append_users`];
+    /// never saved.
     cache: AuxiliaryCache,
 }
 
@@ -321,9 +324,13 @@ impl PreparedCorpus {
     /// happens: the borrowed arenas are promoted to owned storage before
     /// the first new row lands, and the corpus detaches from its mapping.
     ///
-    /// The ingest starts a new generation: its [`AuxiliaryCache`] is
-    /// reset, and the next attack rebuilds the auxiliary structure and
-    /// hot tables.
+    /// The [`AuxiliaryCache`] comes along ([`AuxiliaryCache::extend`]):
+    /// each filled entry grows by the cohort's rows and then equals a
+    /// fresh build over the union, unless a cohort user became a landmark
+    /// or the cohort moved the hot set, in which case the entry is dropped
+    /// and the next attack rebuilds it. Extension adds the cohort's rows
+    /// plus one landmark selection and one pass over the attribute ids; it
+    /// copies an entry only while a clone of this corpus shares it.
     pub(crate) fn append_cohort(&mut self, cohort: PreparedCohort) {
         let PreparedCohort { forum, features, uda } = cohort;
         let user_offset = self.forum.n_users;
@@ -336,9 +343,7 @@ impl PreparedCorpus {
             &Side { forum: &self.forum, uda: &self.uda, post_features: &self.features },
             post_offset,
         );
-        // A new cohort can bring new high-degree users (new landmarks)
-        // and moves the hot threshold: the next attack rebuilds both.
-        self.cache = AuxiliaryCache::default();
+        self.cache.extend(&self.uda, &self.index);
     }
 
     /// Serialize into snapshot bytes (sections: forum, features, index,
@@ -635,15 +640,7 @@ mod tests {
         let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 5);
         let aux = split.auxiliary;
         let cut = aux.n_users / 2;
-        let chunk_of = |lo: usize, hi: usize| {
-            let posts: Vec<Post> = aux
-                .posts
-                .iter()
-                .filter(|p| (lo..hi).contains(&p.author))
-                .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
-                .collect();
-            Forum::from_posts(hi - lo, aux.n_threads, posts)
-        };
+        let chunk_of = |lo: usize, hi: usize| users_of(&aux, lo, hi);
         let mut incremental = PreparedCorpus::build(chunk_of(0, cut), ClassifierKind::default());
         incremental.append_users(&chunk_of(cut, aux.n_users));
 
@@ -784,13 +781,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The lifecycle tests' engine: a tiny-forum attack with `n_landmarks`.
-    /// Its Top-K is wide enough to keep pairs whose distance similarity
-    /// depends on the landmarks.
-    fn engine(n_landmarks: usize) -> Engine {
+    /// The lifecycle tests' engine: a tiny-forum attack with `n_landmarks`
+    /// and `top_k`. A Top-K of 30 is wide enough to keep pairs whose
+    /// distance similarity depends on the landmarks.
+    fn engine(n_landmarks: usize, top_k: usize) -> Engine {
         Engine::new(dehealth_engine::EngineConfig {
             attack: dehealth_core::AttackConfig {
-                top_k: 30,
+                top_k,
                 n_landmarks,
                 ..dehealth_core::AttackConfig::default()
             },
@@ -832,16 +829,7 @@ mod tests {
         let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 5);
         let aux = split.auxiliary;
         let cut = aux.n_users / 2;
-        let chunk_of = |lo: usize, hi: usize| {
-            let posts: Vec<Post> = aux
-                .posts
-                .iter()
-                .filter(|p| (lo..hi).contains(&p.author))
-                .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
-                .collect();
-            Forum::from_posts(hi - lo, aux.n_threads, posts)
-        };
-        let (first, second) = (chunk_of(0, cut), chunk_of(cut, aux.n_users));
+        let (first, second) = (users_of(&aux, 0, cut), users_of(&aux, cut, aux.n_users));
         let mut posts = first.posts.clone();
         posts.extend(second.posts.iter().map(|p| Post {
             author: p.author + cut,
@@ -852,26 +840,83 @@ mod tests {
         (first, second, union, split.anonymized)
     }
 
-    #[test]
-    fn append_users_resets_the_auxiliary_cache() {
-        let (first, second, union, anon) = cohorts();
-        let engine = engine(10);
-        let mut corpus = PreparedCorpus::build(first, ClassifierKind::default());
-        let filling = corpus.attack(&engine, &anon);
-        assert_same(&filling, &uncached(&corpus, &engine, &anon), "filling attack");
-        assert_eq!(built(&filling), corpus.n_users() as u64);
-        let hit = corpus.attack(&engine, &anon);
-        assert_same(&hit, &filling, "cached attack");
-        assert_eq!(built(&hit), 0, "a cached attack builds no auxiliary structure");
-        // A clone is identical to its source, filled cache included.
-        assert_eq!(built(&corpus.clone().attack(&engine, &anon)), 0);
+    /// Users `lo..hi` of `forum` with their posts, renumbered from 0; the
+    /// thread ids stay as they are.
+    fn users_of(forum: &Forum, lo: usize, hi: usize) -> Forum {
+        let posts: Vec<Post> = forum
+            .posts
+            .iter()
+            .filter(|p| (lo..hi).contains(&p.author))
+            .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
+            .collect();
+        Forum::from_posts(hi - lo, forum.n_threads, posts)
+    }
 
-        corpus.append_users(&second);
-        let after = corpus.attack(&engine, &anon);
-        let fresh = PreparedCorpus::build(union, ClassifierKind::default());
-        assert_same(&after, &uncached(&fresh, &engine, &anon), "attack after append");
-        assert_eq!(built(&after), corpus.n_users() as u64, "the append reset the cache");
-        assert_eq!(built(&corpus.attack(&engine, &anon)), 0);
+    /// `chunk` with its `i`-th post moved into thread `i % n_threads`:
+    /// with a thread per post every user is alone (degree 0, so none
+    /// outranks a landmark), with one thread every user meets every other.
+    fn regroup(chunk: Forum, n_threads: usize) -> Forum {
+        let posts = chunk.posts.into_iter().enumerate();
+        let posts = posts.map(|(i, p)| Post { thread: i % n_threads, ..p }).collect();
+        Forum::from_posts(chunk.n_users, n_threads, posts)
+    }
+
+    #[test]
+    fn ingests_extend_or_drop_the_auxiliary_cache() {
+        let (first, second, _, anon) = cohorts();
+        let half = second.n_users / 2;
+        // Two short posts bring no attribute near the hot threshold, so that
+        // ingest keeps the hot tables as well as the landmarks; the third
+        // user is declared but absent.
+        let short = |author, text: &str| Post { author, thread: author, text: text.into() };
+        let alone = users_of(&second, 0, half);
+        let keep = [
+            regroup(alone.clone(), alone.posts.len()),
+            Forum::from_posts(3, 2, vec![short(0, "ok"), short(1, "the pain")]),
+        ];
+        let moves = regroup(users_of(&second, half, second.n_users), 1);
+        // A Top-K that keeps every pair: each score the cache feeds shows.
+        let engine = engine(10, 100);
+        let source = PreparedCorpus::build(first.clone(), ClassifierKind::default());
+        let path = std::env::temp_dir().join("dehealth-corpus-cache-ingest-test.snap");
+        source.save(&path).unwrap();
+        let before = uncached(&source, &engine, &anon);
+        assert_eq!(built(&source.attack(&engine, &anon)), source.n_users() as u64);
+
+        for kind in ["owned", "mapped", "clone"] {
+            let mut corpus = match kind {
+                "owned" => PreparedCorpus::build(first.clone(), ClassifierKind::default()),
+                "mapped" => PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap(),
+                _ => source.clone(),
+            };
+            let filling = corpus.attack(&engine, &anon);
+            assert_same(&filling, &before, &format!("{kind}: filling attack"));
+            let filled = if kind == "clone" { 0 } else { corpus.n_users() as u64 };
+            assert_eq!(built(&filling), filled, "{kind}: a clone shares its source's entries");
+
+            // One ingest that keeps the landmarks, then one that keeps them
+            // and one that moves them. Each attack equals an uncached one
+            // on a fresh build over the union so far.
+            let mut chunks = vec![first.clone()];
+            for (step, ingests) in [vec![&keep[0]], vec![&keep[1], &moves]].iter().enumerate() {
+                for &chunk in ingests {
+                    corpus.append_users(chunk);
+                    chunks.push(chunk.clone());
+                }
+                let out = corpus.attack(&engine, &anon);
+                let fresh = PreparedCorpus::build(union_of(&chunks), ClassifierKind::default());
+                assert_same(&out, &uncached(&fresh, &engine, &anon), &format!("{kind}, {step}"));
+                let rebuilt = if step == 0 { 0 } else { corpus.n_users() as u64 };
+                assert_eq!(built(&out), rebuilt, "{kind}: users built after ingest step {step}");
+            }
+        }
+
+        // The clone's ingests copied the entries they extended: its source
+        // still serves from its own, over its own users.
+        let out = source.attack(&engine, &anon);
+        assert_same(&out, &before, "the clone's source");
+        assert_eq!(built(&out), 0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -879,7 +924,7 @@ mod tests {
         let (_, _, union, anon) = cohorts();
         let corpus = PreparedCorpus::build(union, ClassifierKind::default());
         let n = corpus.n_users() as u64;
-        let (cached, other) = (engine(4), engine(10));
+        let (cached, other) = (engine(4, 30), engine(10, 30));
         // The first attack keys the cache to its `n_landmarks` (4).
         let filling = corpus.attack(&cached, &anon);
         assert_same(&filling, &uncached(&corpus, &cached, &anon), "filling attack");
@@ -909,7 +954,7 @@ mod tests {
             &SplitConfig::fraction(0.5),
             7,
         );
-        let engine = engine(10);
+        let engine = engine(10, 30);
         let want = uncached(&corpus, &engine, &split.anonymized);
         let path = std::env::temp_dir().join("dehealth-corpus-cache-load-test.snap");
         corpus.save(&path).unwrap();
@@ -929,7 +974,7 @@ mod tests {
     fn racing_first_attacks_share_one_build() {
         let (_, _, union, anon) = cohorts();
         let corpus = PreparedCorpus::build(union, ClassifierKind::default());
-        let engine = engine(10);
+        let engine = engine(10, 30);
         let want = uncached(&corpus, &engine, &anon);
         let start = std::sync::Barrier::new(2);
         let outcomes: Vec<EngineOutcome> = std::thread::scope(|scope| {

@@ -91,7 +91,13 @@
 //!   in-flight request still holds the generation, it copies the corpus
 //!   outside the lock, appends to the copy and swaps it in
 //!   (`daemon_corpus_copies_total` counts these). Either way the ingest
-//!   starts a new generation with an empty auxiliary cache.
+//!   starts a new generation that carries the auxiliary cache along:
+//!   each filled entry is extended by the chunk's rows, or dropped when
+//!   the chunk moved its landmarks or its hot set
+//!   ([`AuxiliaryCache::extend`](dehealth_engine::AuxiliaryCache::extend)).
+//!   In place, the extension rebuilds and copies nothing; the copy path
+//!   copies an entry before extending it, so the generation in-flight
+//!   requests hold keeps its own.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`Daemon::request_shutdown`]) raises a flag; the front thread stops

@@ -53,9 +53,12 @@ fn wire_attack_on_snapshot_matches_serial_attack_at_1_and_8_threads() {
             reply.candidates, reference.candidates,
             "wire candidates diverged from DeHealth::run at {threads} threads"
         );
-        // The report travels with every attack and covers the pipeline.
+        // The report travels with every attack and covers the pipeline. Its
+        // `n_threads` counts the workers started: fewer than 64 anonymized
+        // users are one 64-user block, so one worker.
         let report = reply.raw.get("report").expect("report present");
-        assert_eq!(report.get("n_threads").and_then(Json::as_usize), Some(threads));
+        assert!(split.anonymized.n_users <= 64);
+        assert_eq!(report.get("n_threads").and_then(Json::as_usize), Some(1));
         let stages = report.get("stages").and_then(Json::as_array).expect("stages");
         let names: Vec<_> =
             stages.iter().filter_map(|s| s.get("stage").and_then(Json::as_str)).collect();
@@ -293,6 +296,82 @@ fn incremental_wire_ingest_matches_batch_reference() {
     let reply = client.attack(&split.anonymized, &AttackOptions::default()).unwrap();
     assert_eq!(reply.mapping, reference.mapping);
     assert_eq!(reply.candidates, reference.candidates);
+
+    client.shutdown().unwrap();
+    daemon.join();
+}
+
+/// `chunks` merged the way consecutive ingests number them: each chunk's
+/// users and threads offset by the totals before it.
+fn union_of(chunks: &[Forum]) -> Forum {
+    let (mut users, mut threads, mut posts) = (0, 0, Vec::new());
+    for chunk in chunks {
+        posts.extend(chunk.posts.iter().map(|p| Post {
+            author: p.author + users,
+            thread: p.thread + threads,
+            text: p.text.clone(),
+        }));
+        users += chunk.n_users;
+        threads += chunk.n_threads;
+    }
+    Forum::from_posts(users, threads, posts)
+}
+
+/// Users `lo..hi` of `forum`, renumbered from 0, with their `i`-th post
+/// moved into thread `i % n_threads`: with a thread per post every user
+/// is alone (degree 0), with one thread every user meets every other.
+fn regroup(forum: &Forum, lo: usize, hi: usize, n_threads: usize) -> Forum {
+    let posts = forum.posts.iter().filter(|p| (lo..hi).contains(&p.author));
+    let posts = posts.enumerate().map(|(i, p)| Post {
+        author: p.author - lo,
+        thread: i % n_threads,
+        text: p.text.clone(),
+    });
+    Forum::from_posts(hi - lo, n_threads, posts.collect())
+}
+
+#[test]
+fn interleaved_attacks_and_ingests_match_serial_attacks_on_the_union() {
+    // Each in-place ingest carries the daemon's auxiliary cache along,
+    // extending or dropping each entry. perfbench replays the ingests
+    // through the same append, so only a serial attack on a fresh union
+    // catches an extension that drifts from a rebuild. The cohorts: short
+    // posts that keep the landmarks and the hot set, users alone in their
+    // threads (degree 0: the landmarks stay), and users crowded into one
+    // thread, who outrank the last landmark.
+    let split = tiny_split();
+    let extra = Forum::generate(&ForumConfig::tiny(), 77);
+    let short = |author, text: &str| Post { author, thread: author, text: text.into() };
+    let ingests = [
+        vec![Forum::from_posts(3, 2, vec![short(0, "ok"), short(1, "the pain")])],
+        vec![regroup(&extra, 0, 10, 1_000), regroup(&extra, 10, 25, 1)],
+        vec![regroup(&extra, 25, 35, 1_000)],
+    ];
+    // A Top-K that keeps every pair, so each score the cache feeds shows.
+    let attack = AttackConfig { top_k: 100, ..attack_cfg() };
+    let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack.classifier);
+    let config = EngineConfig { attack: attack.clone(), ..default_config() };
+    let daemon = Daemon::bind_with_corpus("127.0.0.1:0", config, Some(corpus)).unwrap();
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+
+    let mut chunks = vec![split.auxiliary.clone()];
+    for round in 0..=ingests.len() {
+        if round > 0 {
+            for chunk in &ingests[round - 1] {
+                let reply = client.add_auxiliary_users(chunk).unwrap();
+                chunks.push(chunk.clone());
+                let users = chunks.iter().map(|c| c.n_users).sum();
+                assert_eq!(reply.get("users").and_then(Json::as_usize), Some(users));
+            }
+        }
+        let reference = DeHealth::new(attack.clone()).run(&union_of(&chunks), &split.anonymized);
+        for threads in [1usize, 2] {
+            let options = AttackOptions { threads: Some(threads), ..AttackOptions::default() };
+            let reply = client.attack(&split.anonymized, &options).unwrap();
+            assert_eq!(reply.mapping, reference.mapping, "round {round}, {threads} threads");
+            assert_eq!(reply.candidates, reference.candidates, "round {round}, {threads} threads");
+        }
+    }
 
     client.shutdown().unwrap();
     daemon.join();
