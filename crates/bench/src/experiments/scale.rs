@@ -6,25 +6,26 @@
 //! this one sweeps three tiers a decade apart and, per tier, measures the
 //! whole lifecycle: synthetic corpus generation (with a reproducibility
 //! digest), corpus preparation (feature extraction + derived structures),
-//! streamed snapshot encode, and one full attack over the production
-//! `(Indexed, Shared)` engine path — per-stage wall-clock, pair counts,
+//! streamed snapshot encode, and one full attack through the engine's
+//! indexed Top-K and shared refined paths — per-stage wall-clock, pair counts,
 //! pruning, arena bytes and process RSS ceilings all land in
 //! `BENCH_scale.json`.
 //!
 //! ## The oracle contract
 //!
-//! - Tiers up to [`FULL_ORACLE_MAX_USERS`] additionally run the full
-//!   `(Dense, PerUser)` differential oracle and assert the *entire*
-//!   outcome — candidate sets, candidate score bits, mapping — is
-//!   bit-identical.
-//! - **Every** tier (including 100k) runs the *sampled* oracle: a seeded
-//!   random subset of anonymized users gets its dense Top-K row recomputed
-//!   from `SimilarityEngine::scores_for` ([`SAMPLED_TOPK_USERS`] rows) and
-//!   its refined decision recomputed by the per-user-from-scratch
-//!   `refine_user` reference ([`SAMPLED_REFINED_USERS`] users), each
-//!   compared bit-exactly against what the engine produced. A mismatch
-//!   panics the experiment — committed numbers always come from runs that
-//!   agree with the reference.
+//! - Tiers up to [`FULL_ORACLE_MAX_USERS`] run the *full* oracle: every
+//!   anonymized user gets its dense Top-K row recomputed from
+//!   `SimilarityEngine::scores_for` and its refined decision recomputed
+//!   by the per-user-from-scratch `refine_user` reference, so the
+//!   *entire* outcome — candidate sets, candidate score bits, mapping —
+//!   is checked bit-exactly.
+//! - **Every** larger tier (including 100k) runs the same two references
+//!   on a seeded random *sample* of anonymized users
+//!   ([`SAMPLED_TOPK_USERS`] Top-K rows, [`SAMPLED_REFINED_USERS`]
+//!   refined decisions). A full tier's users include any sample, so its
+//!   JSON row reads `"full+sampled"`, a larger tier's `"sampled"`. A
+//!   mismatch panics the experiment — committed numbers always come from
+//!   runs that agree with the reference.
 //!
 //! ## The growth contract
 //!
@@ -51,7 +52,7 @@ use dehealth_core::uda::{extract_post_features, UdaGraph};
 use dehealth_core::{refine_user, AttackConfig, BoundedTopK, ClassifierKind, SimilarityEngine};
 use dehealth_corpus::snapshot::{encode_forum, fnv1a, SectionBuf};
 use dehealth_corpus::{closed_world_split, Forum, ForumConfig, SplitConfig};
-use dehealth_engine::{Engine, EngineConfig, EngineReport, RefinedMode, ScoringMode};
+use dehealth_engine::{Engine, EngineConfig, EngineReport};
 use dehealth_service::PreparedCorpus;
 
 /// Largest corpus at which the full differential oracles still run: the
@@ -62,11 +63,13 @@ use dehealth_service::PreparedCorpus;
 pub const FULL_ORACLE_MAX_USERS: usize = 2000;
 
 /// Seeded random anonymized users whose dense Top-K rows are recomputed
-/// and compared bit-exactly at every tier.
+/// and compared bit-exactly at every tier (every user at a full-oracle
+/// tier, a superset of the sample).
 pub const SAMPLED_TOPK_USERS: usize = 24;
 
 /// Seeded random anonymized users whose refined decision is recomputed by
-/// the per-user reference path and compared at every tier.
+/// the per-user reference path and compared at every tier (every user at
+/// a full-oracle tier).
 pub const SAMPLED_REFINED_USERS: usize = 8;
 
 /// Tiers smaller than this are dropped from the sweep (their timings are
@@ -199,8 +202,6 @@ fn scale_engine() -> Engine {
         attack: AttackConfig { top_k: 10, n_landmarks: 30, ..AttackConfig::default() },
         n_threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         block_size: 16,
-        scoring: ScoringMode::Indexed,
-        refined: RefinedMode::Shared,
         candidate_budget: None,
     })
 }
@@ -330,35 +331,30 @@ pub fn run_tiers_to(path: &Path, tiers: &[usize], seed: u64) -> io::Result<Vec<S
         let (topk_seconds, topk_pairs, topk_pairs_pruned) = stage(&outcome.report, "topk");
         let (refined_seconds, _, _) = stage(&outcome.report, "refined");
 
+        // The differential oracle: Top-K rows recomputed densely from
+        // `SimilarityEngine::scores_for` and refined decisions recomputed
+        // by the per-user-from-scratch `refine_user`, each compared
+        // bit-exactly with the engine's — for every anonymized user up to
+        // the full-oracle ceiling, for a seeded sample above it.
         let full_oracle = tier <= FULL_ORACLE_MAX_USERS;
-        if full_oracle {
-            let oracle_engine = Engine::new(EngineConfig {
-                scoring: ScoringMode::Dense,
-                refined: RefinedMode::PerUser,
-                ..engine.config().clone()
-            });
-            let reference = corpus.attack(&oracle_engine, &anonymized);
-            assert_eq!(outcome.candidates, reference.candidates, "tier {tier}: candidate sets");
-            assert_eq!(
-                to_bits(&outcome.candidate_scores),
-                to_bits(&reference.candidate_scores),
-                "tier {tier}: candidate score bits"
-            );
-            assert_eq!(outcome.mapping, reference.mapping, "tier {tier}: mappings");
+        let n_anon = anonymized.n_users;
+        let (topk_users, refined_users) = if full_oracle {
+            ((0..n_anon).collect(), (0..n_anon).collect())
         } else {
             println!(
                 "  tier {tier}: full dense/per-user oracle SKIPPED (O(N²) at this scale); \
-                 sampled oracle covers {SAMPLED_TOPK_USERS}/{} Top-K rows and \
-                 {SAMPLED_REFINED_USERS} refined users bit-exactly",
-                anonymized.n_users
+                 sampled oracle covers {SAMPLED_TOPK_USERS}/{n_anon} Top-K rows and \
+                 {SAMPLED_REFINED_USERS} refined users bit-exactly"
             );
-        }
-
-        // Sampled differential oracle — every tier, full oracle or not.
+            (
+                sample_indices(n_anon, SAMPLED_TOPK_USERS, seed ^ 0x7075),
+                sample_indices(n_anon, SAMPLED_REFINED_USERS, seed ^ 0x5246),
+            )
+        };
         let anon_feats = extract_post_features(&anonymized);
         let anon_uda = UdaGraph::build_with_features(&anonymized, &anon_feats);
         let sim = SimilarityEngine::new(&anon_uda, corpus.uda(), cfg.weights, cfg.n_landmarks);
-        for &u in &sample_indices(anonymized.n_users, SAMPLED_TOPK_USERS, seed ^ 0x7075) {
+        for &u in &topk_users {
             let mut heap = BoundedTopK::new(cfg.top_k);
             for (v, s) in sim.scores_for(u) {
                 heap.insert(v, s);
@@ -367,7 +363,9 @@ pub fn run_tiers_to(path: &Path, tiers: &[usize], seed: u64) -> io::Result<Vec<S
                 heap.into_sorted_entries().into_iter().map(|(v, s)| (v, s.to_bits())).collect();
             let engine_row: Vec<(usize, u64)> =
                 outcome.candidate_scores[u].iter().map(|&(v, s)| (v, s.to_bits())).collect();
-            assert_eq!(engine_row, dense, "tier {tier}: sampled Top-K row of user {u}");
+            assert_eq!(engine_row, dense, "tier {tier}: Top-K row of user {u}");
+            let ids: Vec<usize> = dense.iter().map(|&(v, _)| v).collect();
+            assert_eq!(outcome.candidates[u], ids, "tier {tier}: candidate set of user {u}");
         }
         let anon_side = Side { forum: &anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side =
@@ -378,7 +376,7 @@ pub fn run_tiers_to(path: &Path, tiers: &[usize], seed: u64) -> io::Result<Vec<S
             seed: cfg.seed,
         };
         let mut scratch_row = vec![f64::NEG_INFINITY; corpus.n_users()];
-        for &u in &sample_indices(anonymized.n_users, SAMPLED_REFINED_USERS, seed ^ 0x5246) {
+        for &u in &refined_users {
             for &(v, s) in &outcome.candidate_scores[u] {
                 scratch_row[v] = s;
             }
@@ -390,10 +388,7 @@ pub fn run_tiers_to(path: &Path, tiers: &[usize], seed: u64) -> io::Result<Vec<S
                 &scratch_row,
                 &refined_cfg,
             );
-            assert_eq!(
-                reference, outcome.mapping[u],
-                "tier {tier}: sampled refined decision of user {u}"
-            );
+            assert_eq!(reference, outcome.mapping[u], "tier {tier}: refined decision of user {u}");
             for &(v, _) in &outcome.candidate_scores[u] {
                 scratch_row[v] = f64::NEG_INFINITY;
             }
@@ -489,10 +484,6 @@ pub fn run_tiers_to(path: &Path, tiers: &[usize], seed: u64) -> io::Result<Vec<S
     write_json(path, users, seed, &results, growth)?;
     println!("  wrote {}", path.display());
     Ok(results)
-}
-
-fn to_bits(scores: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
-    scores.iter().map(|row| row.iter().map(|&(v, s)| (v, s.to_bits())).collect()).collect()
 }
 
 fn fit_growth(results: &[ScaleTier]) -> GrowthFit {
@@ -620,7 +611,7 @@ mod tests {
         let dir = std::env::temp_dir().join("dehealth-scale-test");
         let path = dir.join("BENCH_scale.json");
         // 300 users → tiers [30, 300]; both under the full-oracle ceiling,
-        // so this exercises full + sampled oracles, the budget probe, the
+        // so this exercises the all-users oracle, the budget probe, the
         // determinism regeneration and the JSON writer end to end.
         let results = run_to(&path, 300, 5).unwrap();
         assert_eq!(results.len(), 2);

@@ -13,8 +13,8 @@
 //! - [`AttributeIndex`] maps each attribute to the posting list of
 //!   auxiliary users exhibiting it (with their `l_v(A_i)` weights), plus
 //!   per-user totals `|A(v)|` and `Σ l_v`. It is built once per auxiliary
-//!   side and appended to incrementally as streaming sessions ingest new
-//!   users.
+//!   side and appended to as a standing corpus ingests disjoint cohorts
+//!   of new users.
 //! - [`IndexedScorer`] scores one anonymized user by probing only the
 //!   posting lists of that user's own attributes, accumulating per-pair
 //!   intersection counts and min-weight sums. Both Jaccard terms are then
@@ -132,8 +132,8 @@ impl<'a> PostingsRef<'a> {
         self.users.iter().zip(self.weights).map(|(&user, &weight)| Posting { user, weight })
     }
 
-    /// The suffix of postings with `user >= from` — what a streaming
-    /// session probes after a watermark.
+    /// The suffix of postings with `user >= from` — what an
+    /// [`IndexedScorer`] with watermark `from` probes.
     #[must_use]
     pub fn suffix(&self, from: u32) -> PostingsRef<'a> {
         let start = self.users.partition_point(|&u| u < from);
@@ -149,7 +149,7 @@ struct AttrPostings {
 }
 
 /// Posting storage: appendable per-attribute lists while building or
-/// streaming, or a flattened CSR over (possibly snapshot-borrowed)
+/// appending, or a flattened CSR over (possibly snapshot-borrowed)
 /// arenas once decoded. [`AttributeIndex::posting`] presents both as
 /// [`PostingsRef`]s, so readers never care which they got.
 #[derive(Debug, Clone)]
@@ -168,8 +168,8 @@ impl Default for PostingStore {
 /// population.
 ///
 /// Users are appended in increasing id order ([`Self::push_user`]), so
-/// every posting list stays sorted by user id and a streaming session can
-/// probe only the suffix of users ingested after a given watermark.
+/// every posting list stays sorted by user id, and an [`IndexedScorer`]
+/// can probe only the suffix of users appended after a given watermark.
 ///
 /// The per-user tables and posting arenas are **storage-generic**
 /// ([`ArenaView`]): a freshly built index owns its `Vec`s, while an
@@ -221,19 +221,19 @@ impl AttributeIndex {
         index
     }
 
-    /// Append every user of a UDA graph, in id order — the single place
-    /// encoding the presence convention (`post_counts[v] > 0`), shared by
-    /// one-shot builds and streaming sessions ingesting a chunk.
+    /// Append every user of a UDA graph, in id order, after the users
+    /// already indexed ([`Self::from_uda`] starts from an empty index).
     pub fn append_uda(&mut self, uda: &UdaGraph) {
         self.append_uda_suffix(uda, 0);
     }
 
     /// Append the users `from..` of a UDA graph, in id order — the
     /// incremental-ingest path of a corpus that already indexed the first
-    /// `from` users of the same (merged) graph (in which case `from`
-    /// equals [`Self::n_users`] and ids line up; a streaming session
-    /// instead appends whole chunk-local graphs via [`Self::append_uda`],
-    /// where ids are offset by the users already indexed).
+    /// `from` users of the same (merged) graph, so `from` equals
+    /// [`Self::n_users`] and ids line up. [`Self::append_uda`] appends a
+    /// whole graph instead, its ids offset by the users already indexed.
+    /// This is the single place encoding the presence convention
+    /// (`post_counts[v] > 0`).
     pub fn append_uda_suffix(&mut self, uda: &UdaGraph, from: usize) {
         for (v, attrs) in uda.attributes.iter().enumerate().skip(from) {
             self.push_user(attrs, uda.post_counts[v] > 0);
@@ -360,9 +360,8 @@ impl AttributeIndex {
         }
     }
 
-    /// Ids of present users `>= from`, ascending — the population a
-    /// streaming session scores after ingesting users up to watermark
-    /// `from`.
+    /// Ids of present users `>= from`, ascending — the population an
+    /// [`IndexedScorer`] with watermark `from` scores.
     #[must_use]
     pub fn present_from(&self, from: usize) -> &[u32] {
         let from = u32::try_from(from).expect("watermark overflows u32");
@@ -861,10 +860,11 @@ impl AuxHotAttrs {
 /// [`AttributeIndex`] instead of the all-pairs sweep.
 ///
 /// `from` anchors the engine's auxiliary id space inside the index: the
-/// engine's local auxiliary user `v` is index user `from + v`. A one-shot
-/// attack uses `from = 0` with an index over the whole auxiliary side; a
-/// streaming session passes the pre-ingest watermark so only the freshly
-/// appended posting suffixes are probed.
+/// engine's local auxiliary user `v` is index user `from + v`. An attack
+/// uses `from = 0` with an index over the whole auxiliary side (the
+/// engine always does, through [`Self::with_hot_attrs`]); scoring only
+/// the users appended after a watermark passes that watermark, so only
+/// the posting suffixes past it are probed.
 #[derive(Debug)]
 pub struct IndexedScorer<'e, 'i> {
     sim: &'e SimilarityEngine<'e>,

@@ -44,17 +44,17 @@
 //! checksums) and 3 (quantized sections) are retired: their headers fail
 //! with [`SnapshotError::UnsupportedVersion`].
 //!
-//! Payloads are themselves little-endian primitive streams written by
-//! [`SectionBuf`] and read back by [`SectionReader`]: `u8`, `u32`, `u64`,
+//! Payloads are themselves little-endian primitive streams written through
+//! [`SectionWrite`] and read back by [`SectionReader`]: `u8`, `u32`, `u64`,
 //! `f64` (IEEE-754 bit pattern, exact round-trip), length-prefixed
-//! byte strings (`u32` length + bytes), and 8-byte-aligned scalar arrays ([`SectionBuf::align8`] /
-//! [`SectionReader::align8`], zero padding validated on read). Higher
-//! layers define the payload schema per tag — this crate ships the
-//! [`Forum`] codec ([`encode_forum`] / [`decode_forum`]); `dehealth-core`
-//! adds codecs for the derived structures (feature vectors, the attribute
-//! index, the refined-DA arenas), and `dehealth-service` assembles them
-//! into whole corpus snapshots. ARCHITECTURE.md documents the full
-//! section set.
+//! byte strings (`u32` length + bytes), and 8-byte-aligned scalar arrays
+//! ([`SectionWrite::align8`] / [`SectionReader::align8`], zero padding
+//! validated on read). Higher layers define the payload schema per tag —
+//! this crate ships the [`Forum`] codec ([`encode_forum`] /
+//! [`decode_forum`]); `dehealth-core` adds codecs for the derived
+//! structures (feature vectors, the attribute index, the refined-DA
+//! arenas), and `dehealth-service` assembles them into whole corpus
+//! snapshots. ARCHITECTURE.md documents the full section set.
 //!
 //! ## Robustness contract
 //!
@@ -268,7 +268,11 @@ pub trait SectionWrite {
     }
 
     /// Pad with zero bytes until the payload offset is a multiple of
-    /// [`ALIGN`] — the idiom before emitting a scalar arena.
+    /// [`ALIGN`] — the idiom before emitting a scalar arena, mirrored
+    /// by [`SectionReader::align8`] on the way back in. Because
+    /// payloads start 8-aligned in the file, this makes the arena's file
+    /// offset (and hence, under an aligned backing, its address) 8-byte
+    /// aligned.
     fn align8(&mut self) {
         while !self.len().is_multiple_of(ALIGN) {
             self.put_u8(0);
@@ -313,7 +317,8 @@ impl SectionWrite for SectionBuf {
     }
 }
 
-/// A growable little-endian payload buffer for one section.
+/// A growable little-endian payload buffer for one section; its
+/// primitives are the [`SectionWrite`] methods.
 #[derive(Debug, Default)]
 pub struct SectionBuf {
     bytes: Vec<u8>,
@@ -324,95 +329,6 @@ impl SectionBuf {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.bytes.push(v);
-    }
-
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `usize` as `u64`.
-    ///
-    /// # Panics
-    /// Panics if `v` exceeds `u64::MAX` (impossible on supported targets).
-    pub fn put_len(&mut self, v: usize) {
-        self.put_u64(u64::try_from(v).expect("length overflows u64"));
-    }
-
-    /// Append an `f64` as its raw IEEE-754 bit pattern (exact round-trip,
-    /// including `-0.0` and NaN payloads).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Append a length-prefixed byte string (`u32` length + bytes).
-    ///
-    /// # Panics
-    /// Panics if `s` is longer than `u32::MAX` bytes.
-    pub fn put_bytes(&mut self, s: &[u8]) {
-        self.put_u32(u32::try_from(s.len()).expect("byte string longer than u32::MAX"));
-        self.bytes.extend_from_slice(s);
-    }
-
-    /// Pad with zero bytes until the payload offset is a multiple of
-    /// [`ALIGN`] — the idiom before emitting a scalar arena, mirrored
-    /// by [`SectionReader::align8`] on the way back in. Because
-    /// payloads start 8-aligned in the file, this makes the arena's file
-    /// offset (and hence, under an aligned backing, its address) 8-byte
-    /// aligned.
-    pub fn align8(&mut self) {
-        while !self.bytes.len().is_multiple_of(ALIGN) {
-            self.bytes.push(0);
-        }
-    }
-
-    /// Append a `u32` arena: [`Self::align8`], then each value
-    /// little-endian, back to back.
-    pub fn put_u32_arena(&mut self, values: &[u32]) {
-        self.align8();
-        for &v in values {
-            self.put_u32(v);
-        }
-    }
-
-    /// Append a `u64` arena: [`Self::align8`], then each value
-    /// little-endian, back to back.
-    pub fn put_u64_arena(&mut self, values: &[u64]) {
-        self.align8();
-        for &v in values {
-            self.put_u64(v);
-        }
-    }
-
-    /// Append an `f64` arena: [`Self::align8`], then each value as its
-    /// raw IEEE-754 bit pattern, back to back.
-    pub fn put_f64_arena(&mut self, values: &[f64]) {
-        self.align8();
-        for &v in values {
-            self.put_f64(v);
-        }
-    }
-
-    /// Payload length so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// `true` if nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Take the encoded payload out of the buffer — for embedding the
@@ -430,7 +346,7 @@ impl SectionBuf {
 /// sections.
 ///
 /// ```
-/// use dehealth_corpus::snapshot::{SectionTag, SnapshotReader, SnapshotWriter};
+/// use dehealth_corpus::snapshot::{SectionTag, SectionWrite, SnapshotReader, SnapshotWriter};
 ///
 /// let mut w = SnapshotWriter::new();
 /// let s = w.section(SectionTag(*b"DEMO"));
@@ -809,7 +725,7 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// Cursor over one section's payload, mirroring [`SectionBuf`]'s
+/// Cursor over one section's payload, mirroring the [`SectionWrite`]
 /// primitives. Every `take_*` checks bounds and returns
 /// [`SnapshotError::Truncated`] instead of panicking.
 #[derive(Debug)]
@@ -874,7 +790,7 @@ impl<'a> SectionReader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Read a length written by [`SectionBuf::put_len`], bounded by
+    /// Read a length written by [`SectionWrite::put_len`], bounded by
     /// `limit` (a consistency cap derived from the remaining payload, so
     /// a corrupted length cannot trigger an absurd allocation).
     ///
@@ -906,7 +822,7 @@ impl<'a> SectionReader<'a> {
         self.take(n, "byte string")
     }
 
-    /// Skip the zero padding [`SectionBuf::align8`] wrote, validating it.
+    /// Skip the zero padding [`SectionWrite::align8`] wrote, validating it.
     /// Afterwards the cursor's payload offset is a multiple of [`ALIGN`]
     /// — and, under an 8-byte-aligned backing, so is
     /// the absolute address of whatever follows.

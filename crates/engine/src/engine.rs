@@ -1,6 +1,7 @@
-//! The sharded execution engine: blockwise Top-K DA, parallel Refined DA,
-//! incremental auxiliary ingestion, and attacks against pre-built
-//! (snapshot-loaded) auxiliary corpora.
+//! The sharded execution engine: blockwise Top-K DA and parallel Refined
+//! DA against a prepared auxiliary side, either built for one attack
+//! ([`Engine::run`]) or standing (snapshot-loaded) and shared by many
+//! ([`Engine::run_prepared`]).
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -11,7 +12,7 @@ use dehealth_core::attack::AttackConfig;
 use dehealth_core::filter::{filter_user, threshold_vector, Filtered, ScoreBounds};
 use dehealth_core::index::{AttributeIndex, AuxHotAttrs, IndexedScorer, PairTally};
 use dehealth_core::refined::{
-    refine_user, refine_user_shared, RefinedConfig, RefinedContext, RefinedScratch, Side,
+    refine_user_shared, RefinedConfig, RefinedContext, RefinedScratch, Side,
 };
 use dehealth_core::similarity::{AuxStructure, SimilarityEngine};
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
@@ -21,40 +22,6 @@ use dehealth_stylometry::FeatureVector;
 
 use crate::pool::{run_blocks, workers};
 use crate::report::{timed, EngineReport};
-
-/// How the Top-K stage scores `(anonymized, auxiliary)` pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoringMode {
-    /// Inverted-index sparse scoring ([`IndexedScorer`]): probe posting
-    /// lists of the anonymized user's attributes, compute the attribute
-    /// term from intersection accumulators, and prune pairs whose upper
-    /// bound cannot beat the Top-K floor (pruning auto-disables when
-    /// Algorithm-2 filtering needs exact global score bounds). Produces
-    /// candidate sets and mappings bit-identical to [`ScoringMode::Dense`].
-    #[default]
-    Indexed,
-    /// The all-pairs sweep of `SimilarityEngine::scores_for` — the test
-    /// oracle the indexed path is differential-tested against
-    /// (`tests/index_parity.rs`).
-    Dense,
-}
-
-/// How the Refined-DA stage materializes classifier features.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefinedMode {
-    /// Materialize-once fast path ([`RefinedContext`]): every post's dense
-    /// sample lives in a per-side arena built once in
-    /// [`EngineSession::finish`] and shared read-only across workers;
-    /// per-user training assembles row-index views and fuses scaling into
-    /// one gather pass over per-worker scratch. Produces mappings
-    /// bit-identical to [`RefinedMode::PerUser`].
-    #[default]
-    Shared,
-    /// The per-user-from-scratch `refine_user` loop — the differential
-    /// oracle the shared path is tested against
-    /// (`tests/refined_parity.rs`), mirroring [`ScoringMode::Dense`].
-    PerUser,
-}
 
 /// Execution-engine configuration: the attack parameters plus the
 /// parallel-execution knobs.
@@ -70,10 +37,6 @@ pub struct EngineConfig {
     pub n_threads: usize,
     /// Anonymized users per work block (the unit of work stealing).
     pub block_size: usize,
-    /// Pair-scoring path for the Top-K stage.
-    pub scoring: ScoringMode,
-    /// Feature-materialization path for the Refined-DA stage.
-    pub refined: RefinedMode,
     /// Global cap on the Top-K candidates carried into filtering and the
     /// Refined-DA stage; `None` (the default) keeps every candidate.
     ///
@@ -96,8 +59,6 @@ impl Default for EngineConfig {
             attack: AttackConfig::default(),
             n_threads: 0,
             block_size: 64,
-            scoring: ScoringMode::default(),
-            refined: RefinedMode::default(),
             candidate_budget: None,
         }
     }
@@ -154,13 +115,25 @@ impl Engine {
         &self.config
     }
 
-    /// One-shot attack: equivalent to a session ingesting `auxiliary` in a
-    /// single chunk and finishing.
+    /// One-shot attack: prepare the auxiliary side (its per-post features
+    /// and UDA graph, timed into the `prepare` stage) and attack it through
+    /// [`Engine::run_prepared`], with an attribute index built for this
+    /// call and a fresh [`AuxiliaryCache`].
     #[must_use]
     pub fn run(&self, auxiliary: &Forum, anonymized: &Forum) -> EngineOutcome {
-        let mut session = self.session(anonymized);
-        session.add_auxiliary_users(auxiliary);
-        session.finish()
+        let ((features, uda), secs) = prepare(auxiliary);
+        let cache = AuxiliaryCache::default();
+        let aux = PreparedAuxiliary {
+            forum: auxiliary,
+            features: &features,
+            uda: &uda,
+            index: None,
+            context: None,
+            cache: &cache,
+        };
+        let mut outcome = self.run_prepared(&aux, anonymized);
+        outcome.report.record("prepare", "posts", auxiliary.posts.len() as u64, secs);
+        outcome
     }
 
     /// Attack `anonymized` against a **pre-built** auxiliary corpus —
@@ -168,9 +141,8 @@ impl Engine {
     /// where the auxiliary side is a standing asset (typically reloaded
     /// from a snapshot) and only the anonymized batch changes per call.
     ///
-    /// Skips every piece of auxiliary preparation the one-shot
-    /// [`Engine::run`] would redo: feature extraction and the UDA graph
-    /// always, the [`AttributeIndex`] and the refined-DA
+    /// Skips every piece of auxiliary preparation: feature extraction and
+    /// the UDA graph always, the [`AttributeIndex`] and the refined-DA
     /// [`RefinedContext`] when `aux` carries them (the context is used
     /// only if it matches the configured classifier's representation —
     /// sparse for KNN, dense otherwise — and is rebuilt from the
@@ -178,11 +150,12 @@ impl Engine {
     /// and the auxiliary [`AuxStructure`] and [`AuxHotAttrs`] once
     /// `aux.cache` holds them (see [`AuxiliaryCache`]). The `structure`
     /// stage of the report times the similarity-engine and scorer
-    /// construction; its items are the auxiliary users whose structure
-    /// this call built, 0 on a cache hit.
-    /// Candidate sets and mappings are bit-identical to [`Engine::run`]
-    /// on the same forums, and therefore to the serial `DeHealth::run`
-    /// (`tests/service_parity.rs`).
+    /// construction (with the index build when `aux` carries none); its
+    /// items are the auxiliary users whose structure this call built, 0
+    /// on a cache hit.
+    /// Candidate sets, their score bits and mappings are bit-identical to
+    /// the serial `DeHealth::run` on the same forums (`tests/engine_parity.rs`,
+    /// `tests/index_parity.rs`, `tests/service_parity.rs`).
     ///
     /// # Panics
     /// Panics if `aux` is internally inconsistent (feature/post count
@@ -205,186 +178,26 @@ impl Engine {
         let cfg = &self.config.attack;
         let mut report =
             EngineReport::new(self.config.workers(anonymized.n_users), self.config.block_size);
-        let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
+        let ((anon_feats, anon_uda), secs) = prepare(anonymized);
+        report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
 
         let structure_start = Instant::now();
-        let index = aux.scoring_index(self.config.scoring);
-        let index = index.as_deref();
+        let index = aux.scoring_index();
         let (aux_st, built) = aux.cache.structure(aux.uda, cfg.n_landmarks);
         let sim = SimilarityEngine::with_aux_structure(&anon_uda, aux.uda, cfg.weights, aux_st);
         // Pruning would hide the global score minimum from `bounds`,
         // which Algorithm-2 filtering thresholds against.
         let prune = cfg.filtering.is_none();
-        let scorer = index.map(|index| {
-            IndexedScorer::with_hot_attrs(&sim, index, aux.cache.hot_attrs(index), prune)
-        });
+        let scorer =
+            IndexedScorer::with_hot_attrs(&sim, &index, aux.cache.hot_attrs(&index), prune);
         report.record("structure", "users", built, structure_start.elapsed().as_secs_f64());
         let mut heaps = vec![BoundedTopK::new(cfg.top_k); anonymized.n_users];
         let mut bounds = ScoreBounds::new();
-        topk_pass(&self.config, &sim, scorer.as_ref(), 0, &mut heaps, &mut bounds, &mut report);
+        topk_pass(&self.config, &scorer, &mut heaps, &mut bounds, &mut report);
 
         let anon_side = Side { forum: anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
         complete_attack(&self.config, &anon_side, &aux_side, heaps, bounds, aux.context, report)
-    }
-
-    /// Start an incremental session against `anonymized`: auxiliary data
-    /// can then be ingested chunk by chunk with
-    /// [`EngineSession::add_auxiliary_users`].
-    #[must_use]
-    pub fn session<'a>(&self, anonymized: &'a Forum) -> EngineSession<'a> {
-        let mut report =
-            EngineReport::new(self.config.workers(anonymized.n_users), self.config.block_size);
-        let (anon_feats, anon_uda) = prepare(anonymized, &mut report);
-        let heaps = vec![BoundedTopK::new(self.config.attack.top_k); anonymized.n_users];
-        let index = match self.config.scoring {
-            ScoringMode::Indexed => Some(AttributeIndex::new()),
-            ScoringMode::Dense => None,
-        };
-        EngineSession {
-            config: self.config.clone(),
-            anon_forum: anonymized,
-            anon_feats,
-            anon_uda,
-            aux_forum: Forum::from_posts(0, 0, Vec::new()),
-            aux_feats: Vec::new(),
-            aux_uda: UdaGraph::default(),
-            heaps,
-            index,
-            bounds: ScoreBounds::new(),
-            report,
-        }
-    }
-}
-
-/// An in-progress attack accumulating auxiliary data.
-///
-/// Each ingested chunk brings *new* auxiliary users (chunk-local ids are
-/// offset into a global id space; chunk threads are disjoint from earlier
-/// chunks — the streaming-auxiliary-data scenario). Only the
-/// `|V1| × |chunk|` pair block is scored per ingest; previously scored
-/// pairs are never revisited, their surviving scores live in the per-user
-/// bounded Top-K heaps. The session also keeps the merged auxiliary side
-/// for the refined stage: each chunk's forum rows, features and UDA graph
-/// are appended as it arrives, so [`EngineSession::finish`] rebuilds
-/// nothing.
-///
-/// Structural caveat: each chunk's degree/distance similarities are
-/// computed against the chunk's own correlation graph and landmarks, so
-/// with non-zero `c1`/`c2` weights a multi-chunk session approximates a
-/// batch run (exact for attribute-only weights `c1 = c2 = 0`, and exact
-/// for any weights when the session has a single chunk).
-#[derive(Debug)]
-pub struct EngineSession<'a> {
-    config: EngineConfig,
-    anon_forum: &'a Forum,
-    anon_feats: Vec<FeatureVector>,
-    anon_uda: UdaGraph,
-    /// The merged auxiliary forum, authors/threads in global id space.
-    aux_forum: Forum,
-    /// Per-post features, parallel to `aux_forum.posts` (extraction is a
-    /// pure per-post function, so chunk-time features are reused at
-    /// finish).
-    aux_feats: Vec<FeatureVector>,
-    /// The merged auxiliary UDA graph: each chunk's own graph, appended
-    /// (chunks are disjoint cohorts with their own threads, so this is
-    /// the graph of the merged forum).
-    aux_uda: UdaGraph,
-    heaps: Vec<BoundedTopK>,
-    /// Session-global inverted index over all ingested auxiliary users
-    /// (`Some` iff [`ScoringMode::Indexed`]); each ingest appends the
-    /// chunk's postings and probes only the new suffix.
-    index: Option<AttributeIndex>,
-    bounds: ScoreBounds,
-    report: EngineReport,
-}
-
-impl EngineSession<'_> {
-    /// Number of auxiliary users ingested so far.
-    #[must_use]
-    pub fn n_auxiliary_users(&self) -> usize {
-        self.aux_forum.n_users
-    }
-
-    /// The execution report so far.
-    #[must_use]
-    pub fn report(&self) -> &EngineReport {
-        &self.report
-    }
-
-    /// Ingest a chunk of new auxiliary users and update every anonymized
-    /// user's candidate heap with the `|V1| × |chunk|` pair block, sharded
-    /// across the worker pool. Chunk-local user/thread ids are offset by
-    /// the totals ingested so far.
-    ///
-    /// With [`ScoringMode::Indexed`] the chunk's postings are appended to
-    /// the session's inverted index first, and workers probe only the new
-    /// posting suffixes; pairs whose upper bound cannot beat a user's
-    /// running Top-K floor are pruned (counted as `skipped` on the `topk`
-    /// stage) unless Algorithm-2 filtering requires exact score bounds.
-    pub fn add_auxiliary_users(&mut self, chunk: &Forum) {
-        let user_offset = self.aux_forum.n_users;
-
-        let (chunk_feats, prep_secs) = timed(|| extract_post_features(chunk));
-        let chunk_uda = UdaGraph::build_with_features(chunk, &chunk_feats);
-        self.report.record("prepare", "posts", chunk.posts.len() as u64, prep_secs);
-
-        if let Some(index) = &mut self.index {
-            index.append_uda(&chunk_uda);
-        }
-        // The chunk's structure is the session's own: each chunk brings
-        // its own graph and landmarks, so nothing is cached.
-        let structure_start = Instant::now();
-        let cfg = &self.config.attack;
-        let sim = SimilarityEngine::new(&self.anon_uda, &chunk_uda, cfg.weights, cfg.n_landmarks);
-        // Pruning would hide the global score minimum from `bounds`,
-        // which Algorithm-2 filtering thresholds against.
-        let prune = cfg.filtering.is_none();
-        let scorer =
-            self.index.as_ref().map(|index| IndexedScorer::new(&sim, index, user_offset, prune));
-        self.report.record(
-            "structure",
-            "users",
-            chunk.n_users as u64,
-            structure_start.elapsed().as_secs_f64(),
-        );
-        topk_pass(
-            &self.config,
-            &sim,
-            scorer.as_ref(),
-            user_offset,
-            &mut self.heaps,
-            &mut self.bounds,
-            &mut self.report,
-        );
-
-        self.aux_forum.append(chunk.clone());
-        self.aux_feats.extend(chunk_feats);
-        self.aux_uda.append(chunk_uda);
-    }
-
-    /// Run candidate filtering (if configured) and the parallel Refined-DA
-    /// stage over the accumulated candidates and the merged auxiliary
-    /// side, producing the final outcome.
-    #[must_use]
-    pub fn finish(self) -> EngineOutcome {
-        let EngineSession {
-            config,
-            anon_forum,
-            anon_feats,
-            anon_uda,
-            aux_forum,
-            aux_feats,
-            aux_uda,
-            heaps,
-            index: _,
-            bounds,
-            report,
-        } = self;
-
-        let anon_side = Side { forum: anon_forum, uda: &anon_uda, post_features: &anon_feats };
-        let aux_side = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
-        complete_attack(&config, &anon_side, &aux_side, heaps, bounds, None, report)
     }
 }
 
@@ -411,8 +224,7 @@ pub struct PreparedAuxiliary<'a> {
     /// The forum's UDA graph.
     pub uda: &'a UdaGraph,
     /// Pre-built attribute index covering exactly `forum`'s users (built
-    /// on the fly when `None` and [`ScoringMode::Indexed`] is configured).
-    /// May be owned or snapshot-borrowed.
+    /// on the fly when `None`). May be owned or snapshot-borrowed.
     pub index: Option<&'a AttributeIndex>,
     /// Pre-built refined-DA context of the auxiliary side (rebuilt from
     /// `features` when `None`, or when its representation does not match
@@ -425,16 +237,10 @@ pub struct PreparedAuxiliary<'a> {
 }
 
 impl<'a> PreparedAuxiliary<'a> {
-    /// The index one [`Engine::run_prepared`] call scores through under
-    /// `scoring`: `index`, or one built over `uda` for this call.
-    fn scoring_index(&self, scoring: ScoringMode) -> Option<Cow<'a, AttributeIndex>> {
-        match scoring {
-            ScoringMode::Indexed => Some(
-                self.index
-                    .map_or_else(|| Cow::Owned(AttributeIndex::from_uda(self.uda)), Cow::Borrowed),
-            ),
-            ScoringMode::Dense => None,
-        }
+    /// The index one [`Engine::run_prepared`] call scores through:
+    /// `index`, or one built over `uda` for this call.
+    fn scoring_index(&self) -> Cow<'a, AttributeIndex> {
+        self.index.map_or_else(|| Cow::Owned(AttributeIndex::from_uda(self.uda)), Cow::Borrowed)
     }
 }
 
@@ -504,31 +310,22 @@ impl AuxiliaryCache {
     }
 }
 
-/// Prepare the anonymized side, the first stage of [`Engine::run_prepared`]
-/// and [`Engine::session`]: extract its per-post features and build its
-/// UDA graph, timed as the `prepare` stage.
-fn prepare(anonymized: &Forum, report: &mut EngineReport) -> (Vec<FeatureVector>, UdaGraph) {
-    let (prepared, secs) = timed(|| {
-        let feats = extract_post_features(anonymized);
-        let uda = UdaGraph::build_with_features(anonymized, &feats);
+/// Prepare one side of an attack, the `prepare` stage: extract its
+/// per-post features and build its UDA graph, with the seconds it took.
+fn prepare(forum: &Forum) -> ((Vec<FeatureVector>, UdaGraph), f64) {
+    timed(|| {
+        let feats = extract_post_features(forum);
+        let uda = UdaGraph::build_with_features(forum, &feats);
         (feats, uda)
-    });
-    report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
-    prepared
+    })
 }
 
-/// One Top-K scoring pass of `sim`'s full anonymized population against
-/// its auxiliary side, sharded over the worker pool — the shared core of
-/// [`EngineSession::add_auxiliary_users`] (where `from` is the session's
-/// pre-ingest watermark) and [`Engine::run_prepared`] (where `from` is
-/// 0). With a `scorer` the pass probes posting suffixes (and prunes
-/// against each heap's floor when the scorer does); without one it runs
-/// the dense sweep.
+/// The Top-K stage: score every anonymized user against the auxiliary
+/// side through `scorer`, sharded over the worker pool, pruning against
+/// each heap's floor when the scorer does.
 fn topk_pass(
     config: &EngineConfig,
-    sim: &SimilarityEngine<'_>,
-    scorer: Option<&IndexedScorer<'_, '_>>,
-    from: usize,
+    scorer: &IndexedScorer<'_, '_>,
     heaps: &mut [BoundedTopK],
     bounds: &mut ScoreBounds,
     report: &mut EngineReport,
@@ -538,20 +335,10 @@ fn topk_pass(
             heaps,
             config.block_size,
             config.effective_threads(),
-            || (ScoreBounds::new(), PairTally::default(), scorer.map(IndexedScorer::scratch)),
+            || (ScoreBounds::new(), PairTally::default(), scorer.scratch()),
             |offset, block, (local_bounds, tally, scratch)| {
                 for (i, heap) in block.iter_mut().enumerate() {
-                    let u = offset + i;
-                    if let (Some(scorer), Some(scratch)) = (scorer, scratch.as_mut()) {
-                        *tally += scorer.score_user(u, scratch, heap, local_bounds);
-                    } else {
-                        for (v, s) in sim.scores_for(u) {
-                            heap.insert(from + v, s);
-                            local_bounds.observe(s);
-                            tally.merged += 1;
-                            tally.scored += 1;
-                        }
-                    }
+                    *tally += scorer.score_user(offset + i, scratch, heap, local_bounds);
                 }
             },
         );
@@ -610,15 +397,14 @@ fn apply_candidate_budget(
     report.record_skipped("budget", "candidates", trimmed);
 }
 
-/// The post-scoring pipeline shared by [`EngineSession::finish`] and
-/// [`Engine::run_prepared`]: extract candidate sets from the heaps, run
-/// Algorithm-2 filtering (if configured), and fan the Refined-DA stage
-/// out over the worker pool.
+/// The stages after Top-K: extract candidate sets from the heaps, apply
+/// the candidate budget and Algorithm-2 filtering (if configured), and
+/// fan the Refined-DA stage out over the worker pool.
 ///
-/// `aux_context` short-circuits the auxiliary-side context build of
-/// [`RefinedMode::Shared`] when a matching pre-built context is at hand
-/// (the snapshot-serving path); a context for the wrong classifier
-/// representation is ignored and rebuilt from `aux_side`'s features.
+/// `aux_context` short-circuits the auxiliary-side context build when a
+/// matching pre-built context is at hand (the snapshot-serving path); a
+/// context for the wrong classifier representation is ignored and
+/// rebuilt from `aux_side`'s features.
 fn complete_attack(
     config: &EngineConfig,
     anon_side: &Side<'_>,
@@ -663,14 +449,12 @@ fn complete_attack(
     // Refined DA, fanned out per anonymized user. Each worker carries a
     // scratch similarity row (dense in the aux id space, but transient
     // and per-worker) holding only the user's candidate scores — the
-    // verification schemes read nothing else. With [`RefinedMode::Shared`]
-    // the per-side feature arenas are materialized once here and shared
-    // read-only across workers, whose [`RefinedScratch`] buffers amortize
-    // all per-user allocations; [`RefinedMode::PerUser`] runs the
-    // from-scratch oracle instead. The context build is billed to the
-    // refined stage — it is part of what the fast path trades the
-    // per-user densification for (and what a pre-built `aux_context`
-    // saves).
+    // verification schemes read nothing else. The per-side feature arenas
+    // are materialized once here and shared read-only across workers,
+    // whose [`RefinedScratch`] buffers amortize all per-user allocations.
+    // The context build is billed to the refined stage — it is part of
+    // what the shared path trades the per-user densification of
+    // `refine_user` for (and what a pre-built `aux_context` saves).
     let refined_cfg = RefinedConfig {
         classifier: cfg.classifier,
         verification: cfg.verification,
@@ -678,16 +462,11 @@ fn complete_attack(
     };
     let mut mapping: Vec<Option<usize>> = vec![None; n_anon];
     let ((), refined_secs) = timed(|| {
-        let contexts: Option<(RefinedContext, Cow<'_, RefinedContext>)> = match config.refined {
-            RefinedMode::Shared => {
-                let aux_ctx = match aux_context {
-                    Some(ctx) if ctx.matches_classifier(cfg.classifier) => Cow::Borrowed(ctx),
-                    _ => Cow::Owned(RefinedContext::build(aux_side, cfg.classifier)),
-                };
-                Some((RefinedContext::build(anon_side, cfg.classifier), aux_ctx))
-            }
-            RefinedMode::PerUser => None,
+        let aux_ctx = match aux_context {
+            Some(ctx) if ctx.matches_classifier(cfg.classifier) => Cow::Borrowed(ctx),
+            _ => Cow::Owned(RefinedContext::build(aux_side, cfg.classifier)),
         };
+        let anon_ctx = RefinedContext::build(anon_side, cfg.classifier);
         run_blocks(
             &mut mapping,
             config.block_size,
@@ -699,27 +478,17 @@ fn complete_attack(
                     for &(v, s) in &candidate_scores[u] {
                         scratch_row[v] = s;
                     }
-                    *slot = match &contexts {
-                        Some((anon_ctx, aux_ctx)) => refine_user_shared(
-                            u,
-                            &candidates[u],
-                            anon_side,
-                            aux_side,
-                            anon_ctx,
-                            aux_ctx,
-                            scratch_row,
-                            &refined_cfg,
-                            scratch,
-                        ),
-                        None => refine_user(
-                            u,
-                            &candidates[u],
-                            anon_side,
-                            aux_side,
-                            scratch_row,
-                            &refined_cfg,
-                        ),
-                    };
+                    *slot = refine_user_shared(
+                        u,
+                        &candidates[u],
+                        anon_side,
+                        aux_side,
+                        &anon_ctx,
+                        &aux_ctx,
+                        scratch_row,
+                        &refined_cfg,
+                        scratch,
+                    );
                     for &(v, _) in &candidate_scores[u] {
                         scratch_row[v] = f64::NEG_INFINITY;
                     }
@@ -752,7 +521,7 @@ pub struct EngineOutcome {
 mod tests {
     use super::*;
     use dehealth_core::{AttackConfig, DeHealth};
-    use dehealth_corpus::{closed_world_split, ForumConfig, Post, SplitConfig};
+    use dehealth_corpus::{closed_world_split, ForumConfig, SplitConfig};
 
     fn tiny_split() -> dehealth_corpus::Split {
         let forum = Forum::generate(&ForumConfig::tiny(), 42);
@@ -765,26 +534,21 @@ mod tests {
 
     #[test]
     fn engine_matches_serial_attack() {
-        // Both scoring modes (indexed is the default, dense the oracle)
-        // must be bit-identical to the serial attack.
         let split = tiny_split();
         let serial = DeHealth::new(attack_cfg()).run(&split.auxiliary, &split.anonymized);
-        for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
-            let engine = Engine::new(EngineConfig {
-                attack: attack_cfg(),
-                n_threads: 3,
-                block_size: 8,
-                scoring,
-                ..EngineConfig::default()
-            });
-            let out = engine.run(&split.auxiliary, &split.anonymized);
-            assert_eq!(out.candidates, serial.candidates, "{scoring:?}");
-            assert_eq!(out.mapping, serial.mapping, "{scoring:?}");
-            // Candidate scores are bit-identical to the matrix entries.
-            for (u, entries) in out.candidate_scores.iter().enumerate() {
-                for &(v, s) in entries {
-                    assert_eq!(s.to_bits(), serial.similarity[u][v].to_bits());
-                }
+        let engine = Engine::new(EngineConfig {
+            attack: attack_cfg(),
+            n_threads: 3,
+            block_size: 8,
+            ..EngineConfig::default()
+        });
+        let out = engine.run(&split.auxiliary, &split.anonymized);
+        assert_eq!(out.candidates, serial.candidates);
+        assert_eq!(out.mapping, serial.mapping);
+        // Candidate scores are bit-identical to the matrix entries.
+        for (u, entries) in out.candidate_scores.iter().enumerate() {
+            for &(v, s) in entries {
+                assert_eq!(s.to_bits(), serial.similarity[u][v].to_bits());
             }
         }
     }
@@ -808,7 +572,6 @@ mod tests {
             n_threads: 2,
             block_size: 8,
             candidate_budget: Some(total),
-            ..EngineConfig::default()
         })
         .run(&split.auxiliary, &split.anonymized);
         assert_eq!(loose.candidates, base.candidates);
@@ -824,7 +587,6 @@ mod tests {
             n_threads: 2,
             block_size: 8,
             candidate_budget: Some(budget),
-            ..EngineConfig::default()
         })
         .run(&split.auxiliary, &split.anonymized);
         let kept: usize = tight.candidate_scores.iter().map(Vec::len).sum();
@@ -877,9 +639,14 @@ mod tests {
                 .count();
         // Scored + pruned covers the full pair workload.
         assert_eq!(pairs.items + pairs.skipped, (split.anonymized.n_users * present) as u64);
-        assert!(out.report.stage("prepare").is_some());
+        // `prepare` covers both sides' posts.
+        let prepare = out.report.stage("prepare").expect("prepare stage ran");
+        assert_eq!(
+            prepare.items,
+            (split.anonymized.posts.len() + split.auxiliary.posts.len()) as u64
+        );
         assert!(out.report.stage("refined").is_some());
-        // The session built the structure of every auxiliary user.
+        // A fresh cache builds the structure of every auxiliary user.
         let structure = out.report.stage("structure").expect("structure stage ran");
         assert_eq!(structure.items, split.auxiliary.n_users as u64);
         assert_eq!(out.report.n_threads, 2);
@@ -913,113 +680,43 @@ mod tests {
     }
 
     #[test]
-    fn dense_mode_scores_every_pair() {
-        let split = tiny_split();
-        let engine = Engine::new(EngineConfig {
-            attack: attack_cfg(),
-            n_threads: 2,
-            block_size: 4,
-            scoring: ScoringMode::Dense,
-            ..EngineConfig::default()
-        });
-        let out = engine.run(&split.auxiliary, &split.anonymized);
-        let pairs = out.report.stage("topk").expect("topk stage ran");
-        let present = split.auxiliary.n_users
-            - (0..split.auxiliary.n_users)
-                .filter(|&u| split.auxiliary.user_posts(u).is_empty())
-                .count();
-        assert_eq!(pairs.items, (split.anonymized.n_users * present) as u64);
-        assert_eq!(pairs.skipped, 0);
-    }
-
-    #[test]
-    fn incremental_ingest_matches_batch_for_attribute_weights() {
-        use dehealth_core::SimilarityWeights;
-        // Chunked ingestion treats chunks as thread-disjoint user cohorts,
-        // so the reference is a batch run on the concatenation of the
-        // chunks (the session's merged view). Attribute similarity depends
-        // only on the pair itself, so with attribute-only weights the
-        // incremental result must equal that batch run exactly.
-        let forum = Forum::generate(&ForumConfig::tiny(), 9);
-        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 3);
-        let attack = AttackConfig {
-            weights: SimilarityWeights { c1: 0.0, c2: 0.0, c3: 1.0 },
-            top_k: 4,
-            n_landmarks: 5,
-            ..AttackConfig::default()
-        };
-        let n = split.auxiliary.n_users;
-        let cut = n / 2;
-        let chunk_of = |lo: usize, hi: usize| {
-            let posts: Vec<Post> = split
-                .auxiliary
-                .posts
-                .iter()
-                .filter(|p| (lo..hi).contains(&p.author))
-                .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
-                .collect();
-            Forum::from_posts(hi - lo, split.auxiliary.n_threads, posts)
-        };
-        let chunks = [chunk_of(0, cut), chunk_of(cut, n)];
-        // The merged view the session builds: users and threads offset by
-        // the totals of the preceding chunks.
-        let mut merged_posts = Vec::new();
-        let (mut user_off, mut thread_off) = (0, 0);
-        for chunk in &chunks {
-            for p in &chunk.posts {
-                merged_posts.push(Post {
-                    author: p.author + user_off,
-                    thread: p.thread + thread_off,
-                    text: p.text.clone(),
-                });
-            }
-            user_off += chunk.n_users;
-            thread_off += chunk.n_threads;
-        }
-        let merged = Forum::from_posts(user_off, thread_off, merged_posts);
-
-        let serial = DeHealth::new(attack.clone()).run(&merged, &split.anonymized);
-        let engine = Engine::new(EngineConfig {
-            attack,
-            n_threads: 2,
-            block_size: 16,
-            ..EngineConfig::default()
-        });
-        let batch = engine.run(&merged, &split.anonymized);
-
-        let mut session = engine.session(&split.anonymized);
-        session.add_auxiliary_users(&chunks[0]);
-        assert_eq!(session.n_auxiliary_users(), cut);
-        session.add_auxiliary_users(&chunks[1]);
-        let incremental = session.finish();
-
-        assert_eq!(incremental.candidates, batch.candidates);
-        assert_eq!(incremental.mapping, batch.mapping);
-        assert_eq!(incremental.candidates, serial.candidates);
-        assert_eq!(incremental.mapping, serial.mapping);
-    }
-
-    #[test]
     fn shared_refined_matches_per_user_oracle() {
-        use dehealth_core::refined::Verification;
+        // The engine's shared refined path against the from-scratch
+        // `refine_user` oracle, run on the engine's own candidates and
+        // scores.
+        use dehealth_core::refined::{refine_user, Verification};
         let split = tiny_split();
+        let (anon, aux) = (&split.anonymized, &split.auxiliary);
+        let (anon_feats, aux_feats) = (extract_post_features(anon), extract_post_features(aux));
+        let anon_uda = UdaGraph::build_with_features(anon, &anon_feats);
+        let aux_uda = UdaGraph::build_with_features(aux, &aux_feats);
+        let anon_side = Side { forum: anon, uda: &anon_uda, post_features: &anon_feats };
+        let aux_side = Side { forum: aux, uda: &aux_uda, post_features: &aux_feats };
         for verification in
             [Verification::None, Verification::Mean { r: 0.1 }, Verification::Sigma { factor: 2.0 }]
         {
             let attack = AttackConfig { verification, ..attack_cfg() };
-            let mut outcomes = Vec::new();
-            for refined in [RefinedMode::Shared, RefinedMode::PerUser] {
-                let engine = Engine::new(EngineConfig {
-                    attack: attack.clone(),
-                    n_threads: 2,
-                    block_size: 8,
-                    refined,
-                    ..EngineConfig::default()
-                });
-                outcomes.push(engine.run(&split.auxiliary, &split.anonymized));
+            let refined_cfg =
+                RefinedConfig { classifier: attack.classifier, verification, seed: attack.seed };
+            let engine = Engine::new(EngineConfig {
+                attack,
+                n_threads: 2,
+                block_size: 8,
+                ..EngineConfig::default()
+            });
+            let out = engine.run(aux, anon);
+            let mut row = vec![f64::NEG_INFINITY; aux.n_users];
+            for u in 0..anon.n_users {
+                for &(v, s) in &out.candidate_scores[u] {
+                    row[v] = s;
+                }
+                let want =
+                    refine_user(u, &out.candidates[u], &anon_side, &aux_side, &row, &refined_cfg);
+                assert_eq!(out.mapping[u], want, "user {u}, {verification:?}");
+                for &(v, _) in &out.candidate_scores[u] {
+                    row[v] = f64::NEG_INFINITY;
+                }
             }
-            assert_eq!(outcomes[0].mapping, outcomes[1].mapping, "{verification:?}");
-            assert_eq!(outcomes[0].candidates, outcomes[1].candidates, "{verification:?}");
         }
     }
 
@@ -1102,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn run_prepared_honors_filtering_and_dense_mode() {
+    fn run_prepared_honors_filtering() {
         use dehealth_core::FilterConfig;
         let split = tiny_split();
         let attack = AttackConfig { filtering: Some(FilterConfig::default()), ..attack_cfg() };
@@ -1117,21 +814,18 @@ mod tests {
             context: None,
             cache: &AuxiliaryCache::default(),
         };
-        for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
-            let engine = Engine::new(EngineConfig {
-                attack: attack.clone(),
-                n_threads: 2,
-                block_size: 8,
-                scoring,
-                ..EngineConfig::default()
-            });
-            let baseline = engine.run(&split.auxiliary, &split.anonymized);
-            let out = engine.run_prepared(&prepared, &split.anonymized);
-            assert_eq!(out.candidates, baseline.candidates, "{scoring:?}");
-            assert_eq!(out.mapping, baseline.mapping, "{scoring:?}");
-            // Filtering needs exact global bounds: nothing may be pruned.
-            assert_eq!(out.report.stage("topk").unwrap().skipped, 0, "{scoring:?}");
-        }
+        let engine = Engine::new(EngineConfig {
+            attack: attack.clone(),
+            n_threads: 2,
+            block_size: 8,
+            ..EngineConfig::default()
+        });
+        let serial = DeHealth::new(attack).run(&split.auxiliary, &split.anonymized);
+        let out = engine.run_prepared(&prepared, &split.anonymized);
+        assert_eq!(out.candidates, serial.candidates);
+        assert_eq!(out.mapping, serial.mapping);
+        // Filtering needs exact global bounds: nothing may be pruned.
+        assert_eq!(out.report.stage("topk").unwrap().skipped, 0);
     }
 
     #[test]
@@ -1171,20 +865,17 @@ mod tests {
         let split = tiny_split();
         let attack = AttackConfig { filtering: Some(FilterConfig::default()), ..attack_cfg() };
         let serial = DeHealth::new(attack.clone()).run(&split.auxiliary, &split.anonymized);
-        for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
-            let engine = Engine::new(EngineConfig {
-                attack: attack.clone(),
-                n_threads: 2,
-                block_size: 8,
-                scoring,
-                ..EngineConfig::default()
-            });
-            let out = engine.run(&split.auxiliary, &split.anonymized);
-            assert_eq!(out.candidates, serial.candidates, "{scoring:?}");
-            assert_eq!(out.mapping, serial.mapping, "{scoring:?}");
-            // Filtering needs exact global score bounds, so the indexed
-            // path must have pruned nothing.
-            assert_eq!(out.report.stage("topk").unwrap().skipped, 0, "{scoring:?}");
-        }
+        let engine = Engine::new(EngineConfig {
+            attack,
+            n_threads: 2,
+            block_size: 8,
+            ..EngineConfig::default()
+        });
+        let out = engine.run(&split.auxiliary, &split.anonymized);
+        assert_eq!(out.candidates, serial.candidates);
+        assert_eq!(out.mapping, serial.mapping);
+        // Filtering needs exact global score bounds, so the indexed
+        // scorer must have pruned nothing.
+        assert_eq!(out.report.stage("topk").unwrap().skipped, 0);
     }
 }

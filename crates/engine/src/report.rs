@@ -1,8 +1,9 @@
 //! Per-stage wall-clock and throughput accounting.
 //!
 //! Every engine run produces an [`EngineReport`]: one [`StageStats`] entry
-//! per pipeline stage (repeated stages — e.g. the Top-K stage across
-//! several incremental ingests — accumulate into one entry). The daemon
+//! per pipeline stage (a stage recorded more than once accumulates into
+//! one entry — e.g. `prepare` in `Engine::run`, which prepares the
+//! anonymized side and then the auxiliary one). The daemon
 //! exports these counters to its metric registry
 //! ([`EngineReport::record_into`]), and `repro scale` writes them to
 //! `BENCH_scale.json`.
@@ -14,9 +15,10 @@ use dehealth_core::index::PairTally;
 /// Wall-clock and volume counters for one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageStats {
-    /// Stage name (`"prepare"`, `"topk"`, `"filter"`, `"refined"`).
+    /// Stage name (`"prepare"`, `"structure"`, `"topk"`, `"budget"`,
+    /// `"filter"`, `"refined"`).
     pub stage: &'static str,
-    /// What `items` counts (`"posts"`, `"pairs"`, `"users"`).
+    /// What `items` counts (`"posts"`, `"users"`, `"pairs"`, `"candidates"`).
     pub unit: &'static str,
     /// Accumulated wall-clock seconds.
     pub seconds: f64,

@@ -1,5 +1,5 @@
 //! The standing auxiliary corpus: built once, persisted as a snapshot,
-//! shared read-only by every attack session.
+//! shared read-only by every attack.
 //!
 //! A [`PreparedCorpus`] bundles everything [`Engine::run_prepared`] needs
 //! about the auxiliary side of the attack:
@@ -300,13 +300,13 @@ impl PreparedCorpus {
         }
     }
 
-    /// Ingest a chunk of **new** auxiliary users, mirroring
-    /// `EngineSession::add_auxiliary_users`'s streaming convention:
-    /// chunk-local user/thread ids are offset by the totals already in
-    /// the corpus (chunks are disjoint user cohorts with their own
-    /// threads). This is `PreparedCohort::new` (the chunk's features and
-    /// its own UDA graph) followed by an in-place append of the chunk's
-    /// rows; its cost grows with the chunk, not with the corpus.
+    /// Ingest a chunk of **new** auxiliary users: chunk-local user/thread
+    /// ids are offset by the totals already in the corpus (chunks are
+    /// disjoint user cohorts with their own threads), so the grown corpus
+    /// equals one built over the union numbered that way, and so does an
+    /// attack on it. This is `PreparedCohort::new` (the chunk's features
+    /// and its own UDA graph) followed by an in-place append of the
+    /// chunk's rows; its cost grows with the chunk, not with the corpus.
     pub fn append_users(&mut self, chunk: &Forum) {
         self.append_cohort(PreparedCohort::new(chunk.clone()));
     }

@@ -30,7 +30,7 @@
 //! ```
 
 use dehealth_corpus::snapshot::{
-    decode_forum, encode_forum, fnv1a, SectionBuf, SectionReader, SectionTag,
+    decode_forum, encode_forum, fnv1a, SectionBuf, SectionReader, SectionTag, SectionWrite,
 };
 use dehealth_corpus::Forum;
 

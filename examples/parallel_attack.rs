@@ -1,6 +1,7 @@
 //! Run the De-Health attack through the parallel sharded execution
-//! engine, including an incremental auxiliary ingest, and print the
-//! per-stage throughput report.
+//! engine, then grow a prepared auxiliary corpus by a second user cohort
+//! and check that attacking it equals the one-shot engine run on the
+//! union of the cohorts; print the per-stage throughput reports.
 //!
 //! ```text
 //! cargo run --release --example parallel_attack [n_users] [n_threads]
@@ -10,6 +11,7 @@ use de_health::core::AttackConfig;
 use de_health::corpus::split::{closed_world_split, SplitConfig};
 use de_health::corpus::{Forum, ForumConfig, Post};
 use de_health::engine::{Engine, EngineConfig};
+use de_health::service::PreparedCorpus;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -27,13 +29,7 @@ fn main() {
     );
 
     let attack = AttackConfig { top_k: 10, n_landmarks: 30, ..AttackConfig::default() };
-    // The defaults are the fast paths: ScoringMode::Indexed (inverted-index
-    // Top-K scoring with upper-bound pruning) and RefinedMode::Shared
-    // (materialize-once feature arenas + the sparse KNN kernel). The
-    // differential-test oracles remain one config flag away — pass
-    // `scoring: ScoringMode::Dense` to force the all-pairs sweep, or
-    // `refined: RefinedMode::PerUser` for the from-scratch refined loop;
-    // both produce bit-identical candidates and mappings.
+    let classifier = attack.classifier;
     let engine =
         Engine::new(EngineConfig { attack, n_threads, block_size: 32, ..EngineConfig::default() });
 
@@ -51,9 +47,10 @@ fn main() {
     );
     println!("\n{}", outcome.report);
 
-    // Streaming scenario: the auxiliary data arrives as two user cohorts.
+    // Streaming scenario: the auxiliary data arrives as two user cohorts,
+    // each numbered from 0 over its own copy of the thread space.
     let cut = split.auxiliary.n_users / 2;
-    let chunk = |lo: usize, hi: usize| {
+    let cohort = |lo: usize, hi: usize| {
         let posts: Vec<Post> = split
             .auxiliary
             .posts
@@ -63,17 +60,36 @@ fn main() {
             .collect();
         Forum::from_posts(hi - lo, split.auxiliary.n_threads, posts)
     };
-    let mut session = engine.session(&split.anonymized);
-    session.add_auxiliary_users(&chunk(0, cut));
+    let (first, second) = (cohort(0, cut), cohort(cut, split.auxiliary.n_users));
+    let mut corpus = PreparedCorpus::build(first.clone(), classifier);
+    corpus.append_users(&second);
     println!(
-        "\nincremental session after first cohort: {} auxiliary users ingested",
-        session.n_auxiliary_users()
+        "\nprepared corpus after the second cohort: {} auxiliary users, {} posts",
+        corpus.n_users(),
+        corpus.n_posts()
     );
-    session.add_auxiliary_users(&chunk(cut, split.auxiliary.n_users));
-    let streamed = session.finish();
+    let incremental = corpus.attack(&engine, &split.anonymized);
+
+    // An ingest offsets the second cohort's users and threads by the
+    // first cohort's totals; the one-shot run on that union is the
+    // reference the grown corpus must reproduce exactly.
+    let offset = second.posts.iter().map(|p| Post {
+        author: p.author + first.n_users,
+        thread: p.thread + first.n_threads,
+        text: p.text.clone(),
+    });
+    let union = Forum::from_posts(
+        first.n_users + second.n_users,
+        first.n_threads + second.n_threads,
+        first.posts.iter().cloned().chain(offset).collect(),
+    );
+    let batch = engine.run(&union, &split.anonymized);
+    assert_eq!(incremental.candidates, batch.candidates, "incremental candidates diverge");
+    assert_eq!(incremental.mapping, batch.mapping, "incremental mapping diverges");
     println!(
-        "incremental session after second cohort: {} users mapped",
-        streamed.mapping.iter().filter(|m| m.is_some()).count()
+        "incremental ingest: {} users mapped, candidates and mapping identical to the \
+         one-shot run on the union",
+        incremental.mapping.iter().filter(|m| m.is_some()).count()
     );
-    println!("\n{}", streamed.report);
+    println!("\n{}", incremental.report);
 }

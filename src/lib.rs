@@ -29,7 +29,8 @@
 //! - [`core`] — the De-Health attack itself plus the Stylometry baseline.
 //! - [`engine`] — the parallel sharded execution engine: blockwise Top-K
 //!   DA over bounded candidate heaps (no dense similarity matrix),
-//!   fan-out Refined DA, and incremental auxiliary ingestion.
+//!   fan-out Refined DA, run against a prepared (or standing) auxiliary
+//!   side.
 //! - [`service`] — the serving layer: persistent corpus snapshots and the
 //!   long-lived attack daemon (newline-delimited JSON over TCP).
 //! - [`telemetry`] — in-tree observability: lock-free counters/gauges,

@@ -11,7 +11,7 @@
 use de_health::core::{AttackConfig, ClassifierKind, DeHealth, FilterConfig, Verification};
 use de_health::corpus::split::{closed_world_split, open_world_split, SplitConfig};
 use de_health::corpus::{Forum, ForumConfig, Split};
-use de_health::engine::{Engine, EngineConfig, ScoringMode};
+use de_health::engine::{Engine, EngineConfig};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -24,34 +24,30 @@ fn assert_parity(split: &Split, attack: AttackConfig) {
     let serial = DeHealth::new(attack.clone()).run(&split.auxiliary, &split.anonymized);
     for n_threads in THREAD_COUNTS {
         for block_size in [4, 64] {
-            for scoring in [ScoringMode::Indexed, ScoringMode::Dense] {
-                let engine = Engine::new(EngineConfig {
-                    attack: attack.clone(),
-                    n_threads,
-                    block_size,
-                    scoring,
-                    ..EngineConfig::default()
-                });
-                let out = engine.run(&split.auxiliary, &split.anonymized);
-                assert_eq!(
-                    out.candidates, serial.candidates,
-                    "candidate sets diverge at {n_threads} threads, block size {block_size}, \
-                     {scoring:?}"
-                );
-                assert_eq!(
-                    out.mapping, serial.mapping,
-                    "mapping diverges at {n_threads} threads, block size {block_size}, {scoring:?}"
-                );
-                // The sparse candidate scores are bitwise equal to the
-                // serial attack's dense matrix entries.
-                for (u, entries) in out.candidate_scores.iter().enumerate() {
-                    for &(v, s) in entries {
-                        assert_eq!(
-                            s.to_bits(),
-                            serial.similarity[u][v].to_bits(),
-                            "score bits diverge for pair ({u}, {v}) at {n_threads} threads"
-                        );
-                    }
+            let engine = Engine::new(EngineConfig {
+                attack: attack.clone(),
+                n_threads,
+                block_size,
+                ..EngineConfig::default()
+            });
+            let out = engine.run(&split.auxiliary, &split.anonymized);
+            assert_eq!(
+                out.candidates, serial.candidates,
+                "candidate sets diverge at {n_threads} threads, block size {block_size}"
+            );
+            assert_eq!(
+                out.mapping, serial.mapping,
+                "mapping diverges at {n_threads} threads, block size {block_size}"
+            );
+            // The sparse candidate scores are bitwise equal to the serial
+            // attack's dense matrix entries.
+            for (u, entries) in out.candidate_scores.iter().enumerate() {
+                for &(v, s) in entries {
+                    assert_eq!(
+                        s.to_bits(),
+                        serial.similarity[u][v].to_bits(),
+                        "score bits diverge for pair ({u}, {v}) at {n_threads} threads"
+                    );
                 }
             }
         }

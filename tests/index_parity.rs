@@ -1,21 +1,21 @@
-//! Differential harness: inverted-index sparse scoring vs the dense
-//! all-pairs oracle.
+//! Differential harness: the engine's inverted-index sparse scoring vs
+//! the serial attack's dense all-pairs similarity matrix.
 //!
-//! The `IndexedScorer` path (`ScoringMode::Indexed`, the engine default)
-//! must be a pure execution-strategy change: candidate sets, candidate
-//! score *bits*, and final Refined-DA mappings identical to both the
-//! dense engine path (`ScoringMode::Dense`) and the serial
-//! `DeHealth::run` — across seeded random forums of varying vocabulary
-//! density (dense vocabularies make every pair share attributes; sparse
-//! ones exercise the zero-intersection path), users with 0/1/many posts
-//! (0-post users are *absent* and must never surface as candidates), at
-//! 1/2/8 worker threads, across incremental `add_auxiliary_users`
-//! batches, and under structure-heavy weights, where pruning rests on
-//! each pair's own structural ceiling.
+//! The engine's `IndexedScorer` path must be a pure execution-strategy
+//! change: candidate sets, candidate score *bits*, and final Refined-DA
+//! mappings identical to the serial `DeHealth::run`, whose Top-K phase
+//! scores every pair through `SimilarityEngine::scores_for` — across
+//! seeded random forums of varying vocabulary density (dense vocabularies
+//! make every pair share attributes; sparse ones exercise the
+//! zero-intersection path), users with 0/1/many posts (0-post users are
+//! *absent* and must never surface as candidates), at 1/2/8 worker
+//! threads, with Algorithm-2 filtering, on skewed corpora, and under
+//! structure-heavy weights, where pruning rests on each pair's own
+//! structural ceiling.
 
 use de_health::core::{AttackConfig, DeHealth, FilterConfig, SimilarityWeights};
 use de_health::corpus::{Forum, Post};
-use de_health::engine::{Engine, EngineConfig, EngineOutcome, ScoringMode, StageStats};
+use de_health::engine::{Engine, EngineConfig, StageStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,37 +78,17 @@ fn attack_cfg() -> AttackConfig {
     AttackConfig { top_k: 4, n_landmarks: 6, ..AttackConfig::default() }
 }
 
-fn engine(attack: AttackConfig, n_threads: usize, scoring: ScoringMode) -> Engine {
-    Engine::new(EngineConfig {
-        attack,
-        n_threads,
-        block_size: 4,
-        scoring,
-        ..EngineConfig::default()
-    })
-}
-
-fn assert_outcomes_identical(a: &EngineOutcome, b: &EngineOutcome, what: &str) {
-    assert_eq!(a.candidates, b.candidates, "candidate sets diverge: {what}");
-    assert_eq!(a.mapping, b.mapping, "mappings diverge: {what}");
-    assert_eq!(a.candidate_scores.len(), b.candidate_scores.len());
-    for (u, (ea, eb)) in a.candidate_scores.iter().zip(&b.candidate_scores).enumerate() {
-        assert_eq!(ea.len(), eb.len(), "candidate count diverges for u={u}: {what}");
-        for (&(va, sa), &(vb, sb)) in ea.iter().zip(eb) {
-            assert_eq!(va, vb, "candidate diverges for u={u}: {what}");
-            assert_eq!(sa.to_bits(), sb.to_bits(), "score bits diverge for u={u}: {what}");
-        }
-    }
+fn engine(attack: AttackConfig, n_threads: usize) -> Engine {
+    Engine::new(EngineConfig { attack, n_threads, block_size: 4, ..EngineConfig::default() })
 }
 
 fn absent_users(forum: &Forum) -> Vec<usize> {
     (0..forum.n_users).filter(|&u| forum.user_posts(u).is_empty()).collect()
 }
 
-/// Run `attack` indexed and dense at every thread count and assert both
-/// match each other and the serial `DeHealth::run`, down to score bits
-/// against the serial similarity matrix. Returns the indexed runs'
-/// `topk` reports.
+/// Run `attack` through the engine at every thread count and assert it
+/// matches the serial `DeHealth::run`, down to score bits against the
+/// serial similarity matrix. Returns the engine runs' `topk` reports.
 fn assert_parity_with_serial(
     attack: &AttackConfig,
     aux: &Forum,
@@ -118,10 +98,8 @@ fn assert_parity_with_serial(
     let serial = DeHealth::new(attack.clone()).run(aux, anon);
     let mut topk = Vec::new();
     for &n_threads in &THREAD_COUNTS {
-        let indexed = engine(attack.clone(), n_threads, ScoringMode::Indexed).run(aux, anon);
-        let dense = engine(attack.clone(), n_threads, ScoringMode::Dense).run(aux, anon);
+        let indexed = engine(attack.clone(), n_threads).run(aux, anon);
         let what = format!("{what}, {n_threads} threads");
-        assert_outcomes_identical(&indexed, &dense, &what);
         assert_eq!(indexed.candidates, serial.candidates, "serial diverges: {what}");
         assert_eq!(indexed.mapping, serial.mapping, "serial diverges: {what}");
         for (u, entries) in indexed.candidate_scores.iter().enumerate() {
@@ -140,6 +118,7 @@ fn assert_parity_with_serial(
 
 #[test]
 fn indexed_matches_dense_and_serial_across_densities_and_threads() {
+    // The dense reference is the serial attack's all-pairs similarity matrix.
     for density in 0..3 {
         let aux = random_forum(100 + density as u64, 14, 3, density);
         let anon = random_forum(200 + density as u64, 10, 3, density);
@@ -173,12 +152,10 @@ fn absent_auxiliary_users_never_appear_as_candidates() {
         let absent = absent_users(&aux);
         assert!(!absent.is_empty(), "harness must generate absent users");
         let serial = DeHealth::new(attack_cfg()).run(&aux, &anon);
-        let indexed = engine(attack_cfg(), 2, ScoringMode::Indexed).run(&aux, &anon);
-        let dense = engine(attack_cfg(), 2, ScoringMode::Dense).run(&aux, &anon);
+        let indexed = engine(attack_cfg(), 2).run(&aux, &anon);
         for (name, candidates, mapping) in [
             ("serial", &serial.candidates, &serial.mapping),
             ("indexed", &indexed.candidates, &indexed.mapping),
-            ("dense", &dense.candidates, &dense.mapping),
         ] {
             for &a in &absent {
                 assert!(
@@ -194,92 +171,6 @@ fn absent_auxiliary_users_never_appear_as_candidates() {
     }
 }
 
-/// Split a forum into per-user-cohort chunks the way a streaming session
-/// ingests them (chunk-local user ids, chunk-owned thread space).
-fn cohort_chunks(forum: &Forum, n_chunks: usize) -> Vec<Forum> {
-    let per = forum.n_users.div_ceil(n_chunks);
-    (0..n_chunks)
-        .map(|c| {
-            let lo = c * per;
-            let hi = ((c + 1) * per).min(forum.n_users);
-            let posts: Vec<Post> = forum
-                .posts
-                .iter()
-                .filter(|p| (lo..hi).contains(&p.author))
-                .map(|p| Post { author: p.author - lo, thread: p.thread, text: p.text.clone() })
-                .collect();
-            Forum::from_posts(hi - lo, forum.n_threads, posts)
-        })
-        .collect()
-}
-
-#[test]
-fn incremental_batches_stay_bit_identical_to_dense_sessions() {
-    // Chunked ingestion computes per-chunk structural similarities, so the
-    // reference here is a *dense-mode session fed the same chunks* — the
-    // indexed index grows incrementally (appended postings, suffix
-    // probing) and must not change a single bit, at any thread count.
-    for density in 0..3 {
-        let aux = random_forum(500 + density as u64, 15, 3, density);
-        let anon = random_forum(600 + density as u64, 9, 3, density);
-        let chunks = cohort_chunks(&aux, 3);
-        for &n_threads in &THREAD_COUNTS {
-            let run_session = |scoring: ScoringMode| -> EngineOutcome {
-                let mut session = engine(attack_cfg(), n_threads, scoring).session(&anon);
-                for chunk in &chunks {
-                    session.add_auxiliary_users(chunk);
-                }
-                session.finish()
-            };
-            let indexed = run_session(ScoringMode::Indexed);
-            let dense = run_session(ScoringMode::Dense);
-            assert_outcomes_identical(
-                &indexed,
-                &dense,
-                &format!("incremental, density {density}, {n_threads} threads"),
-            );
-        }
-    }
-}
-
-#[test]
-fn incremental_attribute_only_weights_match_the_serial_batch() {
-    // With attribute-only weights the per-chunk structural caveat
-    // vanishes, so an incremental indexed session must equal the serial
-    // attack on the merged auxiliary view exactly.
-    let attack =
-        AttackConfig { weights: SimilarityWeights { c1: 0.0, c2: 0.0, c3: 1.0 }, ..attack_cfg() };
-    let aux = random_forum(700, 12, 2, 1);
-    let anon = random_forum(800, 8, 2, 1);
-    let chunks = cohort_chunks(&aux, 2);
-    // The merged view a session builds: users and threads offset by the
-    // totals of the preceding chunks.
-    let mut merged_posts = Vec::new();
-    let (mut user_off, mut thread_off) = (0, 0);
-    for chunk in &chunks {
-        for p in &chunk.posts {
-            merged_posts.push(Post {
-                author: p.author + user_off,
-                thread: p.thread + thread_off,
-                text: p.text.clone(),
-            });
-        }
-        user_off += chunk.n_users;
-        thread_off += chunk.n_threads;
-    }
-    let merged = Forum::from_posts(user_off, thread_off, merged_posts);
-    let serial = DeHealth::new(attack.clone()).run(&merged, &anon);
-    for &n_threads in &THREAD_COUNTS {
-        let mut session = engine(attack.clone(), n_threads, ScoringMode::Indexed).session(&anon);
-        for chunk in &chunks {
-            session.add_auxiliary_users(chunk);
-        }
-        let out = session.finish();
-        assert_eq!(out.candidates, serial.candidates, "{n_threads} threads");
-        assert_eq!(out.mapping, serial.mapping, "{n_threads} threads");
-    }
-}
-
 #[test]
 fn filtering_disables_pruning_but_keeps_parity() {
     let attack = AttackConfig { filtering: Some(FilterConfig::default()), ..attack_cfg() };
@@ -287,7 +178,7 @@ fn filtering_disables_pruning_but_keeps_parity() {
     let anon = random_forum(901, 9, 3, 1);
     let serial = DeHealth::new(attack.clone()).run(&aux, &anon);
     for &n_threads in &THREAD_COUNTS {
-        let indexed = engine(attack.clone(), n_threads, ScoringMode::Indexed).run(&aux, &anon);
+        let indexed = engine(attack.clone(), n_threads).run(&aux, &anon);
         assert_eq!(indexed.candidates, serial.candidates, "{n_threads} threads");
         assert_eq!(indexed.mapping, serial.mapping, "{n_threads} threads");
         // Exact Algorithm-2 thresholds need the global score minimum, so
@@ -302,7 +193,7 @@ fn pruning_counters_account_for_every_pair() {
     let anon = random_forum(1001, 10, 3, 0);
     let n_present_aux = aux.n_users - absent_users(&aux).len();
     for &n_threads in &THREAD_COUNTS {
-        let indexed = engine(attack_cfg(), n_threads, ScoringMode::Indexed).run(&aux, &anon);
+        let indexed = engine(attack_cfg(), n_threads).run(&aux, &anon);
         let topk = indexed.report.stage("topk").unwrap();
         assert_eq!(
             topk.items + topk.skipped,

@@ -8,9 +8,8 @@
 //!    anonymized user) over the serial attack's candidate sets;
 //! 2. the serial `DeHealth::run`, which routes phase 2 through the
 //!    materialize-once `RefinedContext` fast path;
-//! 3. the parallel engine in both `RefinedMode`s — `Shared` (fast path,
-//!    swept at 1/2/8 worker threads) and `PerUser` (the oracle re-run
-//!    under sharding).
+//! 3. the parallel engine's shared fast path, swept at 1/2/8 worker
+//!    threads.
 //!
 //! The sweep covers all four `ClassifierKind`s × all five `Verification`
 //! schemes, in open world (where verification actually rejects) and
@@ -23,7 +22,7 @@ use de_health::core::{
 };
 use de_health::corpus::split::{closed_world_split, open_world_split, SplitConfig};
 use de_health::corpus::{Forum, ForumConfig, Split};
-use de_health::engine::{Engine, EngineConfig, RefinedMode};
+use de_health::engine::{Engine, EngineConfig};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -101,13 +100,12 @@ fn assert_refined_parity(split: &Split, attack: AttackConfig) {
             attack: attack.clone(),
             n_threads,
             block_size: 8,
-            refined: RefinedMode::Shared,
             ..EngineConfig::default()
         })
         .run(&split.auxiliary, &split.anonymized);
         assert_eq!(
             shared.mapping, serial.mapping,
-            "engine Shared vs serial at {n_threads} threads ({label})"
+            "engine vs serial at {n_threads} threads ({label})"
         );
         assert_eq!(
             shared.candidates, serial.candidates,
@@ -167,35 +165,6 @@ fn closed_world_all_classifiers() {
     let split = closed_split();
     for classifier in CLASSIFIERS {
         assert_refined_parity(&split, attack_with(classifier, Verification::None));
-    }
-}
-
-#[test]
-fn engine_per_user_mode_matches_shared_mode() {
-    // The engine's own oracle mode (refine_user under sharding) against
-    // the shared fast path, at the full thread sweep.
-    let split = open_split();
-    for classifier in [ClassifierKind::Knn { k: 3 }, ClassifierKind::Centroid] {
-        let attack = attack_with(classifier, Verification::Mean { r: 0.25 });
-        let peruser = Engine::new(EngineConfig {
-            attack: attack.clone(),
-            n_threads: 2,
-            block_size: 8,
-            refined: RefinedMode::PerUser,
-            ..EngineConfig::default()
-        })
-        .run(&split.auxiliary, &split.anonymized);
-        for n_threads in THREAD_COUNTS {
-            let shared = Engine::new(EngineConfig {
-                attack: attack.clone(),
-                n_threads,
-                block_size: 8,
-                refined: RefinedMode::Shared,
-                ..EngineConfig::default()
-            })
-            .run(&split.auxiliary, &split.anonymized);
-            assert_eq!(shared.mapping, peruser.mapping, "{classifier:?} at {n_threads} threads");
-        }
     }
 }
 
