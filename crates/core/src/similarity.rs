@@ -347,16 +347,6 @@ impl<'a> SimilarityEngine<'a> {
             .map(move |v| (v, self.similarity(u, v)))
     }
 
-    /// Blockwise scoring: the score streams of a contiguous range of
-    /// anonymized users. Blocks are the unit of work sharded across
-    /// worker threads by `dehealth-engine`.
-    pub fn score_block(
-        &self,
-        anon_range: std::ops::Range<usize>,
-    ) -> impl Iterator<Item = (usize, impl Iterator<Item = (usize, f64)> + '_)> + '_ {
-        anon_range.map(move |u| (u, self.scores_for(u)))
-    }
-
     /// One dense row of [`Self::matrix`]: the `scores_for` stream of `u`
     /// materialized over the full auxiliary id space. The streaming API
     /// *skips* absent auxiliary users; a dense row has to put something in
@@ -543,24 +533,6 @@ mod tests {
                 assert_eq!(row[v].to_bits(), s.to_bits(), "u={u} v={v}");
             }
             assert!(row[1].is_infinite() && row[1] < 0.0);
-        }
-    }
-
-    #[test]
-    fn score_block_covers_the_range() {
-        let anon = uda(vec![p(0, 0, "a b c"), p(1, 0, "d e f"), p(2, 1, "g h")], 3, 2);
-        let aux = uda(vec![p(0, 0, "a b c"), p(1, 1, "x y")], 2, 2);
-        let eng = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 1);
-        let block: Vec<(usize, Vec<(usize, f64)>)> =
-            eng.score_block(1..3).map(|(u, scores)| (u, scores.collect())).collect();
-        assert_eq!(block.len(), 2);
-        assert_eq!(block[0].0, 1);
-        assert_eq!(block[1].0, 2);
-        for (u, scores) in block {
-            let row = eng.row(u);
-            for (v, s) in scores {
-                assert_eq!(row[v].to_bits(), s.to_bits());
-            }
         }
     }
 

@@ -9,37 +9,50 @@
 //! - the per-user mean stylometric profile (used by refined DA);
 //! - landmark distance features `H_u(S)` and `WH_u(S)`.
 
-use dehealth_corpus::Forum;
+use dehealth_corpus::{Forum, Post};
 use dehealth_graph::{bfs_hops, dijkstra_weighted, Graph, GraphBuilder};
 use dehealth_stylometry::{extract, FeatureVector, UserAccumulator, UserAttributes};
 
-/// Extract the Table-I features of every post, in parallel (scoped
-/// `std::thread`; posts are independent and extraction dominates the
-/// attack's preprocessing time).
+/// Posts each extraction thread gets at least: below that, starting a
+/// thread costs more than it saves.
+const POSTS_PER_THREAD: usize = 16;
+
+/// Extract the Table-I features of every post over the machine's
+/// available parallelism: [`extract_post_features_with_threads`] with
+/// [`std::thread::available_parallelism`] threads.
 #[must_use]
 pub fn extract_post_features(forum: &Forum) -> Vec<FeatureVector> {
+    let n_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    extract_post_features_with_threads(forum, n_threads)
+}
+
+/// Extract the Table-I features of every post, in post order, on up to
+/// `n_threads` threads: one per 16 posts at most, the calling thread
+/// included, each on a contiguous run of posts (scoped `std::thread`;
+/// posts are independent and extraction dominates the attack's
+/// preprocessing time). The result does not depend on the thread count.
+#[must_use]
+pub fn extract_post_features_with_threads(forum: &Forum, n_threads: usize) -> Vec<FeatureVector> {
     let n = forum.posts.len();
-    let n_threads =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(n.max(1));
-    if n_threads <= 1 || n < 64 {
-        return forum.posts.iter().map(|p| extract(&p.text)).collect();
+    let n_threads = n_threads.min(n / POSTS_PER_THREAD).max(1);
+    fn features(posts: &[Post]) -> impl Iterator<Item = FeatureVector> + '_ {
+        posts.iter().map(|p| extract(&p.text))
     }
-    let chunk = n.div_ceil(n_threads);
-    let mut out = Vec::with_capacity(n);
+    if n_threads == 1 {
+        return features(&forum.posts).collect();
+    }
+    let mut chunks = forum.posts.chunks(n.div_ceil(n_threads));
+    let first = chunks.next().expect("at least one post per thread");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|t| {
-                let start = t * chunk;
-                let end = ((t + 1) * chunk).min(n);
-                let posts = &forum.posts[start..end];
-                scope.spawn(move || posts.iter().map(|p| extract(&p.text)).collect::<Vec<_>>())
-            })
-            .collect();
-        for h in handles {
+        let helpers: Vec<_> =
+            chunks.map(|posts| scope.spawn(move || features(posts).collect::<Vec<_>>())).collect();
+        let mut out = Vec::with_capacity(n);
+        out.extend(features(first));
+        for h in helpers {
             out.extend(h.join().expect("feature extraction worker panicked"));
         }
-    });
-    out
+        out
+    })
 }
 
 /// The UDA graph of one forum.
@@ -310,5 +323,28 @@ mod tests {
         let posts = vec![Post { author: 2, thread: 0, text: "x".into() }];
         let uda = UdaGraph::build(&Forum::from_posts(4, 1, posts));
         assert_eq!(uda.present_users(), vec![2]);
+    }
+
+    #[test]
+    fn extraction_is_independent_of_the_thread_count() {
+        use dehealth_corpus::ForumConfig;
+        let forum = Forum::generate(&ForumConfig::tiny(), 31);
+        let serial: Vec<FeatureVector> = forum.posts.iter().map(|p| extract(&p.text)).collect();
+        // Prefixes across the one-thread-per-16-posts steps, at thread
+        // counts below, at and above what the posts allow.
+        for n_posts in [0, 1, 15, 16, 31, 32, 33, 56, forum.posts.len()] {
+            let prefix = Forum::from_posts(forum.n_users, forum.n_threads, {
+                forum.posts[..n_posts.min(forum.posts.len())].to_vec()
+            });
+            for n_threads in [0, 1, 2, 3, 8] {
+                let got = extract_post_features_with_threads(&prefix, n_threads);
+                assert_eq!(
+                    got,
+                    serial[..prefix.posts.len()],
+                    "{n_posts} posts, {n_threads} threads"
+                );
+            }
+        }
+        assert_eq!(extract_post_features(&forum), serial);
     }
 }

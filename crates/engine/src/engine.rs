@@ -16,11 +16,11 @@ use dehealth_core::refined::{
 };
 use dehealth_core::similarity::{AuxStructure, SimilarityEngine};
 use dehealth_core::topk::{BoundedTopK, CandidateSets, Selection};
-use dehealth_core::uda::{extract_post_features, UdaGraph};
+use dehealth_core::uda::{extract_post_features_with_threads, UdaGraph};
 use dehealth_corpus::Forum;
 use dehealth_stylometry::FeatureVector;
 
-use crate::pool::{run_blocks, workers};
+use crate::pool::{block_len, run_blocks, workers};
 use crate::report::{timed, EngineReport};
 
 /// Execution-engine configuration: the attack parameters plus the
@@ -32,10 +32,17 @@ pub struct EngineConfig {
     /// is a global optimization over the dense similarity matrix, which
     /// the engine never materializes — use `DeHealth::run` for it.
     pub attack: AttackConfig,
-    /// Worker threads for the Top-K and Refined stages; `0` means
-    /// [`std::thread::available_parallelism`].
+    /// Threads for the `prepare` stage's feature extraction and the
+    /// Top-K and Refined stages, the calling thread included; `0` means
+    /// [`std::thread::available_parallelism`]. A stage over `n` anonymized
+    /// users runs on `min(threads, n)` workers, and extraction on at most
+    /// one thread per 16 posts.
     pub n_threads: usize,
-    /// Anonymized users per work block (the unit of work stealing).
+    /// The most anonymized users per work block (the unit of work
+    /// stealing). A batch of `n` users on `t` threads is cut into blocks
+    /// of `⌈n / (8·t)⌉` users, at least 1 and at most this cap
+    /// ([`crate::pool::block_len`]), so small batches still spread over
+    /// every thread and large ones keep this block size.
     pub block_size: usize,
     /// Global cap on the Top-K candidates carried into filtering and the
     /// Refined-DA stage; `None` (the default) keeps every candidate.
@@ -74,12 +81,6 @@ impl EngineConfig {
         } else {
             self.n_threads
         }
-    }
-
-    /// The workers each parallel stage starts for `n_anon` anonymized
-    /// users: [`Self::effective_threads`], at most one per block.
-    fn workers(&self, n_anon: usize) -> usize {
-        workers(n_anon, self.block_size, self.effective_threads())
     }
 }
 
@@ -121,7 +122,7 @@ impl Engine {
     /// call and a fresh [`AuxiliaryCache`].
     #[must_use]
     pub fn run(&self, auxiliary: &Forum, anonymized: &Forum) -> EngineOutcome {
-        let ((features, uda), secs) = prepare(auxiliary);
+        let ((features, uda), secs) = prepare(auxiliary, self.config.effective_threads());
         let cache = AuxiliaryCache::default();
         let aux = PreparedAuxiliary {
             forum: auxiliary,
@@ -176,9 +177,11 @@ impl Engine {
             );
         }
         let cfg = &self.config.attack;
+        let threads = self.config.effective_threads();
+        let (n_anon, cap) = (anonymized.n_users, self.config.block_size);
         let mut report =
-            EngineReport::new(self.config.workers(anonymized.n_users), self.config.block_size);
-        let ((anon_feats, anon_uda), secs) = prepare(anonymized);
+            EngineReport::new(workers(n_anon, cap, threads), block_len(n_anon, cap, threads));
+        let ((anon_feats, anon_uda), secs) = prepare(anonymized, threads);
         report.record("prepare", "posts", anonymized.posts.len() as u64, secs);
 
         let structure_start = Instant::now();
@@ -311,10 +314,11 @@ impl AuxiliaryCache {
 }
 
 /// Prepare one side of an attack, the `prepare` stage: extract its
-/// per-post features and build its UDA graph, with the seconds it took.
-fn prepare(forum: &Forum) -> ((Vec<FeatureVector>, UdaGraph), f64) {
+/// per-post features on up to `n_threads` threads and build its UDA
+/// graph, with the seconds it took.
+fn prepare(forum: &Forum, n_threads: usize) -> ((Vec<FeatureVector>, UdaGraph), f64) {
     timed(|| {
-        let feats = extract_post_features(forum);
+        let feats = extract_post_features_with_threads(forum, n_threads);
         let uda = UdaGraph::build_with_features(forum, &feats);
         (feats, uda)
     })
@@ -520,6 +524,7 @@ pub struct EngineOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dehealth_core::uda::extract_post_features;
     use dehealth_core::{AttackConfig, DeHealth};
     use dehealth_corpus::{closed_world_split, ForumConfig, SplitConfig};
 
@@ -652,31 +657,63 @@ mod tests {
         assert_eq!(out.report.n_threads, 2);
     }
 
+    /// The first `n` anonymized users of `split` as a forum of their own.
+    fn first_users(split: &dehealth_corpus::Split, n: usize) -> Forum {
+        let anon = &split.anonymized;
+        let posts = anon.posts.iter().filter(|p| p.author < n).cloned().collect();
+        Forum::from_posts(n, anon.n_threads, posts)
+    }
+
     #[test]
     fn report_counts_the_workers_started() {
-        // Six anonymized users fill one 64-user block, so each stage starts
-        // one worker whatever thread count was asked for.
+        // Six anonymized users are cut into blocks of one, so each stage
+        // runs min(threads, 6) workers, however large the block cap.
         let split = tiny_split();
-        let anon = &split.anonymized;
-        let posts = anon.posts.iter().filter(|p| p.author < 6).cloned().collect();
-        let six = Forum::from_posts(6, anon.n_threads, posts);
-        let config = EngineConfig { attack: attack_cfg(), n_threads: 8, ..EngineConfig::default() };
-        let engine = Engine::new(config.clone());
-        assert_eq!(engine.run(&split.auxiliary, &six).report.n_threads, 1);
+        let six = first_users(&split, 6);
         let feats = extract_post_features(&split.auxiliary);
         let uda = UdaGraph::build_with_features(&split.auxiliary, &feats);
+        let cache = AuxiliaryCache::default();
         let prepared = PreparedAuxiliary {
             forum: &split.auxiliary,
             features: &feats,
             uda: &uda,
             index: None,
             context: None,
-            cache: &AuxiliaryCache::default(),
+            cache: &cache,
         };
-        assert_eq!(engine.run_prepared(&prepared, &six).report.n_threads, 1);
-        // Blocks of two users make three blocks: three workers of eight.
-        let engine = Engine::new(EngineConfig { block_size: 2, ..config });
-        assert_eq!(engine.run_prepared(&prepared, &six).report.n_threads, 3);
+        for (threads, block_size) in [(1, 64), (2, 64), (8, 64), (8, 2), (3, 1)] {
+            let config = EngineConfig {
+                attack: attack_cfg(),
+                n_threads: threads,
+                block_size,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(config);
+            let want = threads.min(six.n_users);
+            assert_eq!(engine.run(&split.auxiliary, &six).report.n_threads, want);
+            assert_eq!(engine.run_prepared(&prepared, &six).report.n_threads, want);
+        }
+    }
+
+    #[test]
+    fn report_records_the_block_length_the_stages_ran_with() {
+        // Ten users on two threads run in blocks of ⌈10 / 16⌉ = 1, not in
+        // the configured 64; a full anonymized side of this tiny split is
+        // still far below the cap.
+        let split = tiny_split();
+        let ten = first_users(&split, 10);
+        let engine = Engine::new(EngineConfig {
+            attack: attack_cfg(),
+            n_threads: 2,
+            ..EngineConfig::default()
+        });
+        assert_eq!(engine.config().block_size, 64);
+        let report = engine.run(&split.auxiliary, &ten).report;
+        assert_eq!((report.n_threads, report.block_size), (2, 1));
+        let n = split.anonymized.n_users;
+        let report = engine.run(&split.auxiliary, &split.anonymized).report;
+        assert_eq!(report.block_size, n.div_ceil(16));
+        assert!(format!("{report}").contains(&format!("block size {}", n.div_ceil(16))));
     }
 
     #[test]

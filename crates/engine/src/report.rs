@@ -61,10 +61,13 @@ pub struct TopkPairs {
 /// counters, in pipeline order of first appearance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineReport {
-    /// Workers each parallel stage started: the resolved thread count,
-    /// at most one per block of anonymized users.
+    /// Workers each parallel stage ran, the calling thread included: the
+    /// resolved thread count, at most one per anonymized user.
     pub n_threads: usize,
-    /// Anonymized users per work block.
+    /// Anonymized users per work block, as the stages cut them
+    /// ([`crate::pool::block_len`]): at most the configured
+    /// [`EngineConfig::block_size`](crate::EngineConfig::block_size), less
+    /// for a small batch.
     pub block_size: usize,
     /// Stage counters.
     pub stages: Vec<StageStats>,

@@ -74,6 +74,17 @@
 //! its structure and hot tables are built once, by whichever attack
 //! comes first.
 //!
+//! An attack runs on the cores no other request is using: the daemon
+//! counts the dispatch workers running a job, and an attack gets
+//! `min(threads, cores − other busy workers)` engine threads, at least
+//! one, where `cores` is the machine's available parallelism and a
+//! `threads` of 0 asks for all of it. A lone client's small batch is
+//! split over every core, concurrent clients get one core each instead
+//! of oversubscribing them, and a wire `threads` value never starts
+//! more engine workers than the machine has cores. The thread count
+//! changes no result: every engine stage is bit-identical at any
+//! thread count.
+//!
 //! Corpus state is shared by `Arc`, and a generation never changes
 //! under a request that holds it:
 //!
@@ -236,7 +247,9 @@ pub struct DaemonLimits {
     pub slow_request_threshold: Duration,
     /// Dispatch worker threads executing attacks and corpus updates
     /// (clamped to at least 1). Two by default: one long attack cannot
-    /// starve a corpus update or a second attack.
+    /// starve a corpus update or a second attack. An attack's engine
+    /// threads come on top: it runs on the cores the other busy workers
+    /// leave (see the [module docs](self)).
     pub workers: usize,
 }
 
@@ -466,6 +479,11 @@ struct DaemonState {
     /// release a request pipelined behind it on the same connection,
     /// which still needs a worker.
     dispatched: AtomicUsize,
+    /// Dispatch workers running a job: incremented when a worker takes a
+    /// job, decremented when the job's completion is pushed.
+    busy: AtomicUsize,
+    /// The machine's available parallelism, read at bind time.
+    cores: usize,
     metrics: DaemonMetrics,
     started: Instant,
     shutting_down: AtomicBool,
@@ -500,7 +518,11 @@ impl DaemonState {
         gauges
     }
 
+    /// Hand a finished request back to the front thread. Its worker
+    /// stops counting as busy first, so an attack the reply releases
+    /// already sees that worker's cores as idle.
     fn push_completion(&self, conn: usize, bytes: Option<Vec<u8>>) {
+        let _ = self.busy.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1));
         self.completions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -599,6 +621,8 @@ impl Daemon {
             completions: Mutex::new(Vec::new()),
             waker,
             dispatched: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
+            cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             metrics,
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
@@ -1278,6 +1302,8 @@ fn worker_loop(state: &Arc<DaemonState>) {
             }
         };
         let Some(job) = job else { return };
+        // Busy until the job's completion is pushed.
+        state.busy.fetch_add(1, Ordering::SeqCst);
         run_job(state, job);
     }
 }
@@ -1400,8 +1426,11 @@ fn run_attack(
             return respond(state, conn, "attack", received, Err(e));
         }
     };
+    // This worker is one of the busy ones; the others keep their cores.
+    let others = state.busy.load(Ordering::SeqCst).saturating_sub(1);
+    let n_threads = attack_threads(threads, state.cores, others);
     let timer = SpanTimer::new(Arc::clone(&state.metrics.engine_seconds));
-    let engine = Engine::new(EngineConfig { n_threads: threads, attack, ..state.config.clone() });
+    let engine = Engine::new(EngineConfig { n_threads, attack, ..state.config.clone() });
     let outcome = corpus.attack(&engine, &forum);
     timer.stop();
     // Every handle on the generation goes before the reply is queued: a
@@ -1451,8 +1480,20 @@ fn run_ingest(
     respond(state, conn, "add_auxiliary_users", received, result);
 }
 
+/// The engine threads an attack runs on: `requested` (0 asks for all
+/// `cores`), but no more than the cores the `busy_others` other busy
+/// dispatch workers leave, and at least one.
+fn attack_threads(requested: usize, cores: usize, busy_others: usize) -> usize {
+    let idle = cores.saturating_sub(busy_others).max(1);
+    if requested == 0 {
+        idle
+    } else {
+        requested.min(idle)
+    }
+}
+
 /// Resolve one attack request's forum, per-request overrides and
-/// effective thread count against the daemon's defaults. Fields are
+/// requested thread count against the daemon's defaults. Fields are
 /// checked in a fixed order (forum, `top_k`, `n_landmarks`, `seed`,
 /// `threads`), so a request with several bad fields always reports the
 /// same one. The forum's declared sizes are bounded by `line_bytes`, the
@@ -1754,6 +1795,8 @@ mod tests {
             completions: Mutex::new(Vec::new()),
             waker: Waker::default(),
             dispatched: AtomicUsize::new(0),
+            busy: AtomicUsize::new(0),
+            cores: 1,
             metrics: DaemonMetrics::new(),
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
@@ -1821,6 +1864,55 @@ mod tests {
         let items = registry.counter_with("engine_stage_items_total", &labels).get();
         let n_after = n_before + ForumConfig::tiny().n_users as u64;
         assert_eq!(items, n_before + n_after, "the ingest started a new generation");
+        client.shutdown().unwrap();
+        daemon.join();
+    }
+
+    /// One client on two cores gets both; two running attacks get one
+    /// core each; no request gets more than the machine has.
+    #[test]
+    fn attack_threads_rule_lends_only_idle_cores() {
+        for cores in [1usize, 2, 3, 8, 64] {
+            for busy_others in 0..=cores + 2 {
+                let idle = if busy_others >= cores { 1 } else { cores - busy_others };
+                // 0 asks for the machine: every idle core.
+                assert_eq!(attack_threads(0, cores, busy_others), idle);
+                for requested in [1usize, 2, 3, 8, 64, 1 << 40, usize::MAX] {
+                    let got = attack_threads(requested, cores, busy_others);
+                    assert_eq!(got, requested.min(idle), "{requested} of {cores}, {busy_others}");
+                    assert!((1..=cores).contains(&got));
+                }
+            }
+        }
+    }
+
+    /// A wire `threads` of 64 runs on no more engine workers than the
+    /// machine has cores: with no other request running, exactly
+    /// `min(64, cores, n_anon)`, in blocks cut for that many workers.
+    #[test]
+    fn attack_threads_cap_a_wire_request_at_the_machine() {
+        use crate::client::ServiceClient;
+        use crate::protocol::AttackOptions;
+        use dehealth_corpus::{closed_world_split, SplitConfig};
+        use dehealth_engine::pool::block_len;
+
+        let forum = Forum::generate(&ForumConfig::tiny(), 42);
+        let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+        let corpus = PreparedCorpus::build(split.auxiliary, Default::default());
+        let daemon =
+            Daemon::bind_with_corpus("127.0.0.1:0", default_config(), Some(corpus)).unwrap();
+        let cores = daemon.state.cores;
+        assert_eq!(cores, std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+        let options = AttackOptions { threads: Some(64), ..AttackOptions::default() };
+        let reply = client.attack(&split.anonymized, &options).unwrap();
+        let report = reply.raw.get("report").unwrap();
+        let n_threads = report.get("n_threads").and_then(Json::as_usize).unwrap();
+        let n_anon = split.anonymized.n_users;
+        assert!(n_threads <= cores, "{n_threads} workers on {cores} cores");
+        assert_eq!(n_threads, 64.min(cores).min(n_anon));
+        let block = report.get("block_size").and_then(Json::as_usize).unwrap();
+        assert_eq!(block, block_len(n_anon, default_config().block_size, 64.min(cores)));
         client.shutdown().unwrap();
         daemon.join();
     }

@@ -17,7 +17,7 @@
 //! → {"cmd":"attack","forum":{…anonymized batch…},
 //!        "top_k":10,"n_landmarks":30,"threads":8,"seed":0}
 //! ← {"ok":true,"mapping":[17,null,…],"candidates":[[17,4,…],…],
-//!        "report":{"n_threads":8,"stages":[{"stage":"topk",…},…]}}
+//!        "report":{"n_threads":2,"block_size":1,"stages":[{"stage":"topk",…},…]}}
 //!
 //! → {"cmd":"stats"}
 //! ← {"ok":true,"corpus_users":602,…,"requests":7,"attacks":3,…}
@@ -158,7 +158,8 @@ pub struct AttackOptions {
     pub top_k: Option<usize>,
     /// Landmark count ħ.
     pub n_landmarks: Option<usize>,
-    /// Worker threads for this attack (0 = machine parallelism).
+    /// Worker threads for this attack (0 = machine parallelism). The
+    /// daemon lends at most the cores no other request is using.
     pub threads: Option<usize>,
     /// RNG seed (decoy sampling, SMO pair selection). Must be `<= 2^53`:
     /// the wire carries numbers as `f64`, and a silently rounded seed

@@ -6,12 +6,14 @@
 //! pure execution-strategy changes, not semantic ones. This suite pins
 //! that contract at 1, 2 and 8 worker threads on a seeded tiny forum, in
 //! closed and open world, across verification schemes, and under
-//! Algorithm-2 filtering.
+//! Algorithm-2 filtering, and for small batches (1 to 63 users) attacked
+//! against one prepared corpus.
 
 use de_health::core::{AttackConfig, ClassifierKind, DeHealth, FilterConfig, Verification};
 use de_health::corpus::split::{closed_world_split, open_world_split, SplitConfig};
-use de_health::corpus::{Forum, ForumConfig, Split};
+use de_health::corpus::{Forum, ForumConfig, Post, Split};
 use de_health::engine::{Engine, EngineConfig};
+use de_health::service::PreparedCorpus;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -134,4 +136,53 @@ fn engine_evaluation_matches_serial_quality() {
         .count();
     assert_eq!(correct, eval.correct);
     assert!(eval.accuracy() > 0.2, "attack should beat chance: {}", eval.accuracy());
+}
+
+/// Users `lo..lo + n` of `forum` as a batch of their own, renumbered from 0.
+fn batch(forum: &Forum, lo: usize, n: usize) -> Forum {
+    let posts = forum
+        .posts
+        .iter()
+        .filter(|p| (lo..lo + n).contains(&p.author))
+        .map(|p| Post { author: p.author - lo, ..p.clone() })
+        .collect();
+    Forum::from_posts(n, forum.n_threads, posts)
+}
+
+#[test]
+fn small_batch_parity_on_a_prepared_corpus() {
+    // Small batches are cut into blocks of a few users so that every
+    // thread works; each user's heap and refined decision must not see
+    // the cut. One prepared corpus (index, refined context, auxiliary
+    // cache) serves every batch, as it does behind the daemon.
+    let forum = Forum::generate(&ForumConfig::webmd_like(200), 42);
+    let split = closed_world_split(&forum, &SplitConfig::fraction(0.5), 7);
+    let attack = AttackConfig { top_k: 5, n_landmarks: 10, ..AttackConfig::default() };
+    let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack.classifier);
+    let anon = &split.anonymized;
+    assert!(anon.n_users >= 63 + 10, "{} anonymized users", anon.n_users);
+    for (lo, n) in [(5, 1), (17, 3), (40, 10), (10, 63)] {
+        let batch = batch(anon, lo, n);
+        let serial = DeHealth::new(attack.clone()).run(&split.auxiliary, &batch);
+        for n_threads in THREAD_COUNTS {
+            let engine = Engine::new(EngineConfig {
+                attack: attack.clone(),
+                n_threads,
+                ..EngineConfig::default()
+            });
+            let out = corpus.attack(&engine, &batch);
+            assert_eq!(out.report.n_threads, n_threads.min(n), "{n} users, {n_threads} threads");
+            assert_eq!(out.candidates, serial.candidates, "{n} users, {n_threads} threads");
+            assert_eq!(out.mapping, serial.mapping, "{n} users, {n_threads} threads");
+            for (u, entries) in out.candidate_scores.iter().enumerate() {
+                for &(v, s) in entries {
+                    assert_eq!(
+                        s.to_bits(),
+                        serial.similarity[u][v].to_bits(),
+                        "pair ({u}, {v}) of {n} users at {n_threads} threads"
+                    );
+                }
+            }
+        }
+    }
 }
