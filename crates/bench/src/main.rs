@@ -189,9 +189,10 @@ fn run_snapshot_command(users: usize, seed: u64, path: &str) {
     let save_secs = t0.elapsed().as_secs_f64();
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "wrote {path}: {bytes} bytes (format v2, 8-byte-aligned sections; build \
+        "wrote {path}: {bytes} bytes (format v{version}, 8-byte-aligned sections; build \
          {build_secs:.3}s, save {save_secs:.3}s); serve it with `repro serve --path {path}` \
-         (add --owned to skip the zero-copy mmap load)"
+         (add --owned to skip the zero-copy mmap load)",
+        version = dehealth_corpus::snapshot::VERSION,
     );
 }
 

@@ -9,14 +9,22 @@
 //!   through the scaler, and train an owned classifier. Kept as the
 //!   differential oracle (the same pattern as the engine's dense scoring
 //!   mode).
-//! - [`refine_user_shared`] — the fast path: every post's dense sample
-//!   lives in a [`RefinedContext`] arena built **once per side**; per-user
+//! - [`refine_user_shared`] — the fast path: every post's sample lives in
+//!   a [`RefinedContext`] arena built **once per side**; per-user
 //!   training assembles row-index lists into zero-copy
 //!   [`DatasetView`]s, min-max scaling is fused into a single
 //!   gather-scale pass over reusable [`RefinedScratch`] buffers, and KNN
 //!   (the default classifier) runs a fully sparse kernel — stats,
 //!   scaling, and cosine over nonzero entries only — without ever
 //!   materializing a training set.
+//!
+//! The KNN kernel renumbers the features a user's training rows touch to
+//! a dense local range, then classifies the user's anonymized posts
+//! several at a time: it scatters up to `LANES` scaled queries into one
+//! interleaved buffer and sweeps each training row once for all of them,
+//! each post keeping its own accumulator in the row's feature order. Its
+//! sparse context rows are built straight from each post's nonzero
+//! features plus the structural features, never densified.
 //!
 //! Decoy sampling, majority-vote tie-breaking and the Section III-B
 //! verification tests are shared helpers, so the two paths cannot drift
@@ -125,16 +133,24 @@ fn make_classifier(kind: ClassifierKind, seed: u64) -> Box<dyn Classifier> {
     }
 }
 
-/// Dense sample: the post's stylometric vector plus the author's structural
-/// features from its UDA graph (degree, weighted degree, attribute count,
-/// post count — log-scaled to tame magnitudes).
+/// The author's structural features from its UDA graph (degree, weighted
+/// degree, attribute count, post count — log-scaled to tame magnitudes):
+/// the last [`N_STRUCT`] entries of every sample.
+fn structural(uda: &UdaGraph, user: usize) -> [f64; N_STRUCT] {
+    [
+        (uda.graph.degree(user) as f64).ln_1p(),
+        uda.graph.weighted_degree(user).ln_1p(),
+        (uda.attributes[user].len() as f64).ln_1p(),
+        (uda.post_counts[user] as f64).ln_1p(),
+    ]
+}
+
+/// Dense sample: the post's stylometric vector followed by its author's
+/// [`structural`] features.
 fn sample(post_features: &FeatureVector, uda: &UdaGraph, user: usize) -> Vec<f64> {
     let mut x = post_features.to_dense();
     x.reserve_exact(N_STRUCT);
-    x.push((uda.graph.degree(user) as f64).ln_1p());
-    x.push(uda.graph.weighted_degree(user).ln_1p());
-    x.push((uda.attributes[user].len() as f64).ln_1p());
-    x.push((uda.post_counts[user] as f64).ln_1p());
+    x.extend_from_slice(&structural(uda, user));
     x
 }
 
@@ -200,11 +216,14 @@ impl<'a> SparseSlices<'a> {
 }
 
 impl RefinedContext {
-    /// Materialize every post of `side` — each post exactly once, through
-    /// the same `sample` helper the per-user oracle calls per (user, candidate,
-    /// post), so row values are bit-identical by construction. Only the
+    /// Materialize every post of `side`, each exactly once. Only the
     /// representation `classifier` reads is built: the sparse entry lists
-    /// for [`ClassifierKind::Knn`], the dense arena otherwise.
+    /// for [`ClassifierKind::Knn`], the dense arena otherwise. Dense rows
+    /// come from the same `sample` helper the per-user oracle calls per
+    /// (user, candidate, post); sparse rows come straight from the post's
+    /// nonzero features and the same structural-feature expressions, so
+    /// either way row values are bit-identical to the oracle's by
+    /// construction.
     ///
     /// # Panics
     /// Panics (on the sparse build) if any feature value is negative: the
@@ -249,19 +268,20 @@ impl RefinedContext {
             let sp_idx = self.sp_idx.to_mut();
             let sp_val = self.sp_val.to_mut();
             let sp_start = self.sp_start.to_mut();
+            // Straight from the sparse features, without densifying: a
+            // `FeatureVector` holds exactly the nonzero stylometric entries
+            // of `sample`'s row, ascending. Structural features are kept
+            // explicitly even when zero: they are dense in practice, and
+            // explicit zeros fold into the per-feature min/max exactly like
+            // the dense scan.
             for (post, features) in side.forum.posts.iter().zip(side.post_features).skip(from_post)
             {
-                let row = sample(features, side.uda, post.author);
-                for (j, &v) in row.iter().enumerate() {
+                let stylometric = features.iter_nonzero();
+                let structural = structural(side.uda, post.author).into_iter();
+                for (j, v) in stylometric.chain(structural.enumerate().map(|(s, v)| (M + s, v))) {
                     assert!(v >= 0.0, "negative feature value {v} at index {j}");
-                    // Structural features are kept explicitly even when
-                    // zero: they are dense in practice, and explicit zeros
-                    // fold into the per-feature min/max exactly like the
-                    // dense scan.
-                    if v != 0.0 || j >= M {
-                        sp_idx.push(j as u32);
-                        sp_val.push(v);
-                    }
+                    sp_idx.push(j as u32);
+                    sp_val.push(v);
                 }
                 sp_start.push(sp_idx.len() as u64);
             }
@@ -471,11 +491,22 @@ impl RefinedContext {
     }
 }
 
+/// Anonymized posts classified per sweep of the training rows in
+/// [`sparse_knn_votes`]: each training entry is loaded once and feeds this
+/// many independent dot products, so the kernel is no longer bound by the
+/// latency of one serial chain of adds. On baseline x86-64 eight lanes are
+/// four 2-wide multiplies and adds per entry; in a one-thread probe on the
+/// open-hb-2k split (2-vCPU x86-64 VM), 8 and 16 lanes classified alike
+/// and 4 lanes slower.
+const LANES: usize = 8;
+
 /// Reusable per-worker buffers for [`refine_user_shared`]: training-set
 /// row indices and labels, the scaled training matrix (dense classifiers)
-/// or scaled sparse rows + per-feature min-max stats (the sparse KNN hot
-/// loop), and the scaled query. Amortizes every per-user allocation of
-/// the hot loop.
+/// or the sparse KNN kernel's state — a dense local id per feature the
+/// user's training rows touch, per-feature min-max stats over those local
+/// ids, the scaled training rows in local ids, and the interleaved lane
+/// buffer of the anonymized posts one sweep classifies. Amortizes every
+/// per-user allocation of the hot loop.
 #[derive(Debug, Clone, Default)]
 pub struct RefinedScratch {
     class_users: Vec<usize>,
@@ -484,27 +515,31 @@ pub struct RefinedScratch {
     scaled: Vec<f64>,
     x: Vec<f64>,
     votes: Vec<usize>,
-    /// Epoch tag per feature: a feature's `feat_*` slots are valid only
-    /// when its tag equals `epoch`, so per-user resets cost O(touched)
+    /// Epoch tag per global feature: its `feat_local` id is valid only
+    /// when its tag equals `epoch`, so per-user resets cost nothing
     /// instead of O(dim).
     epoch: u32,
     feat_epoch: Vec<u32>,
-    feat_count: Vec<u32>,
-    feat_min: Vec<f64>,
-    feat_max: Vec<f64>,
-    feat_range: Vec<f64>,
-    touched: Vec<u32>,
-    /// Scaled sparse training rows (concatenated; `s_start` bounds) and
-    /// their Euclidean norms.
+    feat_local: Vec<u32>,
+    /// Per-local-feature count, min, max and range over the training rows
+    /// (local ids are dense: `0..loc_count.len()`).
+    loc_count: Vec<u32>,
+    loc_min: Vec<f64>,
+    loc_max: Vec<f64>,
+    loc_range: Vec<f64>,
+    /// Scaled sparse training rows in local ids (concatenated; `s_start`
+    /// bounds) and their Euclidean norms.
     s_idx: Vec<u32>,
     s_val: Vec<f64>,
     s_start: Vec<usize>,
     s_norm: Vec<f64>,
-    /// The query's nonzero feature indices (for unscattering) and its
-    /// dense scatter of scaled values (invariant: all zeros outside
-    /// [`sparse_knn_votes`]'s per-post scatter/unscatter).
-    q_idx: Vec<u32>,
-    q_dense: Vec<f64>,
+    /// The lane buffer: `q[t][l]` is lane `l`'s scaled query value of
+    /// local feature `t` (invariant: all zeros outside
+    /// [`sparse_knn_votes`]'s per-sweep scatter/unscatter, for any length
+    /// an earlier user grew it to).
+    q: Vec<[f64; LANES]>,
+    /// Closeness of every training row to each lane's query.
+    lane_scores: Vec<[f64; LANES]>,
 }
 
 impl RefinedScratch {
@@ -515,29 +550,15 @@ impl RefinedScratch {
     }
 }
 
-/// Min-max-scale one sparse value against finalized per-feature stats —
-/// the same expression as `MinMaxScaler::scale_value`, so scaled values
-/// are bit-identical to the dense path's.
-fn scale_sparse(feat_min: &[f64], feat_range: &[f64], j: usize, v: f64) -> f64 {
-    if feat_range[j] == 0.0 {
+/// Min-max-scale one sparse value against finalized stats — the same
+/// expression as `MinMaxScaler::scale_value`, so scaled values are
+/// bit-identical to the dense path's.
+fn scale_sparse(min: f64, range: f64, v: f64) -> f64 {
+    if range == 0.0 {
         0.0
     } else {
-        ((v - feat_min[j]) / feat_range[j]).clamp(0.0, 1.0)
+        ((v - min) / range).clamp(0.0, 1.0)
     }
-}
-
-/// Dot product of a scattered dense query (`q_dense[j]` = scaled query
-/// value, 0.0 elsewhere) with one sparse row (ascending indices).
-/// Accumulates over the row's entries in ascending index order — every
-/// term of the dense `Σ_j a_j·b_j` this skips has a zero row value, i.e.
-/// is an exact `+ 0.0` no-op on a non-negative accumulator — so the
-/// result is bit-identical to the dense sum.
-fn scatter_dot(q_dense: &[f64], bi: &[u32], bv: &[f64]) -> f64 {
-    let mut dot = 0.0;
-    for (&j, &v) in bi.iter().zip(bv) {
-        dot += q_dense[j as usize] * v;
-    }
-    dot
 }
 
 /// The sparse KNN hot loop: per-feature min-max stats, scaled training
@@ -547,6 +568,16 @@ fn scatter_dot(q_dense: &[f64], bi: &[u32], bv: &[f64]) -> f64 {
 /// zero min-max-scales to exactly `0.0`, `f64::min`/`max` folds are
 /// order-independent without NaNs, and every dense-sum term the sparse
 /// kernels skip is an exact `+ 0.0`.
+///
+/// - Pass 1 gives each feature the training rows touch a dense local id
+///   (first-touch order) and folds its min-max stats.
+/// - Pass 2 stores the scaled training rows in local ids, with their norms.
+/// - Pass 3 scatters up to [`LANES`] anonymized posts into the interleaved
+///   lane buffer and sweeps each training row once for all of them. Each
+///   lane keeps its own accumulator and adds `q·v` over the row's entries
+///   in ascending feature order with a plain multiply and add — the same
+///   terms in the same order as the dense `Σ_j a_j·b_j` minus its exact
+///   `+ 0.0`s — so every closeness keeps its bits.
 ///
 /// Fills `scratch.votes` (sized to the class count) with the per-post
 /// majority votes. Expects `scratch.rows`/`labels` to hold the gathered
@@ -567,10 +598,7 @@ fn sparse_knn_votes(
     let anon_rows = anon_ctx.sparse_slices();
     if scratch.feat_epoch.len() < dim {
         scratch.feat_epoch.resize(dim, 0);
-        scratch.feat_count.resize(dim, 0);
-        scratch.feat_min.resize(dim, 0.0);
-        scratch.feat_max.resize(dim, 0.0);
-        scratch.feat_range.resize(dim, 0.0);
+        scratch.feat_local.resize(dim, 0);
     }
     if scratch.epoch == u32::MAX {
         scratch.feat_epoch.fill(0);
@@ -579,39 +607,44 @@ fn sparse_knn_votes(
     scratch.epoch += 1;
     let epoch = scratch.epoch;
 
-    // Pass 1: per-feature count/min/max over the training rows' entries.
-    scratch.touched.clear();
+    // Pass 1: a local id and count/min/max per feature the training rows
+    // touch.
+    scratch.loc_count.clear();
+    scratch.loc_min.clear();
+    scratch.loc_max.clear();
     for &pi in &scratch.rows {
         let (idx, val) = aux_rows.post(pi as usize);
         for (&j, &v) in idx.iter().zip(val) {
             let j = j as usize;
             if scratch.feat_epoch[j] != epoch {
                 scratch.feat_epoch[j] = epoch;
-                scratch.feat_count[j] = 1;
-                scratch.feat_min[j] = v;
-                scratch.feat_max[j] = v;
-                scratch.touched.push(j as u32);
+                scratch.feat_local[j] = scratch.loc_count.len() as u32;
+                scratch.loc_count.push(1);
+                scratch.loc_min.push(v);
+                scratch.loc_max.push(v);
             } else {
-                scratch.feat_count[j] += 1;
-                scratch.feat_min[j] = scratch.feat_min[j].min(v);
-                scratch.feat_max[j] = scratch.feat_max[j].max(v);
+                let t = scratch.feat_local[j] as usize;
+                scratch.loc_count[t] += 1;
+                scratch.loc_min[t] = scratch.loc_min[t].min(v);
+                scratch.loc_max[t] = scratch.loc_max[t].max(v);
             }
         }
     }
     // A feature absent from some training row folds an implicit 0.0 into
     // its bounds, exactly like the dense min/max scan over full rows.
-    for &j in &scratch.touched {
-        let j = j as usize;
-        let (lo, hi) = if (scratch.feat_count[j] as usize) < n_train {
-            (scratch.feat_min[j].min(0.0), scratch.feat_max[j].max(0.0))
+    let n_local = scratch.loc_count.len();
+    scratch.loc_range.clear();
+    for t in 0..n_local {
+        let (lo, hi) = if (scratch.loc_count[t] as usize) < n_train {
+            (scratch.loc_min[t].min(0.0), scratch.loc_max[t].max(0.0))
         } else {
-            (scratch.feat_min[j], scratch.feat_max[j])
+            (scratch.loc_min[t], scratch.loc_max[t])
         };
-        scratch.feat_min[j] = lo;
-        scratch.feat_range[j] = if hi > lo { hi - lo } else { 0.0 };
+        scratch.loc_min[t] = lo;
+        scratch.loc_range.push(if hi > lo { hi - lo } else { 0.0 });
     }
 
-    // Pass 2: scaled sparse training rows and their norms.
+    // Pass 2: scaled sparse training rows (local ids) and their norms.
     scratch.s_idx.clear();
     scratch.s_val.clear();
     scratch.s_start.clear();
@@ -621,8 +654,9 @@ fn sparse_knn_votes(
         let (idx, val) = aux_rows.post(pi as usize);
         let mut norm2 = 0.0;
         for (&j, &v) in idx.iter().zip(val) {
-            let s = scale_sparse(&scratch.feat_min, &scratch.feat_range, j as usize, v);
-            scratch.s_idx.push(j);
+            let t = scratch.feat_local[j as usize];
+            let s = scale_sparse(scratch.loc_min[t as usize], scratch.loc_range[t as usize], v);
+            scratch.s_idx.push(t);
             scratch.s_val.push(s);
             norm2 += s * s;
         }
@@ -630,46 +664,62 @@ fn sparse_knn_votes(
         scratch.s_norm.push(norm2.sqrt());
     }
 
-    // Pass 3: classify each anonymized post and vote. The scaled query is
-    // scattered into a dense accumulator so each training row's closeness
-    // is one gather over the row's entries (no merge branching), and
-    // unscattered afterwards to keep the all-zeros invariant.
-    scratch.q_dense.resize(dim, 0.0);
-    for &pi in anon_posts {
-        let (idx, val) = anon_rows.post(pi);
-        scratch.q_idx.clear();
-        let mut norm2 = 0.0;
-        for (&j, &v) in idx.iter().zip(val) {
-            // A feature no training row has is constant 0 there: range 0,
-            // scaled 0 — same as the dense scaler's untouched column.
-            let s = if scratch.feat_epoch[j as usize] == epoch {
-                scale_sparse(&scratch.feat_min, &scratch.feat_range, j as usize, v)
-            } else {
-                0.0
-            };
-            scratch.q_idx.push(j);
-            scratch.q_dense[j as usize] = s;
-            norm2 += s * s;
+    // Pass 3: classify the anonymized posts `LANES` at a time, sweeping
+    // every training row once per group, and vote.
+    if scratch.q.len() < n_local {
+        scratch.q.resize(n_local, [0.0; LANES]);
+    }
+    scratch.lane_scores.resize(n_train, [0.0; LANES]);
+    for group in anon_posts.chunks(LANES) {
+        // Scatter each lane's scaled query. A feature no training row has
+        // is constant 0 there (range 0, scaled 0, as in the dense scaler's
+        // untouched column): it stays out of the buffer, and its `0.0`
+        // term of the norm is an exact no-op.
+        let mut na = [0.0; LANES];
+        for (l, &pi) in group.iter().enumerate() {
+            let (idx, val) = anon_rows.post(pi);
+            let mut norm2 = 0.0;
+            for (&j, &v) in idx.iter().zip(val) {
+                if scratch.feat_epoch[j as usize] == epoch {
+                    let t = scratch.feat_local[j as usize] as usize;
+                    let s = scale_sparse(scratch.loc_min[t], scratch.loc_range[t], v);
+                    scratch.q[t][l] = s;
+                    norm2 += s * s;
+                }
+            }
+            na[l] = norm2.sqrt();
         }
-        let na = norm2.sqrt();
-        let q_dense = &scratch.q_dense;
+
+        let q = &scratch.q;
         let (s_idx, s_val) = (&scratch.s_idx, &scratch.s_val);
         let (s_start, s_norm) = (&scratch.s_start, &scratch.s_norm);
-        let labels = &scratch.labels;
-        let scores = (0..n_train).map(|i| {
+        for (i, scores) in scratch.lane_scores.iter_mut().enumerate() {
             let row = s_start[i]..s_start[i + 1];
-            let dot = scatter_dot(q_dense, &s_idx[row.clone()], &s_val[row]);
-            let nb = s_norm[i];
-            if na == 0.0 || nb == 0.0 {
-                0.0
-            } else {
-                dot / (na * nb)
+            let mut dot = [0.0; LANES];
+            for (&t, &v) in s_idx[row.clone()].iter().zip(&s_val[row]) {
+                for (d, &x) in dot.iter_mut().zip(&q[t as usize]) {
+                    *d += x * v;
+                }
             }
-        });
-        let p = knn_vote_scored(scores, |i| labels[i], k);
-        scratch.votes[p.label] += 1;
-        for &j in &scratch.q_idx {
-            scratch.q_dense[j as usize] = 0.0;
+            let nb = s_norm[i];
+            for ((score, &d), &na) in scores.iter_mut().zip(&dot).zip(&na) {
+                *score = if na == 0.0 || nb == 0.0 { 0.0 } else { d / (na * nb) };
+            }
+        }
+
+        let labels = &scratch.labels;
+        for l in 0..group.len() {
+            let scores = scratch.lane_scores.iter().map(|s| s[l]);
+            let p = knn_vote_scored(scores, |i| labels[i], k);
+            scratch.votes[p.label] += 1;
+        }
+        // Unscatter, restoring the all-zeros invariant.
+        for &pi in group {
+            for &j in anon_rows.post(pi).0 {
+                if scratch.feat_epoch[j as usize] == epoch {
+                    scratch.q[scratch.feat_local[j as usize] as usize] = [0.0; LANES];
+                }
+            }
         }
     }
 }
@@ -816,7 +866,7 @@ pub fn refine_user(
 
 /// De-anonymize one anonymized user within its candidate set — the shared
 /// fast path. Bit-identical to [`refine_user`] (pinned by
-/// `tests/refined_parity.rs`), but reads every dense post sample from the
+/// `tests/refined_parity.rs`), but reads every post sample from the
 /// materialize-once [`RefinedContext`] arenas, assembles the per-user
 /// training set as row indices, fuses min-max scaling into one
 /// gather-scale pass over `scratch`, and lets KNN classify straight off
@@ -1263,58 +1313,235 @@ mod tests {
         );
     }
 
+    /// The rows `context` holds for `side`'s posts `from..`, checked
+    /// against the oracle's dense `sample` rows bit for bit: the dense
+    /// arena holds the whole row; a sparse row holds its nonzero
+    /// stylometric entries, then all [`N_STRUCT`] structural entries.
+    fn assert_rows_match_samples(context: &RefinedContext, side: &Side<'_>, from: usize) {
+        assert_eq!(context.dim(), M + N_STRUCT);
+        let sparse = context.sparse_slices();
+        for (pi, post) in side.forum.posts.iter().enumerate().skip(from) {
+            let oracle = sample(&side.post_features[pi], side.uda, post.author);
+            let want: Vec<(u32, u64)> = if context.is_sparse() {
+                oracle
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, &v)| v != 0.0 || j >= M)
+                    .map(|(j, v)| (j as u32, v.to_bits()))
+                    .collect()
+            } else {
+                oracle.iter().enumerate().map(|(j, v)| (j as u32, v.to_bits())).collect()
+            };
+            let got: Vec<(u32, u64)> = if context.is_sparse() {
+                let (idx, val) = sparse.post(pi);
+                idx.iter().zip(val).map(|(&j, v)| (j, v.to_bits())).collect()
+            } else {
+                context.row(pi).iter().enumerate().map(|(j, v)| (j as u32, v.to_bits())).collect()
+            };
+            assert_eq!(got, want, "post {pi} (sparse: {})", context.is_sparse());
+        }
+    }
+
     #[test]
     fn context_rows_match_oracle_samples() {
         let (aux_forum, anon_forum) = fixture();
         let (aux_uda, _, aux_feats, _) = sides(&aux_forum, &anon_forum);
         let aux = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
-        let ctx = RefinedContext::build(&aux, ClassifierKind::Centroid);
-        assert_eq!(ctx.dim(), M + N_STRUCT);
-        for (pi, post) in aux_forum.posts.iter().enumerate() {
-            let oracle = sample(&aux_feats[pi], &aux_uda, post.author);
-            let row = ctx.row(pi);
-            assert_eq!(row.len(), oracle.len());
-            for (a, b) in row.iter().zip(&oracle) {
-                assert_eq!(a.to_bits(), b.to_bits(), "post {pi}");
+        // A second cohort: two new users in threads of their own, appended
+        // to the same side.
+        let mut posts = aux_forum.posts.clone();
+        posts.push(Post {
+            author: 2,
+            thread: 2,
+            text: "my knee hurts after the long walk.".into(),
+        });
+        posts.push(Post { author: 3, thread: 3, text: "WHY DOES IT ITCH SO MUCH???".into() });
+        posts.push(Post { author: 2, thread: 2, text: "ice helps, heat does not".into() });
+        let grown_forum = Forum::from_posts(4, 4, posts);
+        let grown_uda = UdaGraph::build(&grown_forum);
+        let grown_feats: Vec<FeatureVector> =
+            grown_forum.posts.iter().map(|p| extract(&p.text)).collect();
+        let grown = Side { forum: &grown_forum, uda: &grown_uda, post_features: &grown_feats };
+        for kind in [ClassifierKind::Centroid, ClassifierKind::Knn { k: 3 }] {
+            let mut ctx = RefinedContext::build(&aux, kind);
+            assert_eq!(ctx.is_sparse(), matches!(kind, ClassifierKind::Knn { .. }));
+            assert_rows_match_samples(&ctx, &aux, 0);
+            ctx.append_rows(&grown, aux_forum.posts.len());
+            assert_eq!(ctx.n_posts(), grown_forum.posts.len());
+            assert_rows_match_samples(&ctx, &aux, 0);
+            assert_rows_match_samples(&ctx, &grown, aux_forum.posts.len());
+        }
+    }
+
+    /// The oracle's training set for `candidates` (class = candidate
+    /// position) and the scaler fitted on it, as `refine_user` builds them.
+    fn oracle_training(candidates: &[usize], aux: &Side<'_>) -> (Dataset, MinMaxScaler) {
+        let mut train = Dataset::new(M + N_STRUCT);
+        for (class, &v) in candidates.iter().enumerate() {
+            for &pi in aux.forum.user_posts(v) {
+                train.push(&sample(&aux.post_features[pi], aux.uda, v), class);
+            }
+        }
+        let scaler = MinMaxScaler::fit(&train);
+        (train, scaler)
+    }
+
+    /// The per-post KNN votes of the oracle's dense path (`refine_user`'s
+    /// dataset, scaler and classifier) for anonymized user `u` against
+    /// `candidates`.
+    fn oracle_votes(
+        u: usize,
+        candidates: &[usize],
+        anon: &Side<'_>,
+        aux: &Side<'_>,
+        k: usize,
+    ) -> Vec<usize> {
+        let (mut train, scaler) = oracle_training(candidates, aux);
+        scaler.transform(&mut train);
+        let mut clf = make_classifier(ClassifierKind::Knn { k }, 0);
+        clf.fit(&train);
+        let mut votes = vec![0; candidates.len()];
+        for &pi in anon.forum.user_posts(u) {
+            let x = sample(&anon.post_features[pi], anon.uda, u);
+            let x: Vec<f64> =
+                x.iter().enumerate().map(|(j, &v)| scaler.scale_value(j, v)).collect();
+            votes[clf.predict(&x).label] += 1;
+        }
+        votes
+    }
+
+    /// Synthetic sides for the lane kernel: three auxiliary users with
+    /// random sparse features over ids `1..300` (`1..900` for user 2) plus
+    /// a feature (id 0) every auxiliary post holds at 1.0, each user alone
+    /// in its thread; anonymized users 0..5 with 1, L−1, L, L+1 and 2L+1
+    /// posts over ids `1..300`.
+    ///
+    /// - The one post of anonymized user 0 holds only feature 0, so its
+    ///   scaled query is all zeros: feature 0 and both graph features have
+    ///   range 0 in training, and its attribute and post counts sit below
+    ///   every candidate's.
+    /// - The first post of user 3 holds only features `1000..1004`, which
+    ///   no training row has.
+    fn lane_fixture() -> (Forum, Vec<FeatureVector>, Forum, Vec<FeatureVector>) {
+        let mut rng = StdRng::seed_from_u64(0x1a4e);
+        let mut random_post = |extra: &[(u32, f64)], ids: u32| {
+            let mut entries: Vec<(u32, f64)> = extra.to_vec();
+            for _ in 0..40 {
+                entries.push((rng.gen_range(1..ids), rng.gen_range(0.05..5.0)));
+            }
+            entries.sort_by_key(|&(j, _)| j);
+            entries.dedup_by_key(|&mut (j, _)| j);
+            FeatureVector::try_from_sorted_entries(entries).expect("valid entries")
+        };
+        let post = |author: usize, thread: usize| Post { author, thread, text: String::new() };
+        let (mut aux_posts, mut aux_feats) = (Vec::new(), Vec::new());
+        for (v, n_posts, ids) in [(0usize, 6usize, 300), (1, 4, 300), (2, 9, 900)] {
+            for _ in 0..n_posts {
+                aux_posts.push(post(v, v));
+                aux_feats.push(random_post(&[(0, 1.0)], ids));
+            }
+        }
+        let (mut anon_posts, mut anon_feats) = (Vec::new(), Vec::new());
+        anon_posts.push(post(0, 0));
+        anon_feats.push(FeatureVector::try_from_sorted_entries(vec![(0, 0.7)]).unwrap());
+        for (u, n_posts) in [(1usize, LANES - 1), (2, LANES), (3, LANES + 1), (4, 2 * LANES + 1)] {
+            for i in 0..n_posts {
+                anon_posts.push(post(u, u));
+                anon_feats.push(if u == 3 && i == 0 {
+                    let unseen = (1000..1004).map(|j| (j, 1.5)).collect();
+                    FeatureVector::try_from_sorted_entries(unseen).unwrap()
+                } else {
+                    random_post(&[], 300)
+                });
+            }
+        }
+        (
+            Forum::from_posts(3, 3, aux_posts),
+            aux_feats,
+            Forum::from_posts(5, 5, anon_posts),
+            anon_feats,
+        )
+    }
+
+    #[test]
+    fn lane_boundaries_match_oracle() {
+        let (aux_forum, aux_feats, anon_forum, anon_feats) = lane_fixture();
+        let aux_uda = UdaGraph::build_with_features(&aux_forum, &aux_feats);
+        let anon_uda = UdaGraph::build_with_features(&anon_forum, &anon_feats);
+        let aux = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
+        let anon = Side { forum: &anon_forum, uda: &anon_uda, post_features: &anon_feats };
+        let post_counts: Vec<usize> = (0..5).map(|u| anon_forum.user_posts(u).len()).collect();
+        assert_eq!(post_counts, [1, LANES - 1, LANES, LANES + 1, 2 * LANES + 1]);
+
+        // The fixture's two edge posts are what they claim to be.
+        let (_, scaler) = oracle_training(&[0, 1, 2], &aux);
+        let zero_query = sample(&anon_feats[anon_forum.user_posts(0)[0]], &anon_uda, 0);
+        assert!(zero_query.iter().enumerate().all(|(j, &v)| scaler.scale_value(j, v) == 0.0));
+        let unseen = &anon_feats[anon_forum.user_posts(3)[0]];
+        assert!(aux_feats.iter().all(|f| unseen.iter_nonzero().all(|(j, _)| f.get(j) == 0.0)));
+
+        let aux_ctx = RefinedContext::build(&aux, ClassifierKind::Knn { k: 1 });
+        let anon_ctx = RefinedContext::build(&anon, ClassifierKind::Knn { k: 1 });
+        let mut scratch = RefinedScratch::new();
+        for k in [1, 3] {
+            let config = RefinedConfig {
+                classifier: ClassifierKind::Knn { k },
+                verification: Verification::None,
+                seed: 5,
+            };
+            for order in [[0, 1, 2], [2, 0, 1]] {
+                for u in 0..anon_forum.n_users {
+                    let sim_row = [0.3, 0.2, 0.1];
+                    let oracle = refine_user(u, &order, &anon, &aux, &sim_row, &config);
+                    let fast = refine_user_shared(
+                        u,
+                        &order,
+                        &anon,
+                        &aux,
+                        &anon_ctx,
+                        &aux_ctx,
+                        &sim_row,
+                        &config,
+                        &mut scratch,
+                    );
+                    assert_eq!(fast, oracle, "user {u}, k {k}, candidates {order:?}");
+                    let want = oracle_votes(u, &order, &anon, &aux, k);
+                    assert_eq!(scratch.votes, want, "user {u}, k {k}, candidates {order:?}");
+                }
             }
         }
     }
 
     #[test]
     fn scratch_reuse_across_users_is_clean() {
-        // Run the shared path twice with the same scratch; stale buffer
-        // contents from the first user must not leak into the second.
-        let (aux_forum, anon_forum) = fixture();
-        let (aux_uda, anon_uda, aux_feats, anon_feats) = sides(&aux_forum, &anon_forum);
+        // A user whose training rows touch a wide feature range runs before
+        // one whose rows touch a narrow range, on the same scratch: stale
+        // lane entries or stats from the first must not leak into the
+        // second, which must decide and vote as on a fresh scratch.
+        let (aux_forum, aux_feats, anon_forum, anon_feats) = lane_fixture();
+        let aux_uda = UdaGraph::build_with_features(&aux_forum, &aux_feats);
+        let anon_uda = UdaGraph::build_with_features(&anon_forum, &anon_feats);
         let aux = Side { forum: &aux_forum, uda: &aux_uda, post_features: &aux_feats };
         let anon = Side { forum: &anon_forum, uda: &anon_uda, post_features: &anon_feats };
         let config = RefinedConfig::default();
         let aux_ctx = RefinedContext::build(&aux, config.classifier);
         let anon_ctx = RefinedContext::build(&anon, config.classifier);
-        let mut scratch = RefinedScratch::new();
-        let first = refine_user_shared(
-            0,
-            &[0, 1],
-            &anon,
-            &aux,
-            &anon_ctx,
-            &aux_ctx,
-            &[0.1, 0.9],
-            &config,
-            &mut scratch,
-        );
-        let second = refine_user_shared(
-            0,
-            &[1],
-            &anon,
-            &aux,
-            &anon_ctx,
-            &aux_ctx,
-            &[0.1, 0.9],
-            &config,
-            &mut scratch,
-        );
-        assert_eq!(first, Some(1));
-        assert_eq!(second, Some(1));
+        let sim_row = [0.3, 0.2, 0.1];
+        let run = |u: usize, candidates: &[usize], scratch: &mut RefinedScratch| {
+            let got = refine_user_shared(
+                u, candidates, &anon, &aux, &anon_ctx, &aux_ctx, &sim_row, &config, scratch,
+            );
+            (got, scratch.votes.clone(), scratch.loc_count.len())
+        };
+        for u in 0..anon_forum.n_users {
+            let mut shared = RefinedScratch::new();
+            let (_, _, wide) = run(4, &[2, 0, 1], &mut shared);
+            assert!(shared.q.iter().all(|lanes| lanes == &[0.0; LANES]), "lane buffer not cleared");
+            let narrow = run(u, &[0, 1], &mut shared);
+            assert!(narrow.2 + 200 < wide, "local ranges {wide} then {}", narrow.2);
+            assert_eq!(narrow, run(u, &[0, 1], &mut RefinedScratch::new()), "user {u}");
+            assert_eq!(narrow.0, refine_user(u, &[0, 1], &anon, &aux, &sim_row, &config));
+            assert_eq!(narrow.1, oracle_votes(u, &[0, 1], &anon, &aux, 3), "user {u}");
+        }
     }
 }

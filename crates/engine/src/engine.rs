@@ -122,7 +122,8 @@ impl Engine {
     /// call and a fresh [`AuxiliaryCache`].
     #[must_use]
     pub fn run(&self, auxiliary: &Forum, anonymized: &Forum) -> EngineOutcome {
-        let ((features, uda), secs) = prepare(auxiliary, self.config.effective_threads());
+        let threads = self.config.effective_threads();
+        let ((features, uda), secs) = prepare(auxiliary, threads);
         let cache = AuxiliaryCache::default();
         let aux = PreparedAuxiliary {
             forum: auxiliary,
@@ -132,7 +133,7 @@ impl Engine {
             context: None,
             cache: &cache,
         };
-        let mut outcome = self.run_prepared(&aux, anonymized);
+        let mut outcome = self.run_prepared_on(&aux, anonymized, threads);
         outcome.report.record("prepare", "posts", auxiliary.posts.len() as u64, secs);
         outcome
     }
@@ -164,6 +165,17 @@ impl Engine {
     /// `PreparedAuxiliary` producers validate this at build/load time.
     #[must_use]
     pub fn run_prepared(&self, aux: &PreparedAuxiliary<'_>, anonymized: &Forum) -> EngineOutcome {
+        self.run_prepared_on(aux, anonymized, self.config.effective_threads())
+    }
+
+    /// [`Engine::run_prepared`] on `threads` workers, resolved once per
+    /// attack by the caller.
+    fn run_prepared_on(
+        &self,
+        aux: &PreparedAuxiliary<'_>,
+        anonymized: &Forum,
+        threads: usize,
+    ) -> EngineOutcome {
         assert_eq!(
             aux.features.len(),
             aux.forum.posts.len(),
@@ -177,7 +189,6 @@ impl Engine {
             );
         }
         let cfg = &self.config.attack;
-        let threads = self.config.effective_threads();
         let (n_anon, cap) = (anonymized.n_users, self.config.block_size);
         let mut report =
             EngineReport::new(workers(n_anon, cap, threads), block_len(n_anon, cap, threads));
@@ -196,11 +207,20 @@ impl Engine {
         report.record("structure", "users", built, structure_start.elapsed().as_secs_f64());
         let mut heaps = vec![BoundedTopK::new(cfg.top_k); anonymized.n_users];
         let mut bounds = ScoreBounds::new();
-        topk_pass(&self.config, &scorer, &mut heaps, &mut bounds, &mut report);
+        topk_pass(&self.config, threads, &scorer, &mut heaps, &mut bounds, &mut report);
 
         let anon_side = Side { forum: anonymized, uda: &anon_uda, post_features: &anon_feats };
         let aux_side = Side { forum: aux.forum, uda: aux.uda, post_features: aux.features };
-        complete_attack(&self.config, &anon_side, &aux_side, heaps, bounds, aux.context, report)
+        complete_attack(
+            &self.config,
+            threads,
+            &anon_side,
+            &aux_side,
+            heaps,
+            bounds,
+            aux.context,
+            report,
+        )
     }
 }
 
@@ -325,10 +345,11 @@ fn prepare(forum: &Forum, n_threads: usize) -> ((Vec<FeatureVector>, UdaGraph), 
 }
 
 /// The Top-K stage: score every anonymized user against the auxiliary
-/// side through `scorer`, sharded over the worker pool, pruning against
+/// side through `scorer`, sharded over `threads` workers, pruning against
 /// each heap's floor when the scorer does.
 fn topk_pass(
     config: &EngineConfig,
+    threads: usize,
     scorer: &IndexedScorer<'_, '_>,
     heaps: &mut [BoundedTopK],
     bounds: &mut ScoreBounds,
@@ -338,7 +359,7 @@ fn topk_pass(
         let states = run_blocks(
             heaps,
             config.block_size,
-            config.effective_threads(),
+            threads,
             || (ScoreBounds::new(), PairTally::default(), scorer.scratch()),
             |offset, block, (local_bounds, tally, scratch)| {
                 for (i, heap) in block.iter_mut().enumerate() {
@@ -403,14 +424,16 @@ fn apply_candidate_budget(
 
 /// The stages after Top-K: extract candidate sets from the heaps, apply
 /// the candidate budget and Algorithm-2 filtering (if configured), and
-/// fan the Refined-DA stage out over the worker pool.
+/// fan the Refined-DA stage out over `threads` workers.
 ///
 /// `aux_context` short-circuits the auxiliary-side context build when a
 /// matching pre-built context is at hand (the snapshot-serving path); a
 /// context for the wrong classifier representation is ignored and
 /// rebuilt from `aux_side`'s features.
+#[allow(clippy::too_many_arguments)]
 fn complete_attack(
     config: &EngineConfig,
+    threads: usize,
     anon_side: &Side<'_>,
     aux_side: &Side<'_>,
     heaps: Vec<BoundedTopK>,
@@ -474,7 +497,7 @@ fn complete_attack(
         run_blocks(
             &mut mapping,
             config.block_size,
-            config.effective_threads(),
+            threads,
             || (vec![f64::NEG_INFINITY; n_aux], RefinedScratch::new()),
             |offset, block, (scratch_row, scratch)| {
                 for (i, slot) in block.iter_mut().enumerate() {

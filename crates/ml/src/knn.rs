@@ -96,17 +96,21 @@ pub fn knn_vote_scored(
     let k = k.min(n);
     // Ascending by `Ord` = best-first (greater = worse).
     let top = heap.into_sorted_vec();
-    let mut votes: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    // `(class, votes)` in the order each class first appears best-first:
+    // at most k entries.
+    let mut votes: Vec<(usize, usize)> = Vec::with_capacity(top.len());
     for neighbour in &top {
-        *votes.entry(label_of(neighbour.index)).or_insert(0) += 1;
+        let label = label_of(neighbour.index);
+        match votes.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, count)) => *count += 1,
+            None => votes.push((label, 1)),
+        }
     }
-    let best_count = *votes.values().max().expect("k >= 1");
-    // Tie-break: first (closest) neighbour whose class reached the max.
-    let label = top
-        .iter()
-        .map(|neighbour| label_of(neighbour.index))
-        .find(|l| votes[l] == best_count)
-        .expect("at least one neighbour");
+    let best_count = votes.iter().map(|&(_, count)| count).max().expect("k >= 1");
+    // Tie-break: first (closest) neighbour whose class reached the max —
+    // the first such class in first-appearance order.
+    let (label, _) =
+        *votes.iter().find(|&&(_, count)| count == best_count).expect("at least one neighbour");
     Prediction { label, score: best_count as f64 / k as f64 }
 }
 
@@ -247,6 +251,25 @@ mod tests {
                 assert_eq!(owned, viewed, "k={k} x={x:?}");
             }
         }
+    }
+
+    #[test]
+    fn tied_vote_goes_to_the_closest_tied_class() {
+        // Best-first labels [1, 0, 0, 1]: classes 0 and 1 tie at two votes,
+        // and the closest neighbour's class wins.
+        let scores = [0.9, 0.8, 0.7, 0.95, 0.1];
+        let labels = [0, 0, 1, 1, 2];
+        let p = knn_vote_scored(scores.into_iter(), |i| labels[i], 4);
+        assert_eq!(p.label, 1);
+        assert!((p.score - 0.5).abs() < 1e-12);
+        // Best-first labels [2, 0, 0, 1, 1]: a class that reached the top
+        // count beats a closer class that did not, and among the tied
+        // classes 0 and 1 the one seen first wins.
+        let scores = [0.8, 0.7, 0.6, 0.5, 0.9];
+        let labels = [0, 0, 1, 1, 2];
+        let p = knn_vote_scored(scores.into_iter(), |i| labels[i], 5);
+        assert_eq!(p.label, 0);
+        assert!((p.score - 0.4).abs() < 1e-12);
     }
 
     #[test]
