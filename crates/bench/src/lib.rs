@@ -1,10 +1,10 @@
 //! # dehealth-bench
 //!
 //! The experiment harness: one module per table/figure of the paper's
-//! evaluation, each printing the same rows/series the paper reports (see
-//! EXPERIMENTS.md for paper-vs-measured records). The `repro` binary
-//! dispatches to these modules; `benches/` holds the Criterion
-//! micro-benchmarks.
+//! evaluation, each printing the same rows/series the paper reports. The
+//! `repro` binary dispatches to these modules. The two experiments whose
+//! asserts compare wall-clock times (`service`, `snapshot_load`) are
+//! tested one at a time in their own test binary, `tests/timing.rs`.
 //!
 //! Experiments default to laptop-scale populations (hundreds to a few
 //! thousand users). Scale is a parameter everywhere, so paper-scale runs

@@ -182,7 +182,7 @@ fn run_snapshot_command(users: usize, seed: u64, path: &str) {
     );
     let build_secs = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    if let Err(e) = corpus.save(Path::new(path)) {
+    if let Err(e) = corpus.save_streaming(Path::new(path)) {
         eprintln!("snapshot: failed to write {path}: {e}");
         std::process::exit(1);
     }

@@ -317,24 +317,6 @@ impl AttributeIndex {
         }
     }
 
-    /// `|A(v)|` and `Σ_i l_v(A_i)` of one user.
-    ///
-    /// # Panics
-    /// Panics when `v` is out of range.
-    #[must_use]
-    pub fn user_totals(&self, v: usize) -> (u32, u64) {
-        (self.attr_counts.as_slice()[v], self.weight_sums.as_slice()[v])
-    }
-
-    /// `true` when user `v` has posts (and therefore postings).
-    ///
-    /// # Panics
-    /// Panics when `v` is out of range.
-    #[must_use]
-    pub fn is_present(&self, v: usize) -> bool {
-        self.present_flags.as_slice()[v] != 0
-    }
-
     /// The posting list of one attribute, ascending by user id (empty for
     /// attributes no user exhibits).
     #[must_use]

@@ -211,7 +211,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// the payload in memory). Section codecs written against this trait —
 /// [`encode_forum`] and the `encode` methods in `dehealth-core` — emit
 /// the identical byte sequence through either implementation, which is
-/// what makes `save_streaming` bit-identical to `save`
+/// what makes a streamed snapshot bit-identical to an assembled one
 /// (pinned by `streamed_snapshot_is_bit_identical`).
 ///
 /// Only [`Self::put_raw`] and [`Self::len`] are required; every higher
@@ -404,25 +404,6 @@ impl SnapshotWriter {
         }
         out
     }
-
-    /// [`Self::finish`] and write the bytes to `path` atomically (temp
-    /// sibling + `rename`), so a reader — or a live mapping — of an
-    /// existing file at `path` never observes a truncated or partially
-    /// written snapshot.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_to(self, path: &Path) -> Result<(), SnapshotError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.finish())?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        Ok(())
-    }
 }
 
 /// Streams a snapshot straight to a file, one section at a time,
@@ -440,11 +421,10 @@ impl SnapshotWriter {
 ///
 /// The output is bit-identical to [`SnapshotWriter::finish`] for the same
 /// sections in the same order — both sinks share the [`SectionWrite`]
-/// encoding primitives. Like [`SnapshotWriter::write_to`], the bytes land
-/// in a temporary sibling first and are `rename`d over the target on
-/// [`Self::finish`], so a reader or live mapping of an existing snapshot
-/// never observes a partial write; an abandoned (dropped) streamer
-/// removes its temporary file.
+/// encoding primitives. The bytes land in a temporary sibling first and
+/// are `rename`d over the target on [`Self::finish`], so a reader or live
+/// mapping of an existing snapshot never observes a partial write; an
+/// abandoned (dropped) streamer removes its temporary file.
 #[derive(Debug)]
 pub struct SnapshotStreamer {
     out: std::io::BufWriter<std::fs::File>,

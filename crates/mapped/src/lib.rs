@@ -11,13 +11,11 @@
 //!
 //! - [`MappedFile`] — a read-only file mapping created with raw
 //!   `mmap`/`munmap` calls (no crates.io dependency), exposed as
-//!   `Deref<Target = [u8]>`. Feature-gated (`mmap`, on by default) and
-//!   unix-only; everywhere else [`MappedFile::open`] gracefully degrades
-//!   to reading the file into an [`AlignedBytes`] heap buffer.
+//!   `Deref<Target = [u8]>`.
 //! - [`AlignedBytes`] — an owned byte buffer whose base address is always
 //!   8-byte aligned (it is backed by a `Vec<u64>`), so format-level
-//!   alignment guarantees translate into *address*-level alignment even
-//!   on the owned fallback path.
+//!   alignment guarantees translate into *address*-level alignment for
+//!   in-memory snapshots too.
 //! - [`LePod`] + [`ByteSource`] — sealed POD slice casts
 //!   (`&[u8] → &[T]` for `T ∈ {u8, u32, u64, f64}`) that check pointer
 //!   alignment and length, and refuse entirely on big-endian targets
@@ -71,20 +69,6 @@ impl AlignedBytes {
         out
     }
 
-    /// Read a whole file into an 8-byte-aligned buffer.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn read(path: &Path) -> io::Result<Self> {
-        use io::Read as _;
-        let mut file = std::fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| io::Error::other("file too large for this address space"))?;
-        let mut out = Self::zeroed(len);
-        file.read_exact(out.as_mut_bytes())?;
-        Ok(out)
-    }
-
     fn zeroed(len: usize) -> Self {
         Self { words: vec![0u64; len.div_ceil(8)], len }
     }
@@ -119,7 +103,6 @@ impl fmt::Debug for AlignedBytes {
     }
 }
 
-#[cfg(all(unix, feature = "mmap"))]
 mod sys {
     //! The two raw syscall bindings this crate exists to confine. Declared
     //! directly against the platform libc (which every Rust binary already
@@ -150,11 +133,10 @@ mod sys {
 
 /// A read-only memory-mapped file (see the [module docs](self)).
 ///
-/// On unix targets with the `mmap` feature (the default) the bytes live
-/// in the page cache, shared with every other process mapping the same
-/// file; otherwise they live in an [`AlignedBytes`] heap copy. Either
-/// way the base address is at least page- or 8-byte aligned, so the v2
-/// snapshot format's 8-byte offset guarantees hold as address guarantees.
+/// The bytes live in the page cache, shared with every other process
+/// mapping the same file. The base address is page aligned (8-byte
+/// aligned for an empty file), so the snapshot format's 8-byte offset
+/// guarantees hold as address guarantees.
 ///
 /// ```no_run
 /// use dehealth_mapped::MappedFile;
@@ -166,88 +148,72 @@ pub struct MappedFile {
 }
 
 enum MappedInner {
-    #[cfg(all(unix, feature = "mmap"))]
     Mapped {
         ptr: *const u8,
         len: usize,
     },
-    Fallback(AlignedBytes),
+    /// A zero-length file, which `mmap` refuses to map.
+    Empty(AlignedBytes),
 }
 
 // SAFETY: a mapping is immutable shared memory for its whole lifetime
 // (PROT_READ, and this crate never exposes a mutable view); sending or
 // sharing the handle across threads cannot introduce data races. The
-// fallback variant is an ordinary owned buffer.
+// empty variant is an ordinary owned buffer.
 unsafe impl Send for MappedFile {}
 // SAFETY: see the Send impl — all access is read-only.
 unsafe impl Sync for MappedFile {}
 
 impl MappedFile {
-    /// Map `path` read-only. Uses `mmap` where available; degrades to an
-    /// aligned heap read otherwise ([`Self::is_mapped`] tells which).
+    /// Map `path` read-only.
     ///
     /// # Errors
     /// Propagates filesystem/`mmap` errors.
     pub fn open(path: &Path) -> io::Result<Self> {
-        #[cfg(all(unix, feature = "mmap"))]
-        {
-            use std::os::unix::io::AsRawFd as _;
-            let file = std::fs::File::open(path)?;
-            let len = usize::try_from(file.metadata()?.len())
-                .map_err(|_| io::Error::other("file too large for this address space"))?;
-            if len == 0 {
-                // mmap rejects zero-length mappings; an empty buffer is
-                // semantically identical.
-                return Ok(Self { inner: MappedInner::Fallback(AlignedBytes::from_slice(&[])) });
-            }
-            // SAFETY: a fresh anonymous-address read-only private mapping
-            // of an open fd; length is the current file size. The fd may
-            // be closed afterwards — the mapping keeps the pages alive.
-            let ptr = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ,
-                    sys::MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr == sys::map_failed() {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Self { inner: MappedInner::Mapped { ptr: ptr.cast_const().cast(), len } })
+        use std::os::unix::io::AsRawFd as _;
+        let file = std::fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| io::Error::other("file too large for this address space"))?;
+        if len == 0 {
+            // mmap rejects zero-length mappings; an empty buffer is
+            // semantically identical.
+            return Ok(Self { inner: MappedInner::Empty(AlignedBytes::from_slice(&[])) });
         }
-        #[cfg(not(all(unix, feature = "mmap")))]
-        {
-            Ok(Self { inner: MappedInner::Fallback(AlignedBytes::read(path)?) })
+        // SAFETY: a fresh anonymous-address read-only private mapping of
+        // an open fd; length is the current file size. The fd may be
+        // closed afterwards — the mapping keeps the pages alive.
+        let ptr = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ,
+                sys::MAP_PRIVATE,
+                file.as_raw_fd(),
+                0,
+            )
+        };
+        if ptr == sys::map_failed() {
+            return Err(io::Error::last_os_error());
         }
+        Ok(Self { inner: MappedInner::Mapped { ptr: ptr.cast_const().cast(), len } })
     }
 
     /// `true` when the bytes are a real `mmap` mapping (sharing the page
-    /// cache), `false` on the owned fallback.
+    /// cache), `false` for an empty file.
     #[must_use]
     pub fn is_mapped(&self) -> bool {
-        match &self.inner {
-            #[cfg(all(unix, feature = "mmap"))]
-            MappedInner::Mapped { .. } => true,
-            MappedInner::Fallback(_) => false,
-        }
+        matches!(self.inner, MappedInner::Mapped { .. })
     }
 }
 
 impl Drop for MappedFile {
     fn drop(&mut self) {
-        match &self.inner {
-            #[cfg(all(unix, feature = "mmap"))]
-            MappedInner::Mapped { ptr, len } => {
-                // SAFETY: `ptr/len` came from a successful mmap and are
-                // unmapped exactly once, here.
-                unsafe {
-                    let _ = sys::munmap((*ptr).cast_mut().cast(), *len);
-                }
+        if let MappedInner::Mapped { ptr, len } = &self.inner {
+            // SAFETY: `ptr/len` came from a successful mmap and are
+            // unmapped exactly once, here.
+            unsafe {
+                let _ = sys::munmap((*ptr).cast_mut().cast(), *len);
             }
-            MappedInner::Fallback(_) => {}
         }
     }
 }
@@ -257,13 +223,12 @@ impl Deref for MappedFile {
 
     fn deref(&self) -> &[u8] {
         match &self.inner {
-            #[cfg(all(unix, feature = "mmap"))]
             MappedInner::Mapped { ptr, len } => {
                 // SAFETY: the mapping covers `len` readable bytes for the
                 // lifetime of `self` (unmapped only in Drop).
                 unsafe { std::slice::from_raw_parts(*ptr, *len) }
             }
-            MappedInner::Fallback(bytes) => bytes,
+            MappedInner::Empty(bytes) => bytes,
         }
     }
 }
@@ -287,29 +252,19 @@ impl fmt::Debug for MappedFile {
 /// aligned buffer, behind one type so views need not care.
 #[derive(Debug)]
 pub enum ByteSource {
-    /// A [`MappedFile`] (which may itself be the aligned-read fallback on
-    /// non-unix targets).
+    /// A [`MappedFile`].
     Mapped(MappedFile),
     /// An owned 8-byte-aligned buffer.
     Owned(AlignedBytes),
 }
 
 impl ByteSource {
-    /// Map `path` (or aligned-read it where mapping is unavailable) and
-    /// wrap it for sharing.
+    /// Map `path` and wrap it for sharing.
     ///
     /// # Errors
     /// Propagates filesystem/`mmap` errors.
     pub fn map(path: &Path) -> io::Result<SharedBytes> {
         Ok(Arc::new(Self::Mapped(MappedFile::open(path)?)))
-    }
-
-    /// Read `path` into an owned aligned buffer and wrap it for sharing.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn read(path: &Path) -> io::Result<SharedBytes> {
-        Ok(Arc::new(Self::Owned(AlignedBytes::read(path)?)))
     }
 
     /// Wrap an in-memory byte buffer (copied into aligned storage).
@@ -436,7 +391,6 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let mapping = MappedFile::open(&path).unwrap();
         assert_eq!(&*mapping, &data[..]);
-        #[cfg(all(unix, feature = "mmap"))]
         assert!(mapping.is_mapped());
         drop(mapping);
         std::fs::remove_file(&path).unwrap();
@@ -494,12 +448,10 @@ mod tests {
         let data: Vec<u8> = (0..999).map(|i| (i % 256) as u8).collect();
         std::fs::write(&path, &data).unwrap();
         let mapped = ByteSource::map(&path).unwrap();
-        let read = ByteSource::read(&path).unwrap();
         let owned = ByteSource::from_vec(data.clone());
         assert_eq!(mapped.bytes(), &data[..]);
-        assert_eq!(read.bytes(), &data[..]);
         assert_eq!(owned.bytes(), &data[..]);
-        assert!(!read.is_mapped());
+        assert!(mapped.is_mapped());
         assert!(!owned.is_mapped());
         drop(mapped);
         std::fs::remove_file(&path).unwrap();

@@ -16,7 +16,7 @@
 //!   [`PreparedCorpus::append_users`] (or dropped, when the new users
 //!   move the landmarks or the hot set).
 //!
-//! [`PreparedCorpus::save`] writes all of it into one snapshot file
+//! [`PreparedCorpus::save_streaming`] writes all of it into one snapshot file
 //! (container format: [`dehealth_corpus::snapshot`], 8-byte-aligned
 //! sections; byte-level layout: ARCHITECTURE.md), and
 //! [`PreparedCorpus::load`] restores it without touching any post text —
@@ -33,10 +33,10 @@
 //!
 //! [`PreparedCorpus::load_with`] takes a [`LoadMode`]:
 //!
-//! - [`LoadMode::Owned`] — the eager path: map the file (an aligned read
-//!   where mmap is unavailable), verify every XXH64 checksum on a helper
-//!   thread while this thread decodes, copy every section into owned
-//!   structures (arenas in bulk), and drop the mapping.
+//! - [`LoadMode::Owned`] — the eager path: map the file, verify every
+//!   XXH64 checksum on a helper thread while this thread decodes, copy
+//!   every section into owned structures (arenas in bulk), and drop the
+//!   mapping.
 //! - [`LoadMode::Mapped`] — the zero-copy path: `mmap` the file
 //!   ([`dehealth_mapped`]), decode the forum/features sections (owned —
 //!   they are pointer-rich structures), and *borrow* the attribute-index
@@ -51,8 +51,8 @@
 //!
 //! Both modes read through a mapping, so both rely on the snapshot
 //! contract: a snapshot is replaced by `rename`, never truncated in place
-//! while it is loaded ([`PreparedCorpus::save`] and
-//! [`PreparedCorpus::save_streaming`] publish that way).
+//! while it is loaded ([`PreparedCorpus::save_streaming`] publishes that
+//! way).
 //!
 //! Wire attacks against a mapped corpus are bit-identical to the owned
 //! path (`tests/service_parity.rs`); mutation ([`PreparedCorpus::
@@ -364,28 +364,13 @@ impl PreparedCorpus {
     /// memory-mapped safe — the daemon's mapping keeps the old inode
     /// alive untruncated, instead of faulting on in-place truncation.
     ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_snapshot_bytes())?;
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        Ok(())
-    }
-
-    /// Write the snapshot to `path` atomically like [`Self::save`], but
-    /// **streamed**: each section's bytes go straight to the file as the
-    /// codec produces them ([`SnapshotStreamer`]), so peak memory during
-    /// a save stays at the corpus itself instead of corpus + two extra
-    /// copies of the serialized stream. At 100k auxiliary users that is
-    /// the difference between a save that fits alongside the build and
-    /// one that doubles peak RSS. The resulting file is bit-identical to
-    /// [`Self::save`]'s (`streamed_save_matches_materialized_save`).
+    /// The save is **streamed**: each section's bytes go straight to the
+    /// file as the codec produces them ([`SnapshotStreamer`]), so peak
+    /// memory during a save stays at the corpus itself, with no extra
+    /// copy of the serialized stream. At 100k auxiliary users that is the
+    /// difference between a save that fits alongside the build and one
+    /// that doubles peak RSS. The resulting file is bit-identical to
+    /// [`Self::to_snapshot_bytes`] (`streamed_save_matches_materialized_save`).
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -506,8 +491,8 @@ impl PreparedCorpus {
     ///
     /// Both modes read the file through a mapping, so both rely on the
     /// snapshot contract: a snapshot is replaced by `rename` (as
-    /// [`Self::save`] and [`Self::save_streaming`] do) and never truncated
-    /// in place while it is loaded.
+    /// [`Self::save_streaming`] does) and never truncated in place while
+    /// it is loaded.
     ///
     /// [`LoadMode::Owned`] verifies every checksum
     /// ([`Self::from_snapshot_bytes`]) and copies every section out of the
@@ -522,9 +507,8 @@ impl PreparedCorpus {
     pub fn load_with(path: &Path, mode: LoadMode) -> Result<Self, SnapshotError> {
         match mode {
             LoadMode::Owned => {
-                // The mapping layer falls back to an aligned read where
-                // mmap is unavailable. Every arena is copied out, and the
-                // mapping is dropped on return: the corpus borrows nothing.
+                // Every arena is copied out, and the mapping is dropped on
+                // return: the corpus borrows nothing.
                 let backing = ByteSource::map(path)?;
                 Self::from_snapshot_bytes(backing.bytes())
             }
@@ -616,12 +600,9 @@ mod tests {
     #[test]
     fn streamed_save_matches_materialized_save() {
         let corpus = tiny_corpus();
-        let dir = std::env::temp_dir();
-        let materialized = dir.join("dehealth-corpus-save-materialized-test.snap");
-        let streamed = dir.join("dehealth-corpus-save-streamed-test.snap");
-        corpus.save(&materialized).unwrap();
+        let streamed = std::env::temp_dir().join("dehealth-corpus-save-streamed-test.snap");
         corpus.save_streaming(&streamed).unwrap();
-        let a = std::fs::read(&materialized).unwrap();
+        let a = corpus.to_snapshot_bytes();
         let b = std::fs::read(&streamed).unwrap();
         assert_eq!(a, b, "streamed snapshot differs from materialized snapshot");
         // The streamed file loads through both load modes.
@@ -630,7 +611,6 @@ mod tests {
             assert_eq!(back.is_mapped(), mode == LoadMode::Mapped);
             assert_eq!(back.to_snapshot_bytes(), a, "{mode:?} load of the streamed file");
         }
-        std::fs::remove_file(&materialized).unwrap();
         std::fs::remove_file(&streamed).unwrap();
     }
 
@@ -767,7 +747,7 @@ mod tests {
     fn mapped_load_borrows_arenas_and_matches_owned() {
         let corpus = tiny_corpus();
         let path = std::env::temp_dir().join("dehealth-corpus-mapped-test.snap");
-        corpus.save(&path).unwrap();
+        corpus.save_streaming(&path).unwrap();
         let owned = PreparedCorpus::load_with(&path, LoadMode::Owned).unwrap();
         let mapped = PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap();
         assert!(!owned.is_mapped());
@@ -879,7 +859,7 @@ mod tests {
         let engine = engine(10, 100);
         let source = PreparedCorpus::build(first.clone(), ClassifierKind::default());
         let path = std::env::temp_dir().join("dehealth-corpus-cache-ingest-test.snap");
-        source.save(&path).unwrap();
+        source.save_streaming(&path).unwrap();
         let before = uncached(&source, &engine, &anon);
         assert_eq!(built(&source.attack(&engine, &anon)), source.n_users() as u64);
 
@@ -957,7 +937,7 @@ mod tests {
         let engine = engine(10, 30);
         let want = uncached(&corpus, &engine, &split.anonymized);
         let path = std::env::temp_dir().join("dehealth-corpus-cache-load-test.snap");
-        corpus.save(&path).unwrap();
+        corpus.save_streaming(&path).unwrap();
         for mode in [LoadMode::Owned, LoadMode::Mapped] {
             let loaded = PreparedCorpus::load_with(&path, mode).unwrap();
             let filling = loaded.attack(&engine, &split.anonymized);
@@ -1003,7 +983,7 @@ mod tests {
         let chunk = Forum::generate(&ForumConfig::tiny(), 11);
         let corpus = PreparedCorpus::build(split.auxiliary, ClassifierKind::default());
         let path = std::env::temp_dir().join("dehealth-corpus-mapped-append-test.snap");
-        corpus.save(&path).unwrap();
+        corpus.save_streaming(&path).unwrap();
 
         let mut owned = PreparedCorpus::load_with(&path, LoadMode::Owned).unwrap();
         let mut mapped = PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap();

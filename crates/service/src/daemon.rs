@@ -30,9 +30,8 @@
 //! ```
 //!
 //! The front thread multiplexes any number of idle connections over one
-//! [`Poller`] (epoll on Linux, `poll(2)` elsewhere on unix, the portable
-//! tick backend off unix) — no thread per connection. A poller that
-//! cannot be created, or cannot register the listener, fails
+//! epoll [`Poller`] — no thread per connection. A poller that cannot be
+//! created, or cannot register the listener, fails
 //! [`Daemon::bind_with`]. Cheap commands (`stats`, `metrics`,
 //! `shutdown`, protocol errors) are answered inline on the front
 //! thread, so a scrape never queues behind a multi-second attack. Bulk
@@ -594,7 +593,8 @@ impl Daemon {
     ///
     /// # Errors
     /// Propagates socket errors (bind/listen) and poller errors (creating
-    /// the readiness queue, registering the listener or the waker).
+    /// the epoll instance or the waker's socket pair, registering either
+    /// of them or the listener).
     pub fn bind_with<A: ToSocketAddrs>(
         addr: A,
         config: EngineConfig,
@@ -606,7 +606,7 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let mut poller = Poller::new()?;
         poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
-        let waker = poller.waker()?;
+        let waker = poller.waker();
         let metrics = DaemonMetrics::new();
         if let Some(corpus) = &corpus {
             metrics.observe_corpus(CorpusGauges::of(corpus));
@@ -854,7 +854,7 @@ fn front_loop(
 
         if state.shutting_down.load(Ordering::SeqCst) {
             if let Some(l) = listener.take() {
-                let _ = poller.deregister(&l, LISTENER_TOKEN);
+                let _ = poller.deregister(&l);
                 // Dropping the listener refuses new connections while
                 // the drain below completes.
             }
@@ -1246,7 +1246,7 @@ fn settle_conn(
     let drained_eof = conn.peer_closed && !conn.in_flight && conn.inbox.find_newline().is_none();
     if !alive || ((conn.closing || drained_eof) && conn.outbox.is_empty()) {
         let conn = conns.remove(&token).expect("connection was just looked up");
-        let _ = poller.deregister(&conn.stream, token);
+        let _ = poller.deregister(&conn.stream);
         state.metrics.connections_live.dec();
         return;
     }
@@ -1785,6 +1785,7 @@ mod tests {
             corpora.push(corpus.clone());
         }
 
+        let poller = Poller::new().unwrap();
         let state = Arc::new(DaemonState {
             config: default_config(),
             limits: DaemonLimits::default(),
@@ -1793,7 +1794,7 @@ mod tests {
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
             completions: Mutex::new(Vec::new()),
-            waker: Waker::default(),
+            waker: poller.waker(),
             dispatched: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
             cores: 1,

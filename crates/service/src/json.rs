@@ -2,7 +2,7 @@
 //! daemon protocol.
 //!
 //! The workspace has no crates.io access, so (in the pattern of the
-//! `crates/rand` / `crates/criterion` shims) the protocol layer carries
+//! `crates/rand` shim) the protocol layer carries
 //! its own JSON implementation: a recursive-descent parser with a depth
 //! guard, and an emitter whose number formatting round-trips `f64`s
 //! exactly (integers print without a fractional part; everything else

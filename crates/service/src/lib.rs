@@ -12,12 +12,12 @@
 //!   drops from a full corpus build to a file read plus cheap merges.
 //! - [`daemon::Daemon`] — a TCP server speaking one wire encoding,
 //!   newline-delimited JSON ([`protocol`]; the [`json`] module is the
-//!   in-tree parser/emitter, in the pattern of the `crates/rand` /
-//!   `crates/criterion` shims): every request and every reply is one
-//!   JSON line. One readiness-driven front thread (`dehealth-netpoll`: epoll /
-//!   `poll(2)`, a tick backend off unix) multiplexes every connection
-//!   and does *framing only* — request parsing, execution, and reply
-//!   serialization are all billed to a bounded worker pool (per-request
+//!   in-tree parser/emitter, in the pattern of the `crates/rand` shim):
+//!   every request and every reply is one JSON line. One
+//!   readiness-driven front thread (`dehealth-netpoll`, raw Linux epoll)
+//!   multiplexes every connection and does *framing only* — request
+//!   parsing, execution, and reply serialization are all billed to a
+//!   bounded worker pool (per-request
 //!   `daemon_parse/queue/engine/emit_seconds` stage timers prove it);
 //!   each attack runs alone, as soon as a worker has parsed it
 //!   ([`PreparedCorpus::attack`](corpus::PreparedCorpus::attack)).

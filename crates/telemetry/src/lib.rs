@@ -1,6 +1,6 @@
 //! In-tree observability substrate for the De-Health reproduction.
 //!
-//! Like the workspace's `rand` and `criterion` shims, this crate exists
+//! Like the workspace's `rand` shim, this crate exists
 //! because the build environment has no crates.io access: it provides
 //! the minimal metrics/logging surface the serving stack needs, with no
 //! dependencies and no locks on any hot path.

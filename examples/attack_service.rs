@@ -79,7 +79,7 @@ fn main() {
     let t0 = Instant::now();
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack.classifier);
     let build_secs = t0.elapsed().as_secs_f64();
-    corpus.save(&snap_path).expect("write snapshot");
+    corpus.save_streaming(&snap_path).expect("write snapshot");
     let loaded = client
         .load_snapshot(snap_path.to_str().expect("temp path is UTF-8"))
         .expect("load_snapshot");

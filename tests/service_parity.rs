@@ -34,7 +34,7 @@ fn wire_attack_on_snapshot_matches_serial_attack_at_1_and_8_threads() {
     // Freshly built corpus → snapshot file → daemon `load_snapshot`.
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let snap_path = std::env::temp_dir().join("dehealth-service-parity-test.snap");
-    corpus.save(&snap_path).unwrap();
+    corpus.save_streaming(&snap_path).unwrap();
 
     let config = EngineConfig { attack: attack_cfg(), ..default_config() };
     let daemon = Daemon::bind("127.0.0.1:0", config).unwrap();
@@ -84,7 +84,7 @@ fn wire_attack_on_mmap_loaded_corpus_is_bit_identical_to_owned_and_serial() {
     let reference = DeHealth::new(attack_cfg()).run(&split.auxiliary, &split.anonymized);
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let snap_path = std::env::temp_dir().join("dehealth-service-mmap-parity-test.snap");
-    corpus.save(&snap_path).unwrap();
+    corpus.save_streaming(&snap_path).unwrap();
 
     // Sanity at the corpus level: the mapped load really borrows.
     let mapped = PreparedCorpus::load_with(&snap_path, LoadMode::Mapped).unwrap();
@@ -134,7 +134,7 @@ fn streaming_ingest_into_mmap_loaded_corpus_promotes_and_stays_exact() {
     let split = tiny_split();
     let corpus = PreparedCorpus::build(split.auxiliary.clone(), attack_cfg().classifier);
     let snap_path = std::env::temp_dir().join("dehealth-service-mmap-ingest-test.snap");
-    corpus.save(&snap_path).unwrap();
+    corpus.save_streaming(&snap_path).unwrap();
 
     let chunk = Forum::generate(&ForumConfig::tiny(), 77);
     let mut merged_posts: Vec<Post> = split.auxiliary.posts.clone();

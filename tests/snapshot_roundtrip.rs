@@ -49,7 +49,7 @@ fn roundtrip_is_bit_identical_to_fresh_build() {
 fn file_roundtrip_via_save_and_load() {
     let fresh = built_corpus(ClassifierKind::default());
     let path = std::env::temp_dir().join("dehealth-snapshot-roundtrip-test.snap");
-    fresh.save(&path).unwrap();
+    fresh.save_streaming(&path).unwrap();
     let (loaded, seconds) = PreparedCorpus::load_timed(&path).unwrap();
     assert!(seconds >= 0.0);
     assert_eq!(loaded.to_snapshot_bytes(), fresh.to_snapshot_bytes());
@@ -282,7 +282,7 @@ fn mapped_and_owned_loads_restore_identical_corpora() {
             "dehealth-snapshot-mapped-parity-{}.snap",
             if fresh.context().is_sparse() { "sparse" } else { "dense" }
         ));
-        fresh.save(&path).unwrap();
+        fresh.save_streaming(&path).unwrap();
         let owned = PreparedCorpus::load_with(&path, LoadMode::Owned).unwrap();
         let mapped = PreparedCorpus::load_with(&path, LoadMode::Mapped).unwrap();
         assert!(mapped.is_mapped() && !owned.is_mapped(), "{classifier:?}");
