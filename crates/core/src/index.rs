@@ -25,12 +25,18 @@
 //!   construction: attributes whose lists touch ≥ 1/8th of the present
 //!   population (stylometric attribute sets are projections of one shared
 //!   feature space, so common features produce lists of length ≈ `|V2|`)
-//!   move off the probe path into per-user bitmask rows and a transposed
-//!   `(slot, weight)` CSR. Intersections then come from popcounts,
-//!   pruning uses a monotone upper bound on the weighted term, and only
-//!   surviving pairs pay the exact hot merge — keeping per-anonymized-user
-//!   work near `O(rare postings + |V2|·words)` instead of
-//!   `O(Σ hot-list length)`.
+//!   move off the probe path into per-user bitmask rows and dense `u16`
+//!   weight rows. Intersections then come from popcounts, pruning uses a
+//!   monotone upper bound on the weighted term, and only surviving pairs
+//!   pay the exact hot merge, a vectorized `Σ min` over two dense rows —
+//!   keeping per-anonymized-user work near `O(rare postings +
+//!   |V2|·words)` instead of `O(Σ hot-list length)`.
+//! - Auxiliary users are screened 64 at a time. A first pass over
+//!   a chunk has no data-dependent branch: it computes every pair's exact
+//!   intersection, its Jaccard term and its pre-merge bound, tests the
+//!   constant check below against the floor the chunk opened with, and
+//!   keeps one survivor bit per pair. Only the survivors go through the
+//!   per-pair checks, the hot merge and full scoring.
 //! - Pairs are pruned against the [`BoundedTopK::floor`] on an upper
 //!   bound of their score: the attribute term (exact, or bounded from
 //!   above before the hot merge) plus a ceiling on the structural part.
@@ -61,8 +67,22 @@
 //! pruned only when its bound is *strictly* below the floor (an
 //! equal-score pair could still enter on the smaller-id tie-break), so
 //! every pruned pair would have been rejected by [`BoundedTopK::insert`]
-//! anyway. `tests/index_parity.rs` differential-tests this path against
-//! the dense oracle at 1/2/8 threads.
+//! anyway. The chunk screen tests the constant check against the floor
+//! its chunk opened with, which is at most the floor each pair would
+//! meet when visited: it prunes only pairs that the first check of the
+//! per-pair path prunes too, and every survivor goes through that whole
+//! path against the current floor. So the pairs pruned, merged and
+//! scored are the same as visiting every pair one by one.
+//!
+//! A dense hot row holds `min(l_v, u16::MAX)`. A slot's `min` over two
+//! rows comes out short only when both weights exceed `u16::MAX`, so for
+//! each slot where the anonymized user's weight does, and the auxiliary
+//! entry is saturated too, the merge adds `min(l_u, l_v) − u16::MAX`,
+//! with `l_v` read from the attribute's posting list. The merge is
+//! therefore exact for every `u32` weight. Integer terms become `f64`
+//! through `i64`, which gives the same value as from `u64` below 2^63.
+//! `tests/index_parity.rs` differential-tests this path against the
+//! dense oracle at 1/2/8 threads.
 //!
 //! **Caveat.** Pruning skips pairs without computing their scores, so the
 //! running [`ScoreBounds`] of a pruned pass no
@@ -606,24 +626,26 @@ impl std::ops::AddAssign for PairTally {
 
 /// Reusable per-worker accumulators for [`IndexedScorer::score_user`].
 ///
-/// Dense over the scored auxiliary range but reset sparsely (only touched
-/// slots are cleared), so a worker reuses one scratch across its whole
-/// block without per-user `O(|V2|)` zeroing.
+/// The rare accumulators are dense over the scored auxiliary range. Only
+/// present users have postings, and the chunk screen visits every present
+/// user and zeroes its two accumulators as it reads them, so a worker
+/// reuses one scratch across its whole block without per-user `O(|V2|)`
+/// zeroing. The anonymized user's hot row and mask are cleared after
+/// each user.
 #[derive(Debug, Clone)]
 pub struct IndexScratch {
     /// `|A(u) ∩ A(v)|` over *rare* attributes, per local auxiliary user.
     inter: Vec<u32>,
     /// `Σ min(l_u, l_v)` over the shared rare attributes, per local user.
     min_sum: Vec<u64>,
-    /// Local ids with rare `inter > 0`, in first-touch order.
-    touched: Vec<u32>,
-    /// The anonymized user's weight per hot slot (dense over hot slots,
-    /// sparsely reset via `u_slots`).
-    u_hot: Vec<u32>,
+    /// The anonymized user's dense hot row: `min(l_u, u16::MAX)` per hot
+    /// slot, 0 where it lacks the attribute.
+    u_hot: Vec<u16>,
     /// The anonymized user's hot-slot bitmask.
     u_mask: Vec<u64>,
-    /// Hot slots the anonymized user occupies, for the sparse reset.
-    u_slots: Vec<u32>,
+    /// `(slot, l_u)` of each hot weight of the anonymized user above
+    /// `u16::MAX`, for the merge's saturation correction.
+    u_saturated: Vec<(u32, u32)>,
 }
 
 impl IndexScratch {
@@ -631,11 +653,68 @@ impl IndexScratch {
         Self {
             inter: vec![0; n_local],
             min_sum: vec![0; n_local],
-            touched: Vec::with_capacity(n_local.min(1024)),
             u_hot: vec![0; n_hot],
             u_mask: vec![0; words],
-            u_slots: Vec::with_capacity(n_hot.min(1024)),
+            u_saturated: Vec::new(),
         }
+    }
+}
+
+/// Auxiliary users screened per pass of [`IndexedScorer::score_user`]:
+/// one survivor bit each in a `u64`.
+const CHUNK: usize = 64;
+
+/// A hot weight as a dense-row entry, saturated at `u16::MAX`.
+fn saturate(weight: u32) -> u16 {
+    u16::try_from(weight).unwrap_or(u16::MAX)
+}
+
+/// `x` as `f64` through `i64`: one conversion instruction on x86-64, where
+/// `u64` takes a branchy sequence, and the same value for every
+/// `x < 2^63` (sums of `u32` weights over fewer than 2^31 attributes).
+#[inline]
+fn to_f64(x: u64) -> f64 {
+    debug_assert!(i64::try_from(x).is_ok(), "integer term {x} overflows i64");
+    x as i64 as f64
+}
+
+/// `Σ_s min(a[s], b[s])` over two dense hot rows. Each block of 2^16
+/// slots sums in `u32`, which cannot overflow (2^16 · (2^16 − 1) < 2^32),
+/// so the inner loop vectorizes.
+#[inline]
+fn row_min_sum(a: &[u16], b: &[u16]) -> u64 {
+    const BLOCK: usize = 1 << 16;
+    a.chunks(BLOCK)
+        .zip(b.chunks(BLOCK))
+        .map(|(a, b)| u64::from(a.iter().zip(b).map(|(&x, &y)| u32::from(x.min(y))).sum::<u32>()))
+        .sum()
+}
+
+/// The anonymized user's totals the chunk screen reads: `|A(u)|`, `Σ l_u`
+/// and `Σ l_u` over its hot attributes.
+#[derive(Debug, Clone, Copy)]
+struct AnonTotals {
+    len: u64,
+    wsum: u64,
+    hot_wsum: u64,
+}
+
+/// One chunk's screen results, by position in the chunk.
+#[derive(Debug)]
+struct Screened {
+    /// `|A(u) ∩ A(v)|`.
+    inter: [u64; CHUNK],
+    /// `|A(u) ∪ A(v)|`.
+    union: [u64; CHUNK],
+    /// `Σ min(l_u, l_v)` over the shared rare attributes.
+    rare_min: [u64; CHUNK],
+    /// `c3 ·` the pre-merge bound on the attribute similarity.
+    attr_ub: [f64; CHUNK],
+}
+
+impl Default for Screened {
+    fn default() -> Self {
+        Self { inter: [0; CHUNK], union: [0; CHUNK], rare_min: [0; CHUNK], attr_ub: [0.0; CHUNK] }
     }
 }
 
@@ -649,8 +728,9 @@ impl IndexScratch {
 /// therefore splits attributes at construction: lists shorter than the
 /// hot threshold stay on the probe path, while *hot* attributes are
 /// transposed into per-user bitmask rows (for exact intersection counts
-/// via popcount) and a per-user `(slot, weight)` CSR (for the exact
-/// min-weight merge, paid only by pairs that survive pruning).
+/// via popcount) and dense per-user `u16` weight rows (for the exact
+/// min-weight merge, paid only by pairs that survive pruning; see the
+/// module docs for the saturation correction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct HotAttrs {
     /// Attribute id → hot slot, `u32::MAX` for rare attributes.
@@ -664,12 +744,9 @@ struct HotAttrs {
     masks: Vec<u64>,
     /// Per local user: `Σ l_v` over its hot attributes.
     hot_wsums: Vec<u64>,
-    /// Per-user hot CSR: row `lv` is `starts[lv]..starts[lv + 1]`.
-    starts: Vec<usize>,
-    /// Hot slot of each CSR entry, ascending within a row.
-    slots: Vec<u32>,
-    /// Weight `l_v` of each CSR entry, parallel to `slots`.
-    weights: Vec<u32>,
+    /// Concatenated per-local-user dense weight rows (`n_local * n_hot`):
+    /// `min(l_v, u16::MAX)` per hot slot, 0 where the user lacks it.
+    rows: Vec<u16>,
 }
 
 /// The hot threshold over `n_present` present users: a list is hot when
@@ -701,9 +778,7 @@ impl HotAttrs {
             words,
             masks: Vec::new(),
             hot_wsums: Vec::new(),
-            starts: vec![0],
-            slots: Vec::new(),
-            weights: Vec::new(),
+            rows: Vec::new(),
         };
         hot.push_rows(index, from);
         hot
@@ -711,40 +786,22 @@ impl HotAttrs {
 
     /// Append the rows of the index users after the last row already
     /// here: users `from + rows..index.n_users()`, where `from` is the
-    /// watermark the tables were built at. Each row lists the user's hot
-    /// entries in slot order, as a build over the whole tail would.
+    /// watermark the tables were built at, exactly as a build over the
+    /// whole tail would fill them.
     fn push_rows(&mut self, index: &AttributeIndex, from: usize) {
         let base = self.hot_wsums.len();
         let first = from + base;
         let first32 = u32::try_from(first).expect("watermark overflows u32");
-        let n_new = index.n_users() - first;
-        let mut row_len = vec![0usize; n_new];
-        for &attr in &self.attrs {
-            for &user in index.posting(attr as usize).suffix(first32).users {
-                row_len[user as usize - first] += 1;
-            }
-        }
-        let mut at = self.starts[base];
-        let mut fill = Vec::with_capacity(n_new);
-        for &l in &row_len {
-            fill.push(at);
-            at += l;
-            self.starts.push(at);
-        }
-        let words = self.words;
-        self.slots.resize(at, 0);
-        self.weights.resize(at, 0);
-        self.masks.resize((base + n_new) * words, 0);
-        self.hot_wsums.resize(base + n_new, 0);
+        let n_users = base + index.n_users() - first;
+        let (words, n_hot) = (self.words, self.n_hot());
+        self.masks.resize(n_users * words, 0);
+        self.hot_wsums.resize(n_users, 0);
+        self.rows.resize(n_users * n_hot, 0);
         for (slot, &attr) in self.attrs.iter().enumerate() {
             let plist = index.posting(attr as usize).suffix(first32);
             for (&user, &weight) in plist.users.iter().zip(plist.weights) {
-                let i = user as usize - first;
-                let pos = fill[i];
-                fill[i] += 1;
-                self.slots[pos] = slot as u32;
-                self.weights[pos] = weight;
-                let lv = base + i;
+                let lv = base + (user as usize - first);
+                self.rows[lv * n_hot + slot] = saturate(weight);
                 self.masks[lv * words + slot / 64] |= 1u64 << (slot % 64);
                 self.hot_wsums[lv] += u64::from(weight);
             }
@@ -858,7 +915,7 @@ pub struct IndexedScorer<'e, 'i> {
     attr_counts: &'i [u32],
     weight_sums: &'i [u64],
     present_flags: &'i [u8],
-    /// Hot-attribute bitmasks and per-user CSR (see [`HotAttrs`]).
+    /// Hot-attribute bitmasks and dense weight rows (see [`HotAttrs`]).
     hot: Arc<HotAttrs>,
     from: usize,
     prune: bool,
@@ -958,6 +1015,71 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
             || *ceiling.get_or_insert_with(|| self.sim.structural_ceiling(u, lv)) + attr < floor
     }
 
+    /// Exact `Σ min(l_u, l_v)` over the hot attributes of `u` (loaded into
+    /// `scratch`) and auxiliary index user `v` (local id `lv`): the dense
+    /// rows' `Σ min`, plus the saturation correction of each slot where
+    /// both weights exceed `u16::MAX`.
+    fn hot_min_sum(&self, lv: usize, v: usize, scratch: &IndexScratch) -> u64 {
+        let hot: &HotAttrs = &self.hot;
+        let n_hot = hot.n_hot();
+        let row = &hot.rows[lv * n_hot..(lv + 1) * n_hot];
+        let mut sum = row_min_sum(&scratch.u_hot, row);
+        for &(slot, l_u) in &scratch.u_saturated {
+            if row[slot as usize] == u16::MAX {
+                let plist = self.index.posting(hot.attrs[slot as usize] as usize);
+                let at = plist.users.binary_search(&(v as u32)).expect("a hot entry has a posting");
+                sum += u64::from(l_u.min(plist.weights[at])) - u64::from(u16::MAX);
+            }
+        }
+        sum
+    }
+
+    /// Screen one chunk of present auxiliary users with no data-dependent
+    /// branch, filling `out` per position and returning the survivor
+    /// mask. Each pair's exact intersection (rare accumulator, zeroed as
+    /// it is read, plus hot popcount), its Jaccard denominator and the
+    /// pre-merge bound on its weighted term: the Jaccard term is already
+    /// exact, and the hot merge can add at most `min(u hot mass, v hot
+    /// mass)` to the min-weight sum. Larger min-sum ⇒ larger ratio
+    /// (monotone f64 division with a shrinking denominator), so this
+    /// bounds the weighted term from above. A pair that shares an
+    /// attribute is pruned when that bound plus the constant structural
+    /// ceiling is below `floor`.
+    fn screen(
+        &self,
+        chunk: &[u32],
+        anon: AnonTotals,
+        floor: f64,
+        scratch: &mut IndexScratch,
+        out: &mut Screened,
+    ) -> u64 {
+        let hot: &HotAttrs = &self.hot;
+        let (words, c3) = (hot.words, self.sim.weights().c3);
+        let mut survivors = 0u64;
+        for (i, &v32) in chunk.iter().enumerate() {
+            let v = v32 as usize;
+            let lv = v - self.from;
+            debug_assert!(
+                self.present_flags[v] != 0,
+                "absent users have no posts, hence no postings"
+            );
+            let mask = &hot.masks[lv * words..lv * words + words];
+            let inter_hot: u32 =
+                scratch.u_mask.iter().zip(mask).map(|(&a, &b)| (a & b).count_ones()).sum();
+            let n = u64::from(std::mem::take(&mut scratch.inter[lv])) + u64::from(inter_hot);
+            let rare = std::mem::take(&mut scratch.min_sum[lv]);
+            let union = anon.len + u64::from(self.attr_counts[v]) - n;
+            let min_ub = rare + anon.hot_wsum.min(hot.hot_wsums[lv]);
+            let wunion_lb = anon.wsum + self.weight_sums[v] - min_ub;
+            let ub = c3 * (to_f64(n) / to_f64(union) + to_f64(min_ub) / to_f64(wunion_lb));
+            // A zero-shared pair has no pre-merge check: it always survives.
+            let pruned = (n != 0) & (self.struct_bound + ub < floor);
+            survivors |= u64::from(!pruned) << i;
+            (out.inter[i], out.union[i], out.rare_min[i], out.attr_ub[i]) = (n, union, rare, ub);
+        }
+        survivors
+    }
+
     /// Fresh accumulators sized for this scorer's auxiliary range.
     #[must_use]
     pub fn scratch(&self) -> IndexScratch {
@@ -989,30 +1111,27 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
     ) -> PairTally {
         let w = self.sim.weights();
         let anon_attrs = &self.sim.anon_uda().attributes[u];
-        let u_len = anon_attrs.len() as u64;
-        let u_wsum = anon_attrs.weight_sum();
+        let mut anon =
+            AnonTotals { len: anon_attrs.len() as u64, wsum: anon_attrs.weight_sum(), hot_wsum: 0 };
         let hot: &HotAttrs = &self.hot;
-        let words = hot.words;
 
-        // Split u's attributes: hot ones fill the dense slot table and
-        // bitmask, rare ones probe their posting-list suffix, accumulating
+        // Split u's attributes: hot ones fill the dense row and bitmask,
+        // rare ones probe their posting-list suffix, accumulating
         // intersection counts and min-weight sums per touched pair.
         let from32 = u32::try_from(self.from).expect("watermark overflows u32");
-        let mut u_hot_wsum = 0u64;
         for &(attr, x) in anon_attrs.as_weights() {
             if let Some(slot) = hot.slot(attr as usize) {
-                scratch.u_hot[slot] = x;
+                scratch.u_hot[slot] = saturate(x);
                 scratch.u_mask[slot / 64] |= 1u64 << (slot % 64);
-                scratch.u_slots.push(slot as u32);
-                u_hot_wsum += u64::from(x);
+                if x > u32::from(u16::MAX) {
+                    scratch.u_saturated.push((slot as u32, x));
+                }
+                anon.hot_wsum += u64::from(x);
                 continue;
             }
             let plist = self.index.posting(attr as usize).suffix(from32);
             for (&user, &weight) in plist.users.iter().zip(plist.weights) {
                 let lv = user as usize - self.from;
-                if scratch.inter[lv] == 0 {
-                    scratch.touched.push(lv as u32);
-                }
                 scratch.inter[lv] += 1;
                 scratch.min_sum[lv] += u64::from(x.min(weight));
             }
@@ -1022,95 +1141,70 @@ impl<'e, 'i> IndexedScorer<'e, 'i> {
         // The pre-merge weighted-term bound is only an *upper* bound on
         // the score when its weight is non-negative.
         let c3_bounds_above = w.c3 >= 0.0;
+        let mut screened = Screened::default();
 
-        for &v32 in self.index.present_from(self.from) {
-            let lv = v32 as usize - self.from;
-            let v = v32 as usize;
-            debug_assert!(
-                self.present_flags[v] != 0,
-                "absent users have no posts, hence no postings"
-            );
-            // Exact intersection: rare accumulator + hot popcount.
-            let inter_hot: u32 = if words == 0 {
-                0
-            } else {
-                let row = &hot.masks[lv * words..lv * words + words];
-                scratch.u_mask.iter().zip(row).map(|(&a, &b)| (a & b).count_ones()).sum()
+        for chunk in self.index.present_from(self.from).chunks(CHUNK) {
+            // The screen prunes on the floor the chunk opens with; with no
+            // floor yet, or no pre-merge pruning, every pair survives it.
+            let screen_floor = match top.floor() {
+                Some(floor) if self.prune && c3_bounds_above => floor,
+                _ => f64::NEG_INFINITY,
             };
-            let inter = u64::from(scratch.inter[lv]) + u64::from(inter_hot);
-            let floor = if self.prune { top.floor() } else { None };
-            let mut ceiling = None;
+            let mut survivors = self.screen(chunk, anon, screen_floor, scratch, &mut screened);
+            let Screened { inter, union, rare_min, attr_ub } = &screened;
+            tally.pruned += (chunk.len() - survivors.count_ones() as usize) as u64;
 
-            let attr_term = if inter == 0 {
-                // Zero-shared pair: the attribute term is exactly 0 (both
-                // Jaccard conventions give 0.0 on an empty intersection),
-                // matching the dense merge bit for bit with nothing to
-                // merge.
-                w.c3 * 0.0
-            } else {
-                let union = u_len + u64::from(self.attr_counts[v]) - inter;
-                let rare_min = scratch.min_sum[lv];
-                // Pre-merge screen: the Jaccard term is already exact, and
-                // the hot merge can add at most `min(u hot mass, v hot
-                // mass)` to the min-weight sum. Larger min-sum ⇒ larger
-                // ratio (monotone f64 division with a shrinking
-                // denominator), so this bounds the weighted term from
-                // above and the O(hot row) merge is paid by surviving
-                // pairs only.
-                if let (Some(floor), true) = (floor, c3_bounds_above) {
-                    let min_ub = rare_min + u_hot_wsum.min(hot.hot_wsums[lv]);
-                    let wunion_lb = u_wsum + self.weight_sums[v] - min_ub;
-                    let s_attr_ub = inter as f64 / union as f64 + min_ub as f64 / wunion_lb as f64;
-                    if self.below_floor(u, lv, w.c3 * s_attr_ub, floor, &mut ceiling) {
+            // Survivors, in id order, through the per-pair path against
+            // the current floor.
+            while survivors != 0 {
+                let i = survivors.trailing_zeros() as usize;
+                survivors &= survivors - 1;
+                let v = chunk[i] as usize;
+                let lv = v - self.from;
+                let floor = if self.prune { top.floor() } else { None };
+                let mut ceiling = None;
+
+                let attr_term = if inter[i] == 0 {
+                    // Zero-shared pair: the attribute term is exactly 0
+                    // (both Jaccard conventions give 0.0 on an empty
+                    // intersection), matching the dense merge bit for bit
+                    // with nothing to merge.
+                    w.c3 * 0.0
+                } else {
+                    if let (Some(floor), true) = (floor, c3_bounds_above) {
+                        if self.below_floor(u, lv, attr_ub[i], floor, &mut ceiling) {
+                            tally.pruned += 1;
+                            continue;
+                        }
+                    }
+                    let min_sum = rare_min[i] + self.hot_min_sum(lv, v, scratch);
+                    let wunion = anon.wsum + self.weight_sums[v] - min_sum;
+                    // Same integers, same divisions, same addition order
+                    // as `UserAttributes::jaccard + weighted_jaccard`.
+                    w.c3 * (to_f64(inter[i]) / to_f64(union[i]) + to_f64(min_sum) / to_f64(wunion))
+                };
+
+                if let Some(floor) = floor {
+                    if self.below_floor(u, lv, attr_term, floor, &mut ceiling) {
+                        tally.merged += 1;
                         tally.pruned += 1;
                         continue;
                     }
                 }
-                // Exact hot merge: O(|v's hot row|) against u's dense
-                // table. Slots u lacks hold weight 0 and add `min(0, l_v)
-                // = 0`, so the loop needs no branch.
-                let row = hot.starts[lv]..hot.starts[lv + 1];
-                let min_sum = rare_min
-                    + hot.slots[row.clone()]
-                        .iter()
-                        .zip(&hot.weights[row])
-                        .map(|(&slot, &wv)| u64::from(scratch.u_hot[slot as usize].min(wv)))
-                        .sum::<u64>();
-                let wunion = u_wsum + self.weight_sums[v] - min_sum;
-                // Same integers, same divisions, same addition order as
-                // `UserAttributes::jaccard + weighted_jaccard`.
-                w.c3 * (inter as f64 / union as f64 + min_sum as f64 / wunion as f64)
-            };
-
-            if let Some(floor) = floor {
-                if self.below_floor(u, lv, attr_term, floor, &mut ceiling) {
-                    tally.merged += 1;
-                    tally.pruned += 1;
-                    continue;
-                }
+                let s = (w.c1 * self.sim.degree_similarity(u, lv)
+                    + w.c2 * self.sim.distance_similarity(u, lv))
+                    + attr_term;
+                top.insert(v, s);
+                bounds.observe(s);
+                tally.merged += 1;
+                tally.scored += 1;
             }
-            let s = (w.c1 * self.sim.degree_similarity(u, lv)
-                + w.c2 * self.sim.distance_similarity(u, lv))
-                + attr_term;
-            top.insert(v, s);
-            bounds.observe(s);
-            tally.merged += 1;
-            tally.scored += 1;
         }
 
-        // Sparse reset: clear only the touched slots.
-        for &lv32 in &scratch.touched {
-            let lv = lv32 as usize;
-            scratch.inter[lv] = 0;
-            scratch.min_sum[lv] = 0;
-        }
-        scratch.touched.clear();
-        for &slot in &scratch.u_slots {
-            let slot = slot as usize;
-            scratch.u_hot[slot] = 0;
-            scratch.u_mask[slot / 64] = 0;
-        }
-        scratch.u_slots.clear();
+        // The screen zeroed the rare accumulators; clear u's hot row.
+        scratch.u_hot.fill(0);
+        scratch.u_mask.fill(0);
+        scratch.u_saturated.clear();
         tally
     }
 }
@@ -1395,24 +1489,119 @@ mod tests {
         }
     }
 
+    /// An auxiliary side of 40 present users, whose shared attributes
+    /// (lists of at least 16 users) are hot.
+    fn hot_aux() -> UdaGraph {
+        let posts: Vec<Post> = (0..40).map(|u| p(u, u % 5, texts()[u % 6])).collect();
+        uda(posts, 40, 5)
+    }
+
     #[test]
     fn scratch_resets_between_users() {
-        let (anon, aux) = sides();
-        let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
-        let index = sim.attribute_index();
-        let scorer = IndexedScorer::new(&sim, &index, 0, false);
-        let mut shared = scorer.scratch();
-        // Scoring u = 0 twice with the same scratch must give identical
-        // results (a dirty scratch would double the accumulators).
-        let run = |scratch: &mut IndexScratch| {
-            let mut top = BoundedTopK::new(5);
-            let mut bounds = ScoreBounds::new();
-            scorer.score_user(0, scratch, &mut top, &mut bounds);
-            top.into_sorted_entries()
-        };
-        let first = run(&mut shared);
-        let second = run(&mut shared);
-        assert_eq!(first, second);
+        let (anon, small_aux) = sides();
+        for (aux, prune) in [(&small_aux, false), (&hot_aux(), false), (&hot_aux(), true)] {
+            let sim = SimilarityEngine::new(&anon, aux, SimilarityWeights::default(), 3);
+            let index = sim.attribute_index();
+            let scorer = IndexedScorer::new(&sim, &index, 0, prune);
+            let mut shared = scorer.scratch();
+            // Scoring a user twice with the same scratch must give
+            // identical results (a dirty scratch would double the
+            // accumulators), and every accumulator is zero after each
+            // user: no touched list clears them.
+            let mut run = |u: usize| {
+                let mut top = BoundedTopK::new(5);
+                let mut bounds = ScoreBounds::new();
+                let tally = scorer.score_user(u, &mut shared, &mut top, &mut bounds);
+                assert!(shared.inter.iter().all(|&x| x == 0), "inter dirty after u={u}");
+                assert!(shared.min_sum.iter().all(|&x| x == 0), "min_sum dirty after u={u}");
+                assert!(shared.u_hot.iter().all(|&x| x == 0), "u_hot dirty after u={u}");
+                assert!(shared.u_mask.iter().all(|&x| x == 0), "u_mask dirty after u={u}");
+                assert!(shared.u_saturated.is_empty());
+                (tally, top.into_sorted_entries())
+            };
+            for u in 0..sim.n_anon() {
+                let first = run(u);
+                assert_eq!(first, run(u), "u={u}");
+            }
+        }
+    }
+
+    /// Score every anonymized user with pruning on and off and assert
+    /// that the candidates and score bits equal the dense oracle's, with
+    /// every present pair accounted for.
+    fn assert_matches_dense(sim: &SimilarityEngine<'_>, index: &AttributeIndex, k: usize) {
+        for prune in [false, true] {
+            let scorer = IndexedScorer::new(sim, index, 0, prune);
+            let mut scratch = scorer.scratch();
+            for u in 0..sim.n_anon() {
+                let mut top = BoundedTopK::new(k);
+                let mut bounds = ScoreBounds::new();
+                let tally = scorer.score_user(u, &mut scratch, &mut top, &mut bounds);
+                let (dense, n_present) = dense_topk(sim, u, k);
+                assert_eq!(tally.scored + tally.pruned, n_present as u64, "u={u}");
+                let sparse = top.into_sorted_entries();
+                assert_eq!(sparse.len(), dense.len(), "u={u} prune={prune}");
+                for (a, b) in sparse.iter().zip(&dense) {
+                    assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "u={u} prune={prune}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_hot_weights_score_exactly() {
+        const BIG: [u32; 4] = [65_535, 65_536, 70_000, 100_000];
+        /// Give every user's hot attributes one of the `BIG` weights,
+        /// cycling by user and attribute.
+        fn saturate_hot(side: &mut UdaGraph, hot: &[u32]) {
+            for (u, attrs) in side.attributes.iter_mut().enumerate() {
+                let weights = attrs
+                    .as_weights()
+                    .iter()
+                    .map(|&(a, w)| {
+                        let big = BIG[(u + a as usize) % BIG.len()];
+                        (a, if hot.contains(&a) { big } else { w })
+                    })
+                    .collect();
+                *attrs = UserAttributes::from_weights(weights);
+            }
+        }
+        let anon_posts: Vec<Post> = (0..12).map(|u| p(u, u % 3, texts()[(u + 1) % 6])).collect();
+        let plain = (uda(anon_posts, 12, 3), hot_aux());
+        let hot_attrs = AuxHotAttrs::build(&AttributeIndex::from_uda(&plain.1)).hot.attrs.clone();
+        assert!(hot_attrs.len() >= 4, "too few hot attributes: {hot_attrs:?}");
+        for (anon_big, aux_big) in [(true, true), (true, false), (false, true)] {
+            let (mut anon, mut aux) = plain.clone();
+            if anon_big {
+                saturate_hot(&mut anon, &hot_attrs);
+            }
+            if aux_big {
+                saturate_hot(&mut aux, &hot_attrs);
+            }
+            let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
+            let index = sim.attribute_index();
+            assert_eq!(AuxHotAttrs::build(&index).hot.attrs, hot_attrs, "the hot set moved");
+            assert_matches_dense(&sim, &index, 40);
+            assert_matches_dense(&sim, &index, 3);
+        }
+    }
+
+    #[test]
+    fn chunk_boundaries_match_the_dense_oracle() {
+        for n_present in [63, 64, 65, 129] {
+            // Every fourth id is absent: no posts.
+            let ids: Vec<usize> = (0..).filter(|u| u % 4 != 3).take(n_present).collect();
+            let posts = ids.iter().map(|&u| p(u, u % 7, texts()[(u * 5) % 6])).collect();
+            let aux = uda(posts, ids[n_present - 1] + 1, 7);
+            let (anon, _) = sides();
+            let sim = SimilarityEngine::new(&anon, &aux, SimilarityWeights::default(), 3);
+            let index = sim.attribute_index();
+            assert_eq!(index.present_from(0).len(), n_present);
+            assert!(index.n_users() > n_present);
+            // K = 2: the heap fills, and the floor rises, inside the first
+            // chunk.
+            assert_matches_dense(&sim, &index, 2);
+        }
     }
 
     #[test]
